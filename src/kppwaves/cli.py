@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import connect, pde
-from .config import RunConfig, config_to_dict, load_config
+from .config import RunConfig, c_label, config_to_dict, load_config
 from .errors import (
     ConfigError,
     InconclusiveError,
@@ -68,16 +68,12 @@ def _canonical(cfg: RunConfig):
     return cfg.model, None
 
 
-def _c_label(c: float) -> str:
-    return f"{float(c):g}"
-
-
 def _profile_path(out: Path, c: float) -> Path:
-    return out / f"profile_c{_c_label(c)}.csv"
+    return out / f"profile_c{c_label(c)}.csv"
 
 
 def _trajectory_path(out: Path, c: float) -> Path:
-    return out / f"trajectory_c{_c_label(c)}.csv"
+    return out / f"trajectory_c{c_label(c)}.csv"
 
 
 def _echo_config(cfg: RunConfig, out: Path) -> None:
@@ -204,7 +200,7 @@ def _no_wave_labels(out: Path) -> set[str]:
     labels = set()
     for row in read_json(path):
         if row.get("observed_class") == SpeedClass.NO_WAVE.value:
-            labels.add(_c_label(row["c"]))
+            labels.add(c_label(row["c"]))
     return labels
 
 
@@ -226,7 +222,7 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
         try:
             ppath = _profile_path(out, c)
             if not ppath.exists():
-                if _c_label(c) in waveless:
+                if c_label(c) in waveless:
                     row["skipped"] = "no wave at this speed; nothing to advect"
                     rows.append(row)
                     continue
@@ -239,14 +235,14 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
             res = pde.advect_profile_test(
                 profile, cm, pc.T, n_cells=pc.n_cells, cfl=pc.cfl,
                 domain=domain, snapshot_times=pc.snapshot_times)
-            label = _c_label(c)
+            label = c_label(c)
             front_path = out / f"front_c{label}.csv"
             write_csv(front_path, ["t", "x_front"],
                       ([fmt(t), fmt(xf)] for t, xf in res.run.front_track))
             snap_files = []
             x = res.run.x
             for t, u in res.snapshots:
-                spath = out / f"snapshot_c{label}_t{_c_label(t)}.csv"
+                spath = out / f"snapshot_c{label}_t{c_label(t)}.csv"
                 write_csv(spath, ["x", "u"],
                           ([fmt(a), fmt(b)] for a, b in zip(x, u)))
                 snap_files.append(spath.name)
@@ -331,8 +327,9 @@ def cmd_sweep(cfg: RunConfig, out: Path | None = None, *, jobs: int = 1,
         raise ConfigError("sweep: no speeds to sweep (set `sweep` or `speeds`)")
     atol, rtol = cfg.ode_tolerances
     tasks = [(cm, c, cfg.seed_eps, atol, rtol) for c in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]

@@ -16,7 +16,12 @@ from .errors import ConfigError, KppWavesError
 from .model import CanonicalModel, GeneralModel, model_from_json, model_to_json
 
 __all__ = ["PdeConfig", "SweepConfig", "RunConfig", "parse_config",
-           "load_config", "config_to_dict"]
+           "load_config", "config_to_dict", "c_label"]
+
+
+def c_label(c: float) -> str:
+    """The label a speed (or time) carries in output file names."""
+    return f"{float(c):g}"
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,12 @@ def parse_config(data) -> RunConfig:
     if not isinstance(raw_speeds, (list, tuple)):
         raise ConfigError("speeds: expected a list")
     speeds = tuple(_need_finite(c, f"speeds[{i}]") for i, c in enumerate(raw_speeds))
+    first: dict[str, int] = {}
+    for i, c in enumerate(speeds):
+        j = first.setdefault(c_label(c), i)
+        if j != i:
+            raise ConfigError(f"speeds[{i}]: {c!r} shares the file label "
+                              f"{c_label(c)!r} with speeds[{j}] = {speeds[j]!r}")
 
     raw_tol = data.get("ode_tolerances", [1e-10, 1e-10])
     if not isinstance(raw_tol, (list, tuple)) or len(raw_tol) != 2:

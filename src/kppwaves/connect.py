@@ -19,6 +19,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -101,6 +102,36 @@ class TrajectoryEvent:
     target: str | None = None    # fixed-point name for arrivals
 
 
+class _NordsieckTable:
+    """LSODA dense output of a whole shot as one zero-padded coefficient table.
+
+    Step n's interpolant is the Nordsieck polynomial sum_k yh[:, k] s^k,
+    s = (t - t_n) / h, about the step's end t_n (Petzold 1983).  As in the
+    OdeSolution solve_ivp builds for LSODA, a breakpoint belongs to the step
+    that starts there.
+    """
+
+    def __init__(self, sol):
+        steps = sol.interpolants
+        self.ts = np.asarray(sol.ts, dtype=float)
+        self.t_end = np.array([s.t for s in steps], dtype=float)
+        self.h = np.array([s.h for s in steps], dtype=float)
+        order = max(len(s.p) for s in steps)
+        self.coef = np.zeros((order, steps[0].yh.shape[0], len(steps)))
+        for j, s in enumerate(steps):
+            self.coef[:len(s.p), :, j] = s.yh.T
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        j = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.h) - 1)
+        s = (t - self.t_end[j]) / self.h[j]
+        y = self.coef[-1].take(j, axis=1)
+        for c in self.coef[-2::-1]:
+            y *= s
+            y += c.take(j, axis=1)
+        return y
+
+
 @dataclass
 class Trajectory:
     """Integrated orbit samples, strictly increasing in tau, all X >= 0.
@@ -123,12 +154,20 @@ class Trajectory:
     _dense_sign: float = field(default=1.0, repr=False)
     _dense_shift: float = field(default=0.0, repr=False)
 
-    def state_at(self, tau):
-        """Dense-output states at the given presented-tau values."""
+    @cached_property
+    def _nordsieck(self) -> _NordsieckTable:
         if self._dense is None:
             raise InvalidParameterError("trajectory carries no dense output")
+        return _NordsieckTable(self._dense)
+
+    def state_at(self, tau):
+        """Dense-output states at the given presented-tau values.
+
+        The integrator's dense output is evaluated as one vectorized Nordsieck
+        table, built on the first call.
+        """
         sigma = self._dense_sign * np.asarray(tau, dtype=float) + self._dense_shift
-        out = self._dense(sigma)
+        out = self._nordsieck(sigma)
         return out[0], out[1]
 
 
@@ -627,9 +666,8 @@ class _XiMap:
         self.pref = pref
         self.expo = expo
         knots = traj.tau
-        fine = np.unique(np.concatenate(
-            [np.linspace(knots[i], knots[i + 1], 5)[:-1] for i in range(len(knots) - 1)]
-            + [knots[-1:]]))
+        quarters = np.arange(4) * (np.diff(knots) / 4.0)[:, None] + knots[:-1, None]
+        fine = np.unique(np.append(quarters, knots[-1]))
         self.t = fine
         a, b = fine[:-1], fine[1:]
         half = 0.5 * (b - a)
@@ -745,6 +783,8 @@ def reconstruct_profile(traj: Trajectory, sys: PhaseSystem, cm: CanonicalModel,
     X_grid, _ = traj.state_at(tau_grid)
     X_grid = np.maximum(np.asarray(X_grid, dtype=float), 0.0)
     f_fwd = X_grid ** fe
+    if not (np.all(np.isfinite(xi_fwd)) and np.all(np.isfinite(f_fwd))):
+        raise InconclusiveError("profile reconstruction produced non-finite samples")
 
     # flip per the mirror symmetry: the wave moves with c_wave < 0
     xi = -xi_fwd[::-1]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from kppwaves import cli
 from kppwaves.cli import main
 
 BASE_CFG = {
@@ -100,6 +101,29 @@ def test_shoot_with_no_speeds_is_a_warning(tmp_path, capsys):
     assert "no speeds" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_shoot_refuses_non_finite_profile(tmp_path):
+    # c = -0.05 c* for this model: the reconstruction overflows (see
+    # test_non_finite_profile_is_inconclusive)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, model={"m": 0.72, "p": 3.741, "q": 1.286},
+                    speeds=[-0.156684396159924], output_dir=str(out))
+    assert main(["shoot", "--config", str(cfg)]) == 3
+    rows = json.loads((out / "classification.json").read_text())
+    assert rows[0]["error_kind"] == "InconclusiveError"
+    assert "profile_file" not in rows[0]
+    assert not list(out.glob("profile_c*.csv"))
+
+
+def test_speeds_sharing_a_file_label_are_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, speeds=[-1.0, -1.0000001], output_dir=str(out))
+    assert main(["shoot", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "speeds[1]" in err and "'-1'" in err
+    assert not out.exists()
+
+
 def test_shoot_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cfg1 = write_cfg(tmp_path, output_dir=str(out1))
@@ -179,6 +203,33 @@ def test_sweep_jobs_do_not_change_output(tmp_path):
     cfg = write_cfg(tmp_path, output_dir=str(out1))
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_sweep_jobs_are_capped(tmp_path, monkeypatch):
+    # a recorder stands in for the pool, so no worker process starts
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    cfg = write_cfg(tmp_path, output_dir=str(out1))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--jobs", "10000"]) == 0
+    assert seen == [4]
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 

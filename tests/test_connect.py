@@ -33,6 +33,27 @@ def test_dense_output_matches_samples():
         assert Y == pytest.approx(traj.Y[i], abs=1e-9)
 
 
+@pytest.mark.parametrize("cm, c, point, direction", [
+    (CM221, 1.0, Point.P0, Direction.FORWARD),
+    (CM221, 2.0, Point.P1, Direction.BACKWARD),
+    (CanonicalModel(m=1, p=1, q=0.5), 1.0, Point.P2, Direction.BACKWARD),
+])
+def test_state_at_matches_scipy_dense_output(cm, c, point, direction):
+    # pins the Nordsieck table against scipy's OdeSolution on the same shot,
+    # including the layout of LSODA's dense output (t, h, yh, p)
+    traj = shoot_from(build_system(cm, c), point, direction)
+    tau = traj.tau
+    first, last = tau[1] - tau[0], tau[-1] - tau[-2]
+    pts = np.concatenate([tau, 0.5 * (tau[:-1] + tau[1:]),
+                          [tau[0] - 0.5 * first, tau[-1] + 0.5 * last]])
+    for t in (pts, pts[len(pts) // 3]):
+        X, Y = traj.state_at(t)
+        want = traj._dense(traj._dense_sign * t + traj._dense_shift)
+        for got, ref in ((X, want[0]), (Y, want[1])):
+            assert np.shape(got) == np.shape(ref)
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
 def test_axis_events_sit_on_the_axis():
     traj = shoot_from(build_system(CM221, 1.0), Point.P0, Direction.FORWARD)
     crossings = [ev for ev in traj.events if ev.kind is EventKind.X_AXIS_CROSS]
@@ -181,6 +202,30 @@ def test_oscillatory_profile_shape(oscillatory_profile_221):
     # overshoot amplitude grows toward the front (decays behind it)
     amps = [abs(f - 1.0) for _, f in ext]
     assert all(b > a for a, b in zip(amps, amps[1:]))
+
+
+def test_profile_matches_closed_form_wave():
+    # (m,p,q) = (1,2,1) at c = -5/sqrt(6) has the explicit front
+    # u = 1 - (1 + (sqrt(2) - 1) e^(-xi/sqrt(6)))^-2 with u(0) = 1/2
+    # (Ablowitz & Zeppetella 1979)
+    cm = CanonicalModel(m=1, p=2, q=1)
+    s = build_system(cm, 5.0 / math.sqrt(6.0))
+    prof = reconstruct_profile(shoot_from(s, Point.P2, Direction.BACKWARD), s, cm)
+    assert prof.classification is SpeedClass.MONOTONE
+    with np.errstate(over="ignore"):
+        exact = 1.0 - (1.0 + (math.sqrt(2.0) - 1.0) * np.exp(-prof.xi / math.sqrt(6.0))) ** -2
+    assert np.max(np.abs(prof.f - exact)) < 1e-6
+
+
+def test_non_finite_profile_is_inconclusive():
+    # the xi quadrature overflows along this slow orbit; the profile must be
+    # refused, not returned full of NaN
+    cm = CanonicalModel(m=0.72, p=3.741, q=1.286)
+    s = build_system(cm, 0.05 * kw.critical_speed(cm))
+    traj = shoot_from(s, Point.P2, Direction.BACKWARD)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(kw.InconclusiveError, match="non-finite"):
+        reconstruct_profile(traj, s, cm)
 
 
 def test_constant_trajectory_reconstructs_to_rest_state():
