@@ -237,14 +237,15 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 domain=domain, snapshot_times=pc.snapshot_times)
             label = c_label(c)
             front_path = out / f"front_c{label}.csv"
+            # repr of a Python float is fmt's text, "nan" included
             write_csv(front_path, ["t", "x_front"],
-                      ([fmt(t), fmt(xf)] for t, xf in res.run.front_track))
+                      ([repr(t), repr(xf)] for t, xf in res.run.front_track))
             snap_files = []
-            x = res.run.x
+            x = res.run.x.tolist()
             for t, u in res.snapshots:
                 spath = out / f"snapshot_c{label}_t{c_label(t)}.csv"
                 write_csv(spath, ["x", "u"],
-                          ([fmt(a), fmt(b)] for a, b in zip(x, u)))
+                          ([repr(a), repr(b)] for a, b in zip(x, u.tolist())))
                 snap_files.append(spath.name)
             row.update({
                 "max_error": res.max_error,
@@ -256,6 +257,10 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 "checkpoints": [[t, e] for t, e in res.checkpoints],
                 "front_file": front_path.name,
                 "snapshot_files": snap_files,
+                "steps": res.steps,
+                "dt_min": res.dt_min,
+                "dt_max": res.dt_max,
+                "min_before_clamp": res.min_before_clamp,
             })
         except KppWavesError as e:
             row["error"] = str(e)

@@ -757,8 +757,15 @@ def reconstruct_profile(traj: Trajectory, sys: PhaseSystem, cm: CanonicalModel,
             f"trajectory ends are attached to {start!r} and {end!r}; "
             "a profile needs the P0-P2 connection (or its reverse)")
     # samples always ascend from the P0 end toward P2 (a 'P2 backward' trace
-    # is the same orbit re-parametrized), so no flip is needed here
-    xi_map = _XiMap(traj, pref, expo)
+    # is the same orbit re-parametrized), so no flip is needed here.  A slow
+    # orbit can overflow the quadrature; refuse it here rather than run the
+    # inversion on inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi_map = _XiMap(traj, pref, expo)
+    if not np.all(np.isfinite(xi_map.xi)):
+        raise InconclusiveError(
+            "profile reconstruction produced non-finite samples: the xi "
+            "quadrature overflowed")
 
     # anchor: first upward crossing of f = 1/2, which the final flipped
     # presentation sees as the last downward crossing at the front

@@ -11,6 +11,15 @@ current maximum.  Sinks are limited per node so they cannot overdraw the
 value left after diffusion; u stays non-negative up to roundoff, and anything
 below -1e-12 before the clamp is treated as a scheme failure, not smoothed
 over.
+
+Each step runs on a workspace kept on the run: the model's coefficients,
+checked once, and scratch buffers allocated once per (run, model).  The
+arithmetic is the original formulation's, operation for operation (unit
+coefficients and m = 1's constant diffusivity only skip exact no-ops), so
+states, time steps and times are unchanged to the bit.  The run counts its
+steps, the range of dt and the lowest value seen before the clamp; the
+``pde`` command writes these into ``pde_summary.json`` as ``steps``,
+``dt_min``, ``dt_max`` and ``min_before_clamp``.
 """
 
 from __future__ import annotations
@@ -61,6 +70,11 @@ class PdeRun:
     (n_cells + 1 nodes).  ``bc`` pins the end values (Dirichlet); the
     ``zero_flux`` and ``reaction_on`` switches are test hooks for the
     conservation checks and leave the production path untouched.
+
+    ``step`` keeps count: ``steps`` taken, the smallest and largest ``dt``
+    (``dt_min``, ``dt_max``) and ``min_before_clamp``, the lowest state value
+    any step produced before negatives of roundoff size were clamped to 0.
+    Before the first step the extremes are the empty-set values +-inf.
     """
 
     x_min: float
@@ -74,6 +88,12 @@ class PdeRun:
     bc: tuple[float, float] = (1.0, 0.0)
     zero_flux: bool = False
     reaction_on: bool = True
+    steps: int = 0
+    dt_min: float = math.inf
+    dt_max: float = -math.inf
+    min_before_clamp: float = math.inf
+    _work: "_Workspace | None" = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def dx(self) -> float:
@@ -109,44 +129,77 @@ def make_run(x_min: float, x_max: float, n_cells: int, u0, *,
     return run
 
 
-def _coeffs(model) -> tuple[float, float, float, float, float, float]:
-    if isinstance(model, GeneralModel):
-        return model.kappa, model.alpha, model.beta, model.m, model.p, model.q
-    if isinstance(model, CanonicalModel):
-        return 1.0, 1.0, 1.0, model.m, model.p, model.q
-    raise InvalidParameterError(f"unsupported model object {type(model).__name__}")
+class _Workspace:
+    """Validated coefficients and scratch buffers of `step`.
+
+    Built on a run's first step and rebuilt whenever a different model object
+    (or a state of another size) is passed, so the checks on the model run
+    once per (run, model) and the step itself allocates only the new state.
+    """
+
+    def __init__(self, model, size: int):
+        if isinstance(model, GeneralModel):
+            coeffs = (model.kappa, model.alpha, model.beta, model.m, model.p, model.q)
+        elif isinstance(model, CanonicalModel):
+            coeffs = (1.0, 1.0, 1.0, model.m, model.p, model.q)
+        else:
+            raise InvalidParameterError(
+                f"unsupported model object {type(model).__name__}")
+        self.kappa, self.alpha, self.beta, self.m, self.p, self.q = coeffs
+        if self.m < 1.0:
+            raise InvalidParameterError(
+                "the explicit scheme needs bounded diffusivity; m >= 1 required "
+                f"(got m = {self.m!r})")
+        if self.q < 0.0:
+            raise InvalidParameterError(
+                "reaction exponents below zero are outside the solver's remit "
+                f"(got q = {self.q!r})")
+        self.model = model
+        self.size = size
+        self.D, self.r, self.tmp = np.empty(size), np.empty(size), np.empty(size)
+        self.flux, self.du = np.empty(size - 1), np.empty(size - 1)
+        self.dead = np.empty(size, dtype=bool)
 
 
-def _reaction(u: np.ndarray, alpha: float, beta: float, p: float, q: float) -> np.ndarray:
-    r = np.zeros_like(u)
-    live = u >= U_FLOOR
-    ul = u[live]
-    r[live] = alpha * ul ** p - beta * ul ** q
-    return r
+def _power(u: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
+    """``u ** e`` written to ``out``, taking the shortcuts numpy's ``**``
+    takes for these exponents so the bits match; e = 1 returns ``u``."""
+    if e == 1.0:
+        return u
+    if e == 2.0:
+        return np.square(u, out=out)
+    if e == 0.5:
+        return np.sqrt(u, out=out)
+    if e == 0.0:
+        out.fill(1.0)
+        return out
+    return np.power(u, e, out=out)
 
 
 def step(run: PdeRun, model, dt_limit: float | None = None) -> PdeRun:
     """Advance one explicit step; mutates and returns ``run``.
 
     ``dt_limit`` additionally caps the step (used to land exactly on
-    snapshot times); the stability constraints always apply.
+    snapshot times); the stability constraints always apply.  The new state
+    is a fresh array, so a caller holding the old ``run.state`` keeps it.
     """
-    kappa, alpha, beta, m, p, q = _coeffs(model)
-    if m < 1.0:
-        raise InvalidParameterError(
-            "the explicit scheme needs bounded diffusivity; m >= 1 required "
-            f"(got m = {m!r})")
-    if q < 0.0:
-        raise InvalidParameterError(
-            "reaction exponents below zero are outside the solver's remit "
-            f"(got q = {q!r})")
-
     u = run.state
+    ws = run._work
+    if ws is None or ws.model is not model or ws.size != u.size:
+        ws = run._work = _Workspace(model, u.size)
+    kappa, alpha, beta, m, p, q = ws.kappa, ws.alpha, ws.beta, ws.m, ws.p, ws.q
+
     dx = run.dx
-    D = kappa * u ** (m - 1.0)  # 0**0 = 1 covers m = 1 exactly
-    d_max = float(np.max(D))
+    u_top = float(u.max())
+    if m == 1.0:
+        D = None          # kappa * u**0 is the constant kappa (0**0 = 1)
+        d_max = kappa
+    else:
+        D = _power(u, m - 1.0, ws.D)
+        if kappa != 1.0:
+            D = np.multiply(kappa, D, out=ws.D)
+        d_max = u_top if D is u else float(D.max())
     dt = run.cfl * dx * dx / (2.0 * d_max) if d_max > 0.0 else math.inf
-    u_top = float(np.max(u))
     if run.reaction_on and u_top >= U_FLOOR:
         slope = abs(alpha * p * u_top ** (p - 1.0) - beta * q * u_top ** (q - 1.0))
         if slope > 0.0:
@@ -158,41 +211,74 @@ def step(run: PdeRun, model, dt_limit: float | None = None) -> PdeRun:
     if not dt > 0.0:
         raise StabilityViolationError(f"no positive step available (dt = {dt!r})")
 
-    flux = 0.5 * (D[:-1] + D[1:]) * np.diff(u) / dx
-    div = np.zeros_like(u)
-    if run.zero_flux:
-        div[:-1] += flux / dx
-        div[1:] -= flux / dx
+    # flux = 0.5 (D_i + D_{i+1}) (u_{i+1} - u_i) / dx, rounded step by step
+    # in that order; with constant D the mean is D itself, exactly
+    flux = ws.flux
+    if D is None:
+        np.subtract(u[1:], u[:-1], out=flux)
+        if kappa != 1.0:
+            np.multiply(kappa, flux, out=flux)
     else:
-        div[1:-1] = (flux[1:] - flux[:-1]) / dx
-    u_star = u + dt * div   # diffusion alone keeps u >= 0 under the cfl bound
+        np.add(D[:-1], D[1:], out=flux)
+        np.multiply(0.5, flux, out=flux)
+        np.multiply(flux, np.subtract(u[1:], u[:-1], out=ws.du), out=flux)
+    np.divide(flux, dx, out=flux)
+
+    u_new = np.empty_like(u)   # holds the divergence, then u + dt div, then the result
+    if run.zero_flux:
+        u_new.fill(0.0)
+        np.divide(flux, dx, out=flux)
+        np.add(u_new[:-1], flux, out=u_new[:-1])
+        np.subtract(u_new[1:], flux, out=u_new[1:])
+    else:
+        np.subtract(flux[1:], flux[:-1], out=u_new[1:-1])
+        np.divide(u_new[1:-1], dx, out=u_new[1:-1])
+        u_new[0] = u_new[-1] = 0.0
+    np.multiply(u_new, dt, out=u_new)
+    np.add(u, u_new, out=u_new)   # diffusion alone keeps u >= 0 under the cfl bound
 
     if run.reaction_on:
-        r = _reaction(u, alpha, beta, p, q)
+        # nodes below U_FLOOR contribute nothing; a negative p would blow up
+        # there, so it sees the floor instead (D's buffer is free by now)
+        base = u if p >= 0.0 else np.maximum(u, U_FLOOR, out=ws.D)
+        r = _power(base, p, ws.r)
+        if alpha != 1.0:
+            r = np.multiply(alpha, r, out=ws.r)
+        sink = _power(base, q, ws.tmp)
+        if beta != 1.0:
+            sink = np.multiply(beta, sink, out=ws.tmp)
+        r = np.subtract(r, sink, out=ws.r)
+        np.putmask(r, np.less(u, U_FLOOR, out=ws.dead), 0.0)
         # a sink may not overdraw its node; the bound must reference the
         # diffused value, or a retreating support edge dips negative when
         # absorption empties a node whose stencil is simultaneously losing
-        np.maximum(r, -np.maximum(u_star, 0.0) / dt, out=r)
-        u_new = u_star + dt * r
-    else:
-        u_new = u_star
+        # (the bound is -max(u*, 0) / dt; moving the sign onto dt is exact)
+        bound = np.maximum(u_new, 0.0, out=ws.tmp)
+        np.maximum(r, np.divide(bound, -dt, out=bound), out=r)
+        np.multiply(r, dt, out=r)
+        np.add(u_new, r, out=u_new)
     if not run.zero_flux:
         u_new[0], u_new[-1] = run.bc
 
-    if not np.all(np.isfinite(u_new)):
+    # NaN propagates through min and max, so these two reductions carry
+    # the finiteness, negativity and blow-up guards
+    low, high = float(u_new.min()), float(u_new.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise StabilityViolationError("non-finite values appeared in the state")
-    low = float(np.min(u_new))
     if low < -1e-12:
         raise NegativityError(f"state dipped to {low:.3e} before clamping")
     np.maximum(u_new, 0.0, out=u_new)
-    if float(np.max(np.abs(u_new))) > U_MAX:
+    if high > U_MAX:
         raise StabilityViolationError(
-            f"state reached {float(np.max(np.abs(u_new))):.3g}, beyond the "
-            f"blow-up guard {U_MAX}")
+            f"state reached {high:.3g}, beyond the blow-up guard {U_MAX}")
 
     run.state = u_new
     run.time += dt
     run.dt = dt
+    run.steps += 1
+    run.dt_min = min(run.dt_min, dt)
+    run.dt_max = max(run.dt_max, dt)
+    run.min_before_clamp = min(run.min_before_clamp, low)
     return run
 
 
@@ -301,7 +387,8 @@ def support_edge(run: PdeRun, threshold: float) -> float | None:
 @dataclass(frozen=True)
 class AdvectResult:
     """max_error over checkpoints of ||u(.,t) - f(. - ct)||_inf plus the
-    front-fitted speed (None signals no measurable front)."""
+    front-fitted speed (None signals no measurable front), and the step
+    diagnostics of the run (see `PdeRun`)."""
 
     max_error: float
     measured_speed: float | None
@@ -309,6 +396,23 @@ class AdvectResult:
     domain: tuple[float, float]
     run: PdeRun
     snapshots: tuple[tuple[float, np.ndarray], ...] = ()
+
+    # the run's step diagnostics; the extremes are None when no step ran
+    @property
+    def steps(self) -> int:
+        return self.run.steps
+
+    @property
+    def dt_min(self) -> float | None:
+        return self.run.dt_min if self.run.steps else None
+
+    @property
+    def dt_max(self) -> float | None:
+        return self.run.dt_max if self.run.steps else None
+
+    @property
+    def min_before_clamp(self) -> float | None:
+        return self.run.min_before_clamp if self.run.steps else None
 
 
 def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,

@@ -7,6 +7,7 @@ import pytest
 
 from kppwaves import cli
 from kppwaves.cli import main
+from kppwaves.io import fmt
 
 BASE_CFG = {
     "model": {"m": 2, "p": 2, "q": 1},
@@ -101,7 +102,6 @@ def test_shoot_with_no_speeds_is_a_warning(tmp_path, capsys):
     assert "no speeds" in capsys.readouterr().err.lower()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_shoot_refuses_non_finite_profile(tmp_path):
     # c = -0.05 c* for this model: the reconstruction overflows (see
     # test_non_finite_profile_is_inconclusive)
@@ -146,6 +146,36 @@ def test_pde_summary(workspace):
     assert (out / "front_c-3.csv").exists()
     for t in ("0.25", "0.5"):
         assert (out / f"snapshot_c-3_t{t}.csv").exists()
+    for c in (-3.0, -1.0):
+        row = by_c[c]
+        # the track holds the initial record plus one per step
+        with open(out / row["front_file"]) as fh:
+            assert row["steps"] == len(list(csv.reader(fh))) - 2
+        assert 0.0 < row["dt_min"] <= row["dt_max"]
+        assert -1e-12 <= row["min_before_clamp"] <= 1.0
+
+
+def test_pde_csv_text_matches_fmt(tmp_path, monkeypatch):
+    # a record without a front is written "nan", and every field is the
+    # text io.fmt gives for its value
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out),
+                    pde={"n_cells": 200, "T": 0.1, "snapshot_times": [0.1]})
+    assert main(["shoot", "--config", str(cfg)]) == 0
+    real, calls = cli.pde.front_position, []
+
+    def front_lost_once(x, u, level):
+        calls.append(level)
+        return None if len(calls) == 3 else real(x, u, level)
+
+    monkeypatch.setattr(cli.pde, "front_position", front_lost_once)
+    assert main(["pde", "--config", str(cfg)]) == 0
+    for name in ("front_c-3.csv", "snapshot_c-3_t0.1.csv"):
+        with open(out / name) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(v == fmt(float(v)) for row in rows for v in row)
+    with open(out / "front_c-3.csv") as fh:
+        assert list(csv.reader(fh))[3][1] == "nan"
 
 
 def test_pde_without_profiles_fails_loudly(tmp_path):
@@ -166,6 +196,8 @@ def test_pde_zero_horizon(tmp_path):
     rows = json.loads((out / "pde_summary.json").read_text())
     assert rows[0]["max_error"] == 0.0
     assert rows[0]["measured_speed"] is None
+    assert rows[0]["steps"] == 0
+    assert rows[0]["dt_min"] is rows[0]["dt_max"] is rows[0]["min_before_clamp"] is None
 
 
 # --- sweep --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kppwaves as kw
+from kppwaves.pde import U_FLOOR, U_MAX
 from kppwaves import (CanonicalModel, GeneralModel, advect_profile_test,
                       evolve, front_position, make_run, measure_front_speed,
                       step, support_edge, wave_ode_residual)
@@ -269,3 +270,194 @@ def test_wave_residual_requires_uniform_samples():
         wave_ode_residual(prof, CM121)
     with pytest.raises(kw.InvalidParameterError):
         wave_ode_residual(prof, CM121, num=8)
+
+
+# --- the step against its original formulation ----------------------------------------
+#
+# A verbatim copy of the step as first written: temporaries per call, the
+# reaction gathered through a boolean mask, four reductions for the guards.
+# The preallocated kernel must reproduce it to the bit.
+
+def _reference_coeffs(model):
+    if isinstance(model, GeneralModel):
+        return model.kappa, model.alpha, model.beta, model.m, model.p, model.q
+    if isinstance(model, CanonicalModel):
+        return 1.0, 1.0, 1.0, model.m, model.p, model.q
+    raise kw.InvalidParameterError(f"unsupported model object {type(model).__name__}")
+
+
+def _reference_reaction(u, alpha, beta, p, q):
+    r = np.zeros_like(u)
+    live = u >= U_FLOOR
+    ul = u[live]
+    r[live] = alpha * ul ** p - beta * ul ** q
+    return r
+
+
+def _reference_step(run, model, dt_limit=None):
+    kappa, alpha, beta, m, p, q = _reference_coeffs(model)
+    if m < 1.0:
+        raise kw.InvalidParameterError(
+            "the explicit scheme needs bounded diffusivity; m >= 1 required "
+            f"(got m = {m!r})")
+    if q < 0.0:
+        raise kw.InvalidParameterError(
+            "reaction exponents below zero are outside the solver's remit "
+            f"(got q = {q!r})")
+
+    u = run.state
+    dx = run.dx
+    D = kappa * u ** (m - 1.0)  # 0**0 = 1 covers m = 1 exactly
+    d_max = float(np.max(D))
+    dt = run.cfl * dx * dx / (2.0 * d_max) if d_max > 0.0 else math.inf
+    u_top = float(np.max(u))
+    if run.reaction_on and u_top >= U_FLOOR:
+        slope = abs(alpha * p * u_top ** (p - 1.0) - beta * q * u_top ** (q - 1.0))
+        if slope > 0.0:
+            dt = min(dt, 0.5 / slope)
+    if dt_limit is not None:
+        dt = min(dt, dt_limit)
+    if math.isinf(dt):
+        dt = run.cfl * dx * dx / 2.0  # vacuum: no timescale in the state at all
+    if not dt > 0.0:
+        raise kw.StabilityViolationError(f"no positive step available (dt = {dt!r})")
+
+    flux = 0.5 * (D[:-1] + D[1:]) * np.diff(u) / dx
+    div = np.zeros_like(u)
+    if run.zero_flux:
+        div[:-1] += flux / dx
+        div[1:] -= flux / dx
+    else:
+        div[1:-1] = (flux[1:] - flux[:-1]) / dx
+    u_star = u + dt * div   # diffusion alone keeps u >= 0 under the cfl bound
+
+    if run.reaction_on:
+        r = _reference_reaction(u, alpha, beta, p, q)
+        np.maximum(r, -np.maximum(u_star, 0.0) / dt, out=r)
+        u_new = u_star + dt * r
+    else:
+        u_new = u_star
+    if not run.zero_flux:
+        u_new[0], u_new[-1] = run.bc
+
+    if not np.all(np.isfinite(u_new)):
+        raise kw.StabilityViolationError("non-finite values appeared in the state")
+    low = float(np.min(u_new))
+    if low < -1e-12:
+        raise kw.NegativityError(f"state dipped to {low:.3e} before clamping")
+    np.maximum(u_new, 0.0, out=u_new)
+    if float(np.max(np.abs(u_new))) > U_MAX:
+        raise kw.StabilityViolationError(
+            f"state reached {float(np.max(np.abs(u_new))):.3g}, beyond the "
+            f"blow-up guard {U_MAX}")
+
+    run.state = u_new
+    run.time += dt
+    run.dt = dt
+    return run
+
+
+def _tailed_front(x):
+    # a front whose tail runs through U_FLOOR into exact zeros, so the
+    # reaction cut-off, the sink limiter and the degenerate flux all act
+    return np.where(x < 7.5, 0.5 * (1.0 - np.tanh(2.0 * x)), 0.0)
+
+
+def _assert_same_steps(models, n_steps, dt_limit=None, **kwargs):
+    ref, new = [make_run(-8.0, 8.0, 240, _tailed_front, **kwargs) for _ in range(2)]
+    for model in models:
+        for _ in range(n_steps):
+            _reference_step(ref, model, dt_limit=dt_limit)
+            held = new.state
+            step(new, model, dt_limit=dt_limit)
+            assert new.state is not held
+            assert np.array_equal(new.state, ref.state)
+            assert new.dt == ref.dt
+            assert new.time == ref.time
+    return new
+
+
+GKAB = dict(kappa=2.0, alpha=1.5, beta=0.5)
+
+
+@pytest.mark.parametrize("model", [
+    CM121, CM221, CanonicalModel(m=1, p=1, q=0.5), CanonicalModel(m=3, p=2.5, q=1),
+    GeneralModel(**GKAB, m=3, p=2.5, q=1), GeneralModel(**GKAB, m=1, p=2, q=1),
+    GeneralModel(**GKAB, m=2, p=1.5, q=0.5)],
+    ids=["121", "221", "1-1-0.5", "3-2.5-1", "general-3-2.5-1", "general-121",
+         "general-2-1.5-0.5"])
+def test_step_is_bit_identical_to_reference(model):
+    run = _assert_same_steps([model], 250)
+    assert run.steps == 250
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(zero_flux=True), dict(reaction_on=False), dict(dt_limit=1e-4),
+    dict(zero_flux=True, reaction_on=False)],
+    ids=["zero-flux", "no-reaction", "dt-limit", "zero-flux-no-reaction"])
+@pytest.mark.parametrize("model", [CM121, CM221, CanonicalModel(m=1, p=1, q=0.5)],
+                         ids=["121", "221", "1-1-0.5"])
+def test_step_switches_are_bit_identical_to_reference(model, kwargs):
+    kwargs = dict(kwargs)
+    dt_limit = kwargs.pop("dt_limit", None)
+    run = _assert_same_steps([model], 200, dt_limit=dt_limit, **kwargs)
+    if dt_limit is not None:
+        assert run.dt_max == dt_limit
+
+
+def test_step_follows_a_change_of_model():
+    # the cached workspace must never serve the model of an earlier call
+    _assert_same_steps([CM221, CM121, CanonicalModel(m=2, p=2, q=1),
+                        GeneralModel(**GKAB, m=2, p=2, q=1)], 60)
+
+
+def test_step_refusals_fire_on_first_call_and_after_a_switch():
+    for bad in (CanonicalModel(m=0.5, p=2, q=0.5), CanonicalModel(m=1.5, p=1, q=-0.2)):
+        fresh = make_run(0.0, 1.0, 16, lambda x: np.full_like(x, 0.5), bc=(0.5, 0.5))
+        with pytest.raises(kw.InvalidParameterError):
+            step(fresh, bad)
+        assert fresh.steps == 0 and fresh.time == 0.0
+        used = make_run(0.0, 1.0, 16, lambda x: np.full_like(x, 0.5), bc=(0.5, 0.5))
+        step(used, CM121)
+        with pytest.raises(kw.InvalidParameterError):
+            step(used, bad)
+        assert used.steps == 1
+
+
+@pytest.mark.parametrize("model, u0", [
+    (CM121, lambda x: np.full_like(x, 3.0)),
+    # u^p with p < 0 is singular at the vacuum; nodes below U_FLOOR must not
+    # evaluate it (no warning) and the guard still fires
+    (GeneralModel(kappa=1, alpha=1, beta=1, m=1, p=-0.5, q=0.5), _tailed_front)],
+    ids=["blow-up-121", "negative-p"])
+def test_step_guards_match_reference(model, u0):
+    # same error, same message, same last good state
+    ref, new = [make_run(-8.0, 8.0, 240, u0, bc=(u0(-8.0), u0(8.0))) for _ in range(2)]
+    errors = []
+    for stepper, run in ((_reference_step, ref), (step, new)):
+        with pytest.raises(kw.StabilityViolationError) as ei:
+            for _ in range(1000):
+                stepper(run, model)
+        errors.append(str(ei.value))
+    assert "blow-up guard" in errors[0] and errors[0] == errors[1]
+    assert np.array_equal(ref.state, new.state) and ref.time == new.time
+
+
+def test_step_refuses_non_finite_state():
+    bad = make_run(-1.0, 1.0, 50, lambda x: np.full_like(x, 0.5), bc=(0.5, 0.5))
+    bad.state[20] = math.nan
+    with pytest.raises(kw.StabilityViolationError, match="non-finite"):
+        step(bad, CM221)
+
+
+def test_step_diagnostics():
+    run = make_run(-8.0, 8.0, 240, _tailed_front)
+    assert run.steps == 0 and math.isinf(run.dt_min) and math.isinf(run.min_before_clamp)
+    dts, lows = [], []
+    for _ in range(50):
+        step(run, CanonicalModel(m=1, p=1, q=0.5), dt_limit=1e-3 if len(dts) % 2 else None)
+        dts.append(run.dt)
+    assert run.steps == 50
+    assert run.dt_min == min(dts) and run.dt_max == max(dts)
+    assert run.dt_min < run.dt_max
+    assert -1e-12 <= run.min_before_clamp <= float(np.min(run.state))
