@@ -153,13 +153,18 @@ def cmd_shoot(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 "low_confidence": res.low_confidence,
                 "n_oscillations": res.n_oscillations,
                 "x0": res.x0,
+                "evidence": res.evidence,
+                "solver_steps": res.solver_steps,
+                "nfev": res.nfev,
+                "njev": res.njev,
             })
             if res.trajectory is not None:
                 traj = res.trajectory
                 tpath = _trajectory_path(out, c)
+                # repr of a Python float is fmt's text, "nan" included
                 write_csv(tpath, ["tau", "X", "Y"],
-                          ([fmt(t), fmt(x), fmt(y)]
-                           for t, x, y in zip(traj.tau, traj.X, traj.Y)))
+                          ([repr(t), repr(x), repr(y)] for t, x, y in
+                           zip(traj.tau.tolist(), traj.X.tolist(), traj.Y.tolist())))
                 row["trajectory_file"] = tpath.name
                 row["events"] = [
                     {"kind": ev.kind.value, "tau": ev.tau,
@@ -296,7 +301,9 @@ def _sweep_row(task) -> dict:
             flag = "disagree"
         return {"c": c, "predicted_class": res.predicted.value,
                 "observed_class": res.observed.value, "x0": res.x0,
-                "n_oscillations": res.n_oscillations, "agreement_flag": flag}
+                "n_oscillations": res.n_oscillations, "agreement_flag": flag,
+                "evidence": res.evidence, "solver_steps": res.solver_steps,
+                "nfev": res.nfev, "njev": res.njev}
     except KppWavesError as e:
         return {"c": c, "error": str(e), "error_kind": type(e).__name__}
 

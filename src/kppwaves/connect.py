@@ -10,7 +10,13 @@ transverse error like exp(c |tau|) and never finds the axis point.
 
 LSODA does the integration: the forward orbit spends tau ~ c/(gamma eps)
 drifting along the center manifold near P0 with a stiffness-limited explicit
-step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.
+step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.  The shot
+drives scipy's LSODA one step at a time.  All event functions are evaluated
+together as one scalar function of (X, Y) per step, with the sign-change rule
+and root solve of ``solve_ivp`` reproduced exactly, so samples, events and
+roots equal what ``solve_ivp(..., events=..., dense_output=True)`` returns.
+Dense output is captured per step as a raw Nordsieck record (t, h, yh) read
+from the solver's work arrays, and evaluated as one table on demand.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA
 from scipy.optimize import brentq
 
 from .errors import (
@@ -102,24 +109,35 @@ class TrajectoryEvent:
     target: str | None = None    # fixed-point name for arrivals
 
 
+class _DenseRecords(NamedTuple):
+    """A shot's LSODA dense output as one raw Nordsieck record per kept step.
+
+    ``ts`` are the sample times in solver time, ascending.  Each record
+    (t, h, yh) holds a step's end t, its step size h and its history yh,
+    whose row k is the k-th Nordsieck coefficient of every state component.
+    """
+
+    ts: np.ndarray
+    records: list
+
+
 class _NordsieckTable:
     """LSODA dense output of a whole shot as one zero-padded coefficient table.
 
-    Step n's interpolant is the Nordsieck polynomial sum_k yh[:, k] s^k,
+    Step n's interpolant is the Nordsieck polynomial sum_k yh[k] s^k,
     s = (t - t_n) / h, about the step's end t_n (Petzold 1983).  As in the
     OdeSolution solve_ivp builds for LSODA, a breakpoint belongs to the step
     that starts there.
     """
 
-    def __init__(self, sol):
-        steps = sol.interpolants
-        self.ts = np.asarray(sol.ts, dtype=float)
-        self.t_end = np.array([s.t for s in steps], dtype=float)
-        self.h = np.array([s.h for s in steps], dtype=float)
-        order = max(len(s.p) for s in steps)
-        self.coef = np.zeros((order, steps[0].yh.shape[0], len(steps)))
-        for j, s in enumerate(steps):
-            self.coef[:len(s.p), :, j] = s.yh.T
+    def __init__(self, dense: _DenseRecords):
+        self.ts = np.asarray(dense.ts, dtype=float)
+        self.t_end = np.array([t for t, _, _ in dense.records], dtype=float)
+        self.h = np.array([h for _, h, _ in dense.records], dtype=float)
+        order = max(len(yh) for _, _, yh in dense.records)
+        self.coef = np.zeros((order, dense.records[0][2].shape[1], len(dense.records)))
+        for j, (_, _, yh) in enumerate(dense.records):
+            self.coef[:len(yh), :, j] = yh
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -138,6 +156,7 @@ class Trajectory:
 
     ``c`` is the speed parameter of the system's own frame (c in Case I,
     c1 in Case II).  ``state_at`` evaluates the integrator's dense output.
+    ``solver_steps``, ``nfev`` and ``njev`` are the integrator's own counts.
     """
 
     tau: np.ndarray
@@ -150,7 +169,10 @@ class Trajectory:
     arrived: str | None
     escaped: bool
     arrival_radius: float = ARRIVAL_RADIUS
-    _dense: object = field(default=None, repr=False)
+    solver_steps: int = 0
+    nfev: int = 0
+    njev: int = 0
+    _dense: _DenseRecords | None = field(default=None, repr=False)
     _dense_sign: float = field(default=1.0, repr=False)
     _dense_shift: float = field(default=0.0, repr=False)
 
@@ -198,6 +220,8 @@ class ConnectionResult:
     (no overshoot resolved above the arrival radius, but the orbit entered a
     non-degenerate stable focus, whose local form forces crossings below the
     truncation scale), or "sign" (non-negative speed, no wave exists).
+    ``solver_steps``, ``nfev`` and ``njev`` are the shot's integrator counts
+    and ``event_counts`` its events per kind (all zero without a shot).
     """
 
     c: float
@@ -209,6 +233,11 @@ class ConnectionResult:
     trajectory: Trajectory | None
     x0: float | None
     evidence: str = "extrema"
+    solver_steps: int = 0
+    nfev: int = 0
+    njev: int = 0
+    event_counts: dict[str, int] = field(
+        default_factory=lambda: {kind.value: 0 for kind in EventKind})
 
 
 # --- system geometry helpers -------------------------------------------------
@@ -328,10 +357,29 @@ def _seed_state(sys: PhaseSystem, point: Point, direction: Direction,
 
 # --- integration core --------------------------------------------------------
 
+_ROOT_TOL = 4.0 * np.finfo(float).eps   # solve_ivp's brentq xtol and rtol
+
+
+def _nordsieck_record(iwork: np.ndarray, rwork: np.ndarray, n: int):
+    """(h, yh) of LSODA's last step, read as LSODA._dense_output_impl does.
+
+    ODEPACK leaves the Nordsieck array in the state needed for the next step:
+    iwork[13] is the order just used, rwork[11] the step size the history is
+    scaled to, and when the order is about to drop (iwork[14] < order) the
+    last column was left scaled to the previous size rwork[10].
+    """
+    order = iwork[13]
+    h = rwork[11]
+    yh = rwork[20:20 + (order + 1) * n].reshape(order + 1, n).copy()
+    if iwork[14] < order:
+        yh[-1] *= (h / rwork[10]) ** order
+    return h, yh
+
+
 def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
                rtol: float, atol: float, tau_span: float,
                arrival_radius: float, escape_bound: float,
-               terminal_x_axis: bool) -> tuple[dict, object]:
+               terminal_x_axis: bool) -> tuple[dict, _DenseRecords]:
     rhs = _make_rhs(sys)
     sign = -1.0 if backward else 1.0
 
@@ -339,71 +387,93 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
         dx, dy = rhs(s[0], s[1])
         return (sign * dx, sign * dy)
 
+    # one row per event function, in the order solve_ivp would be given them:
+    # (kind, target, direction, terminal).  Arrivals fire only on entry, so a
+    # seed inside its own ball never triggers one on exit
     fps = _fixed_point_locations(sys)
-    names: list[str] = []
-    evts: list = []
+    table = [(EventKind.FIXED_POINT_ARRIVAL, name, -1, True) for name in fps]
+    table += [(EventKind.ESCAPE, None, 1, True),
+              (EventKind.X_AXIS_CROSS, None, 0, terminal_x_axis),
+              (EventKind.UNIT_X_CROSS, None, 0, False),
+              (EventKind.Y_AXIS_CROSS, None, -1, False)]
+    directions = [d for _, _, d, _ in table]
+    hypot, rad, e = math.hypot, arrival_radius, escape_bound
+    (ax, ay), (bx, by), *third = fps.values()
+    # unrolled over the two or three arrival balls: this runs on every step
+    if third:
+        (cx, cy), = third
 
-    def arrival_event(x0: float, y0: float):
-        def ev(_t, s):
-            return math.hypot(s[0] - x0, s[1] - y0) - arrival_radius
-        ev.terminal = True
-        ev.direction = -1  # only fires on entry; a seed inside never re-triggers on exit
-        return ev
+        def event_values(X, Y):
+            return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
+                    hypot(X - cx, Y - cy) - rad, max(X - e, abs(Y) - e), Y, X - 1.0, X)
+    else:
+        def event_values(X, Y):
+            return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
+                    max(X - e, abs(Y) - e), Y, X - 1.0, X)
 
-    for name, (x0, y0) in fps.items():
-        names.append(name)
-        evts.append(arrival_event(x0, y0))
+    solver = LSODA(fun, 0.0, s0, tau_span, rtol=rtol, atol=atol)
+    core = solver._lsoda_solver._integrator
+    iwork, rwork, n = core.iwork, core.rwork, solver.n
+    step = solver.step
+    X, Y = s0.tolist()
+    ts, xs, ys = [0.0], [X], [Y]
+    records: list = []
+    hits: list[list] = [[] for _ in table]
+    g = event_values(X, Y)
+    while solver.status == "running":
+        message = step()
+        if solver.status == "failed":
+            raise StepFailureError(f"integrator failed: {message}")
+        t = solver.t
+        records.append((t, *_nordsieck_record(iwork, rwork, n)))
+        X, Y = solver.y.tolist()
+        g_new = event_values(X, Y)
+        # solve_ivp's find_active_events, one scalar event at a time
+        active = [i for i, d in enumerate(directions)
+                  if (g[i] <= 0.0 <= g_new[i] and d >= 0)
+                  or (g[i] >= 0.0 >= g_new[i] and d <= 0)]
+        g = g_new
+        terminate = False
+        if active:
+            sol = solver.dense_output()
+            roots = [brentq(lambda u, i=i: event_values(*sol(u))[i], solver.t_old, t,
+                            xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active]
+            terminate = any(table[i][3] for i in active)
+            if terminate:
+                # handle_events: in time order, up to the first terminal root
+                order = sorted(range(len(roots)), key=roots.__getitem__)
+                stop = next(k for k, j in enumerate(order) if table[active[j]][3])
+                active = [active[j] for j in order[:stop + 1]]
+                roots = [roots[j] for j in order[:stop + 1]]
+            for i, root in zip(active, roots):
+                hits[i].append((root, sol(root)))
+            if terminate:
+                t = roots[-1]
+                X, Y = sol(t).tolist()
+        if len(ts) > 1 and ts[-1] == t:
+            # solve_ivp keeps neither a repeated final time nor its interpolant
+            records.pop()
+        else:
+            ts.append(t)
+            xs.append(X)
+            ys.append(Y)
+        if terminate:
+            break
 
-    def escape(_t, s):
-        return max(s[0] - escape_bound, abs(s[1]) - escape_bound)
-    escape.terminal = True
-    escape.direction = 1
-    evts.append(escape)
-
-    def x_axis(_t, s):
-        return s[1]
-    x_axis.terminal = terminal_x_axis
-    evts.append(x_axis)
-
-    def unit_x(_t, s):
-        return s[0] - 1.0
-    evts.append(unit_x)
-
-    def y_axis(_t, s):
-        return s[0]
-    y_axis.direction = -1
-    evts.append(y_axis)
-
-    sol = solve_ivp(fun, (0.0, tau_span), s0, method="LSODA",
-                    rtol=rtol, atol=atol, dense_output=True, events=evts)
-    if sol.status == -1:
-        raise StepFailureError(f"integrator failed: {sol.message}")
-
-    n_fp = len(names)
     raw_events: list[tuple[EventKind, float, tuple[float, float], str | None]] = []
-    for i, (t_ev, y_ev) in enumerate(zip(sol.t_events, sol.y_events)):
-        for t_e, s_e in zip(t_ev, y_ev):
-            tau_e = sign * t_e
-            state = (float(s_e[0]), float(s_e[1]))
-            if i < n_fp:
-                raw_events.append((EventKind.FIXED_POINT_ARRIVAL, tau_e, state, names[i]))
-            elif i == n_fp:
-                raw_events.append((EventKind.ESCAPE, tau_e, state, None))
-            elif i == n_fp + 1:
-                raw_events.append((EventKind.X_AXIS_CROSS, tau_e, state, None))
-            elif i == n_fp + 2:
-                raw_events.append((EventKind.UNIT_X_CROSS, tau_e, state, None))
-            else:
-                raw_events.append((EventKind.Y_AXIS_CROSS, tau_e, state, None))
+    for (kind, target, _, _), found in zip(table, hits):
+        for t_e, s_e in found:
+            raw_events.append((kind, sign * t_e, (float(s_e[0]), float(s_e[1])), target))
 
-    tau = sign * sol.t
-    X, Y = sol.y[0], sol.y[1]
+    ts = np.array(ts)
+    tau, X, Y = sign * ts, np.array(xs), np.array(ys)
     if backward:
         tau, X, Y = tau[::-1].copy(), X[::-1].copy(), Y[::-1].copy()
     return {
         "tau": tau, "X": X, "Y": Y, "raw_events": raw_events,
-        "status": sol.status, "message": sol.message,
-    }, sol.sol
+        # ODEPACK's step count NST (iwork[10]); itask 5 takes one step per call
+        "solver_steps": int(iwork[10]), "nfev": solver.nfev, "njev": int(solver.njev),
+    }, _DenseRecords(ts, records)
 
 
 def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
@@ -452,7 +522,8 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
                 "unstable and never reaches the axis)"
             ),
             c=base.c, arrived="P0", escaped=False,
-            arrival_radius=arrival_radius,
+            arrival_radius=arrival_radius, solver_steps=base.solver_steps,
+            nfev=base.nfev, njev=base.njev,
             _dense=base._dense, _dense_sign=1.0, _dense_shift=T,
         )
 
@@ -518,7 +589,8 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
         tau=tau, X=X, Y=Y, events=events,
         seed=(float(s0[0]), float(s0[1])), seed_note=note,
         c=_system_speed(sys), arrived=arrived, escaped=escaped,
-        arrival_radius=arrival_radius,
+        arrival_radius=arrival_radius, solver_steps=res["solver_steps"],
+        nfev=res["nfev"], njev=res["njev"],
         _dense=dense, _dense_sign=-1.0 if backward else 1.0, _dense_shift=0.0,
     )
     log.debug("shoot %s %s eps=%g: %d samples, arrived=%s escaped=%s",
@@ -642,7 +714,10 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     return ConnectionResult(
         c=float(c_original), predicted=predicted, observed=observed,
         low_confidence=low_confidence, n_oscillations=len(extrema),
-        extrema=tuple(extrema), trajectory=traj, x0=x0, evidence=evidence)
+        extrema=tuple(extrema), trajectory=traj, x0=x0, evidence=evidence,
+        solver_steps=traj.solver_steps, nfev=traj.nfev, njev=traj.njev,
+        event_counts={kind.value: sum(ev.kind is kind for ev in traj.events)
+                      for kind in EventKind})
 
 
 # --- profile reconstruction ---------------------------------------------------

@@ -64,7 +64,10 @@ def read_json(path: Path):
 
 
 def write_profile_csv(path: Path, xi, f) -> None:
-    write_csv(path, ["xi", "f"], ([fmt(a), fmt(b)] for a, b in zip(xi, f)))
+    # repr of a Python float is fmt's text, "nan" included
+    xi = np.asarray(xi, dtype=float).tolist()
+    f = np.asarray(f, dtype=float).tolist()
+    write_csv(path, ["xi", "f"], ([repr(a), repr(b)] for a, b in zip(xi, f)))
 
 
 def read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:

@@ -3,11 +3,12 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kppwaves import cli
 from kppwaves.cli import main
-from kppwaves.io import fmt
+from kppwaves.io import fmt, write_profile_csv
 
 BASE_CFG = {
     "model": {"m": 2, "p": 2, "q": 1},
@@ -83,6 +84,37 @@ def test_shoot_classification_and_artifacts(workspace):
         assert (out / by_c[c]["profile_file"]).exists()
         assert (out / by_c[c]["trajectory_file"]).exists()
     assert not (out / "profile_c1.csv").exists()
+
+
+def test_shoot_rows_carry_shot_diagnostics(workspace):
+    _, out = workspace
+    by_c = {row["c"]: row for row in json.loads((out / "classification.json").read_text())}
+    for c, evidence in ((-3.0, "range"), (-1.0, "extrema")):
+        row = by_c[c]
+        assert row["evidence"] == evidence
+        assert all(type(row[k]) is int and row[k] > 0 for k in ("solver_steps", "nfev"))
+        assert row["nfev"] >= row["solver_steps"] >= len(row["events"])
+        assert type(row["njev"]) is int and row["njev"] >= 0
+    assert by_c[1.0]["evidence"] == "sign"
+    assert (by_c[1.0]["solver_steps"], by_c[1.0]["nfev"], by_c[1.0]["njev"]) == (0, 0, 0)
+
+
+def test_shoot_csv_text_matches_fmt(workspace):
+    _, out = workspace
+    for name in ("trajectory_c-1.csv", "profile_c-1.csv"):
+        with open(out / name) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(v == fmt(float(v)) for row in rows for v in row)
+
+
+def test_profile_csv_text_matches_fmt(tmp_path):
+    xi = [0.1, 1.0 / 3.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 2.0]
+    f = [5e-324, 1.0, 0.0, 0.5, float("nan"), -0.0, 123456789.125, float("inf")]
+    want = "xi,f\n" + "".join(f"{fmt(a)},{fmt(b)}\n" for a, b in zip(xi, f))
+    assert "inf,nan\n" in want and "-0.0,0.0\n" in want and "-inf,-0.0\n" in want
+    for args in ((xi, f), (np.array(xi), np.array(f))):
+        write_profile_csv(tmp_path / "p.csv", *args)
+        assert (tmp_path / "p.csv").read_text() == want
 
 
 def test_shoot_profile_csv_round_trips(workspace):
@@ -228,6 +260,18 @@ def test_sweep_json_format(tmp_path):
     rows = json.loads((out / "sweep.json").read_text())
     assert not (out / "sweep.csv").exists()
     assert {row["c"] for row in rows} >= {-3.0, -2.0, -0.5}
+
+
+def test_sweep_json_rows_carry_shot_diagnostics(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, output_dir=str(out), sweep=None, speeds=[-2.5, -1.95, -1.0])
+    assert main(["sweep", "--config", str(cfg), "--format", "json"]) == 0
+    by_c = {row["c"]: row for row in json.loads((out / "sweep.json").read_text())}
+    # the near-threshold row reports zero oscillations on "focus" evidence
+    assert (by_c[-1.95]["n_oscillations"], by_c[-1.95]["evidence"]) == (0, "focus")
+    assert by_c[-1.0]["evidence"] == "extrema" and by_c[-2.5]["evidence"] == "range"
+    for row in by_c.values():
+        assert row["nfev"] >= row["solver_steps"] > 0 and row["njev"] >= 0
 
 
 def test_sweep_jobs_do_not_change_output(tmp_path):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import LSODA, solve_ivp
 
 import kppwaves as kw
 from kppwaves import (CanonicalModel, Direction, EventKind, Point, SpeedClass,
@@ -12,8 +13,134 @@ from kppwaves import (CanonicalModel, Direction, EventKind, Point, SpeedClass,
                       reconstruct_profile, shoot_from, threshold_crossings,
                       x0_monotonicity_check, x0_seed_sensitivity,
                       zero_speed_X0, zero_speed_curve)
+from kppwaves import connect
+from kppwaves.phaseplane import PhaseSystemI
 
 CM221 = CanonicalModel(m=2, p=2, q=1)
+
+
+# --- the shot as solve_ivp computes it --------------------------------------------
+
+def _shot_fun(sys, backward):
+    rhs = connect._make_rhs(sys)
+    sign = -1.0 if backward else 1.0
+
+    def fun(_t, s):
+        dx, dy = rhs(s[0], s[1])
+        return (sign * dx, sign * dy)
+
+    return fun
+
+
+def _shot_args(cm, c, point, direction, **overrides):
+    """(system, seed, _integrate keywords) of the integration shoot_from runs."""
+    sys = build_system(cm, c)
+    if point is Point.P2 and direction is Direction.BACKWARD:
+        point, direction = Point.P0, Direction.FORWARD   # traced from its P0 end
+    s0, _ = connect._seed_state(sys, point, direction, connect.DEFAULT_EPS)
+    kwargs = dict(
+        backward=direction is Direction.BACKWARD, rtol=1e-10, atol=1e-10,
+        tau_span=connect.TAU_SPAN, arrival_radius=connect.ARRIVAL_RADIUS,
+        escape_bound=connect.ESCAPE_BOUND,
+        terminal_x_axis=(isinstance(sys, PhaseSystemI) and sys.c == 0.0
+                         and point is Point.P0))
+    kwargs.update(overrides)
+    return sys, s0, kwargs
+
+
+def _solve_ivp_integrate(sys, s0, *, backward, rtol, atol, tau_span,
+                         arrival_radius, escape_bound, terminal_x_axis):
+    """The shot through solve_ivp with one closure per event, as the library
+    computed it before driving LSODA itself: the driver's reference."""
+    fun = _shot_fun(sys, backward)
+    sign = -1.0 if backward else 1.0
+
+    fps = connect._fixed_point_locations(sys)
+    names: list[str] = []
+    evts: list = []
+
+    def arrival_event(x0: float, y0: float):
+        def ev(_t, s):
+            return math.hypot(s[0] - x0, s[1] - y0) - arrival_radius
+        ev.terminal = True
+        ev.direction = -1  # only fires on entry; a seed inside never re-triggers on exit
+        return ev
+
+    for name, (x0, y0) in fps.items():
+        names.append(name)
+        evts.append(arrival_event(x0, y0))
+
+    def escape(_t, s):
+        return max(s[0] - escape_bound, abs(s[1]) - escape_bound)
+    escape.terminal = True
+    escape.direction = 1
+    evts.append(escape)
+
+    def x_axis(_t, s):
+        return s[1]
+    x_axis.terminal = terminal_x_axis
+    evts.append(x_axis)
+
+    def unit_x(_t, s):
+        return s[0] - 1.0
+    evts.append(unit_x)
+
+    def y_axis(_t, s):
+        return s[0]
+    y_axis.direction = -1
+    evts.append(y_axis)
+
+    sol = solve_ivp(fun, (0.0, tau_span), s0, method="LSODA",
+                    rtol=rtol, atol=atol, dense_output=True, events=evts)
+    assert sol.status != -1, sol.message
+
+    n_fp = len(names)
+    raw_events = []
+    for i, (t_ev, y_ev) in enumerate(zip(sol.t_events, sol.y_events)):
+        for t_e, s_e in zip(t_ev, y_ev):
+            tau_e = sign * t_e
+            state = (float(s_e[0]), float(s_e[1]))
+            if i < n_fp:
+                raw_events.append((EventKind.FIXED_POINT_ARRIVAL, tau_e, state, names[i]))
+            elif i == n_fp:
+                raw_events.append((EventKind.ESCAPE, tau_e, state, None))
+            elif i == n_fp + 1:
+                raw_events.append((EventKind.X_AXIS_CROSS, tau_e, state, None))
+            elif i == n_fp + 2:
+                raw_events.append((EventKind.UNIT_X_CROSS, tau_e, state, None))
+            else:
+                raw_events.append((EventKind.Y_AXIS_CROSS, tau_e, state, None))
+
+    tau = sign * sol.t
+    X, Y = sol.y[0], sol.y[1]
+    if backward:
+        tau, X, Y = tau[::-1].copy(), X[::-1].copy(), Y[::-1].copy()
+    return {"tau": tau, "X": X, "Y": Y, "raw_events": raw_events,
+            "nfev": sol.nfev, "njev": sol.njev}, sol.sol
+
+
+def _scipy_table(ode_solution):
+    """The Nordsieck table built from the interpolants solve_ivp returns."""
+    return connect._NordsieckTable(connect._DenseRecords(
+        ode_solution.ts, [(s.t, s.h, s.yh.T) for s in ode_solution.interpolants]))
+
+
+# (model, c, point, direction, _integrate overrides)
+PIN_SHOTS = {
+    "221-P0-c1": (CM221, 1.0, Point.P0, Direction.FORWARD, {}),
+    "221-P0-c3": (CM221, 3.0, Point.P0, Direction.FORWARD, {}),
+    "221-P0-c0-terminal-axis": (CM221, 0.0, Point.P0, Direction.FORWARD, {}),
+    "221-P1-backward-c2": (CM221, 2.0, Point.P1, Direction.BACKWARD, {}),
+    "1-1-0.5-P2-backward": (CanonicalModel(m=1, p=1, q=0.5), 1.0, Point.P2,
+                            Direction.BACKWARD, {}),
+    "121-P0-oscillatory": (CanonicalModel(m=1, p=2, q=1), 0.5, Point.P0,
+                           Direction.FORWARD, {}),
+    "221-P0-escape": (CM221, 1.0, Point.P0, Direction.FORWARD, {"escape_bound": 1.02}),
+    # the P2 seed has Y = 0 exactly, so the X-axis event starts at g = 0 and
+    # fires at tau = 0, upward forward in time and downward backward
+    "221-P2-forward": (CM221, 1.0, Point.P2, Direction.FORWARD, {}),
+    "221-P2-seed-backward": (CM221, 1.0, Point.P2, Direction.FORWARD, {"backward": True}),
+}
 
 
 # --- trajectories -------------------------------------------------------------
@@ -40,19 +167,113 @@ def test_dense_output_matches_samples():
     (CanonicalModel(m=1, p=1, q=0.5), 1.0, Point.P2, Direction.BACKWARD),
 ])
 def test_state_at_matches_scipy_dense_output(cm, c, point, direction):
-    # pins the Nordsieck table against scipy's OdeSolution on the same shot,
-    # including the layout of LSODA's dense output (t, h, yh, p)
+    # pins the Nordsieck table against the OdeSolution solve_ivp returns for
+    # the same shot, including the layout of LSODA's dense output (t, h, yh, p)
     traj = shoot_from(build_system(cm, c), point, direction)
+    sys, s0, kwargs = _shot_args(cm, c, point, direction)
+    _, reference = _solve_ivp_integrate(sys, s0, **kwargs)
     tau = traj.tau
     first, last = tau[1] - tau[0], tau[-1] - tau[-2]
     pts = np.concatenate([tau, 0.5 * (tau[:-1] + tau[1:]),
                           [tau[0] - 0.5 * first, tau[-1] + 0.5 * last]])
     for t in (pts, pts[len(pts) // 3]):
         X, Y = traj.state_at(t)
-        want = traj._dense(traj._dense_sign * t + traj._dense_shift)
+        want = reference(traj._dense_sign * t + traj._dense_shift)
         for got, ref in ((X, want[0]), (Y, want[1])):
             assert np.shape(got) == np.shape(ref)
             assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", PIN_SHOTS)
+def test_driver_is_bit_identical_to_solve_ivp(name):
+    cm, c, point, direction, overrides = PIN_SHOTS[name]
+    sys, s0, kwargs = _shot_args(cm, c, point, direction, **overrides)
+    got, dense = connect._integrate(sys, s0, **kwargs)
+    want, reference = _solve_ivp_integrate(sys, s0, **kwargs)
+    for key in ("tau", "X", "Y"):
+        assert np.array_equal(got[key], want[key]), key
+    assert got["raw_events"] == want["raw_events"]
+    assert (got["nfev"], got["njev"]) == (want["nfev"], want["njev"])
+    assert got["solver_steps"] == len(reference.interpolants)
+    table, ref_table = connect._NordsieckTable(dense), _scipy_table(reference)
+    for attr in ("ts", "t_end", "h", "coef"):
+        assert np.array_equal(getattr(table, attr), getattr(ref_table, attr)), attr
+    ts = dense.ts
+    pts = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])])
+    assert np.array_equal(table(pts), ref_table(pts))
+
+
+def test_pin_shots_cover_the_event_paths():
+    ends, kinds = {}, {}
+    for name, (cm, c, point, direction, overrides) in PIN_SHOTS.items():
+        sys, s0, kwargs = _shot_args(cm, c, point, direction, **overrides)
+        res, _ = connect._integrate(sys, s0, **kwargs)
+        ends[name] = res["tau"][0 if kwargs["backward"] else -1]
+        kinds[name] = {}
+        for kind, tau, _, _ in res["raw_events"]:
+            kinds[name].setdefault(kind, []).append(tau)
+    # the terminal X-axis root is the last sample
+    assert kinds["221-P0-c0-terminal-axis"][EventKind.X_AXIS_CROSS] == \
+        [ends["221-P0-c0-terminal-axis"]]
+    assert len(kinds["121-P0-oscillatory"][EventKind.X_AXIS_CROSS]) >= 5
+    for name in ("221-P0-escape", "221-P1-backward-c2"):
+        assert kinds[name][EventKind.ESCAPE] == [ends[name]]
+    for name in ("221-P2-forward", "221-P2-seed-backward"):
+        assert 0.0 in kinds[name][EventKind.X_AXIS_CROSS]
+
+
+def test_nordsieck_capture_matches_lsoda_dense_output():
+    # the driver reads each step's history straight from LSODA's work arrays;
+    # a scipy that moves them must fail here, not produce wrong profiles
+    rescaled = 0
+    for name, (cm, c, point, direction, overrides) in PIN_SHOTS.items():
+        sys, s0, kwargs = _shot_args(cm, c, point, direction, **overrides)
+        steps = connect._integrate(sys, s0, **kwargs)[0]["solver_steps"]
+        solver = LSODA(_shot_fun(sys, kwargs["backward"]), 0.0, s0, kwargs["tau_span"],
+                       rtol=kwargs["rtol"], atol=kwargs["atol"])
+        core = solver._lsoda_solver._integrator
+        for k in range(steps):
+            solver.step()
+            h, yh = connect._nordsieck_record(core.iwork, core.rwork, solver.n)
+            ref = solver.dense_output()
+            assert h == ref.h and np.array_equal(yh, ref.yh.T), (
+                f"{name}, step {k}: the captured Nordsieck record differs from "
+                "LSODA._dense_output_impl; scipy changed the rwork/iwork layout")
+            rescaled += core.iwork[14] < core.iwork[13]
+    # the order-drop rescale of the last column is exercised
+    assert rescaled > 0
+
+
+def test_seed_inside_its_arrival_ball_is_attached_not_fired():
+    # the P0 seed sits eps = 1e-6 inside P0's 1e-5 ball; arrivals fire only on
+    # entry and g starts from the seed's values, so leaving the ball fires
+    # nothing and shoot_from attaches the seed end itself
+    sys, s0, kwargs = _shot_args(CM221, 1.0, Point.P0, Direction.FORWARD)
+    assert math.hypot(s0[0], s0[1]) < kwargs["arrival_radius"]
+    res, _ = connect._integrate(sys, s0, **kwargs)
+    arrivals = [(tau, target) for kind, tau, _, target in res["raw_events"]
+                if kind is EventKind.FIXED_POINT_ARRIVAL]
+    assert arrivals == [(res["tau"][-1], "P2")]
+    traj = shoot_from(sys, Point.P0, Direction.FORWARD)
+    at_seed = [ev for ev in traj.events
+               if ev.kind is EventKind.FIXED_POINT_ARRIVAL and ev.tau == 0.0]
+    assert [(ev.target, ev.index) for ev in at_seed] == [("P0", 0)]
+
+
+def test_shot_diagnostics_are_deterministic_counts():
+    a, b = classify_connection(CM221, -1.0), classify_connection(CM221, -1.0)
+    for r in (a, b):
+        counts = (r.solver_steps, r.nfev, r.njev)
+        assert all(type(n) is int and n > 0 for n in counts)
+        assert r.nfev >= r.solver_steps >= len(r.trajectory.tau) - 1
+        assert counts == (r.trajectory.solver_steps, r.trajectory.nfev, r.trajectory.njev)
+        assert sum(r.event_counts.values()) == len(r.trajectory.events)
+        assert r.event_counts["XAxisCross"] >= r.n_oscillations
+    assert (a.solver_steps, a.nfev, a.njev, a.event_counts) == \
+        (b.solver_steps, b.nfev, b.njev, b.event_counts)
+    none = classify_connection(CM221, 1.0)
+    assert (none.solver_steps, none.nfev, none.njev) == (0, 0, 0)
+    assert set(none.event_counts.values()) == {0}
 
 
 def test_axis_events_sit_on_the_axis():
