@@ -16,8 +16,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import connect, pde
 from .config import RunConfig, c_label, config_to_dict, load_config
 from .errors import (
@@ -189,58 +187,54 @@ def cmd_shoot(cfg: RunConfig, out: Path | None = None) -> list[dict]:
 
 # --- pde -----------------------------------------------------------------------
 
-def _infer_classification(f: np.ndarray) -> SpeedClass:
-    if float(np.ptp(f)) < 1e-12:
-        return SpeedClass.NO_WAVE
-    if float(np.max(f)) > 1.0 + 1e-6:
-        return SpeedClass.OSCILLATORY
-    return SpeedClass.MONOTONE
-
-
-def _no_wave_labels(out: Path) -> set[str]:
-    """Speeds the shoot stage classified as carrying no wave (no profile)."""
+def _observed_classes(out: Path) -> dict[str, SpeedClass]:
+    """The class the shoot stage observed for each speed label, read from
+    classification.json (empty when there is no such file)."""
     path = out / "classification.json"
     if not path.exists():
-        return set()
-    labels = set()
-    for row in read_json(path):
-        if row.get("observed_class") == SpeedClass.NO_WAVE.value:
-            labels.add(c_label(row["c"]))
-    return labels
+        return {}
+    return {c_label(row["c"]): SpeedClass(row["observed_class"])
+            for row in read_json(path) if "observed_class" in row}
 
 
 def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
     """Advect each speed's stored profile and write PDE artifacts.
 
     Speeds the shoot stage recorded as waveless are skipped; a profile that
-    should exist but does not is a missing artifact.
+    should exist but does not, or one the shoot stage left unclassified, is
+    a missing artifact.
     """
     out = Path(out or cfg.output_dir)
     _echo_config(cfg, out)
     cm, _ = _canonical(cfg)
     pc = cfg.pde
     domain = (pc.x_min, pc.x_max) if (pc.x_min is not None and pc.x_max is not None) else None
-    waveless = _no_wave_labels(out)
+    observed = _observed_classes(out)
     rows: list[dict] = []
     for c in cfg.speeds:
         row: dict = {"c": c}
         try:
             ppath = _profile_path(out, c)
+            label = c_label(c)
             if not ppath.exists():
-                if c_label(c) in waveless:
+                if observed.get(label) is SpeedClass.NO_WAVE:
                     row["skipped"] = "no wave at this speed; nothing to advect"
                     rows.append(row)
                     continue
                 raise MissingArtifactError(
                     f"expected profile file {ppath} (produce it with the shoot "
                     "command first)")
+            if label not in observed:
+                raise MissingArtifactError(
+                    f"profile file {ppath} has no classified row in "
+                    f"{out / 'classification.json'} (produce both with the "
+                    "shoot command)")
             xi, f = read_profile_csv(ppath)
             profile = connect.WaveProfile(
-                xi=xi, f=f, c=float(c), classification=_infer_classification(f))
+                xi=xi, f=f, c=float(c), classification=observed[label])
             res = pde.advect_profile_test(
                 profile, cm, pc.T, n_cells=pc.n_cells, cfl=pc.cfl,
                 domain=domain, snapshot_times=pc.snapshot_times)
-            label = c_label(c)
             front_path = out / f"front_c{label}.csv"
             # repr of a Python float is fmt's text, "nan" included
             write_csv(front_path, ["t", "x_front"],
@@ -387,8 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (overrides config)")
         sp.add_argument("--jobs", type=int, default=1,
                         help="concurrent workers for sweep rows")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="table output format (sweep)")
+        if name == "sweep":
+            sp.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="table output format")
     return p
 
 

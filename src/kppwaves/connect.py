@@ -46,10 +46,11 @@ from .phaseplane import (
     FixedPointKind,
     PhaseSystem,
     PhaseSystemI,
-    PhaseSystemII,
-    axis_equilibria,
     build_system,
+    fixed_point_locations,
     fixed_points,
+    jacobian,
+    scalar_field,
     zero_speed_curve,
 )
 
@@ -79,6 +80,8 @@ ESCAPE_BOUND = 50.0
 TAU_SPAN = 1e9
 GRAZE_TOL = 1e-6          # |X-1| below this does not count as an oscillation
 LOW_CONFIDENCE_BAND = 1e-3  # |c - c*| band where the class is flagged
+PROFILE_SAMPLES = 4001      # uniform xi grid of a reconstructed profile
+FINITE_EDGE_RATIO = 0.9     # gap contraction that signals a finite support edge
 
 
 class Point(Enum):
@@ -240,45 +243,16 @@ class ConnectionResult:
         default_factory=lambda: {kind.value: 0 for kind in EventKind})
 
 
-# --- system geometry helpers -------------------------------------------------
+# --- seeds ----------------------------------------------------------------------
 
-def _system_speed(sys: PhaseSystem) -> float:
-    return sys.c if isinstance(sys, PhaseSystemI) else sys.c1
+def _axis_eigenvector(J: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the transverse eigenvalue J[0, 0] at a Y-axis
+    equilibrium, oriented into X > 0.
 
-
-def _fixed_point_locations(sys: PhaseSystem) -> dict[str, tuple[float, float]]:
-    if isinstance(sys, PhaseSystemI):
-        pts = {"P0": (0.0, 0.0), "P2": (1.0, 0.0)}
-        if sys.c > 0.0:
-            pts["P1"] = (0.0, -sys.c)
-        return pts
-    y_plus, y_minus = axis_equilibria(sys)
-    return {"P0": (0.0, y_plus), "P1": (0.0, y_minus), "P2": (1.0, 0.0)}
-
-
-def _make_rhs(sys: PhaseSystem):
-    if isinstance(sys, PhaseSystemI):
-        g, k, c = sys.gamma, sys.k, sys.c
-
-        def rhs(X: float, Y: float) -> tuple[float, float]:
-            Xk = X ** k if X > 0.0 else 0.0
-            Xp = X if X > 0.0 else 0.0
-            return g * Xp * Y, -Y * (Y + c) + Xp - Xk
-
-        return rhs
-    g, k1, k2, c1 = sys.gamma, sys.k1, sys.k2, sys.c1
-
-    def rhs(X: float, Y: float) -> tuple[float, float]:
-        Xp = X if X > 0.0 else 0.0
-        Xk1 = 1.0 if k1 == 0.0 else (Xp ** k1 if Xp > 0.0 else 0.0)
-        Xk2 = Xp ** k2 if Xp > 0.0 else 0.0
-        return g * Xp * Y, -Y * (Y + c1 * Xk1) + 1.0 - Xk2
-
-    return rhs
-
-
-def _eigvec_lower_triangular(lam: float, d: float, j21: float) -> np.ndarray:
-    # eigenvector of [[lam, 0], [j21, d]] for eigenvalue lam (lam != d)
+    On X = 0 the Jacobian is lower triangular, [[lam, 0], [j21, d]], and
+    (d - lam, -j21) is the eigenvector of lam (lam != d).
+    """
+    lam, d, j21 = J[0, 0], J[1, 1], J[1, 0]
     v = np.array([d - lam, -j21], dtype=float)
     n = float(np.hypot(v[0], v[1]))
     if n == 0.0:
@@ -289,69 +263,38 @@ def _eigvec_lower_triangular(lam: float, d: float, j21: float) -> np.ndarray:
     return v
 
 
-def _axis_linearization(sys: PhaseSystemII, y0: float) -> tuple[float, float, float]:
-    """(lambda_transverse, dQ/dY, dQ/dX) at the axis equilibrium (0, y0)."""
-    lam = sys.gamma * y0
-    d = -2.0 * y0 - (sys.c1 if sys.k1 == 0.0 else 0.0)
-    j21 = 0.0
-    if sys.k1 == 1.0:
-        j21 -= sys.c1 * y0
-    if sys.k2 == 1.0:
-        j21 -= 1.0
-    return lam, d, j21
-
-
 def _seed_state(sys: PhaseSystem, point: Point, direction: Direction,
                 eps: float) -> tuple[np.ndarray, str]:
-    """Seed position and a human-readable note for the supported shots."""
-    if point is Point.P0 and direction is Direction.FORWARD:
-        if isinstance(sys, PhaseSystemI):
-            if sys.c > 0.0:
-                v = np.array([sys.c, 1.0]) / math.hypot(sys.c, 1.0)
-                return eps * v, (
-                    "P0 forward: seeded eps along the center direction Y = X/c "
-                    "(the departure branch of the saddle-node)"
-                )
-            y2 = zero_speed_curve(sys, eps)
-            if y2 <= 0.0:
-                raise SeedFailureError("zero-speed curve has no real branch at the seed offset")
-            return np.array([eps, math.sqrt(y2)]), (
-                "P0 forward at c = 0: seeded on the explicit trajectory "
-                "Y^2 = 2X/(2+gamma) - 2X^k/(2+gamma k)"
-            )
-        y_plus, _ = axis_equilibria(sys)
-        lam, d, j21 = _axis_linearization(sys, y_plus)
-        v = _eigvec_lower_triangular(lam, d, j21)
-        return np.array([0.0, y_plus]) + eps * v, (
-            f"axis point (0, {y_plus:.6g}) forward: seeded eps along the "
-            "unstable eigenvector"
+    """Seed position and a human-readable note for the supported shots.
+
+    A shot leaves the axis point P0 forward, or traces the separatrix that
+    arrives at P1 backward; either way the seed sits eps from the point along
+    the eigenvector transverse to the Y axis.
+    """
+    if (point, direction) not in ((Point.P0, Direction.FORWARD),
+                                  (Point.P1, Direction.BACKWARD)):
+        raise SeedFailureError(
+            f"no admissible local direction for {point.value} {direction.value}: "
+            "backward from P0 and forward from P1 only the Y axis itself is "
+            "reachable, and nothing leaves the attractor P2 forward "
+            "(supported shots: P0 Forward, P1 Backward, P2 Backward)"
         )
-    if point is Point.P1 and direction is Direction.BACKWARD:
-        if isinstance(sys, PhaseSystemI):
-            if sys.c <= 0.0:
-                raise SeedFailureError("P1 coincides with P0 at c = 0; no separatrix to trace")
-            v = np.array([sys.c * (1.0 + sys.gamma), -1.0])
-            v /= float(np.hypot(v[0], v[1]))
-            return np.array([0.0, -sys.c]) + eps * v, (
-                "P1 backward: seeded eps along the stable eigenvector "
-                "(traces the separatrix arriving at P1 into its past)"
-            )
-        _, y_minus = axis_equilibria(sys)
-        lam, d, j21 = _axis_linearization(sys, y_minus)
-        v = _eigvec_lower_triangular(lam, d, j21)
-        return np.array([0.0, y_minus]) + eps * v, (
-            f"axis point (0, {y_minus:.6g}) backward: seeded eps along the "
-            "stable eigenvector"
+    if isinstance(sys, PhaseSystemI) and sys.c == 0.0:
+        if point is Point.P1:
+            raise SeedFailureError("P1 coincides with P0 at c = 0; no separatrix to trace")
+        # the fully degenerate origin has no transverse direction
+        y2 = zero_speed_curve(sys, eps)
+        if y2 <= 0.0:
+            raise SeedFailureError("zero-speed curve has no real branch at the seed offset")
+        return np.array([eps, math.sqrt(y2)]), (
+            "P0 forward at c = 0: seeded on the explicit trajectory "
+            "Y^2 = 2X/(2+gamma) - 2X^k/(2+gamma k)"
         )
-    if point is Point.P2 and direction is Direction.FORWARD:
-        return np.array([1.0 - eps, 0.0]), (
-            "P2 forward: orbit through a point eps left of the attractor; "
-            "degenerate by construction (stays near P2)"
-        )
-    raise SeedFailureError(
-        f"no admissible local direction for {point.value} {direction.value}: "
-        "the invariant manifolds reachable from that end are the Y axis itself "
-        "(supported shots: P0 Forward, P1 Backward, P2 Backward, P2 Forward)"
+    x0, y0 = fixed_point_locations(sys)[point.value]
+    v = _axis_eigenvector(jacobian(sys, x0, y0))
+    return np.array([x0, y0]) + eps * v, (
+        f"{point.value} {direction.value}: seeded eps from (0, {y0:.6g}) along the "
+        "eigenvector transverse to the Y axis"
     )
 
 
@@ -380,17 +323,18 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
                rtol: float, atol: float, tau_span: float,
                arrival_radius: float, escape_bound: float,
                terminal_x_axis: bool) -> tuple[dict, _DenseRecords]:
-    rhs = _make_rhs(sys)
+    rhs = scalar_field(sys)
     sign = -1.0 if backward else 1.0
 
     def fun(_t, s):
-        dx, dy = rhs(s[0], s[1])
+        # Python floats, not numpy scalars: the same arithmetic, done faster
+        dx, dy = rhs(*s.tolist())
         return (sign * dx, sign * dy)
 
     # one row per event function, in the order solve_ivp would be given them:
     # (kind, target, direction, terminal).  Arrivals fire only on entry, so a
     # seed inside its own ball never triggers one on exit
-    fps = _fixed_point_locations(sys)
+    fps = fixed_point_locations(sys)
     table = [(EventKind.FIXED_POINT_ARRIVAL, name, -1, True) for name in fps]
     table += [(EventKind.ESCAPE, None, 1, True),
               (EventKind.X_AXIS_CROSS, None, 0, terminal_x_axis),
@@ -484,11 +428,11 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
     """Integrate the orbit attached to a fixed point.
 
     Supported shots: (P0, Forward) for the connecting orbit's departure,
-    (P1, Backward) for the separatrix arriving at P1, (P2, Backward) for the
-    connection traced from its P2 end, and (P2, Forward) as a degenerate
-    near-P2 arc.  Events record X-axis / X = 1 / Y-axis crossings, escape
-    beyond ``escape_bound`` and arrival within ``arrival_radius`` of a fixed
-    point; arrival and escape stop the integration.
+    (P1, Backward) for the separatrix arriving at P1, and (P2, Backward) for
+    the connection traced from its P2 end.  Events record X-axis / X = 1 /
+    Y-axis crossings, escape beyond ``escape_bound`` and arrival within
+    ``arrival_radius`` of a fixed point; arrival and escape stop the
+    integration.
 
     At c = 0 in Case I the shot terminates at the first X-axis crossing: the
     orbit is symmetric under (Y, tau) -> (-Y, -tau) there, and following the
@@ -558,22 +502,19 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
             escaped = True
 
     # mark asymptotic attachment at both ends where the event functions never
-    # fire (the seed starts inside its own arrival ball; a forward P2 shot
-    # never leaves it)
-    fps = _fixed_point_locations(sys)
+    # fire (the seed starts inside its own arrival ball)
+    fps = fixed_point_locations(sys)
     seed_idx = len(tau) - 1 if backward else 0
     far_idx = 0 if backward else len(tau) - 1
-    seed_name = point.value if point.value in fps else None
-    if seed_name is not None:
-        x0, y0 = fps[seed_name]
-        # the seed is placed ~eps from its fixed point on purpose, so attach it
-        # even when the caller asked for an arrival ball tighter than eps
-        seed_ball = max(arrival_radius, 2.0 * eps)
-        if math.hypot(X[seed_idx] - x0, Y[seed_idx] - y0) <= seed_ball:
-            events.append(TrajectoryEvent(
-                kind=EventKind.FIXED_POINT_ARRIVAL, index=seed_idx,
-                tau=float(tau[seed_idx]), state=(float(X[seed_idx]), float(Y[seed_idx])),
-                target=seed_name))
+    x0, y0 = fps[point.value]
+    # the seed is placed ~eps from its fixed point on purpose, so attach it
+    # even when the caller asked for an arrival ball tighter than eps
+    seed_ball = max(arrival_radius, 2.0 * eps)
+    if math.hypot(X[seed_idx] - x0, Y[seed_idx] - y0) <= seed_ball:
+        events.append(TrajectoryEvent(
+            kind=EventKind.FIXED_POINT_ARRIVAL, index=seed_idx,
+            tau=float(tau[seed_idx]), state=(float(X[seed_idx]), float(Y[seed_idx])),
+            target=point.value))
     if arrived is None:
         for name, (x0, y0) in fps.items():
             if math.hypot(X[far_idx] - x0, Y[far_idx] - y0) <= arrival_radius:
@@ -588,7 +529,7 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
     traj = Trajectory(
         tau=tau, X=X, Y=Y, events=events,
         seed=(float(s0[0]), float(s0[1])), seed_note=note,
-        c=_system_speed(sys), arrived=arrived, escaped=escaped,
+        c=sys.form[0], arrived=arrived, escaped=escaped,
         arrival_radius=arrival_radius, solver_steps=res["solver_steps"],
         nfev=res["nfev"], njev=res["njev"],
         _dense=dense, _dense_sign=-1.0 if backward else 1.0, _dense_shift=0.0,
@@ -802,8 +743,8 @@ def _end_targets(traj: Trajectory) -> tuple[str | None, str | None]:
     return start, end
 
 
-def reconstruct_profile(traj: Trajectory, sys: PhaseSystem, cm: CanonicalModel,
-                        *, num_samples: int = 4001) -> WaveProfile:
+def reconstruct_profile(traj: Trajectory, sys: PhaseSystem,
+                        cm: CanonicalModel) -> WaveProfile:
     """Recover f(xi) from a connecting trajectory by quadrature.
 
     xi accumulates X^((m-1)/gamma) d tau in Case I and
@@ -811,22 +752,12 @@ def reconstruct_profile(traj: Trajectory, sys: PhaseSystem, cm: CanonicalModel,
     X^(1/k).  The profile is flipped to the original negative speed (the
     orbit was computed in the mirrored c > 0 frame) and shifted so f = 1/2
     at xi = 0 on the front's last downward crossing.  Samples come back on a
-    uniform xi grid of ``num_samples`` points.
+    uniform xi grid of ``PROFILE_SAMPLES`` points.
     """
-    if num_samples < 9:
-        raise InvalidParameterError("num_samples must be at least 9")
-    c_wave = -_system_speed(sys) if isinstance(sys, PhaseSystemI) else \
-        -_system_speed(sys) * math.sqrt(cm.mq / 2.0)
+    speed = sys.form[0]
+    c_wave = -speed if isinstance(sys, PhaseSystemI) else -speed * math.sqrt(cm.mq / 2.0)
     start, end = _end_targets(traj)
     pref, expo, fe = _profile_exponents(sys, cm)
-
-    p2 = (1.0, 0.0)
-    if np.all(np.hypot(traj.X - p2[0], traj.Y - p2[1]) <= 10.0 * traj.arrival_radius):
-        # degenerate fixture: an orbit pinned at P2 maps to the constant state
-        xi = np.linspace(-1.0, 1.0, num_samples)
-        return WaveProfile(xi=xi, f=np.ones_like(xi), c=c_wave,
-                           classification=SpeedClass.NO_WAVE)
-
     if {start, end} != {"P0", "P2"}:
         raise NotAConnectionError(
             f"trajectory ends are attached to {start!r} and {end!r}; "
@@ -860,7 +791,7 @@ def reconstruct_profile(traj: Trajectory, sys: PhaseSystem, cm: CanonicalModel,
 
     xi_lo = float(xi_map.xi[0]) - xi_half
     xi_hi = float(xi_map.xi[-1]) - xi_half
-    xi_fwd = np.linspace(xi_lo, xi_hi, num_samples)
+    xi_fwd = np.linspace(xi_lo, xi_hi, PROFILE_SAMPLES)
     tau_grid = xi_map.invert(xi_fwd + xi_half)
     X_grid, _ = traj.state_at(tau_grid)
     X_grid = np.maximum(np.asarray(X_grid, dtype=float), 0.0)
@@ -916,15 +847,14 @@ def threshold_crossings(profile: WaveProfile, thresholds) -> list[tuple[float, f
 
 
 def detect_finite_propagation(profile: WaveProfile, cm: CanonicalModel,
-                              thresholds=(1e-2, 1e-3, 1e-4), *,
-                              ratio_max: float = 0.9) -> float | None:
+                              thresholds=(1e-2, 1e-3, 1e-4)) -> float | None:
     """Estimate the support edge xi0 by threshold extrapolation.
 
     The xi positions of a geometric sequence of f thresholds form gaps that
     contract when the profile touches zero at finite xi (which happens for
     q < 1, m > q) and stay level for exponential tails.  Contraction by at
-    least ``ratio_max`` per threshold step extrapolates geometrically to a
-    finite xi0; anything slower returns None.  Exact zeros already present in
+    least ``FINITE_EDGE_RATIO`` per threshold step extrapolates geometrically
+    to a finite xi0; anything slower returns None.  Exact zeros already present in
     the samples short-circuit to the first such xi.
     """
     f = profile.f
@@ -943,7 +873,7 @@ def detect_finite_propagation(profile: WaveProfile, cm: CanonicalModel,
         return None
     ratios = gaps[1:] / gaps[:-1]
     log.debug("finite propagation gaps %s ratios %s", gaps, ratios)
-    if np.any(ratios >= ratio_max):
+    if np.any(ratios >= FINITE_EDGE_RATIO):
         return None
     r = float(ratios[-1])
     return float(xis[-1] + gaps[-1] * r / (1.0 - r))

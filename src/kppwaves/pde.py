@@ -36,6 +36,7 @@ from .errors import (
     NegativityError,
     NoFrontError,
     StabilityViolationError,
+    UnsupportedModelError,
 )
 from .model import CanonicalModel, GeneralModel, SpeedClass
 from .connect import WaveProfile
@@ -60,6 +61,10 @@ __all__ = [
 U_FLOOR = 1e-12
 U_MAX = 10.0
 BOUNDARY_GUARD_CELLS = 10
+FRONT_LEVEL = 0.5       # the level set tracked as the front
+N_CHECKPOINTS = 5       # shape-error checkpoints of an advection test
+RESIDUAL_WINDOWS = 8    # windows of the weak-form residual
+RESIDUAL_MARGIN = 0.05  # share of the span the residual trims at each end
 
 
 @dataclass
@@ -146,6 +151,10 @@ class _Workspace:
             raise InvalidParameterError(
                 f"unsupported model object {type(model).__name__}")
         self.kappa, self.alpha, self.beta, self.m, self.p, self.q = coeffs
+        if not self.p > self.q:
+            # a canonical model cannot get here; a general one is refused as
+            # nondimensionalize refuses it
+            raise UnsupportedModelError("p > q")
         if self.m < 1.0:
             raise InvalidParameterError(
                 "the explicit scheme needs bounded diffusivity; m >= 1 required "
@@ -238,13 +247,11 @@ def step(run: PdeRun, model, dt_limit: float | None = None) -> PdeRun:
     np.add(u, u_new, out=u_new)   # diffusion alone keeps u >= 0 under the cfl bound
 
     if run.reaction_on:
-        # nodes below U_FLOOR contribute nothing; a negative p would blow up
-        # there, so it sees the floor instead (D's buffer is free by now)
-        base = u if p >= 0.0 else np.maximum(u, U_FLOOR, out=ws.D)
-        r = _power(base, p, ws.r)
+        # nodes below U_FLOOR contribute nothing (p > q >= 0 keeps u^p finite)
+        r = _power(u, p, ws.r)
         if alpha != 1.0:
             r = np.multiply(alpha, r, out=ws.r)
-        sink = _power(base, q, ws.tmp)
+        sink = _power(u, q, ws.tmp)
         if beta != 1.0:
             sink = np.multiply(beta, sink, out=ws.tmp)
         r = np.subtract(r, sink, out=ws.r)
@@ -304,9 +311,10 @@ def front_position(x: np.ndarray, u: np.ndarray, level: float) -> float | None:
 
 
 def evolve(run: PdeRun, model, T: float, *, snapshot_times=(),
-           level: float = 0.5, track_front: bool = True,
+           track_front: bool = True,
            guard_cells: int | None = None) -> list[tuple[float, np.ndarray]]:
-    """Step ``run`` to time T, recording the front and requested snapshots.
+    """Step ``run`` to time T, recording the front (the ``FRONT_LEVEL`` level
+    set) and requested snapshots.
 
     ``guard_cells`` raises DomainTooSmall when the tracked front comes within
     that many cells of a boundary (None disables the check).
@@ -323,7 +331,7 @@ def evolve(run: PdeRun, model, T: float, *, snapshot_times=(),
 
     def record():
         if track_front:
-            pos = front_position(x, run.state, level)
+            pos = front_position(x, run.state, FRONT_LEVEL)
             run.front_track.append((run.time, math.nan if pos is None else pos))
             if guard_cells is not None and pos is not None and math.isfinite(pos):
                 lo = run.x_min + guard_cells * dx
@@ -348,10 +356,8 @@ def evolve(run: PdeRun, model, T: float, *, snapshot_times=(),
     return out
 
 
-def measure_front_speed(run: PdeRun, level: float, window: tuple[float, float]) -> float:
+def measure_front_speed(run: PdeRun, window: tuple[float, float]) -> float:
     """Least-squares slope of the recorded front positions over the window."""
-    if not (0.0 < level < 1.0):
-        raise InvalidParameterError(f"level must lie in (0, 1), got {level!r}")
     t1, t2 = window
     pts = [(t, xf) for (t, xf) in run.front_track if t1 <= t <= t2]
     if any(math.isnan(xf) for _, xf in pts):
@@ -418,7 +424,6 @@ class AdvectResult:
 def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
                         n_cells: int = 4000, cfl: float = 0.9,
                         domain: tuple[float, float] | None = None,
-                        n_checkpoints: int = 5, level: float = 0.5,
                         snapshot_times=()) -> AdvectResult:
     """Evolve u(x,0) = f(x) to time T and compare against f(x - ct).
 
@@ -438,21 +443,6 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     f = np.asarray(profile.f, dtype=float)
     c = float(profile.c)
     f_left, f_right = float(f[0]), float(f[-1])
-
-    if float(np.ptp(f)) < 1e-12:
-        # constant state: exactly preserved, nothing to track
-        x_min, x_max = (domain if domain is not None else (float(xi[0]), float(xi[-1])))
-        run = make_run(x_min, x_max, max(4, min(n_cells, 64)),
-                       lambda x: np.full_like(x, f_left),
-                       cfl=cfl, bc=(f_left, f_right))
-        before = run.state.copy()
-        if T > 0.0:
-            step(run, cm)
-        err = float(np.max(np.abs(run.state - before)))
-        return AdvectResult(max_error=err, measured_speed=None,
-                            checkpoints=((run.time, err),),
-                            domain=(x_min, x_max), run=run)
-
     if profile.classification is SpeedClass.NO_WAVE:
         raise InvalidParameterError("profile carries no wave to advect")
 
@@ -483,7 +473,7 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     run = make_run(x_min, x_max, n_cells, u0, cfl=cfl, bc=(f_left, f_right))
     x = run.x
     inner = slice(BOUNDARY_GUARD_CELLS, len(x) - BOUNDARY_GUARD_CELLS)
-    times = [T * (i + 1) / n_checkpoints for i in range(n_checkpoints)] if T > 0 else []
+    times = [T * (i + 1) / N_CHECKPOINTS for i in range(N_CHECKPOINTS)] if T > 0 else []
     wanted = sorted(float(t) for t in snapshot_times)
     for t in wanted:
         if t < 0.0 or t > T:
@@ -494,7 +484,7 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     if T == 0.0:
         checkpoints.append((0.0, 0.0))
     recorded = evolve(run, cm, T, snapshot_times=sorted(set(times) | set(wanted)),
-                      level=level, guard_cells=BOUNDARY_GUARD_CELLS)
+                      guard_cells=BOUNDARY_GUARD_CELLS)
     for t, u in recorded:
         if any(abs(t - tc) <= 1e-9 for tc in times):
             ref = np.interp(x - c * t, xi, f, left=f_left, right=f_right)
@@ -504,7 +494,7 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
 
     max_error = max(err for _, err in checkpoints)
     try:
-        speed = measure_front_speed(run, level, (0.0, T)) if T > 0 else None
+        speed = measure_front_speed(run, (0.0, T)) if T > 0 else None
     except NoFrontError:
         speed = None
     log.info("advect test c=%g T=%g N=%d: max_error=%.3e speed=%s",
@@ -518,8 +508,7 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
 # --- weak-form residual ---------------------------------------------------------
 
 def wave_ode_residual(profile: WaveProfile, cm: CanonicalModel, *,
-                      num: int | None = None, n_windows: int = 8,
-                      margin: float = 0.05) -> float:
+                      num: int | None = None) -> float:
     """Max window residual of the integrated wave equation.
 
     Integrating (f^{m-1} f')' + c f' + f^p - f^q = 0 over [xi_1, xi_2] gives
@@ -528,13 +517,9 @@ def wave_ode_residual(profile: WaveProfile, cm: CanonicalModel, *,
     the equation in this weak sense.  g comes from central differences and
     the integral from the trapezoid rule, so the residual shrinks at second
     order in the grid spacing.  ``num`` resamples the profile to that many
-    uniform points first; windows partition the span with a relative
-    ``margin`` trimmed at each end.
+    uniform points first; ``RESIDUAL_WINDOWS`` windows partition the span
+    with a share ``RESIDUAL_MARGIN`` trimmed at each end.
     """
-    if n_windows < 1:
-        raise InvalidParameterError("need at least one window")
-    if not (0.0 <= margin < 0.5):
-        raise InvalidParameterError("margin must lie in [0, 0.5)")
     xi = np.asarray(profile.xi, dtype=float)
     f = np.asarray(profile.f, dtype=float)
     if num is not None:
@@ -557,11 +542,11 @@ def wave_ode_residual(profile: WaveProfile, cm: CanonicalModel, *,
     react[pos] = f[pos] ** p - f[pos] ** q
 
     n = len(f)
-    i0 = max(1, int(round(margin * (n - 1))))
+    i0 = max(1, int(round(RESIDUAL_MARGIN * (n - 1))))
     i1 = min(n - 2, (n - 1) - i0)
-    if i1 - i0 < n_windows:
+    if i1 - i0 < RESIDUAL_WINDOWS:
         raise InvalidParameterError("too few interior samples for the window count")
-    edges = np.unique(np.round(np.linspace(i0, i1, n_windows + 1)).astype(int))
+    edges = np.unique(np.round(np.linspace(i0, i1, RESIDUAL_WINDOWS + 1)).astype(int))
     worst = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         integral = float(np.trapezoid(react[a:b + 1], dx=h))

@@ -2,17 +2,20 @@
 
 Substituting the wave ansatz into the canonical equation and rescaling turns
 the profile ODE into a first-order system in (X, Y).  Two substitutions cover
-the parameter space:
+the parameter space, and both give one field
+
+    X' = gamma X Y
+    Y' = -Y (Y + s X^a) + X^b - X^e
+
+with the coefficients (s, a, b, e) of each case:
 
 Case I (m + q > 2):
     X = f^(m+q-2),  Y = f^(m-2) f',  d_xi = X^((m-1)/gamma) d_tau
-    X' = gamma X Y
-    Y' = -Y (Y + c) + X - X^k,   k = (m+p-2)/(m+q-2) > 1, gamma = m+q-2
+    (s, a, b, e) = (c, 0, 1, k),  k = (m+p-2)/(m+q-2) > 1, gamma = m+q-2
 
 Case II (0 < m + q <= 2):
     X = f^k,  Y = sqrt((m+q)/2) f^((m-q-2)/2) f'
-    X' = gamma X Y
-    Y' = -Y (Y + c1 X^k1) + 1 - X^k2,   gamma = 2k/(m+q), c1 = c sqrt(2/(m+q))
+    (s, a, b, e) = (c1, k1, 0, k2),  gamma = 2k/(m+q), c1 = c sqrt(2/(m+q))
 
 with k = min{(2-m-q)/2, p-q} and the (k1, k2) branch rules below.  In both
 cases the wave corresponds to a heteroclinic orbit between an equilibrium on
@@ -41,6 +44,8 @@ __all__ = [
     "vector_field",
     "jacobian",
     "fixed_points",
+    "fixed_point_locations",
+    "scalar_field",
     "dulac_divergence",
     "region_G_residual",
     "zero_speed_curve",
@@ -89,6 +94,11 @@ class PhaseSystemI:
         if not (self.k > 1.0):
             raise InvalidParameterError(f"k must exceed 1 in Case I, got {self.k!r}")
 
+    @property
+    def form(self) -> tuple[float, float, float, float]:
+        """The field's coefficients (s, a, b, e); see the module docstring."""
+        return self.c, 0.0, 1.0, self.k
+
 
 @dataclass(frozen=True)
 class PhaseSystemII:
@@ -113,6 +123,11 @@ class PhaseSystemII:
             raise InvalidParameterError(f"k must be positive, got {self.k!r}")
         if self.k1 < 0.0 or self.k2 <= 0.0:
             raise InvalidParameterError(f"bad exponents k1={self.k1!r}, k2={self.k2!r}")
+
+    @property
+    def form(self) -> tuple[float, float, float, float]:
+        """The field's coefficients (s, a, b, e); see the module docstring."""
+        return self.c1, self.k1, 0.0, self.k2
 
 
 PhaseSystem = PhaseSystemI | PhaseSystemII
@@ -188,15 +203,29 @@ def vector_field(sys: PhaseSystem, X, Y):
     Ya = np.asarray(Y, dtype=float)
     if np.any(Xa < 0.0):
         raise DomainError("vector_field requires X >= 0")
+    s, a, b, e = sys.form
     dX = sys.gamma * Xa * Ya
-    if isinstance(sys, PhaseSystemI):
-        dY = -Ya * (Ya + sys.c) + Xa - xpow(Xa, sys.k)
-    else:
-        dY = -Ya * (Ya + sys.c1 * xpow(Xa, sys.k1)) + 1.0 - xpow(Xa, sys.k2)
+    dY = -Ya * (Ya + s * xpow(Xa, a)) + xpow(Xa, b) - xpow(Xa, e)
     if np.ndim(dX) == 0 and np.ndim(dY) == 0:
         return float(dX), float(dY)
     dX, dY = np.broadcast_arrays(dX, dY)
     return dX, dY
+
+
+def scalar_field(sys: PhaseSystem):
+    """The vector field as a function of two floats X, Y, for integrators.
+
+    X <= 0 evaluates as X = 0, so a step that strays just outside the
+    half-plane stays finite.
+    """
+    g, (s, a, b, e) = sys.gamma, sys.form
+
+    def rhs(X: float, Y: float) -> tuple[float, float]:
+        Xp = X if X > 0.0 else 0.0
+        # 0.0 ** 0.0 is 1.0, so X^0 = 1 holds at X = 0 too
+        return g * Xp * Y, -Y * (Y + s * Xp ** a) + Xp ** b - Xp ** e
+
+    return rhs
 
 
 def jacobian(sys: PhaseSystem, X: float, Y: float) -> np.ndarray:
@@ -205,15 +234,15 @@ def jacobian(sys: PhaseSystem, X: float, Y: float) -> np.ndarray:
     Y = float(Y)
     if X < 0.0:
         raise DomainError("jacobian requires X >= 0")
-    if isinstance(sys, PhaseSystemI):
-        dQdX = 1.0 - sys.k * xpow(X, sys.k - 1.0)
-        dQdY = -2.0 * Y - sys.c
-    else:
-        dQdX = 0.0
-        if sys.k1 != 0.0:
-            dQdX -= sys.c1 * Y * sys.k1 * xpow(X, sys.k1 - 1.0)
-        dQdX -= sys.k2 * xpow(X, sys.k2 - 1.0)
-        dQdY = -2.0 * Y - sys.c1 * xpow(X, sys.k1)
+    s, a, b, e = sys.form
+    # a vanishing exponent drops its term, which keeps X^-1 out at X = 0
+    dQdX = 0.0
+    if a != 0.0:
+        dQdX -= s * Y * a * xpow(X, a - 1.0)
+    if b != 0.0:
+        dQdX += b * xpow(X, b - 1.0)
+    dQdX -= e * xpow(X, e - 1.0)
+    dQdY = -2.0 * Y - s * xpow(X, a)
     return np.array([[sys.gamma * Y, sys.gamma * X], [dQdX, dQdY]], dtype=float)
 
 
@@ -239,10 +268,9 @@ def _info(sys: PhaseSystem, name: str, x: float, y: float,
 
 
 def _classify_p2(sys: PhaseSystem) -> tuple[FixedPointKind, bool]:
-    if isinstance(sys, PhaseSystemI):
-        speed, det4 = sys.c, 4.0 * sys.gamma * (sys.k - 1.0)
-    else:
-        speed, det4 = sys.c1, 4.0 * sys.gamma * sys.k2
+    # at P2 the trace is -s and the determinant gamma (e - b)
+    speed, _, b, e = sys.form
+    det4 = 4.0 * sys.gamma * (e - b)
     disc = speed * speed - det4
     tol = 1e-12 * max(abs(speed * speed), det4, 1.0)
     if speed == 0.0:
@@ -269,6 +297,20 @@ def axis_equilibria(sys: PhaseSystemII) -> tuple[float, float]:
     return (-sys.c1 + s) / 2.0, (-sys.c1 - s) / 2.0
 
 
+def fixed_point_locations(sys: PhaseSystem) -> dict[str, tuple[float, float]]:
+    """Name -> (X, Y) of each equilibrium that ``fixed_points`` lists, without
+    the cost of linearizing them."""
+    if isinstance(sys, PhaseSystemI):
+        pts = {"P0": (0.0, 0.0)}
+        if sys.c != 0.0:
+            pts["P1"] = (0.0, -sys.c)
+    else:
+        y_plus, y_minus = axis_equilibria(sys)
+        pts = {"P0": (0.0, y_plus), "P1": (0.0, y_minus)}
+    pts["P2"] = (1.0, 0.0)
+    return pts
+
+
 def fixed_points(sys: PhaseSystem) -> list[FixedPointInfo]:
     """Equilibria of the system with linearization and kind.
 
@@ -282,18 +324,16 @@ def fixed_points(sys: PhaseSystem) -> list[FixedPointInfo]:
     discriminant c1^2 - 4*gamma*k2 (same sign as c^2 - 4(p-q)).
     """
     pts: list[FixedPointInfo] = []
-    if isinstance(sys, PhaseSystemI):
-        if sys.c == 0.0:
-            pts.append(_info(sys, "P0", 0.0, 0.0, FixedPointKind.DEGENERATE, True))
+    for name, (x, y) in fixed_point_locations(sys).items():
+        if name == "P2":
+            kind, degenerate = _classify_p2(sys)
+        elif name == "P1" or isinstance(sys, PhaseSystemII):
+            kind, degenerate = FixedPointKind.SADDLE, False
+        elif sys.c == 0.0:
+            kind, degenerate = FixedPointKind.DEGENERATE, True
         else:
-            pts.append(_info(sys, "P0", 0.0, 0.0, FixedPointKind.SADDLE_NODE))
-            pts.append(_info(sys, "P1", 0.0, -sys.c, FixedPointKind.SADDLE))
-    else:
-        y_plus, y_minus = axis_equilibria(sys)
-        pts.append(_info(sys, "P0", 0.0, y_plus, FixedPointKind.SADDLE))
-        pts.append(_info(sys, "P1", 0.0, y_minus, FixedPointKind.SADDLE))
-    kind, degenerate = _classify_p2(sys)
-    pts.append(_info(sys, "P2", 1.0, 0.0, kind, degenerate))
+            kind, degenerate = FixedPointKind.SADDLE_NODE, False
+        pts.append(_info(sys, name, x, y, kind, degenerate))
     return pts
 
 

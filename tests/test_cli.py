@@ -219,6 +219,19 @@ def test_pde_without_profiles_fails_loudly(tmp_path):
     assert "profile_c-3.csv" in rows[0]["error"]
 
 
+def test_pde_profile_without_classified_row_fails_loudly(tmp_path):
+    # the class of a stored profile comes from classification.json; a
+    # profile the shoot stage never classified is not advected
+    out = tmp_path / "out"
+    out.mkdir()
+    write_profile_csv(out / "profile_c-3.csv", [-1.0, 0.0, 1.0], [1.0, 0.5, 0.0])
+    cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out))
+    assert main(["pde", "--config", str(cfg)]) == 3
+    rows = json.loads((out / "pde_summary.json").read_text())
+    assert rows[0]["error_kind"] == "MissingArtifactError"
+    assert "no classified row" in rows[0]["error"]
+
+
 def test_pde_zero_horizon(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out),
@@ -260,6 +273,15 @@ def test_sweep_json_format(tmp_path):
     rows = json.loads((out / "sweep.json").read_text())
     assert not (out / "sweep.csv").exists()
     assert {row["c"] for row in rows} >= {-3.0, -2.0, -0.5}
+
+
+def test_format_is_a_sweep_option_only(tmp_path):
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
+    for cmd in ("analyze", "shoot", "pde"):
+        with pytest.raises(SystemExit) as ei:
+            main([cmd, "--config", str(cfg), "--format", "json"])
+        assert ei.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_json_rows_carry_shot_diagnostics(tmp_path):

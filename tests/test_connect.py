@@ -14,7 +14,7 @@ from kppwaves import (CanonicalModel, Direction, EventKind, Point, SpeedClass,
                       x0_monotonicity_check, x0_seed_sensitivity,
                       zero_speed_X0, zero_speed_curve)
 from kppwaves import connect
-from kppwaves.phaseplane import PhaseSystemI
+from kppwaves.phaseplane import PhaseSystemI, fixed_point_locations, scalar_field
 
 CM221 = CanonicalModel(m=2, p=2, q=1)
 
@@ -22,7 +22,7 @@ CM221 = CanonicalModel(m=2, p=2, q=1)
 # --- the shot as solve_ivp computes it --------------------------------------------
 
 def _shot_fun(sys, backward):
-    rhs = connect._make_rhs(sys)
+    rhs = scalar_field(sys)
     sign = -1.0 if backward else 1.0
 
     def fun(_t, s):
@@ -37,7 +37,11 @@ def _shot_args(cm, c, point, direction, **overrides):
     sys = build_system(cm, c)
     if point is Point.P2 and direction is Direction.BACKWARD:
         point, direction = Point.P0, Direction.FORWARD   # traced from its P0 end
-    s0, _ = connect._seed_state(sys, point, direction, connect.DEFAULT_EPS)
+    if point is Point.P2:
+        # no shot starts at P2; these pins integrate from a point eps left of it
+        s0 = np.array([1.0 - connect.DEFAULT_EPS, 0.0])
+    else:
+        s0, _ = connect._seed_state(sys, point, direction, connect.DEFAULT_EPS)
     kwargs = dict(
         backward=direction is Direction.BACKWARD, rtol=1e-10, atol=1e-10,
         tau_span=connect.TAU_SPAN, arrival_radius=connect.ARRIVAL_RADIUS,
@@ -55,7 +59,7 @@ def _solve_ivp_integrate(sys, s0, *, backward, rtol, atol, tau_span,
     fun = _shot_fun(sys, backward)
     sign = -1.0 if backward else 1.0
 
-    fps = connect._fixed_point_locations(sys)
+    fps = fixed_point_locations(sys)
     names: list[str] = []
     evts: list = []
 
@@ -297,6 +301,8 @@ def test_unsupported_seed_combinations():
         shoot_from(s, Point.P0, Direction.BACKWARD)
     with pytest.raises(kw.SeedFailureError):
         shoot_from(s, Point.P1, Direction.FORWARD)
+    with pytest.raises(kw.SeedFailureError):
+        shoot_from(s, Point.P2, Direction.FORWARD)
 
 
 def test_backward_from_rest_state_requires_a_connection():
@@ -451,14 +457,6 @@ def test_non_finite_profile_is_inconclusive():
         warnings.simplefilter("error")
         with pytest.raises(kw.InconclusiveError, match="non-finite"):
             reconstruct_profile(traj, s, cm)
-
-
-def test_constant_trajectory_reconstructs_to_rest_state():
-    s = build_system(CM221, 3.0)
-    traj = shoot_from(s, Point.P2, Direction.FORWARD)
-    prof = reconstruct_profile(traj, s, CM221)
-    assert np.all(prof.f == 1.0)
-    assert prof.classification is SpeedClass.NO_WAVE
 
 
 def test_reconstruct_rejects_non_connections():

@@ -11,7 +11,7 @@ from kppwaves import (CanonicalModel, FixedPointKind, PhaseSystemI,
                       dulac_divergence, fixed_points, jacobian,
                       region_G_residual, vector_field, zero_speed_X0,
                       zero_speed_curve)
-from kppwaves.phaseplane import xpow
+from kppwaves.phaseplane import scalar_field, xpow
 
 
 # --- construction ------------------------------------------------------------
@@ -88,6 +88,27 @@ def test_vector_field_rejects_negative_x():
     s = build_system(CanonicalModel(m=2, p=2, q=1), 1.0)
     with pytest.raises(kw.DomainError):
         vector_field(s, -0.1, 0.0)
+
+
+@pytest.mark.parametrize("cm", [
+    CanonicalModel(m=2, p=2, q=1), CanonicalModel(m=1, p=2, q=1),
+    CanonicalModel(m=0.5, p=2, q=0.5), CanonicalModel(m=0.5, p=0.75, q=0.5)],
+    ids=["case-i", "case-ii-k1-0", "case-ii-k1-1", "case-ii-k2-1"])
+def test_scalar_field_matches_vector_field(cm):
+    # the integrator's closure is the array field in scalar form: equal at
+    # X = 0 and X = 1, and inside (0, 2) up to the last bit in which numpy's
+    # power and Python's pow may differ
+    rng = np.random.default_rng(11)
+    for c in (0.0, 0.7, 3.0):
+        s = build_system(cm, c)
+        rhs = scalar_field(s)
+        for X in (0.0, 1.0):
+            for Y in (-1.5, 0.0, 0.25):
+                assert rhs(X, Y) == vector_field(s, X, Y)
+        X, Y = rng.uniform(0.0, 2.0, 300), rng.uniform(-2.0, 2.0, 300)
+        want = np.stack(vector_field(s, X, Y), axis=1)
+        got = np.array([rhs(x, y) for x, y in zip(X.tolist(), Y.tolist())])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
 
 
 def test_p2_linearization_trio():
