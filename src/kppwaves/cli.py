@@ -10,6 +10,7 @@ with whatever partial outputs were produced left in place.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -100,16 +101,12 @@ def cmd_analyze(cfg: RunConfig, out: Path | None = None) -> dict:
     }
     for c in cfg.speeds:
         sys_ = build_system(cm, abs(c))
-        if isinstance(sys_, PhaseSystemI):
-            system = {"case": "I", "gamma": sys_.gamma, "k": sys_.k, "c": sys_.c}
-        else:
-            system = {"case": "II", "gamma": sys_.gamma, "k": sys_.k,
-                      "k1": sys_.k1, "k2": sys_.k2, "c1": sys_.c1}
         entry = {
             "c": c,
             "predicted_class": classify_speed(cm, c).value,
             "mirrored_to": abs(c),
-            "system": system,
+            "system": {"case": "I" if isinstance(sys_, PhaseSystemI) else "II",
+                       **dataclasses.asdict(sys_)},
             "fixed_points": [
                 {
                     "name": fp.name,
@@ -143,8 +140,8 @@ def cmd_shoot(cfg: RunConfig, out: Path | None = None) -> list[dict]:
     for c in cfg.speeds:
         row: dict = {"c": c}
         try:
-            res = connect.classify_connection(cm, c, eps=cfg.seed_eps,
-                                              rtol=rtol, atol=atol)
+            res = connect.classify_connection(cm, c, eps=cfg.seed_eps, rtol=rtol,
+                                              atol=atol, profile_of=cm)
             row.update({
                 "predicted_class": res.predicted.value,
                 "observed_class": res.observed.value,

@@ -17,6 +17,10 @@ and root solve of ``solve_ivp`` reproduced exactly, so samples, events and
 roots equal what ``solve_ivp(..., events=..., dense_output=True)`` returns.
 Dense output is captured per step as a raw Nordsieck record (t, h, yh) read
 from the solver's work arrays, and evaluated as one table on demand.
+
+A shot that is to become a profile carries the wave coordinate xi as a third
+state, dxi/dtau = pref * X^expo, which the solver integrates but leaves out of
+its error test (a quadrature state, as CVODES treats one).
 """
 
 from __future__ import annotations
@@ -81,6 +85,10 @@ TAU_SPAN = 1e9
 GRAZE_TOL = 1e-6          # |X-1| below this does not count as an oscillation
 LOW_CONFIDENCE_BAND = 1e-3  # |c - c*| band where the class is flagged
 PROFILE_SAMPLES = 4001      # uniform xi grid of a reconstructed profile
+XI_ATOL = 1e300             # xi's absolute tolerance: its error weight vanishes
+XI_LOG_RATE_MAX = 575.0     # cap on log X^expo, so xi stays finite over TAU_SPAN
+XI_NEWTON_PASSES = 3        # Newton passes of the tau(xi) inversion
+_TINY = 5e-324              # X at or below 0 enters the xi rate as this
 FINITE_EDGE_RATIO = 0.9     # gap contraction that signals a finite support edge
 
 
@@ -160,6 +168,9 @@ class Trajectory:
     ``c`` is the speed parameter of the system's own frame (c in Case I,
     c1 in Case II).  ``state_at`` evaluates the integrator's dense output.
     ``solver_steps``, ``nfev`` and ``njev`` are the integrator's own counts.
+    ``xi`` holds the wave coordinate at the samples, xi = 0 at the seed, on
+    shots made with ``profile_of``, the model it belongs to; both are None
+    otherwise.
     """
 
     tau: np.ndarray
@@ -175,6 +186,8 @@ class Trajectory:
     solver_steps: int = 0
     nfev: int = 0
     njev: int = 0
+    xi: np.ndarray | None = None
+    profile_of: CanonicalModel | None = None
     _dense: _DenseRecords | None = field(default=None, repr=False)
     _dense_sign: float = field(default=1.0, repr=False)
     _dense_shift: float = field(default=0.0, repr=False)
@@ -185,14 +198,18 @@ class Trajectory:
             raise InvalidParameterError("trajectory carries no dense output")
         return _NordsieckTable(self._dense)
 
+    def _dense_at(self, tau) -> np.ndarray:
+        """Every state row (X, Y, and xi when carried) at presented-tau values."""
+        sigma = self._dense_sign * np.asarray(tau, dtype=float) + self._dense_shift
+        return self._nordsieck(sigma)
+
     def state_at(self, tau):
         """Dense-output states at the given presented-tau values.
 
         The integrator's dense output is evaluated as one vectorized Nordsieck
         table, built on the first call.
         """
-        sigma = self._dense_sign * np.asarray(tau, dtype=float) + self._dense_shift
-        out = self._nordsieck(sigma)
+        out = self._dense_at(tau)
         return out[0], out[1]
 
 
@@ -319,17 +336,40 @@ def _nordsieck_record(iwork: np.ndarray, rwork: np.ndarray, n: int):
     return h, yh
 
 
+def _xi_rate(sys: PhaseSystem, cm: CanonicalModel):
+    """dxi/dtau = pref * X^expo as a function of one float, in log form with
+    log X^expo capped at XI_LOG_RATE_MAX: X^expo itself overflows near the
+    seed when expo is large and negative."""
+    pref, expo, _ = _profile_exponents(sys, cm)
+    exp, log, cap = math.exp, math.log, XI_LOG_RATE_MAX
+
+    def rate(X: float) -> float:
+        return pref * exp(min(expo * log(max(X, _TINY)), cap))
+
+    return rate
+
+
 def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
-               rtol: float, atol: float, tau_span: float,
-               arrival_radius: float, escape_bound: float,
-               terminal_x_axis: bool) -> tuple[dict, _DenseRecords]:
+               rtol: float, atol: float, arrival_radius: float,
+               terminal_x_axis: bool, xi_rate=None) -> tuple[dict, _DenseRecords]:
+    """Integrate from s0 with every event; with ``xi_rate`` xi rides along
+    as a third state from xi = 0, outside the error test."""
     rhs = scalar_field(sys)
     sign = -1.0 if backward else 1.0
 
-    def fun(_t, s):
-        # Python floats, not numpy scalars: the same arithmetic, done faster
-        dx, dy = rhs(*s.tolist())
-        return (sign * dx, sign * dy)
+    if xi_rate is None:
+        def fun(_t, s):
+            # Python floats, not numpy scalars: the same arithmetic, done faster
+            dx, dy = rhs(*s.tolist())
+            return (sign * dx, sign * dy)
+    else:
+        def fun(_t, s):
+            X, Y, _ = s.tolist()
+            dx, dy = rhs(X, Y)
+            return (sign * dx, sign * dy, sign * xi_rate(X))
+
+        s0 = np.append(s0, 0.0)
+        atol = [atol, atol, XI_ATOL]
 
     # one row per event function, in the order solve_ivp would be given them:
     # (kind, target, direction, terminal).  Arrivals fire only on entry, so a
@@ -341,7 +381,7 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
               (EventKind.UNIT_X_CROSS, None, 0, False),
               (EventKind.Y_AXIS_CROSS, None, -1, False)]
     directions = [d for _, _, d, _ in table]
-    hypot, rad, e = math.hypot, arrival_radius, escape_bound
+    hypot, rad, e = math.hypot, arrival_radius, ESCAPE_BOUND
     (ax, ay), (bx, by), *third = fps.values()
     # unrolled over the two or three arrival balls: this runs on every step
     if third:
@@ -355,23 +395,26 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
             return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
                     max(X - e, abs(Y) - e), Y, X - 1.0, X)
 
-    solver = LSODA(fun, 0.0, s0, tau_span, rtol=rtol, atol=atol)
+    solver = LSODA(fun, 0.0, s0, TAU_SPAN, rtol=rtol, atol=atol)
     core = solver._lsoda_solver._integrator
     iwork, rwork, n = core.iwork, core.rwork, solver.n
     step = solver.step
-    X, Y = s0.tolist()
-    ts, xs, ys = [0.0], [X], [Y]
+    # samples as one flat list of floats: kept per-step lists would load the
+    # garbage collector on every shot
+    state = s0.tolist()
+    ts, flat = [0.0], list(state)
     records: list = []
     hits: list[list] = [[] for _ in table]
-    g = event_values(X, Y)
+    # the events see X and Y only, never a carried xi
+    g = event_values(state[0], state[1])
     while solver.status == "running":
         message = step()
         if solver.status == "failed":
             raise StepFailureError(f"integrator failed: {message}")
         t = solver.t
         records.append((t, *_nordsieck_record(iwork, rwork, n)))
-        X, Y = solver.y.tolist()
-        g_new = event_values(X, Y)
+        state = solver.y.tolist()
+        g_new = event_values(state[0], state[1])
         # solve_ivp's find_active_events, one scalar event at a time
         active = [i for i, d in enumerate(directions)
                   if (g[i] <= 0.0 <= g_new[i] and d >= 0)
@@ -380,7 +423,7 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
         terminate = False
         if active:
             sol = solver.dense_output()
-            roots = [brentq(lambda u, i=i: event_values(*sol(u))[i], solver.t_old, t,
+            roots = [brentq(lambda u, i=i: event_values(*sol(u)[:2])[i], solver.t_old, t,
                             xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active]
             terminate = any(table[i][3] for i in active)
             if terminate:
@@ -393,14 +436,13 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
                 hits[i].append((root, sol(root)))
             if terminate:
                 t = roots[-1]
-                X, Y = sol(t).tolist()
+                state = sol(t).tolist()
         if len(ts) > 1 and ts[-1] == t:
             # solve_ivp keeps neither a repeated final time nor its interpolant
             records.pop()
         else:
             ts.append(t)
-            xs.append(X)
-            ys.append(Y)
+            flat.extend(state)
         if terminate:
             break
 
@@ -410,11 +452,12 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
             raw_events.append((kind, sign * t_e, (float(s_e[0]), float(s_e[1])), target))
 
     ts = np.array(ts)
-    tau, X, Y = sign * ts, np.array(xs), np.array(ys)
+    tau, cols = sign * ts, np.array(flat).reshape(len(ts), -1).T
     if backward:
-        tau, X, Y = tau[::-1].copy(), X[::-1].copy(), Y[::-1].copy()
+        tau, cols = tau[::-1].copy(), cols[:, ::-1]
+    X, Y, *xi = np.ascontiguousarray(cols)
     return {
-        "tau": tau, "X": X, "Y": Y, "raw_events": raw_events,
+        "tau": tau, "X": X, "Y": Y, "xi": xi[0] if xi else None, "raw_events": raw_events,
         # ODEPACK's step count NST (iwork[10]); itask 5 takes one step per call
         "solver_steps": int(iwork[10]), "nfev": solver.nfev, "njev": int(solver.njev),
     }, _DenseRecords(ts, records)
@@ -422,17 +465,20 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
 
 def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
                eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
-               atol: float = 1e-10, tau_span: float = TAU_SPAN,
-               arrival_radius: float = ARRIVAL_RADIUS,
-               escape_bound: float = ESCAPE_BOUND) -> Trajectory:
+               atol: float = 1e-10, arrival_radius: float = ARRIVAL_RADIUS,
+               profile_of: CanonicalModel | None = None) -> Trajectory:
     """Integrate the orbit attached to a fixed point.
 
     Supported shots: (P0, Forward) for the connecting orbit's departure,
     (P1, Backward) for the separatrix arriving at P1, and (P2, Backward) for
     the connection traced from its P2 end.  Events record X-axis / X = 1 /
-    Y-axis crossings, escape beyond ``escape_bound`` and arrival within
+    Y-axis crossings, escape beyond ``ESCAPE_BOUND`` and arrival within
     ``arrival_radius`` of a fixed point; arrival and escape stop the
-    integration.
+    integration, and ``TAU_SPAN`` bounds it.
+
+    ``profile_of`` names the model ``sys`` was built from when the orbit is
+    to become a profile: the shot then carries xi (see reconstruct_profile)
+    as a third state.  Without it the shot integrates (X, Y) alone.
 
     At c = 0 in Case I the shot terminates at the first X-axis crossing: the
     orbit is symmetric under (Y, tau) -> (-Y, -tau) there, and following the
@@ -446,8 +492,8 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
 
     if point is Point.P2 and direction is Direction.BACKWARD:
         base = shoot_from(sys, Point.P0, Direction.FORWARD, eps, rtol=rtol,
-                          atol=atol, tau_span=tau_span,
-                          arrival_radius=arrival_radius, escape_bound=escape_bound)
+                          atol=atol, arrival_radius=arrival_radius,
+                          profile_of=profile_of)
         if base.arrived != "P2":
             raise InconclusiveError(
                 "the connecting orbit from the axis point did not reach P2 "
@@ -467,7 +513,7 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
             ),
             c=base.c, arrived="P0", escaped=False,
             arrival_radius=arrival_radius, solver_steps=base.solver_steps,
-            nfev=base.nfev, njev=base.njev,
+            nfev=base.nfev, njev=base.njev, xi=base.xi, profile_of=profile_of,
             _dense=base._dense, _dense_sign=1.0, _dense_shift=T,
         )
 
@@ -478,9 +524,9 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
         and point is Point.P0 and direction is Direction.FORWARD
     )
     res, dense = _integrate(
-        sys, s0, backward=backward, rtol=rtol, atol=atol, tau_span=tau_span,
-        arrival_radius=arrival_radius, escape_bound=escape_bound,
-        terminal_x_axis=terminal_x_axis,
+        sys, s0, backward=backward, rtol=rtol, atol=atol,
+        arrival_radius=arrival_radius, terminal_x_axis=terminal_x_axis,
+        xi_rate=None if profile_of is None else _xi_rate(sys, profile_of),
     )
     tau, X, Y = res["tau"], res["X"], res["Y"]
     if np.min(X) < -1e-9:
@@ -531,7 +577,7 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
         seed=(float(s0[0]), float(s0[1])), seed_note=note,
         c=sys.form[0], arrived=arrived, escaped=escaped,
         arrival_radius=arrival_radius, solver_steps=res["solver_steps"],
-        nfev=res["nfev"], njev=res["njev"],
+        nfev=res["nfev"], njev=res["njev"], xi=res["xi"], profile_of=profile_of,
         _dense=dense, _dense_sign=-1.0 if backward else 1.0, _dense_shift=0.0,
     )
     log.debug("shoot %s %s eps=%g: %d samples, arrived=%s escaped=%s",
@@ -614,6 +660,8 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     at c = |c_original| is shot backward from P2 (see shoot_from); the orbit
     is Monotone when X never leaves [0, 1] and crosses neither axis line,
     Oscillatory when X = 1 crossings occur with measurable |X - 1| extrema.
+    ``shoot_kw`` go to shoot_from; ``profile_of=cm`` makes the trajectory
+    one that reconstruct_profile accepts.
     """
     predicted = classify_speed(cm, c_original)
     if c_original >= 0.0:
@@ -663,67 +711,8 @@ def classify_connection(cm: CanonicalModel, c_original: float,
 
 # --- profile reconstruction ---------------------------------------------------
 
-_GL_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
-                      0.3399810435848563, 0.8611363115940526])
-_GL_WEIGHTS = np.array([0.34785484513745385, 0.6521451548625461,
-                        0.6521451548625461, 0.34785484513745385])
-
-
-class _XiMap:
-    """Arc-length-style map tau -> xi along a trajectory.
-
-    xi accumulates pref * X(tau)^expo by 4-point Gauss quadrature on a table
-    refined 4x beyond the solver's own steps; inversion is a vectorized
-    Newton iteration (the density is strictly positive).
-    """
-
-    def __init__(self, traj: Trajectory, pref: float, expo: float):
-        self.traj = traj
-        self.pref = pref
-        self.expo = expo
-        knots = traj.tau
-        quarters = np.arange(4) * (np.diff(knots) / 4.0)[:, None] + knots[:-1, None]
-        fine = np.unique(np.append(quarters, knots[-1]))
-        self.t = fine
-        a, b = fine[:-1], fine[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        gvals = self._density(nodes).reshape(-1, 4)
-        seg = half * (gvals @ _GL_WEIGHTS)
-        self.xi = np.concatenate([[0.0], np.cumsum(seg)])
-
-    def _density(self, tau):
-        X, _ = self.traj.state_at(tau)
-        X = np.maximum(np.asarray(X, dtype=float), 0.0)
-        if self.expo == 0.0:
-            return np.full_like(X, self.pref)
-        return self.pref * X ** self.expo
-
-    def value(self, tau):
-        """xi at arbitrary tau (tau within the trajectory range)."""
-        tau = np.asarray(tau, dtype=float)
-        idx = np.clip(np.searchsorted(self.t, tau) - 1, 0, len(self.t) - 2)
-        a = self.t[idx]
-        half = 0.5 * (tau - a)
-        mid = a + half
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        gvals = self._density(nodes).reshape(-1, 4)
-        return self.xi[idx] + half * (gvals @ _GL_WEIGHTS)
-
-    def invert(self, xi_target):
-        """tau with value(tau) = xi_target, by Newton from a table estimate."""
-        xi_target = np.asarray(xi_target, dtype=float)
-        tau = np.interp(xi_target, self.xi, self.t)
-        lo, hi = self.t[0], self.t[-1]
-        for _ in range(6):
-            g = np.maximum(self._density(tau), 1e-300)
-            tau = np.clip(tau - (self.value(tau) - xi_target) / g, lo, hi)
-        return tau
-
-
 def _profile_exponents(sys: PhaseSystem, cm: CanonicalModel) -> tuple[float, float, float]:
-    """(quadrature prefactor, quadrature exponent, f = X^fe exponent)."""
+    """(pref, expo, fe): dxi/dtau = pref * X^expo and f = X^fe."""
     if isinstance(sys, PhaseSystemI):
         return 1.0, (cm.m - 1.0) / sys.gamma, 1.0 / sys.gamma
     pref = math.sqrt(2.0 / cm.mq)
@@ -745,33 +734,39 @@ def _end_targets(traj: Trajectory) -> tuple[str | None, str | None]:
 
 def reconstruct_profile(traj: Trajectory, sys: PhaseSystem,
                         cm: CanonicalModel) -> WaveProfile:
-    """Recover f(xi) from a connecting trajectory by quadrature.
+    """Recover f(xi) from a connecting trajectory shot with ``profile_of=cm``.
 
-    xi accumulates X^((m-1)/gamma) d tau in Case I and
-    sqrt(2/(m+q)) X^((m-q)/(2k)) d tau in Case II; f = X^(1/gamma) resp.
-    X^(1/k).  The profile is flipped to the original negative speed (the
-    orbit was computed in the mirrored c > 0 frame) and shifted so f = 1/2
-    at xi = 0 on the front's last downward crossing.  Samples come back on a
-    uniform xi grid of ``PROFILE_SAMPLES`` points.
+    The shot carries xi as a third state: dxi/dtau = X^((m-1)/gamma) in
+    Case I and sqrt(2/(m+q)) X^((m-q)/(2k)) in Case II, and f = X^(1/gamma)
+    resp. X^(1/k).  A uniform xi grid of ``PROFILE_SAMPLES`` points is mapped
+    back to tau by interpolation on the samples' xi, then Newton passes on
+    the dense output.  The profile is flipped to the original negative speed
+    (the orbit was computed in the mirrored c > 0 frame) and shifted so
+    f = 1/2 at xi = 0 on the front's last downward crossing.
     """
     speed = sys.form[0]
     c_wave = -speed if isinstance(sys, PhaseSystemI) else -speed * math.sqrt(cm.mq / 2.0)
     start, end = _end_targets(traj)
-    pref, expo, fe = _profile_exponents(sys, cm)
     if {start, end} != {"P0", "P2"}:
         raise NotAConnectionError(
             f"trajectory ends are attached to {start!r} and {end!r}; "
             "a profile needs the P0-P2 connection (or its reverse)")
+    if traj.profile_of != cm:
+        raise InvalidParameterError(
+            f"trajectory carries no xi of {cm}: shoot it with profile_of=<the "
+            "model> to reconstruct a profile")
+    pref, expo, fe = _profile_exponents(sys, cm)
     # samples always ascend from the P0 end toward P2 (a 'P2 backward' trace
-    # is the same orbit re-parametrized), so no flip is needed here.  A slow
-    # orbit can overflow the quadrature; refuse it here rather than run the
-    # inversion on inf and NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        xi_map = _XiMap(traj, pref, expo)
-    if not np.all(np.isfinite(xi_map.xi)):
+    # is the same orbit re-parametrized), so no flip is needed here.  X^expo
+    # is largest at an end of X's range; where it passed the cap the shot
+    # carried a clipped rate, so its xi is wrong (without the cap, inf)
+    log_rate = max(expo * math.log(max(float(x), _TINY))
+                   for x in (traj.X.min(), traj.X.max()))
+    if log_rate >= XI_LOG_RATE_MAX:
         raise InconclusiveError(
-            "profile reconstruction produced non-finite samples: the xi "
-            "quadrature overflowed")
+            f"profile reconstruction refused: the xi rate X^{expo:.6g} passes "
+            f"its cap along this orbit (log X^expo reaches {log_rate:.1f} > "
+            f"{XI_LOG_RATE_MAX:g}), so xi is non-finite or unresolved")
 
     # anchor: first upward crossing of f = 1/2, which the final flipped
     # presentation sees as the last downward crossing at the front
@@ -787,15 +782,21 @@ def reconstruct_profile(traj: Trajectory, sys: PhaseSystem,
         return float(X) - x_half
 
     tau_half = brentq(half_defect, t_lo, t_hi, xtol=1e-13)
-    xi_half = float(xi_map.value(np.array([tau_half]))[0])
+    xi_half = float(traj._dense_at(tau_half)[2])
 
-    xi_lo = float(xi_map.xi[0]) - xi_half
-    xi_hi = float(xi_map.xi[-1]) - xi_half
-    xi_fwd = np.linspace(xi_lo, xi_hi, PROFILE_SAMPLES)
-    tau_grid = xi_map.invert(xi_fwd + xi_half)
+    # invert the monotone xi(tau): a table estimate, then Newton on the
+    # dense output with the (strictly positive, capped) rate as slope
+    xi_target = np.linspace(traj.xi[0], traj.xi[-1], PROFILE_SAMPLES)
+    tau_grid = np.interp(xi_target, traj.xi, traj.tau)
+    for _ in range(XI_NEWTON_PASSES):
+        X_grid, _, xi_grid = traj._dense_at(tau_grid)
+        rate = pref * np.exp(np.minimum(expo * np.log(np.maximum(X_grid, _TINY)),
+                                        XI_LOG_RATE_MAX))
+        tau_grid = np.clip(tau_grid - (xi_grid - xi_target) / rate,
+                           traj.tau[0], traj.tau[-1])
     X_grid, _ = traj.state_at(tau_grid)
-    X_grid = np.maximum(np.asarray(X_grid, dtype=float), 0.0)
-    f_fwd = X_grid ** fe
+    xi_fwd = xi_target - xi_half
+    f_fwd = np.maximum(X_grid, 0.0) ** fe
     if not (np.all(np.isfinite(xi_fwd)) and np.all(np.isfinite(f_fwd))):
         raise InconclusiveError("profile reconstruction produced non-finite samples")
 
@@ -806,7 +807,7 @@ def reconstruct_profile(traj: Trajectory, sys: PhaseSystem,
 
     extrema = []
     for (tau_e, x_e) in _qualifying_extrema(traj):
-        xi_e = -(float(xi_map.value(np.array([tau_e]))[0]) - xi_half)
+        xi_e = -(float(traj._dense_at(tau_e)[2]) - xi_half)
         extrema.append((xi_e, x_e ** fe))
     extrema.sort(key=lambda p: p[0])
 

@@ -1,12 +1,13 @@
 """Command line driver: artifacts, exit codes, determinism."""
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kppwaves import cli
+from kppwaves import CanonicalModel, classify_connection, cli
 from kppwaves.cli import main
 from kppwaves.io import fmt, write_profile_csv
 
@@ -138,11 +139,16 @@ def test_shoot_refuses_non_finite_profile(tmp_path):
     # c = -0.05 c* for this model: the reconstruction overflows (see
     # test_non_finite_profile_is_inconclusive)
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, model={"m": 0.72, "p": 3.741, "q": 1.286},
-                    speeds=[-0.156684396159924], output_dir=str(out))
-    assert main(["shoot", "--config", str(cfg)]) == 3
+    model, c = {"m": 0.72, "p": 3.741, "q": 1.286}, -0.156684396159924
+    cfg = write_cfg(tmp_path, model=model, speeds=[c], output_dir=str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["shoot", "--config", str(cfg)]) == 3
     rows = json.loads((out / "classification.json").read_text())
     assert rows[0]["error_kind"] == "InconclusiveError"
+    # the row keeps its class, the one the shot without xi gives
+    observed = classify_connection(CanonicalModel(**model), c).observed
+    assert rows[0]["observed_class"] == observed.value
     assert "profile_file" not in rows[0]
     assert not list(out.glob("profile_c*.csv"))
 

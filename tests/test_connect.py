@@ -17,6 +17,7 @@ from kppwaves import connect
 from kppwaves.phaseplane import PhaseSystemI, fixed_point_locations, scalar_field
 
 CM221 = CanonicalModel(m=2, p=2, q=1)
+ESCAPE_BOUND = connect.ESCAPE_BOUND
 
 
 # --- the shot as solve_ivp computes it --------------------------------------------
@@ -44,20 +45,20 @@ def _shot_args(cm, c, point, direction, **overrides):
         s0, _ = connect._seed_state(sys, point, direction, connect.DEFAULT_EPS)
     kwargs = dict(
         backward=direction is Direction.BACKWARD, rtol=1e-10, atol=1e-10,
-        tau_span=connect.TAU_SPAN, arrival_radius=connect.ARRIVAL_RADIUS,
-        escape_bound=connect.ESCAPE_BOUND,
+        arrival_radius=connect.ARRIVAL_RADIUS,
         terminal_x_axis=(isinstance(sys, PhaseSystemI) and sys.c == 0.0
                          and point is Point.P0))
     kwargs.update(overrides)
     return sys, s0, kwargs
 
 
-def _solve_ivp_integrate(sys, s0, *, backward, rtol, atol, tau_span,
-                         arrival_radius, escape_bound, terminal_x_axis):
+def _solve_ivp_integrate(sys, s0, *, backward, rtol, atol, arrival_radius,
+                         terminal_x_axis):
     """The shot through solve_ivp with one closure per event, as the library
     computed it before driving LSODA itself: the driver's reference."""
     fun = _shot_fun(sys, backward)
     sign = -1.0 if backward else 1.0
+    escape_bound = connect.ESCAPE_BOUND
 
     fps = fixed_point_locations(sys)
     names: list[str] = []
@@ -94,7 +95,7 @@ def _solve_ivp_integrate(sys, s0, *, backward, rtol, atol, tau_span,
     y_axis.direction = -1
     evts.append(y_axis)
 
-    sol = solve_ivp(fun, (0.0, tau_span), s0, method="LSODA",
+    sol = solve_ivp(fun, (0.0, connect.TAU_SPAN), s0, method="LSODA",
                     rtol=rtol, atol=atol, dense_output=True, events=evts)
     assert sol.status != -1, sol.message
 
@@ -129,7 +130,8 @@ def _scipy_table(ode_solution):
         ode_solution.ts, [(s.t, s.h, s.yh.T) for s in ode_solution.interpolants]))
 
 
-# (model, c, point, direction, _integrate overrides)
+# (model, c, point, direction, _integrate overrides; "escape_bound" is set
+# on the module instead)
 PIN_SHOTS = {
     "221-P0-c1": (CM221, 1.0, Point.P0, Direction.FORWARD, {}),
     "221-P0-c3": (CM221, 3.0, Point.P0, Direction.FORWARD, {}),
@@ -145,6 +147,14 @@ PIN_SHOTS = {
     "221-P2-forward": (CM221, 1.0, Point.P2, Direction.FORWARD, {}),
     "221-P2-seed-backward": (CM221, 1.0, Point.P2, Direction.FORWARD, {"backward": True}),
 }
+
+
+def _pin_args(name, monkeypatch):
+    """_shot_args of a pin shot, with its escape bound set on the module."""
+    cm, c, point, direction, overrides = PIN_SHOTS[name]
+    overrides = dict(overrides)
+    monkeypatch.setattr(connect, "ESCAPE_BOUND", overrides.pop("escape_bound", ESCAPE_BOUND))
+    return _shot_args(cm, c, point, direction, **overrides)
 
 
 # --- trajectories -------------------------------------------------------------
@@ -189,9 +199,8 @@ def test_state_at_matches_scipy_dense_output(cm, c, point, direction):
 
 
 @pytest.mark.parametrize("name", PIN_SHOTS)
-def test_driver_is_bit_identical_to_solve_ivp(name):
-    cm, c, point, direction, overrides = PIN_SHOTS[name]
-    sys, s0, kwargs = _shot_args(cm, c, point, direction, **overrides)
+def test_driver_is_bit_identical_to_solve_ivp(name, monkeypatch):
+    sys, s0, kwargs = _pin_args(name, monkeypatch)
     got, dense = connect._integrate(sys, s0, **kwargs)
     want, reference = _solve_ivp_integrate(sys, s0, **kwargs)
     for key in ("tau", "X", "Y"):
@@ -207,10 +216,10 @@ def test_driver_is_bit_identical_to_solve_ivp(name):
     assert np.array_equal(table(pts), ref_table(pts))
 
 
-def test_pin_shots_cover_the_event_paths():
+def test_pin_shots_cover_the_event_paths(monkeypatch):
     ends, kinds = {}, {}
-    for name, (cm, c, point, direction, overrides) in PIN_SHOTS.items():
-        sys, s0, kwargs = _shot_args(cm, c, point, direction, **overrides)
+    for name in PIN_SHOTS:
+        sys, s0, kwargs = _pin_args(name, monkeypatch)
         res, _ = connect._integrate(sys, s0, **kwargs)
         ends[name] = res["tau"][0 if kwargs["backward"] else -1]
         kinds[name] = {}
@@ -226,14 +235,14 @@ def test_pin_shots_cover_the_event_paths():
         assert 0.0 in kinds[name][EventKind.X_AXIS_CROSS]
 
 
-def test_nordsieck_capture_matches_lsoda_dense_output():
+def test_nordsieck_capture_matches_lsoda_dense_output(monkeypatch):
     # the driver reads each step's history straight from LSODA's work arrays;
     # a scipy that moves them must fail here, not produce wrong profiles
     rescaled = 0
-    for name, (cm, c, point, direction, overrides) in PIN_SHOTS.items():
-        sys, s0, kwargs = _shot_args(cm, c, point, direction, **overrides)
+    for name in PIN_SHOTS:
+        sys, s0, kwargs = _pin_args(name, monkeypatch)
         steps = connect._integrate(sys, s0, **kwargs)[0]["solver_steps"]
-        solver = LSODA(_shot_fun(sys, kwargs["backward"]), 0.0, s0, kwargs["tau_span"],
+        solver = LSODA(_shot_fun(sys, kwargs["backward"]), 0.0, s0, connect.TAU_SPAN,
                        rtol=kwargs["rtol"], atol=kwargs["atol"])
         core = solver._lsoda_solver._integrator
         for k in range(steps):
@@ -438,25 +447,49 @@ def test_profile_matches_closed_form_wave():
     # (Ablowitz & Zeppetella 1979)
     cm = CanonicalModel(m=1, p=2, q=1)
     s = build_system(cm, 5.0 / math.sqrt(6.0))
-    prof = reconstruct_profile(shoot_from(s, Point.P2, Direction.BACKWARD), s, cm)
+    prof = reconstruct_profile(
+        shoot_from(s, Point.P2, Direction.BACKWARD, profile_of=cm), s, cm)
     assert prof.classification is SpeedClass.MONOTONE
     with np.errstate(over="ignore"):
         exact = 1.0 - (1.0 + (math.sqrt(2.0) - 1.0) * np.exp(-prof.xi / math.sqrt(6.0))) ** -2
     assert np.max(np.abs(prof.f - exact)) < 1e-6
 
 
+def test_case_i_profile_matches_tight_shot():
+    # xi's rate is X^((m-1)/gamma) = X here, not the constant of the
+    # closed-form test; the reference is the same orbit shot at 1e-13
+    for cm, c in ((CM221, 1.0), (CanonicalModel(m=3, p=2.5, q=1), 3.5198)):
+        s = build_system(cm, c)
+        got, ref = (reconstruct_profile(
+            shoot_from(s, Point.P2, Direction.BACKWARD, profile_of=cm, **tol), s, cm)
+            for tol in ({}, {"rtol": 1e-13, "atol": 1e-13}))
+        front = ref.f > 1e-4
+        assert np.max(np.abs(np.interp(ref.xi[front], got.xi, got.f) - ref.f[front])) < 1e-6
+
+
 def test_non_finite_profile_is_inconclusive():
-    # the xi quadrature overflows along this slow orbit; the profile must be
-    # refused, not returned full of NaN, and refused as soon as the xi table
-    # overflows, before numpy warns about the inf and NaN an inversion
-    # would run on
+    # xi's rate X^expo, expo = -46.7, overflows near this slow orbit's seed;
+    # the shot caps it and the profile must be refused, not returned full of
+    # NaN, with no numpy warning on the way
     cm = CanonicalModel(m=0.72, p=3.741, q=1.286)
     s = build_system(cm, 0.05 * kw.critical_speed(cm))
-    traj = shoot_from(s, Point.P2, Direction.BACKWARD)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        traj = shoot_from(s, Point.P2, Direction.BACKWARD, profile_of=cm)
         with pytest.raises(kw.InconclusiveError, match="non-finite"):
             reconstruct_profile(traj, s, cm)
+
+
+def test_reconstruct_needs_a_shot_that_carries_xi():
+    s = build_system(CM221, 1.0)
+    plain = shoot_from(s, Point.P2, Direction.BACKWARD)
+    assert plain.xi is None
+    # xi of another model has the wrong exponent: (m - 1)/gamma = 0, not 1
+    other = shoot_from(s, Point.P2, Direction.BACKWARD,
+                       profile_of=CanonicalModel(m=1, p=2, q=1))
+    for traj in (plain, other):
+        with pytest.raises(kw.InvalidParameterError, match="profile_of"):
+            reconstruct_profile(traj, s, CM221)
 
 
 def test_reconstruct_rejects_non_connections():

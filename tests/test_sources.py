@@ -27,6 +27,39 @@ def test_unused_import_check_flags_dead_imports():
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
 
 
+def unreferenced_private_names(source: str) -> list[str]:
+    """Private module-level functions, classes and constants that the
+    module never references."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_unreferenced_private_check_flags_dead_names():
+    source = ("_DEAD = 1\n_USED, _ALSO_DEAD = 2, 3\n\n\ndef _helper():\n    return _USED\n\n\n"
+              "class _Gone:\n    pass\n\n\n__all__ = []\nx = _helper()\n")
+    assert unreferenced_private_names(source) == [
+        "_DEAD (line 1)", "_ALSO_DEAD (line 2)", "_Gone (line 9)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unreferenced_private_names(path):
+    assert unreferenced_private_names(path.read_text()) == []
+
+
 # __init__.py only re-exports, so its imports are referenced by no code
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
                                         if p.name != "__init__.py"),
