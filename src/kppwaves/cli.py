@@ -31,6 +31,7 @@ from .io import (
     read_json,
     read_profile_csv,
     write_csv,
+    write_float_csv,
     write_json,
     write_profile_csv,
 )
@@ -152,14 +153,13 @@ def cmd_shoot(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 "solver_steps": res.solver_steps,
                 "nfev": res.nfev,
                 "njev": res.njev,
+                "event_counts": res.event_counts,
             })
             if res.trajectory is not None:
                 traj = res.trajectory
                 tpath = _trajectory_path(out, c)
-                # repr of a Python float is fmt's text, "nan" included
-                write_csv(tpath, ["tau", "X", "Y"],
-                          ([repr(t), repr(x), repr(y)] for t, x, y in
-                           zip(traj.tau.tolist(), traj.X.tolist(), traj.Y.tolist())))
+                write_float_csv(tpath, ["tau", "X", "Y"], zip(
+                    traj.tau.tolist(), traj.X.tolist(), traj.Y.tolist()))
                 row["trajectory_file"] = tpath.name
                 row["events"] = [
                     {"kind": ev.kind.value, "tau": ev.tau,
@@ -233,15 +233,12 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 profile, cm, pc.T, n_cells=pc.n_cells, cfl=pc.cfl,
                 domain=domain, snapshot_times=pc.snapshot_times)
             front_path = out / f"front_c{label}.csv"
-            # repr of a Python float is fmt's text, "nan" included
-            write_csv(front_path, ["t", "x_front"],
-                      ([repr(t), repr(xf)] for t, xf in res.run.front_track))
+            write_float_csv(front_path, ["t", "x_front"], res.run.front_track)
             snap_files = []
             x = res.run.x.tolist()
             for t, u in res.snapshots:
                 spath = out / f"snapshot_c{label}_t{c_label(t)}.csv"
-                write_csv(spath, ["x", "u"],
-                          ([repr(a), repr(b)] for a, b in zip(x, u.tolist())))
+                write_float_csv(spath, ["x", "u"], zip(x, u.tolist()))
                 snap_files.append(spath.name)
             row.update({
                 "max_error": res.max_error,

@@ -10,13 +10,19 @@ transverse error like exp(c |tau|) and never finds the axis point.
 
 LSODA does the integration: the forward orbit spends tau ~ c/(gamma eps)
 drifting along the center manifold near P0 with a stiffness-limited explicit
-step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.  The shot
-drives scipy's LSODA one step at a time.  All event functions are evaluated
-together as one scalar function of (X, Y) per step, with the sign-change rule
-and root solve of ``solve_ivp`` reproduced exactly, so samples, events and
-roots equal what ``solve_ivp(..., events=..., dense_output=True)`` returns.
-Dense output is captured per step as a raw Nordsieck record (t, h, yh) read
-from the solver's work arrays, and evaluated as one table on demand.
+step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.  scipy's
+``LSODA`` only sets a shot up (tolerances, work arrays); each step is one
+direct call of scipy's ODEPACK wrapper in one-step mode, with the arguments
+``scipy.integrate._ode.lsoda.run`` passes, and the counters are ODEPACK's own.
+All event functions are evaluated together as one scalar function of (X, Y)
+per step, with the sign-change rule and root solve of ``solve_ivp``
+reproduced exactly, so samples, events and roots equal what
+``solve_ivp(..., events=..., dense_output=True)`` returns.
+
+Dense output is a raw Nordsieck record (t, h, yh) per step, read from the
+solver's work arrays and evaluated as one table.  Shots that become profiles
+record it as they go; any other shot records nothing and, on its first
+dense evaluation, repeats the identical integration with the records kept.
 
 A shot that is to become a profile carries the wave coordinate xi as a third
 state, dxi/dtau = pref * X^expo, which the solver integrates but leaves out of
@@ -30,10 +36,11 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import LSODA
+from scipy.integrate._ivp.lsoda import LsodaDenseOutput
 from scipy.optimize import brentq
 
 from .errors import (
@@ -168,6 +175,8 @@ class Trajectory:
     ``c`` is the speed parameter of the system's own frame (c in Case I,
     c1 in Case II).  ``state_at`` evaluates the integrator's dense output.
     ``solver_steps``, ``nfev`` and ``njev`` are the integrator's own counts.
+    A shot made without ``profile_of`` records no dense output; the first
+    ``state_at`` repeats the shot, step for step, with the record kept.
     ``xi`` holds the wave coordinate at the samples, xi = 0 at the seed, on
     shots made with ``profile_of``, the model it belongs to; both are None
     otherwise.
@@ -189,14 +198,17 @@ class Trajectory:
     xi: np.ndarray | None = None
     profile_of: CanonicalModel | None = None
     _dense: _DenseRecords | None = field(default=None, repr=False)
+    _reshoot: Callable[[], _DenseRecords] | None = field(default=None, repr=False)
     _dense_sign: float = field(default=1.0, repr=False)
     _dense_shift: float = field(default=0.0, repr=False)
 
     @cached_property
     def _nordsieck(self) -> _NordsieckTable:
-        if self._dense is None:
+        if self._dense is not None:
+            return _NordsieckTable(self._dense)
+        if self._reshoot is None:
             raise InvalidParameterError("trajectory carries no dense output")
-        return _NordsieckTable(self._dense)
+        return _NordsieckTable(self._reshoot())
 
     def _dense_at(self, tau) -> np.ndarray:
         """Every state row (X, Y, and xi when carried) at presented-tau values."""
@@ -336,6 +348,35 @@ def _nordsieck_record(iwork: np.ndarray, rwork: np.ndarray, n: int):
     return h, yh
 
 
+def _odepack_core(solver: LSODA):
+    """The ODEPACK integrator inside a fresh ``LSODA``, checked against the
+    layout the direct step call relies on."""
+    core = solver._lsoda_solver._integrator
+    sd, si = core.state_doubles, core.state_ints
+    if (len(core.call_args) != 7 or sd.shape != (240,) or sd.dtype != np.float64
+            or si.shape != (48,) or si.dtype != np.int32):
+        raise RuntimeError(
+            "scipy's LSODA internals changed: the shot calls ODEPACK's lsoda "
+            "as scipy.integrate._ode.lsoda.run does in scipy 1.17 (7 call_args, "
+            f"240 state doubles, 48 state ints), found {len(core.call_args)} "
+            f"call_args and state arrays {sd.shape} {sd.dtype}, {si.shape} {si.dtype}")
+    return core
+
+
+def _crossed(g, h) -> bool:
+    """Whether any event value moved from g to h across zero in its direction.
+
+    solve_ivp's find_active_events unrolled over the event layout of
+    ``_integrate``: two or three arrivals (-1), then escape (+1), the X axis
+    (0), X = 1 (0) and the Y axis (-1).  With two arrivals g[-5] is g[1].
+    """
+    return (g[0] >= 0.0 >= h[0] or g[1] >= 0.0 >= h[1] or g[-5] >= 0.0 >= h[-5]
+            or g[-4] <= 0.0 <= h[-4]
+            or g[-3] <= 0.0 <= h[-3] or g[-3] >= 0.0 >= h[-3]
+            or g[-2] <= 0.0 <= h[-2] or g[-2] >= 0.0 >= h[-2]
+            or g[-1] >= 0.0 >= h[-1])
+
+
 def _xi_rate(sys: PhaseSystem, cm: CanonicalModel):
     """dxi/dtau = pref * X^expo as a function of one float, in log form with
     log X^expo capped at XI_LOG_RATE_MAX: X^expo itself overflows near the
@@ -351,9 +392,11 @@ def _xi_rate(sys: PhaseSystem, cm: CanonicalModel):
 
 def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
                rtol: float, atol: float, arrival_radius: float,
-               terminal_x_axis: bool, xi_rate=None) -> tuple[dict, _DenseRecords]:
+               terminal_x_axis: bool, xi_rate=None,
+               dense: bool = True) -> tuple[dict, _DenseRecords | None]:
     """Integrate from s0 with every event; with ``xi_rate`` xi rides along
-    as a third state from xi = 0, outside the error test."""
+    as a third state from xi = 0, outside the error test.  With ``dense``
+    each step's Nordsieck record is kept, else None is returned for them."""
     rhs = scalar_field(sys)
     sign = -1.0 if backward else 1.0
 
@@ -395,10 +438,15 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
             return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
                     max(X - e, abs(Y) - e), Y, X - 1.0, X)
 
+    # LSODA validates the tolerances and allocates the work arrays; each step
+    # is then one itask-5 call of ODEPACK, with scipy.integrate._ode.lsoda.run's
+    # arguments, and t_bound = TAU_SPAN as the critical time in rwork[0]
     solver = LSODA(fun, 0.0, s0, TAU_SPAN, rtol=rtol, atol=atol)
-    core = solver._lsoda_solver._integrator
-    iwork, rwork, n = core.iwork, core.rwork, solver.n
-    step = solver.step
+    core = _odepack_core(solver)
+    run, messages = core.runner, core.messages
+    rtol, atol, _, _, rwork, iwork, jt = core.call_args   # as LSODA validated them
+    sd, si, n = core.state_doubles, core.state_ints, solver.n
+    y, t, istate = solver._lsoda_solver._y, 0.0, 1
     # samples as one flat list of floats: kept per-step lists would load the
     # garbage collector on every shot
     state = s0.tolist()
@@ -407,23 +455,28 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
     hits: list[list] = [[] for _ in table]
     # the events see X and Y only, never a carried xi
     g = event_values(state[0], state[1])
-    while solver.status == "running":
-        message = step()
-        if solver.status == "failed":
-            raise StepFailureError(f"integrator failed: {message}")
-        t = solver.t
-        records.append((t, *_nordsieck_record(iwork, rwork, n)))
-        state = solver.y.tolist()
+    while t < TAU_SPAN:
+        t_old = t
+        y, t, istate = run(fun, y, t, TAU_SPAN, rtol, atol, 5, istate, rwork, iwork,
+                           None, jt, (), 1, (), sd, si)
+        if istate < 0:
+            raise StepFailureError(
+                f"integrator failed: LSODA istate {istate}: "
+                f"{messages.get(istate, 'unexpected istate')}")
+        istate = 2
+        if dense:
+            records.append((t, *_nordsieck_record(iwork, rwork, n)))
+        state = y.tolist()
         g_new = event_values(state[0], state[1])
-        # solve_ivp's find_active_events, one scalar event at a time
-        active = [i for i, d in enumerate(directions)
-                  if (g[i] <= 0.0 <= g_new[i] and d >= 0)
-                  or (g[i] >= 0.0 >= g_new[i] and d <= 0)]
-        g = g_new
         terminate = False
-        if active:
-            sol = solver.dense_output()
-            roots = [brentq(lambda u, i=i: event_values(*sol(u)[:2])[i], solver.t_old, t,
+        if _crossed(g, g_new):
+            active = [i for i, d in enumerate(directions)
+                      if (g[i] <= 0.0 <= g_new[i] and d >= 0)
+                      or (g[i] >= 0.0 >= g_new[i] and d <= 0)]
+            h, yh = _nordsieck_record(iwork, rwork, n)
+            # LSODA.dense_output over the step: its (n, order + 1) C layout
+            sol = LsodaDenseOutput(t_old, t, h, len(yh) - 1, yh.T.copy())
+            roots = [brentq(lambda u, i=i: event_values(*sol(u)[:2])[i], t_old, t,
                             xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active]
             terminate = any(table[i][3] for i in active)
             if terminate:
@@ -437,9 +490,11 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
             if terminate:
                 t = roots[-1]
                 state = sol(t).tolist()
+        g = g_new
         if len(ts) > 1 and ts[-1] == t:
             # solve_ivp keeps neither a repeated final time nor its interpolant
-            records.pop()
+            if dense:
+                records.pop()
         else:
             ts.append(t)
             flat.extend(state)
@@ -458,9 +513,9 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
     X, Y, *xi = np.ascontiguousarray(cols)
     return {
         "tau": tau, "X": X, "Y": Y, "xi": xi[0] if xi else None, "raw_events": raw_events,
-        # ODEPACK's step count NST (iwork[10]); itask 5 takes one step per call
-        "solver_steps": int(iwork[10]), "nfev": solver.nfev, "njev": int(solver.njev),
-    }, _DenseRecords(ts, records)
+        # ODEPACK's own counters: steps NST, RHS calls NFE and Jacobians NJE
+        "solver_steps": int(iwork[10]), "nfev": int(iwork[11]), "njev": int(iwork[12]),
+    }, _DenseRecords(ts, records) if dense else None
 
 
 def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
@@ -514,7 +569,7 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
             c=base.c, arrived="P0", escaped=False,
             arrival_radius=arrival_radius, solver_steps=base.solver_steps,
             nfev=base.nfev, njev=base.njev, xi=base.xi, profile_of=profile_of,
-            _dense=base._dense, _dense_sign=1.0, _dense_shift=T,
+            _dense=base._dense, _reshoot=base._reshoot, _dense_sign=1.0, _dense_shift=T,
         )
 
     s0, note = _seed_state(sys, point, direction, eps)
@@ -523,11 +578,12 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
         isinstance(sys, PhaseSystemI) and sys.c == 0.0
         and point is Point.P0 and direction is Direction.FORWARD
     )
-    res, dense = _integrate(
-        sys, s0, backward=backward, rtol=rtol, atol=atol,
-        arrival_radius=arrival_radius, terminal_x_axis=terminal_x_axis,
-        xi_rate=None if profile_of is None else _xi_rate(sys, profile_of),
-    )
+    kw = dict(backward=backward, rtol=rtol, atol=atol, arrival_radius=arrival_radius,
+              terminal_x_axis=terminal_x_axis,
+              xi_rate=None if profile_of is None else _xi_rate(sys, profile_of))
+    # only profile shots are evaluated densely for sure; any other shot keeps
+    # the deterministic re-shot that recovers its history on first use
+    res, dense = _integrate(sys, s0, dense=profile_of is not None, **kw)
     tau, X, Y = res["tau"], res["X"], res["Y"]
     if np.min(X) < -1e-9:
         raise StepFailureError(f"integration left the half-plane (min X = {np.min(X):.3e})")
@@ -578,7 +634,8 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
         c=sys.form[0], arrived=arrived, escaped=escaped,
         arrival_radius=arrival_radius, solver_steps=res["solver_steps"],
         nfev=res["nfev"], njev=res["njev"], xi=res["xi"], profile_of=profile_of,
-        _dense=dense, _dense_sign=-1.0 if backward else 1.0, _dense_shift=0.0,
+        _dense=dense, _reshoot=None if dense else lambda: _integrate(sys, s0, **kw)[1],
+        _dense_sign=-1.0 if backward else 1.0, _dense_shift=0.0,
     )
     log.debug("shoot %s %s eps=%g: %d samples, arrived=%s escaped=%s",
               point.value, direction.value, eps, len(tau), arrived, escaped)

@@ -63,11 +63,24 @@ def read_json(path: Path):
         return json.load(fh)
 
 
+def write_float_csv(path: Path, header: list[str], rows) -> None:
+    """A table whose rows are tuples of Python floats, as write_csv writes it.
+
+    repr of a Python float is fmt's text, "nan" included, and never needs
+    CSV quoting, so each line is one %-format, written without csv.writer.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    line = ",".join(["%r"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(line.__mod__, rows))
+
+
 def write_profile_csv(path: Path, xi, f) -> None:
-    # repr of a Python float is fmt's text, "nan" included
     xi = np.asarray(xi, dtype=float).tolist()
     f = np.asarray(f, dtype=float).tolist()
-    write_csv(path, ["xi", "f"], ([repr(a), repr(b)] for a, b in zip(xi, f)))
+    write_float_csv(path, ["xi", "f"], zip(xi, f))
 
 
 def read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kppwaves import CanonicalModel, classify_connection, cli
+from kppwaves import CanonicalModel, EventKind, classify_connection, cli
 from kppwaves.cli import main
-from kppwaves.io import fmt, write_profile_csv
+from kppwaves.io import fmt, write_float_csv, write_profile_csv
 
 BASE_CFG = {
     "model": {"m": 2, "p": 2, "q": 1},
@@ -96,8 +96,16 @@ def test_shoot_rows_carry_shot_diagnostics(workspace):
         assert all(type(row[k]) is int and row[k] > 0 for k in ("solver_steps", "nfev"))
         assert row["nfev"] >= row["solver_steps"] >= len(row["events"])
         assert type(row["njev"]) is int and row["njev"] >= 0
+        counts = row["event_counts"]
+        assert set(counts) == {kind.value for kind in EventKind}
+        assert all(type(n) is int for n in counts.values())
+        assert sum(counts.values()) == len(row["events"])
+        assert counts["XAxisCross"] >= row["n_oscillations"]
+        for kind in EventKind:
+            assert counts[kind.value] == sum(ev["kind"] == kind.value for ev in row["events"])
     assert by_c[1.0]["evidence"] == "sign"
     assert (by_c[1.0]["solver_steps"], by_c[1.0]["nfev"], by_c[1.0]["njev"]) == (0, 0, 0)
+    assert set(by_c[1.0]["event_counts"].values()) == {0}
 
 
 def test_shoot_csv_text_matches_fmt(workspace):
@@ -116,6 +124,30 @@ def test_profile_csv_text_matches_fmt(tmp_path):
     for args in ((xi, f), (np.array(xi), np.array(f))):
         write_profile_csv(tmp_path / "p.csv", *args)
         assert (tmp_path / "p.csv").read_text() == want
+
+
+def test_float_csv_matches_csv_writer(tmp_path):
+    # the all-float tables skip csv.writer; their bytes must stay its bytes
+    third = 1.0 / 3.0
+    cols = ([0.1 + 0.2, -0.0, float("nan"), third, 1e-300, float("-inf")],
+            [2.0 / 3.0, 0.0, -0.0, 123456789.12345678, float("nan"), 5e-324],
+            [-1.7976931348623157e308, 0.30000000000000004, third * 3.0, -0.0, 7.0, 1e22])
+    assert any(len(repr(v).lstrip("-").replace(".", "")) >= 17 for v in cols[0] + cols[1])
+    for header, data in ((["a", "b", "c"], cols), (["xi", "f"], cols[:2]),
+                         (["t", "x_front"], ([], []))):
+        want_path = tmp_path / "want.csv"
+        with open(want_path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            for row in zip(*data):
+                w.writerow([fmt(v) for v in row])
+        write_float_csv(tmp_path / "got.csv", header, zip(*data))
+        assert (tmp_path / "got.csv").read_bytes() == want_path.read_bytes()
+    for args in (cols[:2], [np.array(c) for c in cols[:2]]):
+        write_profile_csv(tmp_path / "p.csv", *args)
+        with open(tmp_path / "p.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["xi", "f"]] + [
+                [fmt(a), fmt(b)] for a, b in zip(*cols[:2])]
 
 
 def test_shoot_profile_csv_round_trips(workspace):

@@ -235,6 +235,22 @@ def test_pin_shots_cover_the_event_paths(monkeypatch):
         assert 0.0 in kinds[name][EventKind.X_AXIS_CROSS]
 
 
+@pytest.mark.parametrize("n_arrivals", [2, 3])
+def test_crossing_test_matches_find_active_events(n_arrivals):
+    # _crossed unrolls solve_ivp's find_active_events over the event layout:
+    # arrivals (-1), escape (+1), X axis (0), X = 1 (0), Y axis (-1).  Each
+    # event alone, over every pair of signed values and nan, must agree
+    directions = [-1] * n_arrivals + [1, 0, 0, -1]
+    values = [-1.0, -0.0, 0.0, 1.0, math.nan]
+    for i, d in enumerate(directions):
+        for a in values:
+            for b in values:
+                g, h = [1.0] * len(directions), [1.0] * len(directions)
+                g[i], h[i] = a, b
+                want = (a <= 0.0 <= b and d >= 0) or (a >= 0.0 >= b and d <= 0)
+                assert connect._crossed(tuple(g), tuple(h)) == want, (i, a, b)
+
+
 def test_nordsieck_capture_matches_lsoda_dense_output(monkeypatch):
     # the driver reads each step's history straight from LSODA's work arrays;
     # a scipy that moves them must fail here, not produce wrong profiles
@@ -287,6 +303,56 @@ def test_shot_diagnostics_are_deterministic_counts():
     none = classify_connection(CM221, 1.0)
     assert (none.solver_steps, none.nfev, none.njev) == (0, 0, 0)
     assert set(none.event_counts.values()) == {0}
+
+
+@pytest.mark.parametrize("point", [Point.P0, Point.P2])
+def test_dense_output_is_captured_on_first_use(point):
+    # a shot without profile_of keeps no Nordsieck records; the first state_at
+    # repeats the shot with them kept, and a P2-backward trace reuses its base
+    # shot's re-shoot.  The table must be the one a capturing shot builds
+    direction = Direction.FORWARD if point is Point.P0 else Direction.BACKWARD
+    traj = shoot_from(build_system(CM221, 1.0), point, direction)
+    assert traj._dense is None and "_nordsieck" not in vars(traj)
+    traj.state_at(traj.tau[len(traj.tau) // 2])
+    sys, s0, kwargs = _shot_args(CM221, 1.0, point, direction)
+    lean, none = connect._integrate(sys, s0, dense=False, **kwargs)
+    full, dense = connect._integrate(sys, s0, dense=True, **kwargs)
+    assert none is None
+    for key in ("tau", "X", "Y"):
+        assert np.array_equal(lean[key], full[key]), key
+    for key in ("raw_events", "solver_steps", "nfev", "njev"):
+        assert lean[key] == full[key], key
+    table = connect._NordsieckTable(dense)
+    for attr in ("ts", "t_end", "h", "coef"):
+        assert np.array_equal(getattr(traj._nordsieck, attr), getattr(table, attr)), attr
+    # a profile shot is reconstructed, so it keeps its records from the start
+    profile_shot = shoot_from(sys, point, direction, profile_of=CM221)
+    assert profile_shot._dense is not None
+
+
+def test_integrator_failure_names_the_reason():
+    sys = build_system(CM221, 1.0)
+    with warnings.catch_warnings():
+        # scipy raises an rtol below 100 eps to that floor, with a UserWarning
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(kw.StepFailureError, match="Excess accuracy") as err:
+            shoot_from(sys, Point.P0, Direction.FORWARD, rtol=1e-20, atol=1e-30)
+    assert "istate -2" in str(err.value)
+
+
+def test_odepack_layout_change_fails_loudly(monkeypatch):
+    # the shot calls ODEPACK with the arguments scipy's own wrapper passes; a
+    # scipy whose wrapper keeps its state differently must stop the shot
+    from scipy.integrate import _ode
+    reset = _ode.lsoda.reset
+
+    def short_state(self, n, has_jac):
+        reset(self, n, has_jac)
+        self.state_ints = np.zeros(47, dtype=np.int32)
+
+    monkeypatch.setattr(_ode.lsoda, "reset", short_state)
+    with pytest.raises(RuntimeError, match=r"scipy\.integrate\._ode\.lsoda\.run"):
+        shoot_from(build_system(CM221, 1.0), Point.P0, Direction.FORWARD)
 
 
 def test_axis_events_sit_on_the_axis():
