@@ -205,7 +205,7 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
     _echo_config(cfg, out)
     cm, _ = _canonical(cfg)
     pc = cfg.pde
-    domain = (pc.x_min, pc.x_max) if (pc.x_min is not None and pc.x_max is not None) else None
+    domain = None if pc.x_min is None else (pc.x_min, pc.x_max)
     observed = _observed_classes(out)
     rows: list[dict] = []
     for c in cfg.speeds:
@@ -374,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON configuration path")
         sp.add_argument("--out", help="output directory (overrides config)")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="concurrent workers for sweep rows")
+                        help="concurrent workers for sweep rows (only sweep uses it)")
         if name == "sweep":
             sp.add_argument("--format", choices=("csv", "json"), default="csv",
                             help="table output format")

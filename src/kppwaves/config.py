@@ -76,7 +76,10 @@ def _parse_pde(data, path: str = "pde") -> PdeConfig:
         x_min = _need_finite(x_min, f"{path}.x_min")
     if x_max is not None:
         x_max = _need_finite(x_max, f"{path}.x_max")
-    if x_min is not None and x_max is not None and not (x_max > x_min):
+    if (x_min is None) != (x_max is None):
+        missing = "x_max" if x_max is None else "x_min"
+        raise ConfigError(f"{path}.{missing}: required when the domain's other end is set")
+    if x_min is not None and not (x_max > x_min):
         raise ConfigError(f"{path}.x_max: must exceed x_min ({x_min} >= {x_max})")
     n_cells = data.get("n_cells", d.n_cells)
     if not isinstance(n_cells, int) or isinstance(n_cells, bool) or n_cells < 4:

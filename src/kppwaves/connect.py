@@ -2,9 +2,9 @@
 
 The connecting orbit leaves the Y-axis equilibrium (P0 in Case I, the
 positive-Y axis point in Case II) and falls into P2 = (1, 0).  Its departure
-end is transversally stable, so the orbit is computed by integrating forward
-from a seed displaced eps along the local departure direction; tracing
-"backward from P2" is exposed as the same orbit re-parametrized from its P2
+end is transversally stable, so every shot is one forward integration from a
+seed displaced eps from P0 along the local departure direction; tracing
+"backward from P2" presents that same integration with tau = 0 at its P2
 end, because direct backward integration out of the attracting node amplifies
 transverse error like exp(c |tau|) and never finds the axis point.
 
@@ -19,14 +19,12 @@ per step, with the sign-change rule and root solve of ``solve_ivp``
 reproduced exactly, so samples, events and roots equal what
 ``solve_ivp(..., events=..., dense_output=True)`` returns.
 
-Dense output is a raw Nordsieck record (t, h, yh) per step, read from the
-solver's work arrays and evaluated as one table.  Shots that become profiles
-record it as they go; any other shot records nothing and, on its first
-dense evaluation, repeats the identical integration with the records kept.
-
 A shot that is to become a profile carries the wave coordinate xi as a third
 state, dxi/dtau = pref * X^expo, which the solver integrates but leaves out of
-its error test (a quadrature state, as CVODES treats one).
+its error test (a quadrature state, as CVODES treats one).  Such a shot also
+keeps its dense output: a raw Nordsieck record (t, h, yh) per step, read from
+the solver's work arrays and evaluated as one table.  No other shot keeps
+one.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
-from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import LSODA
@@ -127,34 +123,24 @@ class TrajectoryEvent:
     target: str | None = None    # fixed-point name for arrivals
 
 
-class _DenseRecords(NamedTuple):
-    """A shot's LSODA dense output as one raw Nordsieck record per kept step.
-
-    ``ts`` are the sample times in solver time, ascending.  Each record
-    (t, h, yh) holds a step's end t, its step size h and its history yh,
-    whose row k is the k-th Nordsieck coefficient of every state component.
-    """
-
-    ts: np.ndarray
-    records: list
-
-
 class _NordsieckTable:
     """LSODA dense output of a whole shot as one zero-padded coefficient table.
 
-    Step n's interpolant is the Nordsieck polynomial sum_k yh[k] s^k,
-    s = (t - t_n) / h, about the step's end t_n (Petzold 1983).  As in the
-    OdeSolution solve_ivp builds for LSODA, a breakpoint belongs to the step
-    that starts there.
+    ``ts`` are the sample times, ascending.  Each record (t, h, yh) holds a
+    step's end t, its step size h and its history yh, whose row k is the k-th
+    Nordsieck coefficient of every state component.  Step n's interpolant is
+    the Nordsieck polynomial sum_k yh[k] s^k, s = (t - t_n) / h, about the
+    step's end t_n (Petzold 1983).  As in the OdeSolution solve_ivp builds
+    for LSODA, a breakpoint belongs to the step that starts there.
     """
 
-    def __init__(self, dense: _DenseRecords):
-        self.ts = np.asarray(dense.ts, dtype=float)
-        self.t_end = np.array([t for t, _, _ in dense.records], dtype=float)
-        self.h = np.array([h for _, h, _ in dense.records], dtype=float)
-        order = max(len(yh) for _, _, yh in dense.records)
-        self.coef = np.zeros((order, dense.records[0][2].shape[1], len(dense.records)))
-        for j, (_, _, yh) in enumerate(dense.records):
+    def __init__(self, ts, records: list):
+        self.ts = np.asarray(ts, dtype=float)
+        self.t_end = np.array([t for t, _, _ in records], dtype=float)
+        self.h = np.array([h for _, h, _ in records], dtype=float)
+        order = max(len(yh) for _, _, yh in records)
+        self.coef = np.zeros((order, records[0][2].shape[1], len(records)))
+        for j, (_, _, yh) in enumerate(records):
             self.coef[:len(yh), :, j] = yh
 
     def __call__(self, t):
@@ -173,13 +159,11 @@ class Trajectory:
     """Integrated orbit samples, strictly increasing in tau, all X >= 0.
 
     ``c`` is the speed parameter of the system's own frame (c in Case I,
-    c1 in Case II).  ``state_at`` evaluates the integrator's dense output.
-    ``solver_steps``, ``nfev`` and ``njev`` are the integrator's own counts.
-    A shot made without ``profile_of`` records no dense output; the first
-    ``state_at`` repeats the shot, step for step, with the record kept.
-    ``xi`` holds the wave coordinate at the samples, xi = 0 at the seed, on
-    shots made with ``profile_of``, the model it belongs to; both are None
-    otherwise.
+    c1 in Case II).  ``solver_steps``, ``nfev`` and ``njev`` are the
+    integrator's own counts.  ``xi`` holds the wave coordinate at the samples,
+    xi = 0 at the P0 end, on shots made with ``profile_of``, the model it
+    belongs to; both are None otherwise.  Only such a shot keeps the
+    integrator's dense output, which ``state_at`` evaluates.
     """
 
     tau: np.ndarray
@@ -197,30 +181,19 @@ class Trajectory:
     njev: int = 0
     xi: np.ndarray | None = None
     profile_of: CanonicalModel | None = None
-    _dense: _DenseRecords | None = field(default=None, repr=False)
-    _reshoot: Callable[[], _DenseRecords] | None = field(default=None, repr=False)
-    _dense_sign: float = field(default=1.0, repr=False)
-    _dense_shift: float = field(default=0.0, repr=False)
-
-    @cached_property
-    def _nordsieck(self) -> _NordsieckTable:
-        if self._dense is not None:
-            return _NordsieckTable(self._dense)
-        if self._reshoot is None:
-            raise InvalidParameterError("trajectory carries no dense output")
-        return _NordsieckTable(self._reshoot())
+    _table: _NordsieckTable | None = field(default=None, repr=False)
+    _shift: float = field(default=0.0, repr=False)   # solver time minus tau
 
     def _dense_at(self, tau) -> np.ndarray:
-        """Every state row (X, Y, and xi when carried) at presented-tau values."""
-        sigma = self._dense_sign * np.asarray(tau, dtype=float) + self._dense_shift
-        return self._nordsieck(sigma)
+        """Every state row (X, Y, xi) at presented-tau values."""
+        if self._table is None:
+            raise InvalidParameterError(
+                "trajectory carries no dense output: shoot it with "
+                "profile_of=<the model> to evaluate it between samples")
+        return self._table(np.asarray(tau, dtype=float) + self._shift)
 
     def state_at(self, tau):
-        """Dense-output states at the given presented-tau values.
-
-        The integrator's dense output is evaluated as one vectorized Nordsieck
-        table, built on the first call.
-        """
+        """Dense-output states (X, Y) at the given presented-tau values."""
         out = self._dense_at(tau)
         return out[0], out[1]
 
@@ -292,25 +265,10 @@ def _axis_eigenvector(J: np.ndarray) -> np.ndarray:
     return v
 
 
-def _seed_state(sys: PhaseSystem, point: Point, direction: Direction,
-                eps: float) -> tuple[np.ndarray, str]:
-    """Seed position and a human-readable note for the supported shots.
-
-    A shot leaves the axis point P0 forward, or traces the separatrix that
-    arrives at P1 backward; either way the seed sits eps from the point along
-    the eigenvector transverse to the Y axis.
-    """
-    if (point, direction) not in ((Point.P0, Direction.FORWARD),
-                                  (Point.P1, Direction.BACKWARD)):
-        raise SeedFailureError(
-            f"no admissible local direction for {point.value} {direction.value}: "
-            "backward from P0 and forward from P1 only the Y axis itself is "
-            "reachable, and nothing leaves the attractor P2 forward "
-            "(supported shots: P0 Forward, P1 Backward, P2 Backward)"
-        )
+def _seed_state(sys: PhaseSystem, eps: float) -> tuple[np.ndarray, str]:
+    """Seed eps from P0 along the eigenvector transverse to the Y axis, and a
+    human-readable note."""
     if isinstance(sys, PhaseSystemI) and sys.c == 0.0:
-        if point is Point.P1:
-            raise SeedFailureError("P1 coincides with P0 at c = 0; no separatrix to trace")
         # the fully degenerate origin has no transverse direction
         y2 = zero_speed_curve(sys, eps)
         if y2 <= 0.0:
@@ -319,10 +277,10 @@ def _seed_state(sys: PhaseSystem, point: Point, direction: Direction,
             "P0 forward at c = 0: seeded on the explicit trajectory "
             "Y^2 = 2X/(2+gamma) - 2X^k/(2+gamma k)"
         )
-    x0, y0 = fixed_point_locations(sys)[point.value]
+    x0, y0 = fixed_point_locations(sys)["P0"]
     v = _axis_eigenvector(jacobian(sys, x0, y0))
     return np.array([x0, y0]) + eps * v, (
-        f"{point.value} {direction.value}: seeded eps from (0, {y0:.6g}) along the "
+        f"P0 Forward: seeded eps from (0, {y0:.6g}) along the "
         "eigenvector transverse to the Y axis"
     )
 
@@ -390,26 +348,25 @@ def _xi_rate(sys: PhaseSystem, cm: CanonicalModel):
     return rate
 
 
-def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
-               rtol: float, atol: float, arrival_radius: float,
-               terminal_x_axis: bool, xi_rate=None,
-               dense: bool = True) -> tuple[dict, _DenseRecords | None]:
-    """Integrate from s0 with every event; with ``xi_rate`` xi rides along
-    as a third state from xi = 0, outside the error test.  With ``dense``
-    each step's Nordsieck record is kept, else None is returned for them."""
+def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
+               arrival_radius: float, terminal_x_axis: bool,
+               xi_rate=None) -> tuple[dict, _NordsieckTable | None]:
+    """Integrate forward from s0 with every event.  With ``xi_rate`` xi rides
+    along as a third state from xi = 0, outside the error test, and each
+    step's Nordsieck record is kept as the shot's dense output; without it
+    the dense output is None."""
     rhs = scalar_field(sys)
-    sign = -1.0 if backward else 1.0
+    dense = xi_rate is not None
 
     if xi_rate is None:
         def fun(_t, s):
             # Python floats, not numpy scalars: the same arithmetic, done faster
-            dx, dy = rhs(*s.tolist())
-            return (sign * dx, sign * dy)
+            return rhs(*s.tolist())
     else:
         def fun(_t, s):
             X, Y, _ = s.tolist()
             dx, dy = rhs(X, Y)
-            return (sign * dx, sign * dy, sign * xi_rate(X))
+            return (dx, dy, xi_rate(X))
 
         s0 = np.append(s0, 0.0)
         atol = [atol, atol, XI_ATOL]
@@ -504,86 +461,56 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, backward: bool,
     raw_events: list[tuple[EventKind, float, tuple[float, float], str | None]] = []
     for (kind, target, _, _), found in zip(table, hits):
         for t_e, s_e in found:
-            raw_events.append((kind, sign * t_e, (float(s_e[0]), float(s_e[1])), target))
+            raw_events.append((kind, t_e, (float(s_e[0]), float(s_e[1])), target))
 
-    ts = np.array(ts)
-    tau, cols = sign * ts, np.array(flat).reshape(len(ts), -1).T
-    if backward:
-        tau, cols = tau[::-1].copy(), cols[:, ::-1]
-    X, Y, *xi = np.ascontiguousarray(cols)
+    X, Y, *xi = np.array(flat).reshape(len(ts), -1).T.copy()
     return {
-        "tau": tau, "X": X, "Y": Y, "xi": xi[0] if xi else None, "raw_events": raw_events,
+        "tau": np.array(ts), "X": X, "Y": Y, "xi": xi[0] if xi else None, "raw_events": raw_events,
         # ODEPACK's own counters: steps NST, RHS calls NFE and Jacobians NJE
         "solver_steps": int(iwork[10]), "nfev": int(iwork[11]), "njev": int(iwork[12]),
-    }, _DenseRecords(ts, records) if dense else None
+    }, _NordsieckTable(ts, records) if dense else None
 
 
 def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
                eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
                atol: float = 1e-10, arrival_radius: float = ARRIVAL_RADIUS,
                profile_of: CanonicalModel | None = None) -> Trajectory:
-    """Integrate the orbit attached to a fixed point.
+    """Integrate the connecting orbit forward from its P0 seed.
 
-    Supported shots: (P0, Forward) for the connecting orbit's departure,
-    (P1, Backward) for the separatrix arriving at P1, and (P2, Backward) for
-    the connection traced from its P2 end.  Events record X-axis / X = 1 /
-    Y-axis crossings, escape beyond ``ESCAPE_BOUND`` and arrival within
-    ``arrival_radius`` of a fixed point; arrival and escape stop the
-    integration, and ``TAU_SPAN`` bounds it.
+    Supported shots: (P0, Forward) for the orbit from its departure, and
+    (P2, Backward), the same single integration presented from its P2 end:
+    tau and event times shifted so tau = 0 at P2, and refused unless the
+    orbit arrived there.  Every other combination raises SeedFailureError.
+    Events record X-axis / X = 1 / Y-axis crossings, escape beyond
+    ``ESCAPE_BOUND`` and arrival within ``arrival_radius`` of a fixed point;
+    arrival and escape stop the integration, and ``TAU_SPAN`` bounds it.
 
     ``profile_of`` names the model ``sys`` was built from when the orbit is
     to become a profile: the shot then carries xi (see reconstruct_profile)
-    as a third state.  Without it the shot integrates (X, Y) alone.
+    as a third state and keeps the dense output ``state_at`` evaluates.
+    Without it the shot integrates (X, Y) alone and keeps no dense output.
 
     At c = 0 in Case I the shot terminates at the first X-axis crossing: the
     orbit is symmetric under (Y, tau) -> (-Y, -tau) there, and following the
     mirror half numerically runs into the fully degenerate origin.
 
-    Returned samples ascend in tau with the flow; Backward shots cover the
-    seed's past, tau in [-T, 0].
+    Returned samples ascend in tau with the flow; P2 Backward shots cover
+    the orbit's past, tau in [-T, 0].
     """
     if not (eps > 0.0) or eps > 1e-2:
         raise InvalidParameterError(f"seed offset eps must lie in (0, 1e-2], got {eps!r}")
+    from_p2 = (point, direction) == (Point.P2, Direction.BACKWARD)
+    if not from_p2 and (point, direction) != (Point.P0, Direction.FORWARD):
+        raise SeedFailureError(
+            f"no shot {point.value} {direction.value}: the wave is the single "
+            "orbit from P0 to P2, integrated forward from P0 (supported shots: "
+            "P0 Forward, P2 Backward)")
 
-    if point is Point.P2 and direction is Direction.BACKWARD:
-        base = shoot_from(sys, Point.P0, Direction.FORWARD, eps, rtol=rtol,
-                          atol=atol, arrival_radius=arrival_radius,
-                          profile_of=profile_of)
-        if base.arrived != "P2":
-            raise InconclusiveError(
-                "the connecting orbit from the axis point did not reach P2 "
-                f"(arrived={base.arrived!r}, escaped={base.escaped}); cannot "
-                "present it as a backward trace from P2"
-            )
-        T = float(base.tau[-1])
-        events = [replace(ev, tau=ev.tau - T) for ev in base.events]
-        return Trajectory(
-            tau=base.tau - T, X=base.X, Y=base.Y, events=events,
-            seed=(float(base.X[-1]), float(base.Y[-1])),
-            seed_note=(
-                "P2 backward: same orbit as the P0-forward shot, "
-                "re-parametrized with tau = 0 at the P2 end (direct backward "
-                "integration out of the attracting point is exponentially "
-                "unstable and never reaches the axis)"
-            ),
-            c=base.c, arrived="P0", escaped=False,
-            arrival_radius=arrival_radius, solver_steps=base.solver_steps,
-            nfev=base.nfev, njev=base.njev, xi=base.xi, profile_of=profile_of,
-            _dense=base._dense, _reshoot=base._reshoot, _dense_sign=1.0, _dense_shift=T,
-        )
-
-    s0, note = _seed_state(sys, point, direction, eps)
-    backward = direction is Direction.BACKWARD
-    terminal_x_axis = (
-        isinstance(sys, PhaseSystemI) and sys.c == 0.0
-        and point is Point.P0 and direction is Direction.FORWARD
-    )
-    kw = dict(backward=backward, rtol=rtol, atol=atol, arrival_radius=arrival_radius,
-              terminal_x_axis=terminal_x_axis,
-              xi_rate=None if profile_of is None else _xi_rate(sys, profile_of))
-    # only profile shots are evaluated densely for sure; any other shot keeps
-    # the deterministic re-shot that recovers its history on first use
-    res, dense = _integrate(sys, s0, dense=profile_of is not None, **kw)
+    s0, note = _seed_state(sys, eps)
+    res, table = _integrate(
+        sys, s0, rtol=rtol, atol=atol, arrival_radius=arrival_radius,
+        terminal_x_axis=isinstance(sys, PhaseSystemI) and sys.c == 0.0,
+        xi_rate=None if profile_of is None else _xi_rate(sys, profile_of))
     tau, X, Y = res["tau"], res["X"], res["Y"]
     if np.min(X) < -1e-9:
         raise StepFailureError(f"integration left the half-plane (min X = {np.min(X):.3e})")
@@ -604,42 +531,51 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
             escaped = True
 
     # mark asymptotic attachment at both ends where the event functions never
-    # fire (the seed starts inside its own arrival ball)
+    # fire (the seed starts inside its own arrival ball).  The seed is placed
+    # ~eps from P0 on purpose, so attach it even when the caller asked for an
+    # arrival ball tighter than eps
     fps = fixed_point_locations(sys)
-    seed_idx = len(tau) - 1 if backward else 0
-    far_idx = 0 if backward else len(tau) - 1
-    x0, y0 = fps[point.value]
-    # the seed is placed ~eps from its fixed point on purpose, so attach it
-    # even when the caller asked for an arrival ball tighter than eps
-    seed_ball = max(arrival_radius, 2.0 * eps)
-    if math.hypot(X[seed_idx] - x0, Y[seed_idx] - y0) <= seed_ball:
+    x0, y0 = fps["P0"]
+    if math.hypot(X[0] - x0, Y[0] - y0) <= max(arrival_radius, 2.0 * eps):
         events.append(TrajectoryEvent(
-            kind=EventKind.FIXED_POINT_ARRIVAL, index=seed_idx,
-            tau=float(tau[seed_idx]), state=(float(X[seed_idx]), float(Y[seed_idx])),
-            target=point.value))
+            kind=EventKind.FIXED_POINT_ARRIVAL, index=0, tau=float(tau[0]),
+            state=(float(X[0]), float(Y[0])), target="P0"))
     if arrived is None:
         for name, (x0, y0) in fps.items():
-            if math.hypot(X[far_idx] - x0, Y[far_idx] - y0) <= arrival_radius:
+            if math.hypot(X[-1] - x0, Y[-1] - y0) <= arrival_radius:
                 events.append(TrajectoryEvent(
-                    kind=EventKind.FIXED_POINT_ARRIVAL, index=far_idx,
-                    tau=float(tau[far_idx]), state=(float(X[far_idx]), float(Y[far_idx])),
+                    kind=EventKind.FIXED_POINT_ARRIVAL, index=len(tau) - 1,
+                    tau=float(tau[-1]), state=(float(X[-1]), float(Y[-1])),
                     target=name))
                 arrived = name
                 break
-
     events.sort(key=lambda e: (e.tau, e.kind.value))
-    traj = Trajectory(
-        tau=tau, X=X, Y=Y, events=events,
-        seed=(float(s0[0]), float(s0[1])), seed_note=note,
+
+    seed, shift = (float(s0[0]), float(s0[1])), 0.0
+    if from_p2:
+        if arrived != "P2":
+            raise InconclusiveError(
+                "the connecting orbit from the axis point did not reach P2 "
+                f"(arrived={arrived!r}, escaped={escaped}); cannot "
+                "present it as a backward trace from P2"
+            )
+        shift = float(tau[-1])
+        tau = tau - shift
+        events = [replace(ev, tau=ev.tau - shift) for ev in events]
+        seed, arrived = (float(X[-1]), float(Y[-1])), "P0"
+        note = ("P2 backward: same orbit as the P0-forward shot, "
+                "re-parametrized with tau = 0 at the P2 end (direct backward "
+                "integration out of the attracting point is exponentially "
+                "unstable and never reaches the axis)")
+    log.debug("shoot %s %s eps=%g: %d samples, arrived=%s escaped=%s",
+              point.value, direction.value, eps, len(tau), arrived, escaped)
+    return Trajectory(
+        tau=tau, X=X, Y=Y, events=events, seed=seed, seed_note=note,
         c=sys.form[0], arrived=arrived, escaped=escaped,
         arrival_radius=arrival_radius, solver_steps=res["solver_steps"],
         nfev=res["nfev"], njev=res["njev"], xi=res["xi"], profile_of=profile_of,
-        _dense=dense, _reshoot=None if dense else lambda: _integrate(sys, s0, **kw)[1],
-        _dense_sign=-1.0 if backward else 1.0, _dense_shift=0.0,
+        _table=table, _shift=shift,
     )
-    log.debug("shoot %s %s eps=%g: %d samples, arrived=%s escaped=%s",
-              point.value, direction.value, eps, len(tau), arrived, escaped)
-    return traj
 
 
 # --- measurements on trajectories --------------------------------------------

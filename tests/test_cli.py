@@ -405,6 +405,15 @@ def test_bad_cfl_is_a_config_error(tmp_path):
     assert main(["analyze", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("given, missing", [("x_min", "x_max"), ("x_max", "x_min")])
+def test_half_set_pde_domain_is_a_config_error(given, missing):
+    # one end of the domain alone would be dropped and the domain sized from
+    # the profile instead
+    import kppwaves as kw
+    with pytest.raises(kw.ConfigError, match=rf"pde\.{missing}"):
+        kw.parse_config({**BASE_CFG, "pde": {**BASE_CFG["pde"], given: 0.0}})
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), typo_field=1)
     assert main(["analyze", "--config", str(cfg)]) == 2

@@ -22,13 +22,12 @@ ESCAPE_BOUND = connect.ESCAPE_BOUND
 
 # --- the shot as solve_ivp computes it --------------------------------------------
 
-def _shot_fun(sys, backward):
+def _shot_fun(sys, xi_rate=None):
     rhs = scalar_field(sys)
-    sign = -1.0 if backward else 1.0
 
     def fun(_t, s):
         dx, dy = rhs(s[0], s[1])
-        return (sign * dx, sign * dy)
+        return (dx, dy) if xi_rate is None else (dx, dy, xi_rate(s[0]))
 
     return fun
 
@@ -36,28 +35,27 @@ def _shot_fun(sys, backward):
 def _shot_args(cm, c, point, direction, **overrides):
     """(system, seed, _integrate keywords) of the integration shoot_from runs."""
     sys = build_system(cm, c)
-    if point is Point.P2 and direction is Direction.BACKWARD:
-        point, direction = Point.P0, Direction.FORWARD   # traced from its P0 end
-    if point is Point.P2:
+    if point is Point.P2 and direction is Direction.FORWARD:
         # no shot starts at P2; these pins integrate from a point eps left of it
         s0 = np.array([1.0 - connect.DEFAULT_EPS, 0.0])
     else:
-        s0, _ = connect._seed_state(sys, point, direction, connect.DEFAULT_EPS)
+        # P0 Forward, or P2 Backward: the same shot presented from its P2 end
+        s0, _ = connect._seed_state(sys, connect.DEFAULT_EPS)
     kwargs = dict(
-        backward=direction is Direction.BACKWARD, rtol=1e-10, atol=1e-10,
-        arrival_radius=connect.ARRIVAL_RADIUS,
-        terminal_x_axis=(isinstance(sys, PhaseSystemI) and sys.c == 0.0
-                         and point is Point.P0))
+        rtol=1e-10, atol=1e-10, arrival_radius=connect.ARRIVAL_RADIUS,
+        terminal_x_axis=isinstance(sys, PhaseSystemI) and sys.c == 0.0)
     kwargs.update(overrides)
     return sys, s0, kwargs
 
 
-def _solve_ivp_integrate(sys, s0, *, backward, rtol, atol, arrival_radius,
-                         terminal_x_axis):
+def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, terminal_x_axis,
+                         xi_rate=None):
     """The shot through solve_ivp with one closure per event, as the library
-    computed it before driving LSODA itself: the driver's reference."""
-    fun = _shot_fun(sys, backward)
-    sign = -1.0 if backward else 1.0
+    computed it before driving LSODA itself: the driver's reference.  With
+    ``xi_rate`` xi is a third state with the driver's tolerance."""
+    fun = _shot_fun(sys, xi_rate)
+    if xi_rate is not None:
+        s0, atol = np.append(s0, 0.0), [atol, atol, connect.XI_ATOL]
     escape_bound = connect.ESCAPE_BOUND
 
     fps = fixed_point_locations(sys)
@@ -103,49 +101,49 @@ def _solve_ivp_integrate(sys, s0, *, backward, rtol, atol, arrival_radius,
     raw_events = []
     for i, (t_ev, y_ev) in enumerate(zip(sol.t_events, sol.y_events)):
         for t_e, s_e in zip(t_ev, y_ev):
-            tau_e = sign * t_e
             state = (float(s_e[0]), float(s_e[1]))
             if i < n_fp:
-                raw_events.append((EventKind.FIXED_POINT_ARRIVAL, tau_e, state, names[i]))
+                raw_events.append((EventKind.FIXED_POINT_ARRIVAL, t_e, state, names[i]))
             elif i == n_fp:
-                raw_events.append((EventKind.ESCAPE, tau_e, state, None))
+                raw_events.append((EventKind.ESCAPE, t_e, state, None))
             elif i == n_fp + 1:
-                raw_events.append((EventKind.X_AXIS_CROSS, tau_e, state, None))
+                raw_events.append((EventKind.X_AXIS_CROSS, t_e, state, None))
             elif i == n_fp + 2:
-                raw_events.append((EventKind.UNIT_X_CROSS, tau_e, state, None))
+                raw_events.append((EventKind.UNIT_X_CROSS, t_e, state, None))
             else:
-                raw_events.append((EventKind.Y_AXIS_CROSS, tau_e, state, None))
+                raw_events.append((EventKind.Y_AXIS_CROSS, t_e, state, None))
 
-    tau = sign * sol.t
-    X, Y = sol.y[0], sol.y[1]
-    if backward:
-        tau, X, Y = tau[::-1].copy(), X[::-1].copy(), Y[::-1].copy()
-    return {"tau": tau, "X": X, "Y": Y, "raw_events": raw_events,
+    return {"tau": sol.t, "X": sol.y[0], "Y": sol.y[1],
+            "xi": sol.y[2] if xi_rate is not None else None, "raw_events": raw_events,
             "nfev": sol.nfev, "njev": sol.njev}, sol.sol
 
 
 def _scipy_table(ode_solution):
     """The Nordsieck table built from the interpolants solve_ivp returns."""
-    return connect._NordsieckTable(connect._DenseRecords(
-        ode_solution.ts, [(s.t, s.h, s.yh.T) for s in ode_solution.interpolants]))
+    return connect._NordsieckTable(
+        ode_solution.ts, [(s.t, s.h, s.yh.T) for s in ode_solution.interpolants])
 
 
 # (model, c, point, direction, _integrate overrides; "escape_bound" is set
-# on the module instead)
+# on the module instead, and "xi" carries xi with the model's rate).  Shots
+# without xi keep no dense output, as sweep shots do; profile shots do
 PIN_SHOTS = {
     "221-P0-c1": (CM221, 1.0, Point.P0, Direction.FORWARD, {}),
     "221-P0-c3": (CM221, 3.0, Point.P0, Direction.FORWARD, {}),
     "221-P0-c0-terminal-axis": (CM221, 0.0, Point.P0, Direction.FORWARD, {}),
-    "221-P1-backward-c2": (CM221, 2.0, Point.P1, Direction.BACKWARD, {}),
     "1-1-0.5-P2-backward": (CanonicalModel(m=1, p=1, q=0.5), 1.0, Point.P2,
                             Direction.BACKWARD, {}),
     "121-P0-oscillatory": (CanonicalModel(m=1, p=2, q=1), 0.5, Point.P0,
                            Direction.FORWARD, {}),
     "221-P0-escape": (CM221, 1.0, Point.P0, Direction.FORWARD, {"escape_bound": 1.02}),
     # the P2 seed has Y = 0 exactly, so the X-axis event starts at g = 0 and
-    # fires at tau = 0, upward forward in time and downward backward
+    # fires upward at tau = 0
     "221-P2-forward": (CM221, 1.0, Point.P2, Direction.FORWARD, {}),
-    "221-P2-seed-backward": (CM221, 1.0, Point.P2, Direction.FORWARD, {"backward": True}),
+    "221-xi-oscillatory": (CM221, 1.0, Point.P2, Direction.BACKWARD, {"xi": True}),
+    "121-xi-monotone": (CanonicalModel(m=1, p=2, q=1), 3.0, Point.P2,
+                        Direction.BACKWARD, {"xi": True}),
+    "3-2.5-1-xi": (CanonicalModel(m=3, p=2.5, q=1), 3.5198, Point.P2,
+                   Direction.BACKWARD, {"xi": True}),
 }
 
 
@@ -154,7 +152,11 @@ def _pin_args(name, monkeypatch):
     cm, c, point, direction, overrides = PIN_SHOTS[name]
     overrides = dict(overrides)
     monkeypatch.setattr(connect, "ESCAPE_BOUND", overrides.pop("escape_bound", ESCAPE_BOUND))
-    return _shot_args(cm, c, point, direction, **overrides)
+    xi = overrides.pop("xi", False)
+    sys, s0, kwargs = _shot_args(cm, c, point, direction, **overrides)
+    if xi:
+        kwargs["xi_rate"] = connect._xi_rate(sys, cm)
+    return sys, s0, kwargs
 
 
 # --- trajectories -------------------------------------------------------------
@@ -168,7 +170,8 @@ def test_forward_shot_reaches_rest_state():
 
 
 def test_dense_output_matches_samples():
-    traj = shoot_from(build_system(CM221, 1.0), Point.P0, Direction.FORWARD)
+    traj = shoot_from(build_system(CM221, 1.0), Point.P0, Direction.FORWARD,
+                      profile_of=CM221)
     for i in (len(traj.tau) // 3, 2 * len(traj.tau) // 3):
         X, Y = traj.state_at(traj.tau[i])
         assert X == pytest.approx(traj.X[i], abs=1e-9)
@@ -177,23 +180,27 @@ def test_dense_output_matches_samples():
 
 @pytest.mark.parametrize("cm, c, point, direction", [
     (CM221, 1.0, Point.P0, Direction.FORWARD),
-    (CM221, 2.0, Point.P1, Direction.BACKWARD),
+    (CanonicalModel(m=3, p=2.5, q=1), 3.5198, Point.P2, Direction.BACKWARD),
     (CanonicalModel(m=1, p=1, q=0.5), 1.0, Point.P2, Direction.BACKWARD),
 ])
 def test_state_at_matches_scipy_dense_output(cm, c, point, direction):
-    # pins the Nordsieck table against the OdeSolution solve_ivp returns for
-    # the same shot, including the layout of LSODA's dense output (t, h, yh, p)
-    traj = shoot_from(build_system(cm, c), point, direction)
+    # pins the Nordsieck table of a profile shot, as presented, against the
+    # OdeSolution solve_ivp returns for the same shot with xi as a third
+    # state, including the layout of LSODA's dense output (t, h, yh, p)
+    traj = shoot_from(build_system(cm, c), point, direction, profile_of=cm)
     sys, s0, kwargs = _shot_args(cm, c, point, direction)
-    _, reference = _solve_ivp_integrate(sys, s0, **kwargs)
+    _, reference = _solve_ivp_integrate(sys, s0, xi_rate=connect._xi_rate(sys, cm),
+                                        **kwargs)
+    # the solver time of presented tau = 0: the P2 end of a backward trace
+    shift = 0.0 if point is Point.P0 else -traj.tau[0]
     tau = traj.tau
     first, last = tau[1] - tau[0], tau[-1] - tau[-2]
     pts = np.concatenate([tau, 0.5 * (tau[:-1] + tau[1:]),
                           [tau[0] - 0.5 * first, tau[-1] + 0.5 * last]])
     for t in (pts, pts[len(pts) // 3]):
         X, Y = traj.state_at(t)
-        want = reference(traj._dense_sign * t + traj._dense_shift)
-        for got, ref in ((X, want[0]), (Y, want[1])):
+        want = reference(t + shift)
+        for got, ref in ((X, want[0]), (Y, want[1]), (traj._dense_at(t)[2], want[2])):
             assert np.shape(got) == np.shape(ref)
             assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
@@ -201,17 +208,23 @@ def test_state_at_matches_scipy_dense_output(cm, c, point, direction):
 @pytest.mark.parametrize("name", PIN_SHOTS)
 def test_driver_is_bit_identical_to_solve_ivp(name, monkeypatch):
     sys, s0, kwargs = _pin_args(name, monkeypatch)
-    got, dense = connect._integrate(sys, s0, **kwargs)
+    got, table = connect._integrate(sys, s0, **kwargs)
     want, reference = _solve_ivp_integrate(sys, s0, **kwargs)
     for key in ("tau", "X", "Y"):
         assert np.array_equal(got[key], want[key]), key
     assert got["raw_events"] == want["raw_events"]
     assert (got["nfev"], got["njev"]) == (want["nfev"], want["njev"])
     assert got["solver_steps"] == len(reference.interpolants)
-    table, ref_table = connect._NordsieckTable(dense), _scipy_table(reference)
+    if "xi_rate" not in kwargs:
+        assert got["xi"] is None and table is None
+        return
+    # a profile shot carries xi and keeps its dense output: both equal
+    # solve_ivp's on the same three-state shot
+    assert np.array_equal(got["xi"], want["xi"])
+    ref_table = _scipy_table(reference)
     for attr in ("ts", "t_end", "h", "coef"):
         assert np.array_equal(getattr(table, attr), getattr(ref_table, attr)), attr
-    ts = dense.ts
+    ts = table.ts
     pts = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])])
     assert np.array_equal(table(pts), ref_table(pts))
 
@@ -221,7 +234,7 @@ def test_pin_shots_cover_the_event_paths(monkeypatch):
     for name in PIN_SHOTS:
         sys, s0, kwargs = _pin_args(name, monkeypatch)
         res, _ = connect._integrate(sys, s0, **kwargs)
-        ends[name] = res["tau"][0 if kwargs["backward"] else -1]
+        ends[name] = res["tau"][-1]
         kinds[name] = {}
         for kind, tau, _, _ in res["raw_events"]:
             kinds[name].setdefault(kind, []).append(tau)
@@ -229,10 +242,8 @@ def test_pin_shots_cover_the_event_paths(monkeypatch):
     assert kinds["221-P0-c0-terminal-axis"][EventKind.X_AXIS_CROSS] == \
         [ends["221-P0-c0-terminal-axis"]]
     assert len(kinds["121-P0-oscillatory"][EventKind.X_AXIS_CROSS]) >= 5
-    for name in ("221-P0-escape", "221-P1-backward-c2"):
-        assert kinds[name][EventKind.ESCAPE] == [ends[name]]
-    for name in ("221-P2-forward", "221-P2-seed-backward"):
-        assert 0.0 in kinds[name][EventKind.X_AXIS_CROSS]
+    assert kinds["221-P0-escape"][EventKind.ESCAPE] == [ends["221-P0-escape"]]
+    assert 0.0 in kinds["221-P2-forward"][EventKind.X_AXIS_CROSS]
 
 
 @pytest.mark.parametrize("n_arrivals", [2, 3])
@@ -258,8 +269,12 @@ def test_nordsieck_capture_matches_lsoda_dense_output(monkeypatch):
     for name in PIN_SHOTS:
         sys, s0, kwargs = _pin_args(name, monkeypatch)
         steps = connect._integrate(sys, s0, **kwargs)[0]["solver_steps"]
-        solver = LSODA(_shot_fun(sys, kwargs["backward"]), 0.0, s0, connect.TAU_SPAN,
-                       rtol=kwargs["rtol"], atol=kwargs["atol"])
+        xi_rate = kwargs.get("xi_rate")
+        atol = kwargs["atol"]
+        if xi_rate is not None:
+            s0, atol = np.append(s0, 0.0), [atol, atol, connect.XI_ATOL]
+        solver = LSODA(_shot_fun(sys, xi_rate), 0.0, s0, connect.TAU_SPAN,
+                       rtol=kwargs["rtol"], atol=atol)
         core = solver._lsoda_solver._integrator
         for k in range(steps):
             solver.step()
@@ -305,31 +320,6 @@ def test_shot_diagnostics_are_deterministic_counts():
     assert set(none.event_counts.values()) == {0}
 
 
-@pytest.mark.parametrize("point", [Point.P0, Point.P2])
-def test_dense_output_is_captured_on_first_use(point):
-    # a shot without profile_of keeps no Nordsieck records; the first state_at
-    # repeats the shot with them kept, and a P2-backward trace reuses its base
-    # shot's re-shoot.  The table must be the one a capturing shot builds
-    direction = Direction.FORWARD if point is Point.P0 else Direction.BACKWARD
-    traj = shoot_from(build_system(CM221, 1.0), point, direction)
-    assert traj._dense is None and "_nordsieck" not in vars(traj)
-    traj.state_at(traj.tau[len(traj.tau) // 2])
-    sys, s0, kwargs = _shot_args(CM221, 1.0, point, direction)
-    lean, none = connect._integrate(sys, s0, dense=False, **kwargs)
-    full, dense = connect._integrate(sys, s0, dense=True, **kwargs)
-    assert none is None
-    for key in ("tau", "X", "Y"):
-        assert np.array_equal(lean[key], full[key]), key
-    for key in ("raw_events", "solver_steps", "nfev", "njev"):
-        assert lean[key] == full[key], key
-    table = connect._NordsieckTable(dense)
-    for attr in ("ts", "t_end", "h", "coef"):
-        assert np.array_equal(getattr(traj._nordsieck, attr), getattr(table, attr)), attr
-    # a profile shot is reconstructed, so it keeps its records from the start
-    profile_shot = shoot_from(sys, point, direction, profile_of=CM221)
-    assert profile_shot._dense is not None
-
-
 def test_integrator_failure_names_the_reason():
     sys = build_system(CM221, 1.0)
     with warnings.catch_warnings():
@@ -364,20 +354,31 @@ def test_axis_events_sit_on_the_axis():
 
 
 def test_backward_shot_time_axis():
-    traj = shoot_from(build_system(CM221, 2.0), Point.P1, Direction.BACKWARD)
-    assert traj.tau[-1] == 0.0
-    assert traj.tau[0] < 0.0
+    # the P2-backward trace is the P0-forward shot with tau = 0 at its P2 end
+    s = build_system(CM221, 3.0)
+    fwd = shoot_from(s, Point.P0, Direction.FORWARD, profile_of=CM221)
+    traj = shoot_from(s, Point.P2, Direction.BACKWARD, profile_of=CM221)
+    T = fwd.tau[-1]
+    assert traj.tau[-1] == 0.0 and traj.tau[0] == -T < 0.0
     assert np.all(np.diff(traj.tau) > 0.0)
+    assert np.array_equal(traj.tau, fwd.tau - T)
+    for key in ("X", "Y", "xi"):
+        assert np.array_equal(getattr(traj, key), getattr(fwd, key)), key
+    assert [(ev.kind, ev.index, ev.tau, ev.state, ev.target) for ev in traj.events] == \
+        [(ev.kind, ev.index, ev.tau - T, ev.state, ev.target) for ev in fwd.events]
+    assert traj.seed == (fwd.X[-1], fwd.Y[-1])
+    assert (fwd.arrived, traj.arrived, traj.escaped) == ("P2", "P0", False)
+    mid = fwd.tau[1:] - 0.5 * np.diff(fwd.tau)
+    for got, want in zip(traj.state_at(mid - T), fwd.state_at(mid)):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def test_unsupported_seed_combinations():
     s = build_system(CM221, 1.0)
-    with pytest.raises(kw.SeedFailureError):
-        shoot_from(s, Point.P0, Direction.BACKWARD)
-    with pytest.raises(kw.SeedFailureError):
-        shoot_from(s, Point.P1, Direction.FORWARD)
-    with pytest.raises(kw.SeedFailureError):
-        shoot_from(s, Point.P2, Direction.FORWARD)
+    for point, direction in ((Point.P0, Direction.BACKWARD), (Point.P1, Direction.FORWARD),
+                             (Point.P1, Direction.BACKWARD), (Point.P2, Direction.FORWARD)):
+        with pytest.raises(kw.SeedFailureError):
+            shoot_from(s, point, direction)
 
 
 def test_backward_from_rest_state_requires_a_connection():
@@ -550,6 +551,9 @@ def test_reconstruct_needs_a_shot_that_carries_xi():
     s = build_system(CM221, 1.0)
     plain = shoot_from(s, Point.P2, Direction.BACKWARD)
     assert plain.xi is None
+    # nor does it keep the dense output that would be evaluated
+    with pytest.raises(kw.InvalidParameterError, match="profile_of"):
+        plain.state_at(plain.tau[len(plain.tau) // 2])
     # xi of another model has the wrong exponent: (m - 1)/gamma = 0, not 1
     other = shoot_from(s, Point.P2, Direction.BACKWARD,
                        profile_of=CanonicalModel(m=1, p=2, q=1))
@@ -559,8 +563,9 @@ def test_reconstruct_needs_a_shot_that_carries_xi():
 
 
 def test_reconstruct_rejects_non_connections():
-    s = build_system(CM221, 2.0)
-    traj = shoot_from(s, Point.P1, Direction.BACKWARD)
+    # at c = 0 the orbit from P0 stops on the X axis and never reaches P2
+    s = build_system(CM221, 0.0)
+    traj = shoot_from(s, Point.P0, Direction.FORWARD, profile_of=CM221)
     with pytest.raises(kw.NotAConnectionError):
         reconstruct_profile(traj, s, CM221)
 
