@@ -55,9 +55,7 @@ from .phaseplane import (
 )
 from .connect import (
     ConnectionResult,
-    Direction,
     EventKind,
-    Point,
     Trajectory,
     TrajectoryEvent,
     WaveProfile,
@@ -65,7 +63,7 @@ from .connect import (
     detect_finite_propagation,
     first_X_axis_intersection,
     reconstruct_profile,
-    shoot_from,
+    shoot,
     threshold_crossings,
     x0_monotonicity_check,
     x0_seed_sensitivity,

@@ -156,18 +156,19 @@ def cmd_shoot(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 "event_counts": res.event_counts,
             })
             if res.trajectory is not None:
+                # the files present the orbit with tau = 0 at its P2 end
                 traj = res.trajectory
+                T = float(traj.tau[-1])
                 tpath = _trajectory_path(out, c)
                 write_float_csv(tpath, ["tau", "X", "Y"], zip(
-                    traj.tau.tolist(), traj.X.tolist(), traj.Y.tolist()))
+                    (traj.tau - T).tolist(), traj.X.tolist(), traj.Y.tolist()))
                 row["trajectory_file"] = tpath.name
                 row["events"] = [
-                    {"kind": ev.kind.value, "tau": ev.tau,
+                    {"kind": ev.kind.value, "tau": ev.tau - T,
                      "X": ev.state[0], "Y": ev.state[1], "target": ev.target}
                     for ev in traj.events
                 ]
-                sys_ = build_system(cm, abs(c))
-                prof = connect.reconstruct_profile(traj, sys_, cm)
+                prof = connect.reconstruct_profile(traj)
                 ppath = _profile_path(out, c)
                 write_profile_csv(ppath, prof.xi, prof.f)
                 row["profile_file"] = ppath.name

@@ -52,6 +52,16 @@ class RunConfig:
     seed_eps: float = 1e-6
 
 
+def _refuse_shared_labels(values: tuple[float, ...], path: str) -> None:
+    """ConfigError when two values would write files of the same name."""
+    first: dict[str, int] = {}
+    for i, v in enumerate(values):
+        j = first.setdefault(c_label(v), i)
+        if j != i:
+            raise ConfigError(f"{path}[{i}]: {v!r} shares the file label "
+                              f"{c_label(v)!r} with {path}[{j}] = {values[j]!r}")
+
+
 def _need_finite(value, path: str) -> float:
     try:
         v = float(value)
@@ -99,6 +109,7 @@ def _parse_pde(data, path: str = "pde") -> PdeConfig:
         if tv < 0.0 or tv > T:
             raise ConfigError(f"{path}.snapshot_times[{i}]: {tv} outside [0, {T}]")
         snaps.append(tv)
+    _refuse_shared_labels(tuple(snaps), f"{path}.snapshot_times")
     return PdeConfig(x_min=x_min, x_max=x_max, n_cells=n_cells, cfl=cfl, T=T,
                      snapshot_times=tuple(sorted(snaps)))
 
@@ -145,12 +156,7 @@ def parse_config(data) -> RunConfig:
     if not isinstance(raw_speeds, (list, tuple)):
         raise ConfigError("speeds: expected a list")
     speeds = tuple(_need_finite(c, f"speeds[{i}]") for i, c in enumerate(raw_speeds))
-    first: dict[str, int] = {}
-    for i, c in enumerate(speeds):
-        j = first.setdefault(c_label(c), i)
-        if j != i:
-            raise ConfigError(f"speeds[{i}]: {c!r} shares the file label "
-                              f"{c_label(c)!r} with speeds[{j}] = {speeds[j]!r}")
+    _refuse_shared_labels(speeds, "speeds")
 
     raw_tol = data.get("ode_tolerances", [1e-10, 1e-10])
     if not isinstance(raw_tol, (list, tuple)) or len(raw_tol) != 2:

@@ -2,11 +2,11 @@
 
 The connecting orbit leaves the Y-axis equilibrium (P0 in Case I, the
 positive-Y axis point in Case II) and falls into P2 = (1, 0).  Its departure
-end is transversally stable, so every shot is one forward integration from a
-seed displaced eps from P0 along the local departure direction; tracing
-"backward from P2" presents that same integration with tau = 0 at its P2
-end, because direct backward integration out of the attracting node amplifies
-transverse error like exp(c |tau|) and never finds the axis point.
+end is transversally stable, so a shot is one forward integration from a
+seed displaced eps from P0 along the local departure direction, with tau = 0
+at the seed.  Nothing integrates backward from P2: leaving the attracting
+node backward amplifies transverse error like exp(c |tau|) and never finds
+the axis point.
 
 LSODA does the integration: the forward orbit spends tau ~ c/(gamma eps)
 drifting along the center manifold near P0 with a stiffness-limited explicit
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -64,14 +64,12 @@ from .phaseplane import (
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "Point",
-    "Direction",
     "EventKind",
     "TrajectoryEvent",
     "Trajectory",
     "WaveProfile",
     "ConnectionResult",
-    "shoot_from",
+    "shoot",
     "first_X_axis_intersection",
     "x0_monotonicity_check",
     "classify_connection",
@@ -95,17 +93,6 @@ _TINY = 5e-324              # X at or below 0 enters the xi rate as this
 FINITE_EDGE_RATIO = 0.9     # gap contraction that signals a finite support edge
 
 
-class Point(Enum):
-    P0 = "P0"
-    P1 = "P1"
-    P2 = "P2"
-
-
-class Direction(Enum):
-    FORWARD = "Forward"
-    BACKWARD = "Backward"
-
-
 class EventKind(str, Enum):
     X_AXIS_CROSS = "XAxisCross"
     Y_AXIS_CROSS = "YAxisCross"
@@ -117,7 +104,6 @@ class EventKind(str, Enum):
 @dataclass(frozen=True)
 class TrajectoryEvent:
     kind: EventKind
-    index: int                   # insertion index into the sample arrays
     tau: float
     state: tuple[float, float]
     target: str | None = None    # fixed-point name for arrivals
@@ -156,44 +142,41 @@ class _NordsieckTable:
 
 @dataclass
 class Trajectory:
-    """Integrated orbit samples, strictly increasing in tau, all X >= 0.
+    """Integrated orbit samples, strictly increasing in tau from 0 at the
+    seed, all X >= 0.
 
-    ``c`` is the speed parameter of the system's own frame (c in Case I,
-    c1 in Case II).  ``solver_steps``, ``nfev`` and ``njev`` are the
-    integrator's own counts.  ``xi`` holds the wave coordinate at the samples,
-    xi = 0 at the P0 end, on shots made with ``profile_of``, the model it
-    belongs to; both are None otherwise.  Only such a shot keeps the
-    integrator's dense output, which ``state_at`` evaluates.
+    ``sys`` is the system the orbit was shot in.  ``solver_steps``, ``nfev``
+    and ``njev`` are the integrator's own counts.  ``xi`` holds the wave
+    coordinate at the samples, xi = 0 at the P0 end, on shots made with
+    ``profile_of``, the model it belongs to; both are None otherwise.  Only
+    such a shot keeps the integrator's dense output, which ``state_at``
+    evaluates.
     """
 
     tau: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     events: list[TrajectoryEvent]
-    seed: tuple[float, float]
-    seed_note: str
-    c: float
+    sys: PhaseSystem
     arrived: str | None
     escaped: bool
-    arrival_radius: float = ARRIVAL_RADIUS
     solver_steps: int = 0
     nfev: int = 0
     njev: int = 0
     xi: np.ndarray | None = None
     profile_of: CanonicalModel | None = None
     _table: _NordsieckTable | None = field(default=None, repr=False)
-    _shift: float = field(default=0.0, repr=False)   # solver time minus tau
 
     def _dense_at(self, tau) -> np.ndarray:
-        """Every state row (X, Y, xi) at presented-tau values."""
+        """Every state row (X, Y, xi) at the given tau values."""
         if self._table is None:
             raise InvalidParameterError(
                 "trajectory carries no dense output: shoot it with "
                 "profile_of=<the model> to evaluate it between samples")
-        return self._table(np.asarray(tau, dtype=float) + self._shift)
+        return self._table(tau)
 
     def state_at(self, tau):
-        """Dense-output states (X, Y) at the given presented-tau values."""
+        """Dense-output states (X, Y) at the given tau values."""
         out = self._dense_at(tau)
         return out[0], out[1]
 
@@ -212,7 +195,6 @@ class WaveProfile:
     c: float
     classification: SpeedClass
     overshoot_extrema: tuple[tuple[float, float], ...] = ()
-    support_edge: float | None = None
 
 
 @dataclass(frozen=True)
@@ -265,24 +247,18 @@ def _axis_eigenvector(J: np.ndarray) -> np.ndarray:
     return v
 
 
-def _seed_state(sys: PhaseSystem, eps: float) -> tuple[np.ndarray, str]:
-    """Seed eps from P0 along the eigenvector transverse to the Y axis, and a
-    human-readable note."""
+def _seed_state(sys: PhaseSystem, eps: float) -> np.ndarray:
+    """Seed eps from P0 along the eigenvector transverse to the Y axis."""
     if isinstance(sys, PhaseSystemI) and sys.c == 0.0:
-        # the fully degenerate origin has no transverse direction
+        # the fully degenerate origin has no transverse direction: seed on the
+        # explicit trajectory Y^2 = 2X/(2+gamma) - 2X^k/(2+gamma k)
         y2 = zero_speed_curve(sys, eps)
         if y2 <= 0.0:
             raise SeedFailureError("zero-speed curve has no real branch at the seed offset")
-        return np.array([eps, math.sqrt(y2)]), (
-            "P0 forward at c = 0: seeded on the explicit trajectory "
-            "Y^2 = 2X/(2+gamma) - 2X^k/(2+gamma k)"
-        )
+        return np.array([eps, math.sqrt(y2)])
     x0, y0 = fixed_point_locations(sys)["P0"]
     v = _axis_eigenvector(jacobian(sys, x0, y0))
-    return np.array([x0, y0]) + eps * v, (
-        f"P0 Forward: seeded eps from (0, {y0:.6g}) along the "
-        "eigenvector transverse to the Y axis"
-    )
+    return np.array([x0, y0]) + eps * v
 
 
 # --- integration core --------------------------------------------------------
@@ -471,16 +447,11 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     }, _NordsieckTable(ts, records) if dense else None
 
 
-def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
-               eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
-               atol: float = 1e-10, arrival_radius: float = ARRIVAL_RADIUS,
-               profile_of: CanonicalModel | None = None) -> Trajectory:
-    """Integrate the connecting orbit forward from its P0 seed.
+def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
+          atol: float = 1e-10, arrival_radius: float = ARRIVAL_RADIUS,
+          profile_of: CanonicalModel | None = None) -> Trajectory:
+    """Integrate the connecting orbit forward from its P0 seed, tau = 0 there.
 
-    Supported shots: (P0, Forward) for the orbit from its departure, and
-    (P2, Backward), the same single integration presented from its P2 end:
-    tau and event times shifted so tau = 0 at P2, and refused unless the
-    orbit arrived there.  Every other combination raises SeedFailureError.
     Events record X-axis / X = 1 / Y-axis crossings, escape beyond
     ``ESCAPE_BOUND`` and arrival within ``arrival_radius`` of a fixed point;
     arrival and escape stop the integration, and ``TAU_SPAN`` bounds it.
@@ -493,20 +464,11 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
     At c = 0 in Case I the shot terminates at the first X-axis crossing: the
     orbit is symmetric under (Y, tau) -> (-Y, -tau) there, and following the
     mirror half numerically runs into the fully degenerate origin.
-
-    Returned samples ascend in tau with the flow; P2 Backward shots cover
-    the orbit's past, tau in [-T, 0].
     """
     if not (eps > 0.0) or eps > 1e-2:
         raise InvalidParameterError(f"seed offset eps must lie in (0, 1e-2], got {eps!r}")
-    from_p2 = (point, direction) == (Point.P2, Direction.BACKWARD)
-    if not from_p2 and (point, direction) != (Point.P0, Direction.FORWARD):
-        raise SeedFailureError(
-            f"no shot {point.value} {direction.value}: the wave is the single "
-            "orbit from P0 to P2, integrated forward from P0 (supported shots: "
-            "P0 Forward, P2 Backward)")
 
-    s0, note = _seed_state(sys, eps)
+    s0 = _seed_state(sys, eps)
     res, table = _integrate(
         sys, s0, rtol=rtol, atol=atol, arrival_radius=arrival_radius,
         terminal_x_axis=isinstance(sys, PhaseSystemI) and sys.c == 0.0,
@@ -516,11 +478,8 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
         raise StepFailureError(f"integration left the half-plane (min X = {np.min(X):.3e})")
     X = np.maximum(X, 0.0)
 
-    events = [
-        TrajectoryEvent(kind=k, index=int(np.searchsorted(tau, t)), tau=float(t),
-                        state=s, target=tgt)
-        for (k, t, s, tgt) in res["raw_events"]
-    ]
+    events = [TrajectoryEvent(kind=k, tau=float(t), state=s, target=tgt)
+              for (k, t, s, tgt) in res["raw_events"]]
 
     arrived = None
     escaped = False
@@ -538,43 +497,24 @@ def shoot_from(sys: PhaseSystem, point: Point, direction: Direction,
     x0, y0 = fps["P0"]
     if math.hypot(X[0] - x0, Y[0] - y0) <= max(arrival_radius, 2.0 * eps):
         events.append(TrajectoryEvent(
-            kind=EventKind.FIXED_POINT_ARRIVAL, index=0, tau=float(tau[0]),
+            kind=EventKind.FIXED_POINT_ARRIVAL, tau=float(tau[0]),
             state=(float(X[0]), float(Y[0])), target="P0"))
     if arrived is None:
         for name, (x0, y0) in fps.items():
             if math.hypot(X[-1] - x0, Y[-1] - y0) <= arrival_radius:
                 events.append(TrajectoryEvent(
-                    kind=EventKind.FIXED_POINT_ARRIVAL, index=len(tau) - 1,
-                    tau=float(tau[-1]), state=(float(X[-1]), float(Y[-1])),
-                    target=name))
+                    kind=EventKind.FIXED_POINT_ARRIVAL, tau=float(tau[-1]),
+                    state=(float(X[-1]), float(Y[-1])), target=name))
                 arrived = name
                 break
     events.sort(key=lambda e: (e.tau, e.kind.value))
 
-    seed, shift = (float(s0[0]), float(s0[1])), 0.0
-    if from_p2:
-        if arrived != "P2":
-            raise InconclusiveError(
-                "the connecting orbit from the axis point did not reach P2 "
-                f"(arrived={arrived!r}, escaped={escaped}); cannot "
-                "present it as a backward trace from P2"
-            )
-        shift = float(tau[-1])
-        tau = tau - shift
-        events = [replace(ev, tau=ev.tau - shift) for ev in events]
-        seed, arrived = (float(X[-1]), float(Y[-1])), "P0"
-        note = ("P2 backward: same orbit as the P0-forward shot, "
-                "re-parametrized with tau = 0 at the P2 end (direct backward "
-                "integration out of the attracting point is exponentially "
-                "unstable and never reaches the axis)")
-    log.debug("shoot %s %s eps=%g: %d samples, arrived=%s escaped=%s",
-              point.value, direction.value, eps, len(tau), arrived, escaped)
+    log.debug("shoot eps=%g: %d samples, arrived=%s escaped=%s",
+              eps, len(tau), arrived, escaped)
     return Trajectory(
-        tau=tau, X=X, Y=Y, events=events, seed=seed, seed_note=note,
-        c=sys.form[0], arrived=arrived, escaped=escaped,
-        arrival_radius=arrival_radius, solver_steps=res["solver_steps"],
-        nfev=res["nfev"], njev=res["njev"], xi=res["xi"], profile_of=profile_of,
-        _table=table, _shift=shift,
+        tau=tau, X=X, Y=Y, events=events, sys=sys, arrived=arrived,
+        escaped=escaped, solver_steps=res["solver_steps"], nfev=res["nfev"],
+        njev=res["njev"], xi=res["xi"], profile_of=profile_of, _table=table,
     )
 
 
@@ -595,10 +535,7 @@ def first_X_axis_intersection(traj: Trajectory) -> float:
                     "integration accuracy is suspect"
                 )
             return x0
-    touches_p2 = traj.arrived == "P2" or any(
-        ev.kind is EventKind.FIXED_POINT_ARRIVAL and ev.target == "P2"
-        for ev in traj.events)
-    if touches_p2:
+    if traj.arrived == "P2":
         return 1.0
     raise NoIntersectionError(
         f"no X-axis crossing recorded and the trajectory did not reach P2 "
@@ -622,15 +559,15 @@ def x0_monotonicity_check(cm: CanonicalModel, speeds, eps: float = DEFAULT_EPS,
     out = []
     for c in speeds:
         sys = build_system(cm, c)
-        traj = shoot_from(sys, Point.P0, Direction.FORWARD, eps, **shoot_kw)
+        traj = shoot(sys, eps, **shoot_kw)
         out.append((c, first_X_axis_intersection(traj)))
     return out
 
 
 def x0_seed_sensitivity(sys: PhaseSystem, eps: float = DEFAULT_EPS, **shoot_kw) -> float:
     """|X0(eps) - X0(eps/2)|: the built-in seed convergence diagnostic."""
-    a = first_X_axis_intersection(shoot_from(sys, Point.P0, Direction.FORWARD, eps, **shoot_kw))
-    b = first_X_axis_intersection(shoot_from(sys, Point.P0, Direction.FORWARD, eps / 2.0, **shoot_kw))
+    a = first_X_axis_intersection(shoot(sys, eps, **shoot_kw))
+    b = first_X_axis_intersection(shoot(sys, eps / 2.0, **shoot_kw))
     return abs(a - b)
 
 
@@ -650,11 +587,12 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     """Measure the wave class for an original-frame speed.
 
     c_original >= 0 carries no wave.  For c_original < 0 the mirrored system
-    at c = |c_original| is shot backward from P2 (see shoot_from); the orbit
-    is Monotone when X never leaves [0, 1] and crosses neither axis line,
-    Oscillatory when X = 1 crossings occur with measurable |X - 1| extrema.
-    ``shoot_kw`` go to shoot_from; ``profile_of=cm`` makes the trajectory
-    one that reconstruct_profile accepts.
+    at c = |c_original| is shot from P0 (see shoot), and the orbit must
+    arrive at P2.  It is Monotone when X never leaves [0, 1] and crosses
+    neither axis line, Oscillatory when it has Y = 0 crossings (the X
+    extrema) with |X - 1| above ``GRAZE_TOL``.  ``shoot_kw`` go to shoot;
+    ``profile_of=cm`` makes the trajectory one that reconstruct_profile
+    accepts.
     """
     predicted = classify_speed(cm, c_original)
     if c_original >= 0.0:
@@ -665,10 +603,10 @@ def classify_connection(cm: CanonicalModel, c_original: float,
 
     c = abs(float(c_original))
     sys = build_system(cm, c)
-    traj = shoot_from(sys, Point.P2, Direction.BACKWARD, eps, **shoot_kw)
-    if traj.arrived != "P0":
+    traj = shoot(sys, eps, **shoot_kw)
+    if traj.arrived != "P2":
         raise InconclusiveError(
-            f"trajectory for c = {c_original} neither reached P0 nor classified "
+            f"trajectory for c = {c_original} did not reach P2 "
             f"(arrived={traj.arrived!r}, escaped={traj.escaped})")
 
     extrema = _qualifying_extrema(traj)
@@ -712,22 +650,8 @@ def _profile_exponents(sys: PhaseSystem, cm: CanonicalModel) -> tuple[float, flo
     return pref, (cm.m - cm.q) / (2.0 * sys.k), 1.0 / sys.k
 
 
-def _end_targets(traj: Trajectory) -> tuple[str | None, str | None]:
-    n = len(traj.tau)
-    start = end = None
-    for ev in traj.events:
-        if ev.kind is not EventKind.FIXED_POINT_ARRIVAL:
-            continue
-        if ev.index <= 1 and start is None:
-            start = ev.target
-        if ev.index >= n - 2:
-            end = ev.target
-    return start, end
-
-
-def reconstruct_profile(traj: Trajectory, sys: PhaseSystem,
-                        cm: CanonicalModel) -> WaveProfile:
-    """Recover f(xi) from a connecting trajectory shot with ``profile_of=cm``.
+def reconstruct_profile(traj: Trajectory) -> WaveProfile:
+    """Recover f(xi) from a connecting trajectory shot with ``profile_of``.
 
     The shot carries xi as a third state: dxi/dtau = X^((m-1)/gamma) in
     Case I and sqrt(2/(m+q)) X^((m-q)/(2k)) in Case II, and f = X^(1/gamma)
@@ -737,22 +661,20 @@ def reconstruct_profile(traj: Trajectory, sys: PhaseSystem,
     (the orbit was computed in the mirrored c > 0 frame) and shifted so
     f = 1/2 at xi = 0 on the front's last downward crossing.
     """
+    sys, cm = traj.sys, traj.profile_of
+    if traj.arrived != "P2":
+        raise NotAConnectionError(
+            f"trajectory arrived at {traj.arrived!r}, not P2 "
+            f"(escaped={traj.escaped}); a profile needs the P0-P2 connection")
+    if cm is None:
+        raise InvalidParameterError(
+            "trajectory carries no xi: shoot it with profile_of=<the model> "
+            "to reconstruct a profile")
     speed = sys.form[0]
     c_wave = -speed if isinstance(sys, PhaseSystemI) else -speed * math.sqrt(cm.mq / 2.0)
-    start, end = _end_targets(traj)
-    if {start, end} != {"P0", "P2"}:
-        raise NotAConnectionError(
-            f"trajectory ends are attached to {start!r} and {end!r}; "
-            "a profile needs the P0-P2 connection (or its reverse)")
-    if traj.profile_of != cm:
-        raise InvalidParameterError(
-            f"trajectory carries no xi of {cm}: shoot it with profile_of=<the "
-            "model> to reconstruct a profile")
     pref, expo, fe = _profile_exponents(sys, cm)
-    # samples always ascend from the P0 end toward P2 (a 'P2 backward' trace
-    # is the same orbit re-parametrized), so no flip is needed here.  X^expo
-    # is largest at an end of X's range; where it passed the cap the shot
-    # carried a clipped rate, so its xi is wrong (without the cap, inf)
+    # X^expo is largest at an end of X's range; where it passed the cap the
+    # shot carried a clipped rate, so its xi is wrong (without the cap, inf)
     log_rate = max(expo * math.log(max(float(x), _TINY))
                    for x in (traj.X.min(), traj.X.max()))
     if log_rate >= XI_LOG_RATE_MAX:

@@ -84,9 +84,20 @@ def write_profile_csv(path: Path, xi, f) -> None:
 
 
 def read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, f) of a profile table: at least 2 rows of finite numbers, xi
+    strictly increasing; anything else is a MissingArtifactError naming it."""
     header, rows = read_csv(path)
     if header[:2] != ["xi", "f"]:
         raise MissingArtifactError(f"{path} is not a profile table (header {header})")
-    xi = np.array([float(r[0]) for r in rows])
-    f = np.array([float(r[1]) for r in rows])
+    if len(rows) < 2:
+        raise MissingArtifactError(f"{path} holds {len(rows)} profile rows; need at least 2")
+    try:
+        xi = np.array([float(r[0]) for r in rows])
+        f = np.array([float(r[1]) for r in rows])
+    except (ValueError, IndexError) as e:
+        raise MissingArtifactError(f"{path} has a malformed profile row ({e})") from None
+    if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(f))):
+        raise MissingArtifactError(f"{path} holds non-finite profile values")
+    if not np.all(np.diff(xi) > 0.0):
+        raise MissingArtifactError(f"{path}: xi is not strictly increasing")
     return xi, f

@@ -13,8 +13,7 @@ def build_profile(m, p, q, c, arrival_radius=None):
     cm = kw.CanonicalModel(m=m, p=p, q=q)
     sys = kw.build_system(cm, abs(c))
     kwargs = {} if arrival_radius is None else {"arrival_radius": arrival_radius}
-    traj = kw.shoot_from(sys, kw.Point.P2, kw.Direction.BACKWARD, profile_of=cm, **kwargs)
-    return kw.reconstruct_profile(traj, sys, cm), cm
+    return kw.reconstruct_profile(kw.shoot(sys, profile_of=cm, **kwargs)), cm
 
 
 @pytest.fixture(scope="session")

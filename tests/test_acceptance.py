@@ -105,7 +105,7 @@ def test_criterion_03_zero_speed_explicit_trajectory(capsys):
     # (gamma, k) = (1,2), (2,2), (2,3)
     for mpq in ((2, 2, 1), (2, 4, 2), (2, 6, 2)):
         s = kw.build_system(kw.CanonicalModel(*mpq), 0.0)
-        traj = kw.shoot_from(s, kw.Point.P0, kw.Direction.FORWARD)
+        traj = kw.shoot(s)
         defect = float(np.max(np.abs(traj.Y**2 - kw.zero_speed_curve(s, traj.X))))
         x0_err = abs(kw.first_X_axis_intersection(traj) - kw.zero_speed_X0(s))
         worst_defect = max(worst_defect, defect)
@@ -133,7 +133,7 @@ def test_criterion_04_region_confinement_at_critical_speed(capsys):
         c_star = kw.critical_speed(cm)
         s = kw.build_system(cm, c_star)
         worst_R = max(worst_R, float(np.max(kw.region_G_residual(s, mpq[0] + mpq[2], grid))))
-        traj = kw.shoot_from(s, kw.Point.P0, kw.Direction.FORWARD)
+        traj = kw.shoot(s)
         a = c_star / (2.0 * s.gamma)
         # G = {0 <= X <= 1, 0 <= Y <= a(1 - X)}; positive excess = exit
         viol = max(float(np.max(traj.X - 1.0)), float(np.max(-traj.X)),

@@ -194,6 +194,33 @@ def test_speeds_sharing_a_file_label_are_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_snapshot_times_sharing_a_file_label_are_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out),
+                    pde={"n_cells": 200, "T": 1.0, "snapshot_times": [0.5, 0.50000001]})
+    assert main(["pde", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "pde.snapshot_times[1]" in err and "'0.5'" in err
+    assert not out.exists()
+
+
+def test_trajectory_file_puts_tau_zero_at_p2(workspace):
+    # the shot runs from tau = 0 at its P0 seed; its files present the same
+    # samples and events shifted by the end time T, so tau = 0 at P2
+    _, out = workspace
+    by_c = {row["c"]: row for row in json.loads((out / "classification.json").read_text())}
+    cm = CanonicalModel(m=2, p=2, q=1)
+    for c in (-3.0, -1.0):
+        traj = classify_connection(cm, c, eps=1e-6, rtol=1e-10, atol=1e-10,
+                                   profile_of=cm).trajectory
+        T = float(traj.tau[-1])
+        with open(out / by_c[c]["trajectory_file"]) as fh:
+            tau = np.array([float(r[0]) for r in list(csv.reader(fh))[1:]])
+        assert tau[-1] == 0.0 and tau[0] == -T < 0.0
+        assert np.array_equal(tau, traj.tau - T)
+        assert [ev["tau"] for ev in by_c[c]["events"]] == [ev.tau - T for ev in traj.events]
+
+
 def test_shoot_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cfg1 = write_cfg(tmp_path, output_dir=str(out1))
@@ -268,6 +295,25 @@ def test_pde_profile_without_classified_row_fails_loudly(tmp_path):
     rows = json.loads((out / "pde_summary.json").read_text())
     assert rows[0]["error_kind"] == "MissingArtifactError"
     assert "no classified row" in rows[0]["error"]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("xi,f\n", "0 profile rows"),
+    ("xi,f\n-1.0,1.0\n0.0,abc\n1.0,0.0\n", "malformed profile row"),
+    ("xi,f\n-1.0,1.0\n0.0,inf\n1.0,0.0\n", "non-finite"),
+    ("xi,f\n-1.0,1.0\n1.0,0.0\n0.0,0.5\n", "not strictly increasing"),
+], ids=["header-only", "non-numeric", "non-finite", "unsorted-xi"])
+def test_pde_refuses_a_bad_profile_file(tmp_path, text, reason):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "classification.json").write_text(
+        json.dumps([{"c": -3.0, "observed_class": "Monotone"}]))
+    (out / "profile_c-3.csv").write_text(text)
+    cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out))
+    assert main(["pde", "--config", str(cfg)]) == 3
+    rows = json.loads((out / "pde_summary.json").read_text())
+    assert rows[0]["error_kind"] == "MissingArtifactError"
+    assert "profile_c-3.csv" in rows[0]["error"] and reason in rows[0]["error"]
 
 
 def test_pde_zero_horizon(tmp_path):

@@ -7,10 +7,10 @@ import pytest
 from scipy.integrate import LSODA, solve_ivp
 
 import kppwaves as kw
-from kppwaves import (CanonicalModel, Direction, EventKind, Point, SpeedClass,
-                      WaveProfile, build_system, classify_connection,
+from kppwaves import (CanonicalModel, EventKind, SpeedClass, WaveProfile,
+                      build_system, classify_connection,
                       detect_finite_propagation, first_X_axis_intersection,
-                      reconstruct_profile, shoot_from, threshold_crossings,
+                      reconstruct_profile, shoot, threshold_crossings,
                       x0_monotonicity_check, x0_seed_sensitivity,
                       zero_speed_X0, zero_speed_curve)
 from kppwaves import connect
@@ -32,15 +32,12 @@ def _shot_fun(sys, xi_rate=None):
     return fun
 
 
-def _shot_args(cm, c, point, direction, **overrides):
-    """(system, seed, _integrate keywords) of the integration shoot_from runs."""
+def _shot_args(cm, c, s0=None, **overrides):
+    """(system, seed, _integrate keywords) of the integration shoot runs, or
+    of one from the given seed ``s0``."""
     sys = build_system(cm, c)
-    if point is Point.P2 and direction is Direction.FORWARD:
-        # no shot starts at P2; these pins integrate from a point eps left of it
-        s0 = np.array([1.0 - connect.DEFAULT_EPS, 0.0])
-    else:
-        # P0 Forward, or P2 Backward: the same shot presented from its P2 end
-        s0, _ = connect._seed_state(sys, connect.DEFAULT_EPS)
+    if s0 is None:
+        s0 = connect._seed_state(sys, connect.DEFAULT_EPS)
     kwargs = dict(
         rtol=1e-10, atol=1e-10, arrival_radius=connect.ARRIVAL_RADIUS,
         terminal_x_axis=isinstance(sys, PhaseSystemI) and sys.c == 0.0)
@@ -124,36 +121,34 @@ def _scipy_table(ode_solution):
         ode_solution.ts, [(s.t, s.h, s.yh.T) for s in ode_solution.interpolants])
 
 
-# (model, c, point, direction, _integrate overrides; "escape_bound" is set
-# on the module instead, and "xi" carries xi with the model's rate).  Shots
-# without xi keep no dense output, as sweep shots do; profile shots do
+# (model, c, _shot_args overrides; "escape_bound" is set on the module
+# instead, and "xi" carries xi with the model's rate).  Every pin but
+# 221-P2-forward integrates from the P0 seed.  Shots without xi keep no dense
+# output, as sweep shots do; profile shots do
 PIN_SHOTS = {
-    "221-P0-c1": (CM221, 1.0, Point.P0, Direction.FORWARD, {}),
-    "221-P0-c3": (CM221, 3.0, Point.P0, Direction.FORWARD, {}),
-    "221-P0-c0-terminal-axis": (CM221, 0.0, Point.P0, Direction.FORWARD, {}),
-    "1-1-0.5-P2-backward": (CanonicalModel(m=1, p=1, q=0.5), 1.0, Point.P2,
-                            Direction.BACKWARD, {}),
-    "121-P0-oscillatory": (CanonicalModel(m=1, p=2, q=1), 0.5, Point.P0,
-                           Direction.FORWARD, {}),
-    "221-P0-escape": (CM221, 1.0, Point.P0, Direction.FORWARD, {"escape_bound": 1.02}),
-    # the P2 seed has Y = 0 exactly, so the X-axis event starts at g = 0 and
+    "221-P0-c1": (CM221, 1.0, {}),
+    "221-P0-c3": (CM221, 3.0, {}),
+    "221-P0-c0-terminal-axis": (CM221, 0.0, {}),
+    "1-1-0.5-P2-backward": (CanonicalModel(m=1, p=1, q=0.5), 1.0, {}),
+    "121-P0-oscillatory": (CanonicalModel(m=1, p=2, q=1), 0.5, {}),
+    "221-P0-escape": (CM221, 1.0, {"escape_bound": 1.02}),
+    # no shot starts at P2; this pin integrates from a point eps left of it.
+    # That seed has Y = 0 exactly, so the X-axis event starts at g = 0 and
     # fires upward at tau = 0
-    "221-P2-forward": (CM221, 1.0, Point.P2, Direction.FORWARD, {}),
-    "221-xi-oscillatory": (CM221, 1.0, Point.P2, Direction.BACKWARD, {"xi": True}),
-    "121-xi-monotone": (CanonicalModel(m=1, p=2, q=1), 3.0, Point.P2,
-                        Direction.BACKWARD, {"xi": True}),
-    "3-2.5-1-xi": (CanonicalModel(m=3, p=2.5, q=1), 3.5198, Point.P2,
-                   Direction.BACKWARD, {"xi": True}),
+    "221-P2-forward": (CM221, 1.0, {"s0": np.array([1.0 - connect.DEFAULT_EPS, 0.0])}),
+    "221-xi-oscillatory": (CM221, 1.0, {"xi": True}),
+    "121-xi-monotone": (CanonicalModel(m=1, p=2, q=1), 3.0, {"xi": True}),
+    "3-2.5-1-xi": (CanonicalModel(m=3, p=2.5, q=1), 3.5198, {"xi": True}),
 }
 
 
 def _pin_args(name, monkeypatch):
     """_shot_args of a pin shot, with its escape bound set on the module."""
-    cm, c, point, direction, overrides = PIN_SHOTS[name]
+    cm, c, overrides = PIN_SHOTS[name]
     overrides = dict(overrides)
     monkeypatch.setattr(connect, "ESCAPE_BOUND", overrides.pop("escape_bound", ESCAPE_BOUND))
     xi = overrides.pop("xi", False)
-    sys, s0, kwargs = _shot_args(cm, c, point, direction, **overrides)
+    sys, s0, kwargs = _shot_args(cm, c, **overrides)
     if xi:
         kwargs["xi_rate"] = connect._xi_rate(sys, cm)
     return sys, s0, kwargs
@@ -162,7 +157,7 @@ def _pin_args(name, monkeypatch):
 # --- trajectories -------------------------------------------------------------
 
 def test_forward_shot_reaches_rest_state():
-    traj = shoot_from(build_system(CM221, 3.0), Point.P0, Direction.FORWARD)
+    traj = shoot(build_system(CM221, 3.0))
     assert traj.arrived == "P2"
     assert not traj.escaped
     assert np.all(np.diff(traj.tau) > 0.0)
@@ -170,36 +165,33 @@ def test_forward_shot_reaches_rest_state():
 
 
 def test_dense_output_matches_samples():
-    traj = shoot_from(build_system(CM221, 1.0), Point.P0, Direction.FORWARD,
-                      profile_of=CM221)
+    traj = shoot(build_system(CM221, 1.0), profile_of=CM221)
     for i in (len(traj.tau) // 3, 2 * len(traj.tau) // 3):
         X, Y = traj.state_at(traj.tau[i])
         assert X == pytest.approx(traj.X[i], abs=1e-9)
         assert Y == pytest.approx(traj.Y[i], abs=1e-9)
 
 
-@pytest.mark.parametrize("cm, c, point, direction", [
-    (CM221, 1.0, Point.P0, Direction.FORWARD),
-    (CanonicalModel(m=3, p=2.5, q=1), 3.5198, Point.P2, Direction.BACKWARD),
-    (CanonicalModel(m=1, p=1, q=0.5), 1.0, Point.P2, Direction.BACKWARD),
+@pytest.mark.parametrize("cm, c", [
+    (CM221, 1.0),
+    (CanonicalModel(m=3, p=2.5, q=1), 3.5198),
+    (CanonicalModel(m=1, p=1, q=0.5), 1.0),
 ])
-def test_state_at_matches_scipy_dense_output(cm, c, point, direction):
-    # pins the Nordsieck table of a profile shot, as presented, against the
-    # OdeSolution solve_ivp returns for the same shot with xi as a third
-    # state, including the layout of LSODA's dense output (t, h, yh, p)
-    traj = shoot_from(build_system(cm, c), point, direction, profile_of=cm)
-    sys, s0, kwargs = _shot_args(cm, c, point, direction)
+def test_state_at_matches_scipy_dense_output(cm, c):
+    # pins the Nordsieck table of a profile shot against the OdeSolution
+    # solve_ivp returns for the same shot with xi as a third state, including
+    # the layout of LSODA's dense output (t, h, yh, p)
+    traj = shoot(build_system(cm, c), profile_of=cm)
+    sys, s0, kwargs = _shot_args(cm, c)
     _, reference = _solve_ivp_integrate(sys, s0, xi_rate=connect._xi_rate(sys, cm),
                                         **kwargs)
-    # the solver time of presented tau = 0: the P2 end of a backward trace
-    shift = 0.0 if point is Point.P0 else -traj.tau[0]
     tau = traj.tau
     first, last = tau[1] - tau[0], tau[-1] - tau[-2]
     pts = np.concatenate([tau, 0.5 * (tau[:-1] + tau[1:]),
                           [tau[0] - 0.5 * first, tau[-1] + 0.5 * last]])
     for t in (pts, pts[len(pts) // 3]):
         X, Y = traj.state_at(t)
-        want = reference(t + shift)
+        want = reference(t)
         for got, ref in ((X, want[0]), (Y, want[1]), (traj._dense_at(t)[2], want[2])):
             assert np.shape(got) == np.shape(ref)
             assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
@@ -291,17 +283,17 @@ def test_nordsieck_capture_matches_lsoda_dense_output(monkeypatch):
 def test_seed_inside_its_arrival_ball_is_attached_not_fired():
     # the P0 seed sits eps = 1e-6 inside P0's 1e-5 ball; arrivals fire only on
     # entry and g starts from the seed's values, so leaving the ball fires
-    # nothing and shoot_from attaches the seed end itself
-    sys, s0, kwargs = _shot_args(CM221, 1.0, Point.P0, Direction.FORWARD)
+    # nothing and shoot attaches the seed end itself
+    sys, s0, kwargs = _shot_args(CM221, 1.0)
     assert math.hypot(s0[0], s0[1]) < kwargs["arrival_radius"]
     res, _ = connect._integrate(sys, s0, **kwargs)
     arrivals = [(tau, target) for kind, tau, _, target in res["raw_events"]
                 if kind is EventKind.FIXED_POINT_ARRIVAL]
     assert arrivals == [(res["tau"][-1], "P2")]
-    traj = shoot_from(sys, Point.P0, Direction.FORWARD)
+    traj = shoot(sys)
     at_seed = [ev for ev in traj.events
                if ev.kind is EventKind.FIXED_POINT_ARRIVAL and ev.tau == 0.0]
-    assert [(ev.target, ev.index) for ev in at_seed] == [("P0", 0)]
+    assert [ev.target for ev in at_seed] == ["P0"]
 
 
 def test_shot_diagnostics_are_deterministic_counts():
@@ -326,7 +318,7 @@ def test_integrator_failure_names_the_reason():
         # scipy raises an rtol below 100 eps to that floor, with a UserWarning
         warnings.simplefilter("ignore", UserWarning)
         with pytest.raises(kw.StepFailureError, match="Excess accuracy") as err:
-            shoot_from(sys, Point.P0, Direction.FORWARD, rtol=1e-20, atol=1e-30)
+            shoot(sys, rtol=1e-20, atol=1e-30)
     assert "istate -2" in str(err.value)
 
 
@@ -342,50 +334,15 @@ def test_odepack_layout_change_fails_loudly(monkeypatch):
 
     monkeypatch.setattr(_ode.lsoda, "reset", short_state)
     with pytest.raises(RuntimeError, match=r"scipy\.integrate\._ode\.lsoda\.run"):
-        shoot_from(build_system(CM221, 1.0), Point.P0, Direction.FORWARD)
+        shoot(build_system(CM221, 1.0))
 
 
 def test_axis_events_sit_on_the_axis():
-    traj = shoot_from(build_system(CM221, 1.0), Point.P0, Direction.FORWARD)
+    traj = shoot(build_system(CM221, 1.0))
     crossings = [ev for ev in traj.events if ev.kind is EventKind.X_AXIS_CROSS]
     assert crossings, "an oscillatory orbit must cross Y = 0"
     for ev in crossings:
         assert abs(ev.state[1]) < 1e-9
-
-
-def test_backward_shot_time_axis():
-    # the P2-backward trace is the P0-forward shot with tau = 0 at its P2 end
-    s = build_system(CM221, 3.0)
-    fwd = shoot_from(s, Point.P0, Direction.FORWARD, profile_of=CM221)
-    traj = shoot_from(s, Point.P2, Direction.BACKWARD, profile_of=CM221)
-    T = fwd.tau[-1]
-    assert traj.tau[-1] == 0.0 and traj.tau[0] == -T < 0.0
-    assert np.all(np.diff(traj.tau) > 0.0)
-    assert np.array_equal(traj.tau, fwd.tau - T)
-    for key in ("X", "Y", "xi"):
-        assert np.array_equal(getattr(traj, key), getattr(fwd, key)), key
-    assert [(ev.kind, ev.index, ev.tau, ev.state, ev.target) for ev in traj.events] == \
-        [(ev.kind, ev.index, ev.tau - T, ev.state, ev.target) for ev in fwd.events]
-    assert traj.seed == (fwd.X[-1], fwd.Y[-1])
-    assert (fwd.arrived, traj.arrived, traj.escaped) == ("P2", "P0", False)
-    mid = fwd.tau[1:] - 0.5 * np.diff(fwd.tau)
-    for got, want in zip(traj.state_at(mid - T), fwd.state_at(mid)):
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
-
-
-def test_unsupported_seed_combinations():
-    s = build_system(CM221, 1.0)
-    for point, direction in ((Point.P0, Direction.BACKWARD), (Point.P1, Direction.FORWARD),
-                             (Point.P1, Direction.BACKWARD), (Point.P2, Direction.FORWARD)):
-        with pytest.raises(kw.SeedFailureError):
-            shoot_from(s, point, direction)
-
-
-def test_backward_from_rest_state_requires_a_connection():
-    # at c = 0 the forward orbit turns around on the X axis instead of
-    # reaching (1, 0), so there is nothing to run backwards
-    with pytest.raises(kw.InconclusiveError):
-        shoot_from(build_system(CM221, 0.0), Point.P2, Direction.BACKWARD)
 
 
 def test_seed_sensitivity_diagnostic():
@@ -396,7 +353,7 @@ def test_seed_sensitivity_diagnostic():
 
 def test_zero_speed_shot_follows_closed_form():
     s = build_system(CM221, 0.0)
-    traj = shoot_from(s, Point.P0, Direction.FORWARD)
+    traj = shoot(s)
     mask = traj.X > 1e-6
     defect = traj.Y[mask] ** 2 - zero_speed_curve(s, traj.X[mask])
     assert np.max(np.abs(defect)) < 1e-6
@@ -514,8 +471,7 @@ def test_profile_matches_closed_form_wave():
     # (Ablowitz & Zeppetella 1979)
     cm = CanonicalModel(m=1, p=2, q=1)
     s = build_system(cm, 5.0 / math.sqrt(6.0))
-    prof = reconstruct_profile(
-        shoot_from(s, Point.P2, Direction.BACKWARD, profile_of=cm), s, cm)
+    prof = reconstruct_profile(shoot(s, profile_of=cm))
     assert prof.classification is SpeedClass.MONOTONE
     with np.errstate(over="ignore"):
         exact = 1.0 - (1.0 + (math.sqrt(2.0) - 1.0) * np.exp(-prof.xi / math.sqrt(6.0))) ** -2
@@ -527,9 +483,8 @@ def test_case_i_profile_matches_tight_shot():
     # closed-form test; the reference is the same orbit shot at 1e-13
     for cm, c in ((CM221, 1.0), (CanonicalModel(m=3, p=2.5, q=1), 3.5198)):
         s = build_system(cm, c)
-        got, ref = (reconstruct_profile(
-            shoot_from(s, Point.P2, Direction.BACKWARD, profile_of=cm, **tol), s, cm)
-            for tol in ({}, {"rtol": 1e-13, "atol": 1e-13}))
+        got, ref = (reconstruct_profile(shoot(s, profile_of=cm, **tol))
+                    for tol in ({}, {"rtol": 1e-13, "atol": 1e-13}))
         front = ref.f > 1e-4
         assert np.max(np.abs(np.interp(ref.xi[front], got.xi, got.f) - ref.f[front])) < 1e-6
 
@@ -542,32 +497,55 @@ def test_non_finite_profile_is_inconclusive():
     s = build_system(cm, 0.05 * kw.critical_speed(cm))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = shoot_from(s, Point.P2, Direction.BACKWARD, profile_of=cm)
+        traj = shoot(s, profile_of=cm)
         with pytest.raises(kw.InconclusiveError, match="non-finite"):
-            reconstruct_profile(traj, s, cm)
+            reconstruct_profile(traj)
 
 
 def test_reconstruct_needs_a_shot_that_carries_xi():
     s = build_system(CM221, 1.0)
-    plain = shoot_from(s, Point.P2, Direction.BACKWARD)
+    plain = shoot(s)
     assert plain.xi is None
     # nor does it keep the dense output that would be evaluated
     with pytest.raises(kw.InvalidParameterError, match="profile_of"):
         plain.state_at(plain.tau[len(plain.tau) // 2])
-    # xi of another model has the wrong exponent: (m - 1)/gamma = 0, not 1
-    other = shoot_from(s, Point.P2, Direction.BACKWARD,
-                       profile_of=CanonicalModel(m=1, p=2, q=1))
-    for traj in (plain, other):
-        with pytest.raises(kw.InvalidParameterError, match="profile_of"):
-            reconstruct_profile(traj, s, CM221)
+    with pytest.raises(kw.InvalidParameterError, match="profile_of"):
+        reconstruct_profile(plain)
+
+
+def test_reconstructed_profile_has_the_shot_speed():
+    # the profile takes its system and model from the shot, so its speed is
+    # the one shot at: c in Case I, and c1 sqrt((m+q)/2) = c in Case II
+    prof = reconstruct_profile(shoot(build_system(CM221, 1.0), profile_of=CM221))
+    assert prof.c == -1.0
+    cm = CanonicalModel(m=1, p=1, q=0.5)
+    prof = reconstruct_profile(shoot(build_system(cm, 3.0), profile_of=cm))
+    assert prof.c == pytest.approx(-3.0, rel=1e-15)
+
+
+def test_classify_names_where_a_failed_orbit_went():
+    # just off (1,2,1) the orbit from P0 returns to the axis point instead of
+    # reaching P2; the error says so
+    with pytest.raises(kw.InconclusiveError, match=r"did not reach P2 \(arrived='P0'"):
+        classify_connection(CanonicalModel(m=1, p=2, q=1.001), -1.0)
 
 
 def test_reconstruct_rejects_non_connections():
-    # at c = 0 the orbit from P0 stops on the X axis and never reaches P2
-    s = build_system(CM221, 0.0)
-    traj = shoot_from(s, Point.P0, Direction.FORWARD, profile_of=CM221)
-    with pytest.raises(kw.NotAConnectionError):
-        reconstruct_profile(traj, s, CM221)
+    # just off (1,2,1) the orbit from P0 returns to the axis point
+    cm = CanonicalModel(m=1, p=2, q=1.001)
+    traj = shoot(build_system(cm, 1.0), profile_of=cm)
+    assert traj.arrived == "P0"
+    with pytest.raises(kw.NotAConnectionError, match="arrived at 'P0', not P2"):
+        reconstruct_profile(traj)
+
+
+def test_backward_from_rest_state_requires_a_connection():
+    # at c = 0 the orbit from P0 turns around on the X axis instead of
+    # reaching the rest state (1, 0), so there is no wave to trace back from it
+    traj = shoot(build_system(CM221, 0.0), profile_of=CM221)
+    assert traj.arrived is None
+    with pytest.raises(kw.NotAConnectionError, match="not P2"):
+        reconstruct_profile(traj)
 
 
 # --- finite propagation ---------------------------------------------------------------
