@@ -172,7 +172,6 @@ def cmd_shoot(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 ppath = _profile_path(out, c)
                 write_profile_csv(ppath, prof.xi, prof.f)
                 row["profile_file"] = ppath.name
-                row["profile_classification"] = prof.classification.value
                 row["overshoot_extrema"] = [[a, b] for a, b in prof.overshoot_extrema]
         except KppWavesError as e:
             row["error"] = str(e)

@@ -14,10 +14,12 @@ step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.  scipy's
 ``LSODA`` only sets a shot up (tolerances, work arrays); each step is one
 direct call of scipy's ODEPACK wrapper in one-step mode, with the arguments
 ``scipy.integrate._ode.lsoda.run`` passes, and the counters are ODEPACK's own.
-All event functions are evaluated together as one scalar function of (X, Y)
-per step, with the sign-change rule and root solve of ``solve_ivp``
-reproduced exactly, so samples, events and roots equal what
-``solve_ivp(..., events=..., dense_output=True)`` returns.
+The events (fixed-point arrival, escape, Y = 0 crossing) are evaluated
+together as one function of (X, Y) per step, with the sign-change rule and
+root solve of ``solve_ivp`` reproduced exactly.  P0's arrival event starts
+inside its ball whatever the seed, so for a seed inside that ball samples,
+events and roots equal what ``solve_ivp(..., events=..., dense_output=True)``
+returns.
 
 A shot that is to become a profile carries the wave coordinate xi as a third
 state, dxi/dtau = pref * X^expo, which the solver integrates but leaves out of
@@ -95,8 +97,6 @@ FINITE_EDGE_RATIO = 0.9     # gap contraction that signals a finite support edge
 
 class EventKind(str, Enum):
     X_AXIS_CROSS = "XAxisCross"
-    Y_AXIS_CROSS = "YAxisCross"
-    UNIT_X_CROSS = "UnitXCross"
     ESCAPE = "Escape"
     FIXED_POINT_ARRIVAL = "FixedPointArrival"
 
@@ -208,7 +208,8 @@ class ConnectionResult:
     non-degenerate stable focus, whose local form forces crossings below the
     truncation scale), or "sign" (non-negative speed, no wave exists).
     ``solver_steps``, ``nfev`` and ``njev`` are the shot's integrator counts
-    and ``event_counts`` its events per kind (all zero without a shot).
+    and ``event_counts`` its events per kind, an arrival attached at the
+    orbit's end included (all zero without a shot); the seed is no event.
     """
 
     c: float
@@ -301,14 +302,12 @@ def _crossed(g, h) -> bool:
     """Whether any event value moved from g to h across zero in its direction.
 
     solve_ivp's find_active_events unrolled over the event layout of
-    ``_integrate``: two or three arrivals (-1), then escape (+1), the X axis
-    (0), X = 1 (0) and the Y axis (-1).  With two arrivals g[-5] is g[1].
+    ``_integrate``: two or three arrivals (-1), then escape (+1) and the X
+    axis (0).  With two arrivals g[-3] is g[1].
     """
-    return (g[0] >= 0.0 >= h[0] or g[1] >= 0.0 >= h[1] or g[-5] >= 0.0 >= h[-5]
-            or g[-4] <= 0.0 <= h[-4]
-            or g[-3] <= 0.0 <= h[-3] or g[-3] >= 0.0 >= h[-3]
-            or g[-2] <= 0.0 <= h[-2] or g[-2] >= 0.0 >= h[-2]
-            or g[-1] >= 0.0 >= h[-1])
+    return (g[0] >= 0.0 >= h[0] or g[1] >= 0.0 >= h[1] or g[-3] >= 0.0 >= h[-3]
+            or g[-2] <= 0.0 <= h[-2]
+            or g[-1] <= 0.0 <= h[-1] or g[-1] >= 0.0 >= h[-1])
 
 
 def _xi_rate(sys: PhaseSystem, cm: CanonicalModel):
@@ -348,14 +347,11 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         atol = [atol, atol, XI_ATOL]
 
     # one row per event function, in the order solve_ivp would be given them:
-    # (kind, target, direction, terminal).  Arrivals fire only on entry, so a
-    # seed inside its own ball never triggers one on exit
+    # (kind, target, direction, terminal).  Arrivals fire only on entry
     fps = fixed_point_locations(sys)
     table = [(EventKind.FIXED_POINT_ARRIVAL, name, -1, True) for name in fps]
     table += [(EventKind.ESCAPE, None, 1, True),
-              (EventKind.X_AXIS_CROSS, None, 0, terminal_x_axis),
-              (EventKind.UNIT_X_CROSS, None, 0, False),
-              (EventKind.Y_AXIS_CROSS, None, -1, False)]
+              (EventKind.X_AXIS_CROSS, None, 0, terminal_x_axis)]
     directions = [d for _, _, d, _ in table]
     hypot, rad, e = math.hypot, arrival_radius, ESCAPE_BOUND
     (ax, ay), (bx, by), *third = fps.values()
@@ -365,11 +361,11 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
 
         def event_values(X, Y):
             return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
-                    hypot(X - cx, Y - cy) - rad, max(X - e, abs(Y) - e), Y, X - 1.0, X)
+                    hypot(X - cx, Y - cy) - rad, max(X - e, abs(Y) - e), Y)
     else:
         def event_values(X, Y):
             return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
-                    max(X - e, abs(Y) - e), Y, X - 1.0, X)
+                    max(X - e, abs(Y) - e), Y)
 
     # LSODA validates the tolerances and allocates the work arrays; each step
     # is then one itask-5 call of ODEPACK, with scipy.integrate._ode.lsoda.run's
@@ -386,8 +382,10 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     ts, flat = [0.0], list(state)
     records: list = []
     hits: list[list] = [[] for _ in table]
-    # the events see X and Y only, never a carried xi
-    g = event_values(state[0], state[1])
+    # the events see X and Y only, never a carried xi.  The P0 row (fps lists
+    # P0 first) starts inside its ball, as at P0 itself: the steps that leave
+    # the seed then fire no arrival there, whatever eps and the radius are
+    g = (-rad, *event_values(state[0], state[1])[1:])
     while t < TAU_SPAN:
         t_old = t
         y, t, istate = run(fun, y, t, TAU_SPAN, rtol, atol, 5, istate, rwork, iwork,
@@ -452,9 +450,13 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
           profile_of: CanonicalModel | None = None) -> Trajectory:
     """Integrate the connecting orbit forward from its P0 seed, tau = 0 there.
 
-    Events record X-axis / X = 1 / Y-axis crossings, escape beyond
+    Events record the X-axis (Y = 0) crossings, escape beyond
     ``ESCAPE_BOUND`` and arrival within ``arrival_radius`` of a fixed point;
     arrival and escape stop the integration, and ``TAU_SPAN`` bounds it.
+    Arrivals fire on entry into a ball and the seed counts as inside P0's,
+    so leaving it records none.  An orbit that ends in a ball it never
+    entered on a step (still in P0's at ``TAU_SPAN``) gets the arrival
+    attached at its last sample.
 
     ``profile_of`` names the model ``sys`` was built from when the orbit is
     to become a profile: the shot then carries xi (see reconstruct_profile)
@@ -489,18 +491,10 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
         elif ev.kind is EventKind.ESCAPE:
             escaped = True
 
-    # mark asymptotic attachment at both ends where the event functions never
-    # fire (the seed starts inside its own arrival ball).  The seed is placed
-    # ~eps from P0 on purpose, so attach it even when the caller asked for an
-    # arrival ball tighter than eps
-    fps = fixed_point_locations(sys)
-    x0, y0 = fps["P0"]
-    if math.hypot(X[0] - x0, Y[0] - y0) <= max(arrival_radius, 2.0 * eps):
-        events.append(TrajectoryEvent(
-            kind=EventKind.FIXED_POINT_ARRIVAL, tau=float(tau[0]),
-            state=(float(X[0]), float(Y[0])), target="P0"))
+    # an orbit can end inside a ball without entering it on a step (it never
+    # left P0's): attach the arrival at the last sample
     if arrived is None:
-        for name, (x0, y0) in fps.items():
+        for name, (x0, y0) in fixed_point_locations(sys).items():
             if math.hypot(X[-1] - x0, Y[-1] - y0) <= arrival_radius:
                 events.append(TrajectoryEvent(
                     kind=EventKind.FIXED_POINT_ARRIVAL, tau=float(tau[-1]),
@@ -571,15 +565,29 @@ def x0_seed_sensitivity(sys: PhaseSystem, eps: float = DEFAULT_EPS, **shoot_kw) 
     return abs(a - b)
 
 
-def _qualifying_extrema(traj: Trajectory) -> list[tuple[float, float]]:
-    # Y = 0 crossings are exactly the X extrema (X' = gamma X Y); an extremum
-    # counts as an oscillation only if |X - 1| clears the grazing guard
-    out = []
-    for ev in traj.events:
-        if ev.kind is EventKind.X_AXIS_CROSS and ev.state[0] > 1e-8:
-            if abs(ev.state[0] - 1.0) > GRAZE_TOL:
-                out.append((ev.tau, float(ev.state[0])))
-    return out
+def _wave_class(traj: Trajectory) -> tuple[SpeedClass, str, list[tuple[float, float]]]:
+    """(class, evidence, (tau, X) extrema) of a shot that arrived at P2.
+
+    Y = 0 crossings are exactly the X extrema (X' = gamma X Y); an extremum
+    counts as an oscillation only if |X - 1| clears the grazing guard.
+    """
+    extrema = [(ev.tau, float(ev.state[0])) for ev in traj.events
+               if ev.kind is EventKind.X_AXIS_CROSS and ev.state[0] > 1e-8
+               and abs(ev.state[0] - 1.0) > GRAZE_TOL]
+    if extrema:
+        return SpeedClass.OSCILLATORY, "extrema", extrema
+    p2 = next(fp for fp in fixed_points(traj.sys) if fp.name == "P2")
+    if p2.kind is FixedPointKind.STABLE_FOCUS and not p2.degenerate:
+        # the orbit hit the arrival ball before its first X = 1 crossing;
+        # inside the ball the hyperbolic focus forces the crossings the
+        # truncation hid, so the wave still oscillates
+        return SpeedClass.OSCILLATORY, "focus", extrema
+    x_max = float(np.max(traj.X))
+    if x_max <= 1.0 + GRAZE_TOL:
+        return SpeedClass.MONOTONE, "range", extrema
+    raise InconclusiveError(
+        f"X exceeds 1 (max {x_max}) without a recorded extremum; "
+        "no classifiable pattern")
 
 
 def classify_connection(cm: CanonicalModel, c_original: float,
@@ -588,9 +596,11 @@ def classify_connection(cm: CanonicalModel, c_original: float,
 
     c_original >= 0 carries no wave.  For c_original < 0 the mirrored system
     at c = |c_original| is shot from P0 (see shoot), and the orbit must
-    arrive at P2.  It is Monotone when X never leaves [0, 1] and crosses
-    neither axis line, Oscillatory when it has Y = 0 crossings (the X
-    extrema) with |X - 1| above ``GRAZE_TOL``.  ``shoot_kw`` go to shoot;
+    arrive at P2.  It is Oscillatory when it has Y = 0 crossings (the X
+    extrema) with |X - 1| above ``GRAZE_TOL`` or, failing those, when P2 is
+    a non-degenerate stable focus; otherwise Monotone when X never exceeds
+    1 + ``GRAZE_TOL``.  reconstruct_profile classifies its profile by the
+    same rule.  ``shoot_kw`` go to shoot;
     ``profile_of=cm`` makes the trajectory one that reconstruct_profile
     accepts.
     """
@@ -602,30 +612,13 @@ def classify_connection(cm: CanonicalModel, c_original: float,
             trajectory=None, x0=None, evidence="sign")
 
     c = abs(float(c_original))
-    sys = build_system(cm, c)
-    traj = shoot(sys, eps, **shoot_kw)
+    traj = shoot(build_system(cm, c), eps, **shoot_kw)
     if traj.arrived != "P2":
         raise InconclusiveError(
             f"trajectory for c = {c_original} did not reach P2 "
             f"(arrived={traj.arrived!r}, escaped={traj.escaped})")
 
-    extrema = _qualifying_extrema(traj)
-    x_max = float(np.max(traj.X))
-    if extrema:
-        observed, evidence = SpeedClass.OSCILLATORY, "extrema"
-    else:
-        p2 = next(fp for fp in fixed_points(sys) if fp.name == "P2")
-        if p2.kind is FixedPointKind.STABLE_FOCUS and not p2.degenerate:
-            # the orbit hit the arrival ball before its first X = 1 crossing;
-            # inside the ball the hyperbolic focus forces the crossings the
-            # truncation hid, so the wave still oscillates
-            observed, evidence = SpeedClass.OSCILLATORY, "focus"
-        elif x_max <= 1.0 + GRAZE_TOL:
-            observed, evidence = SpeedClass.MONOTONE, "range"
-        else:
-            raise InconclusiveError(
-                f"X exceeds 1 (max {x_max}) without a recorded extremum; "
-                "no classifiable pattern")
+    observed, evidence, extrema = _wave_class(traj)
     try:
         x0 = first_X_axis_intersection(traj)
     except NoIntersectionError:
@@ -670,6 +663,7 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
         raise InvalidParameterError(
             "trajectory carries no xi: shoot it with profile_of=<the model> "
             "to reconstruct a profile")
+    observed, _, extrema = _wave_class(traj)
     speed = sys.form[0]
     c_wave = -speed if isinstance(sys, PhaseSystemI) else -speed * math.sqrt(cm.mq / 2.0)
     pref, expo, fe = _profile_exponents(sys, cm)
@@ -720,15 +714,10 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     f = f_fwd[::-1].copy()
     f[0] = min(f[0], 1.0) if abs(f[0] - 1.0) < 1e-3 else f[0]
 
-    extrema = []
-    for (tau_e, x_e) in _qualifying_extrema(traj):
-        xi_e = -(float(traj._dense_at(tau_e)[2]) - xi_half)
-        extrema.append((xi_e, x_e ** fe))
-    extrema.sort(key=lambda p: p[0])
-
-    observed = SpeedClass.OSCILLATORY if extrema else SpeedClass.MONOTONE
+    overshoots = sorted(((-(float(traj._dense_at(tau_e)[2]) - xi_half), x_e ** fe)
+                         for tau_e, x_e in extrema), key=lambda p: p[0])
     return WaveProfile(xi=xi, f=f, c=c_wave, classification=observed,
-                       overshoot_extrema=tuple(extrema))
+                       overshoot_extrema=tuple(overshoots))
 
 
 # --- finite propagation --------------------------------------------------------

@@ -429,7 +429,8 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
 
     The domain defaults to the profile's span padded for the motion c T plus
     a safety margin; pass ``domain`` to override (a front straying within 10
-    cells of a boundary raises DomainTooSmall with a widened suggestion).
+    cells of a boundary raises DomainTooSmall with a widened suggestion).  A
+    profile with a non-finite xi or f is refused before the run is built.
 
     The plateau behind the front sits at an unstable state of the reaction,
     so any shortfall 1 - f at the profile's left end grows like
@@ -441,6 +442,11 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
         raise InvalidParameterError("T must be non-negative")
     xi = np.asarray(profile.xi, dtype=float)
     f = np.asarray(profile.f, dtype=float)
+    for name, values in (("xi", xi), ("f", f)):
+        if not np.all(np.isfinite(values)):
+            raise InvalidParameterError(
+                f"profile {name} has non-finite values; only a finite profile "
+                "can be advected")
     c = float(profile.c)
     f_left, f_right = float(f[0]), float(f[-1])
     if profile.classification is SpeedClass.NO_WAVE:

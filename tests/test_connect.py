@@ -81,15 +81,6 @@ def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, terminal_x_axis
     x_axis.terminal = terminal_x_axis
     evts.append(x_axis)
 
-    def unit_x(_t, s):
-        return s[0] - 1.0
-    evts.append(unit_x)
-
-    def y_axis(_t, s):
-        return s[0]
-    y_axis.direction = -1
-    evts.append(y_axis)
-
     sol = solve_ivp(fun, (0.0, connect.TAU_SPAN), s0, method="LSODA",
                     rtol=rtol, atol=atol, dense_output=True, events=evts)
     assert sol.status != -1, sol.message
@@ -103,12 +94,8 @@ def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, terminal_x_axis
                 raw_events.append((EventKind.FIXED_POINT_ARRIVAL, t_e, state, names[i]))
             elif i == n_fp:
                 raw_events.append((EventKind.ESCAPE, t_e, state, None))
-            elif i == n_fp + 1:
-                raw_events.append((EventKind.X_AXIS_CROSS, t_e, state, None))
-            elif i == n_fp + 2:
-                raw_events.append((EventKind.UNIT_X_CROSS, t_e, state, None))
             else:
-                raw_events.append((EventKind.Y_AXIS_CROSS, t_e, state, None))
+                raw_events.append((EventKind.X_AXIS_CROSS, t_e, state, None))
 
     return {"tau": sol.t, "X": sol.y[0], "Y": sol.y[1],
             "xi": sol.y[2] if xi_rate is not None else None, "raw_events": raw_events,
@@ -241,9 +228,9 @@ def test_pin_shots_cover_the_event_paths(monkeypatch):
 @pytest.mark.parametrize("n_arrivals", [2, 3])
 def test_crossing_test_matches_find_active_events(n_arrivals):
     # _crossed unrolls solve_ivp's find_active_events over the event layout:
-    # arrivals (-1), escape (+1), X axis (0), X = 1 (0), Y axis (-1).  Each
-    # event alone, over every pair of signed values and nan, must agree
-    directions = [-1] * n_arrivals + [1, 0, 0, -1]
+    # arrivals (-1), escape (+1), X axis (0).  Each event alone, over every
+    # pair of signed values and nan, must agree
+    directions = [-1] * n_arrivals + [1, 0]
     values = [-1.0, -0.0, 0.0, 1.0, math.nan]
     for i, d in enumerate(directions):
         for a in values:
@@ -280,20 +267,39 @@ def test_nordsieck_capture_matches_lsoda_dense_output(monkeypatch):
     assert rescaled > 0
 
 
-def test_seed_inside_its_arrival_ball_is_attached_not_fired():
-    # the P0 seed sits eps = 1e-6 inside P0's 1e-5 ball; arrivals fire only on
-    # entry and g starts from the seed's values, so leaving the ball fires
-    # nothing and shoot attaches the seed end itself
-    sys, s0, kwargs = _shot_args(CM221, 1.0)
-    assert math.hypot(s0[0], s0[1]) < kwargs["arrival_radius"]
-    res, _ = connect._integrate(sys, s0, **kwargs)
-    arrivals = [(tau, target) for kind, tau, _, target in res["raw_events"]
-                if kind is EventKind.FIXED_POINT_ARRIVAL]
-    assert arrivals == [(res["tau"][-1], "P2")]
-    traj = shoot(sys)
-    at_seed = [ev for ev in traj.events
-               if ev.kind is EventKind.FIXED_POINT_ARRIVAL and ev.tau == 0.0]
-    assert [ev.target for ev in at_seed] == ["P0"]
+@pytest.mark.parametrize("eps", [1e-6, 1e-5, 2e-5])
+def test_no_arrival_fires_at_the_seed(eps):
+    # the seed counts as inside P0's ball whether it lies inside (1e-6), on
+    # (1e-5) or outside (2e-5) the default radius: the orbit leaving it
+    # records no event, and the one arrival is P2's at the end
+    sys, _, kwargs = _shot_args(CM221, 1.0)
+    res, _ = connect._integrate(sys, connect._seed_state(sys, eps), **kwargs)
+    traj = shoot(sys, eps)
+    for arrivals in ([(tau, target) for kind, tau, _, target in res["raw_events"]
+                      if kind is EventKind.FIXED_POINT_ARRIVAL],
+                     [(ev.tau, ev.target) for ev in traj.events
+                      if ev.kind is EventKind.FIXED_POINT_ARRIVAL]):
+        assert arrivals == [(traj.tau[-1], "P2")]
+    assert traj.arrived == "P2" and traj.tau[-1] > 0.0
+
+
+def test_any_seed_offset_gives_a_result_or_a_typed_error():
+    # the classification of every pinned model and speed over seed offsets
+    # across (0, 1e-2], including offsets on and just past the arrival radius
+    # and a radius equal to the offset, is a result or a KppWavesError
+    pins = sorted({(cm, c) for cm, c, _ in PIN_SHOTS.values() if c > 0.0}, key=str)
+    grid = [*np.geomspace(1e-9, 1e-2, 8), 1e-5, 1.37e-5, 2e-5]
+    for cm, c in pins:
+        for kwargs in [{"eps": e} for e in grid] + [{"eps": 1e-6, "arrival_radius": 1e-6}]:
+            try:
+                r = classify_connection(cm, -c, **kwargs)
+            except kw.KppWavesError:
+                continue
+            assert r.observed is r.predicted, (cm, c, kwargs)
+    # the seed on the radius and the radius shrunk to the seed offset used
+    # to end in a raw ValueError and in an arrival back at P0
+    for kwargs in ({"eps": 1e-5}, {"eps": 1e-6, "arrival_radius": 1e-6}):
+        assert classify_connection(CM221, -1.0, **kwargs).evidence == "extrema"
 
 
 def test_shot_diagnostics_are_deterministic_counts():
@@ -406,6 +412,17 @@ def test_classify_oscillatory_near_threshold_uses_focus_evidence():
     assert r.observed is SpeedClass.OSCILLATORY
     assert r.evidence == "focus"
     assert r.n_oscillations == 0
+
+
+@pytest.mark.parametrize("c", [-1.90, -1.93, -1.96])
+def test_profile_class_is_the_shot_class(c):
+    # the profile of a shot classified on focus evidence has no overshoot
+    # either; the same rule classifies it, so it is oscillatory too
+    r = classify_connection(CM221, c, profile_of=CM221)
+    assert (r.observed, r.evidence) == (SpeedClass.OSCILLATORY, "focus")
+    prof = reconstruct_profile(r.trajectory)
+    assert prof.classification is r.observed
+    assert prof.overshoot_extrema == ()
 
 
 def test_classify_threshold_speed_is_monotone_low_confidence():
@@ -524,14 +541,16 @@ def test_reconstructed_profile_has_the_shot_speed():
 
 
 def test_classify_names_where_a_failed_orbit_went():
-    # just off (1,2,1) the orbit from P0 returns to the axis point instead of
-    # reaching P2; the error says so
+    # just off (1,2,1) gamma = 1e-3, and the orbit from P0 never leaves P0's
+    # ball within TAU_SPAN: the arrival attached at its end names P0, and
+    # the error says so
     with pytest.raises(kw.InconclusiveError, match=r"did not reach P2 \(arrived='P0'"):
         classify_connection(CanonicalModel(m=1, p=2, q=1.001), -1.0)
 
 
 def test_reconstruct_rejects_non_connections():
-    # just off (1,2,1) the orbit from P0 returns to the axis point
+    # just off (1,2,1) the orbit from P0 never leaves P0's ball within
+    # TAU_SPAN, and the arrival attached at its end names P0
     cm = CanonicalModel(m=1, p=2, q=1.001)
     traj = shoot(build_system(cm, 1.0), profile_of=cm)
     assert traj.arrived == "P0"

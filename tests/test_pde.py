@@ -1,5 +1,6 @@
 """Explicit scheme: steady states, conservation, fronts, profile advection."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,22 @@ def test_advect_rejects_negative_horizon(monotone_profile_121):
     prof, cm = monotone_profile_121
     with pytest.raises(kw.InvalidParameterError):
         advect_profile_test(prof, cm, -1.0)
+
+
+@pytest.mark.parametrize("name, xi, f", [
+    ("f", [-1.0, 0.0, 1.0], [1.0, math.inf, 0.0]),
+    ("f", [-1.0, 0.0, 1.0], [1.0, math.nan, 0.0]),
+    ("xi", [-1.0, math.nan, 1.0], [1.0, 0.5, 0.0]),
+    ("xi", [-math.inf, 0.0, 1.0], [1.0, 0.5, 0.0]),
+], ids=["f-inf", "f-nan", "xi-nan", "xi-inf"])
+def test_advect_refuses_non_finite_profile(name, xi, f):
+    # refused before the run is built, with no numpy warning on the way
+    prof = kw.WaveProfile(xi=np.array(xi), f=np.array(f), c=-3.0,
+                          classification=kw.SpeedClass.MONOTONE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(kw.InvalidParameterError, match=rf"profile {name} "):
+            advect_profile_test(prof, CM221, 1.0, n_cells=200)
 
 
 # --- discrete scaling equivariance ----------------------------------------------------
