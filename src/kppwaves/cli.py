@@ -254,6 +254,7 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 "dt_min": res.dt_min,
                 "dt_max": res.dt_max,
                 "min_before_clamp": res.min_before_clamp,
+                "limiter_clips": res.limiter_clips,
             })
         except KppWavesError as e:
             row["error"] = str(e)

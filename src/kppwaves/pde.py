@@ -1,25 +1,30 @@
 """Direct solution of u_t = (u^{m-1} u_x)_x + u^p - u^q on an interval.
 
-The scheme is explicit and conservative: diffusion as flux differences with
-the interface diffusivity taken as the arithmetic mean of u^{m-1} at the
-neighbors (its limit at u = 0 switches the flux off, which is the degenerate
-behavior; a harmonic mean would stall fronts artificially), reaction evaluated
-pointwise with u below ``U_FLOOR`` contributing nothing.  The time step is
-re-evaluated every step from the diffusion constraint cfl dx^2 / (2 max D)
-and the reaction-slope constraint dt |p u^{p-1} - q u^{q-1}| <= 1/2 at the
-current maximum.  Sinks are limited per node so they cannot overdraw the
-value left after diffusion; u stays non-negative up to roundoff, and anything
-below -1e-12 before the clamp is treated as a scheme failure, not smoothed
-over.
+Each step is linearly implicit and conservative.  Diffusion is backward
+Euler with the interface diffusivity lagged one step: the arithmetic mean of
+u^{m-1} at the neighbors of the current state (its limit at u = 0 switches
+the flux off, which is the degenerate behavior; a harmonic mean would stall
+fronts artificially).  In increment form, (I - dt L) delta = dt L u with L
+the flux-difference operator of those coefficients, the symmetric
+tridiagonal matrix is an M-matrix, so the diffused state u* = u + delta is
+non-negative, and a constant state gives delta = 0 exactly.  One LAPACK
+``ptsv`` call solves it; ``zero_flux`` runs solve all n + 1 nodes with
+no-flux end rows, Dirichlet runs the interior nodes.  The reaction stays
+explicit, evaluated pointwise on the old state with u below ``U_FLOOR``
+contributing nothing, and sinks are limited per node so they cannot
+overdraw u*.  The scheme is first order in time.
 
-Each step runs on a workspace kept on the run: the model's coefficients,
-checked once, and scratch buffers allocated once per (run, model).  The
-arithmetic is the original formulation's, operation for operation (unit
-coefficients and m = 1's constant diffusivity only skip exact no-ops), so
-states, time steps and times are unchanged to the bit.  The run counts its
-steps, the range of dt and the lowest value seen before the clamp; the
-``pde`` command writes these into ``pde_summary.json`` as ``steps``,
-``dt_min``, ``dt_max`` and ``min_before_clamp``.
+The time step is dt = cfl H dx (b / a) with (a, b) the space and time
+scales of `nondimensionalize` (both 1 for a canonical model), so a general
+model and its canonical form take the same steps; it is capped by the
+reaction-slope constraint dt |p u^{p-1} - q u^{q-1}| <= 1/2 at the current
+maximum.  u stays non-negative up to roundoff, and anything below -1e-12
+before the clamp is treated as a scheme failure, not smoothed over.
+
+The run counts its steps, the range of dt, the lowest value seen before the
+clamp and the node updates whose sink the limiter cut back; the ``pde``
+command writes these into ``pde_summary.json`` as ``steps``, ``dt_min``,
+``dt_max``, ``min_before_clamp`` and ``limiter_clips``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     DomainTooSmallError,
@@ -38,7 +44,7 @@ from .errors import (
     StabilityViolationError,
     UnsupportedModelError,
 )
-from .model import CanonicalModel, GeneralModel, SpeedClass
+from .model import CanonicalModel, GeneralModel, SpeedClass, nondimensionalize
 from .connect import WaveProfile
 
 log = logging.getLogger(__name__)
@@ -60,11 +66,14 @@ __all__ = [
 
 U_FLOOR = 1e-12
 U_MAX = 10.0
+H = 1.0 / 18.0          # dt = cfl H dx in canonical units: 0.05 dx at cfl 0.9
 BOUNDARY_GUARD_CELLS = 10
 FRONT_LEVEL = 0.5       # the level set tracked as the front
 N_CHECKPOINTS = 5       # shape-error checkpoints of an advection test
 RESIDUAL_WINDOWS = 8    # windows of the weak-form residual
 RESIDUAL_MARGIN = 0.05  # share of the span the residual trims at each end
+
+_PTSV, = get_lapack_funcs(("ptsv",))
 
 
 @dataclass
@@ -72,13 +81,15 @@ class PdeRun:
     """Mutable state of one finite-interval run.
 
     ``state`` holds node values on the uniform grid of ``n_cells`` cells
-    (n_cells + 1 nodes).  ``bc`` pins the end values (Dirichlet); the
+    (n_cells + 1 nodes).  ``cfl`` scales the time step dt = cfl H dx (b / a)
+    (see the module docstring).  ``bc`` pins the end values (Dirichlet); the
     ``zero_flux`` and ``reaction_on`` switches are test hooks for the
     conservation checks and leave the production path untouched.
 
     ``step`` keeps count: ``steps`` taken, the smallest and largest ``dt``
-    (``dt_min``, ``dt_max``) and ``min_before_clamp``, the lowest state value
-    any step produced before negatives of roundoff size were clamped to 0.
+    (``dt_min``, ``dt_max``), ``min_before_clamp``, the lowest state value
+    any step produced before negatives of roundoff size were clamped to 0,
+    and ``limiter_clips``, the node updates whose sink the limiter cut back.
     Before the first step the extremes are the empty-set values +-inf.
     """
 
@@ -97,8 +108,7 @@ class PdeRun:
     dt_min: float = math.inf
     dt_max: float = -math.inf
     min_before_clamp: float = math.inf
-    _work: "_Workspace | None" = field(default=None, init=False, repr=False,
-                                       compare=False)
+    limiter_clips: int = 0
 
     @property
     def dx(self) -> float:
@@ -134,142 +144,106 @@ def make_run(x_min: float, x_max: float, n_cells: int, u0, *,
     return run
 
 
-class _Workspace:
-    """Validated coefficients and scratch buffers of `step`.
-
-    Built on a run's first step and rebuilt whenever a different model object
-    (or a state of another size) is passed, so the checks on the model run
-    once per (run, model) and the step itself allocates only the new state.
-    """
-
-    def __init__(self, model, size: int):
-        if isinstance(model, GeneralModel):
-            coeffs = (model.kappa, model.alpha, model.beta, model.m, model.p, model.q)
-        elif isinstance(model, CanonicalModel):
-            coeffs = (1.0, 1.0, 1.0, model.m, model.p, model.q)
-        else:
-            raise InvalidParameterError(
-                f"unsupported model object {type(model).__name__}")
-        self.kappa, self.alpha, self.beta, self.m, self.p, self.q = coeffs
-        if not self.p > self.q:
-            # a canonical model cannot get here; a general one is refused as
-            # nondimensionalize refuses it
-            raise UnsupportedModelError("p > q")
-        if self.m < 1.0:
-            raise InvalidParameterError(
-                "the explicit scheme needs bounded diffusivity; m >= 1 required "
-                f"(got m = {self.m!r})")
-        if self.q < 0.0:
-            raise InvalidParameterError(
-                "reaction exponents below zero are outside the solver's remit "
-                f"(got q = {self.q!r})")
-        self.model = model
-        self.size = size
-        self.D, self.r, self.tmp = np.empty(size), np.empty(size), np.empty(size)
-        self.flux, self.du = np.empty(size - 1), np.empty(size - 1)
-        self.dead = np.empty(size, dtype=bool)
-
-
-def _power(u: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
-    """``u ** e`` written to ``out``, taking the shortcuts numpy's ``**``
-    takes for these exponents so the bits match; e = 1 returns ``u``."""
-    if e == 1.0:
-        return u
-    if e == 2.0:
-        return np.square(u, out=out)
-    if e == 0.5:
-        return np.sqrt(u, out=out)
-    if e == 0.0:
-        out.fill(1.0)
-        return out
-    return np.power(u, e, out=out)
+def _coefficients(model):
+    """(kappa, alpha, beta, m, p, q) of a model the step accepts, and the
+    ratio b / a of its time and space scales (1 for a canonical model)."""
+    if isinstance(model, GeneralModel):
+        coeffs = (model.kappa, model.alpha, model.beta, model.m, model.p, model.q)
+    elif isinstance(model, CanonicalModel):
+        coeffs = (1.0, 1.0, 1.0, model.m, model.p, model.q)
+    else:
+        raise InvalidParameterError(
+            f"unsupported model object {type(model).__name__}")
+    _, _, _, m, p, q = coeffs
+    if not p > q:
+        # a canonical model cannot get here; a general one is refused as
+        # nondimensionalize refuses it
+        raise UnsupportedModelError("p > q")
+    if m < 1.0:
+        raise InvalidParameterError(
+            "the lagged diffusivity must stay bounded; m >= 1 required "
+            f"(got m = {m!r})")
+    if q < 0.0:
+        raise InvalidParameterError(
+            "reaction exponents below zero are outside the solver's remit "
+            f"(got q = {q!r})")
+    if isinstance(model, CanonicalModel):
+        return coeffs, 1.0
+    _, s = nondimensionalize(model)
+    return coeffs, s.b / s.a
 
 
 def step(run: PdeRun, model, dt_limit: float | None = None) -> PdeRun:
-    """Advance one explicit step; mutates and returns ``run``.
+    """Advance one linearly implicit step; mutates and returns ``run``.
 
     ``dt_limit`` additionally caps the step (used to land exactly on
-    snapshot times); the stability constraints always apply.  The new state
+    snapshot times); the reaction-slope cap always applies.  The new state
     is a fresh array, so a caller holding the old ``run.state`` keeps it.
     """
+    (kappa, alpha, beta, m, p, q), time_per_space = _coefficients(model)
     u = run.state
-    ws = run._work
-    if ws is None or ws.model is not model or ws.size != u.size:
-        ws = run._work = _Workspace(model, u.size)
-    kappa, alpha, beta, m, p, q = ws.kappa, ws.alpha, ws.beta, ws.m, ws.p, ws.q
-
     dx = run.dx
+    dt = run.cfl * H * dx * time_per_space
     u_top = float(u.max())
-    if m == 1.0:
-        D = None          # kappa * u**0 is the constant kappa (0**0 = 1)
-        d_max = kappa
-    else:
-        D = _power(u, m - 1.0, ws.D)
-        if kappa != 1.0:
-            D = np.multiply(kappa, D, out=ws.D)
-        d_max = u_top if D is u else float(D.max())
-    dt = run.cfl * dx * dx / (2.0 * d_max) if d_max > 0.0 else math.inf
     if run.reaction_on and u_top >= U_FLOOR:
         slope = abs(alpha * p * u_top ** (p - 1.0) - beta * q * u_top ** (q - 1.0))
         if slope > 0.0:
             dt = min(dt, 0.5 / slope)
     if dt_limit is not None:
         dt = min(dt, dt_limit)
-    if math.isinf(dt):
-        dt = run.cfl * dx * dx / 2.0  # vacuum: no timescale in the state at all
     if not dt > 0.0:
         raise StabilityViolationError(f"no positive step available (dt = {dt!r})")
 
-    # flux = 0.5 (D_i + D_{i+1}) (u_{i+1} - u_i) / dx, rounded step by step
-    # in that order; with constant D the mean is D itself, exactly
-    flux = ws.flux
-    if D is None:
-        np.subtract(u[1:], u[:-1], out=flux)
-        if kappa != 1.0:
-            np.multiply(kappa, flux, out=flux)
-    else:
-        np.add(D[:-1], D[1:], out=flux)
-        np.multiply(0.5, flux, out=flux)
-        np.multiply(flux, np.subtract(u[1:], u[:-1], out=ws.du), out=flux)
-    np.divide(flux, dx, out=flux)
-
-    u_new = np.empty_like(u)   # holds the divergence, then u + dt div, then the result
-    if run.zero_flux:
-        u_new.fill(0.0)
-        np.divide(flux, dx, out=flux)
-        np.add(u_new[:-1], flux, out=u_new[:-1])
-        np.subtract(u_new[1:], flux, out=u_new[1:])
-    else:
-        np.subtract(flux[1:], flux[:-1], out=u_new[1:-1])
-        np.divide(u_new[1:-1], dx, out=u_new[1:-1])
-        u_new[0] = u_new[-1] = 0.0
-    np.multiply(u_new, dt, out=u_new)
-    np.add(u, u_new, out=u_new)   # diffusion alone keeps u >= 0 under the cfl bound
+    # (I - dt L_a) delta = dt L_a u, with the face coefficients
+    # a = kappa mean(u^(m-1)) of this state; w holds -dt a / dx^2 per face,
+    # the off-diagonal, padded with a face of weight 0 beyond each end
+    D = u ** (m - 1.0)
+    w = np.zeros(u.size + 1)
+    faces = w[1:-1]
+    np.add(D[:-1], D[1:], out=faces)
+    faces *= -0.5 * kappa * dt / (dx * dx)
+    flux = np.zeros_like(w)
+    np.subtract(u[1:], u[:-1], out=flux[1:-1])
+    flux *= w
+    rhs = flux[:-1] - flux[1:]
+    diag = 1.0 - w[1:]
+    diag -= w[:-1]
+    # no-flux runs solve every node (their end rows lack the outer face);
+    # Dirichlet ends keep delta = 0 and leave the interior system
+    rows = slice(None) if run.zero_flux else slice(1, -1)
+    *_, delta, info = _PTSV(diag[rows], faces[rows], rhs[rows], 1, 1, 1)
+    if info != 0:
+        raise StabilityViolationError(f"diffusion solve failed (LAPACK info = {info})")
+    u_star = u.copy()
+    u_star[rows] += delta   # u* = (I - dt L_a)^-1 u, non-negative (M-matrix)
 
     if run.reaction_on:
         # nodes below U_FLOOR contribute nothing (p > q >= 0 keeps u^p finite)
-        r = _power(u, p, ws.r)
-        if alpha != 1.0:
-            r = np.multiply(alpha, r, out=ws.r)
-        sink = _power(u, q, ws.tmp)
-        if beta != 1.0:
-            sink = np.multiply(beta, sink, out=ws.tmp)
-        r = np.subtract(r, sink, out=ws.r)
-        np.putmask(r, np.less(u, U_FLOOR, out=ws.dead), 0.0)
-        # a sink may not overdraw its node; the bound must reference the
-        # diffused value, or a retreating support edge dips negative when
-        # absorption empties a node whose stencil is simultaneously losing
-        # (the bound is -max(u*, 0) / dt; moving the sign onto dt is exact)
-        bound = np.maximum(u_new, 0.0, out=ws.tmp)
-        np.maximum(r, np.divide(bound, -dt, out=bound), out=r)
-        np.multiply(r, dt, out=r)
-        np.add(u_new, r, out=u_new)
+        r = (alpha * dt) * u ** p
+        r -= (beta * dt) * u ** q
+        r[u < U_FLOOR] = 0.0
+        u_new = u_star + r
+    else:
+        u_new = u_star
     if not run.zero_flux:
         u_new[0], u_new[-1] = run.bc
 
-    # NaN propagates through min and max, so these two reductions carry
-    # the finiteness, negativity and blow-up guards
-    low, high = float(u_new.min()), float(u_new.max())
+    # NaN propagates through min and max, so these reductions carry the
+    # finiteness, negativity and blow-up guards
+    low = float(u_new.min())
+    clips = 0
+    if run.reaction_on and low < 0.0:
+        # a sink may not overdraw its node: u* + dt r >= min(u*, 0), which
+        # can bind only where the update went negative.  The bound must
+        # reference the diffused value, or a retreating support edge dips
+        # negative when absorption empties a node whose stencil is
+        # simultaneously losing
+        floor = np.minimum(u_star, 0.0)
+        clipped = u_new < floor
+        clips = int(np.count_nonzero(clipped))
+        np.maximum(u_new, floor, out=u_new)
+        low = float(u_new.min())
+    high = float(u_new.max())
     if not (math.isfinite(low) and math.isfinite(high)):
         raise StabilityViolationError("non-finite values appeared in the state")
     if low < -1e-12:
@@ -286,28 +260,41 @@ def step(run: PdeRun, model, dt_limit: float | None = None) -> PdeRun:
     run.dt_min = min(run.dt_min, dt)
     run.dt_max = max(run.dt_max, dt)
     run.min_before_clamp = min(run.min_before_clamp, low)
+    run.limiter_clips += clips
     return run
 
 
-def front_position(x: np.ndarray, u: np.ndarray, level: float) -> float | None:
-    """x of the unique level crossing by linear interpolation.
+def front_position(x: np.ndarray, u: np.ndarray, level: float,
+                   work: np.ndarray | None = None) -> float | None:
+    """x of the unique level crossing of a finite u, by linear interpolation.
 
     Returns None when the level set is absent, nan when it is crossed more
-    than once (the front is then not monotone at this record).
+    than once (the front is then not monotone at this record).  A crossing
+    is a node where u equals the level or a cell whose ends lie strictly on
+    either side of it.  ``work``, a boolean array of shape (2, len(u)), is
+    scratch space that a caller tracking many records can reuse.
     """
-    d = u - level
-    s = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
-    exact = np.nonzero(d == 0.0)[0]
-    n_cross = len(s) + len(exact)
-    if n_cross == 0:
-        return None
-    if n_cross > 1:
+    if work is None:
+        work = np.empty((2, len(u)), dtype=bool)
+    above, flips = work[0], work[1, :-1]
+    np.greater(u, level, out=above)
+    np.not_equal(above[1:], above[:-1], out=flips)
+    n_flips = int(np.count_nonzero(flips))
+    hits = np.equal(u, level, out=above)
+    n_hits = int(np.count_nonzero(hits))
+    if n_hits == 0:
+        if n_flips != 1:
+            return None if n_flips == 0 else math.nan
+        i = int(np.argmax(flips))
+        d0, d1 = u[i] - level, u[i + 1] - level
+        w = d0 / (d0 - d1)
+        return float(x[i] + w * (x[i + 1] - x[i]))
+    if n_hits > 1:
         return math.nan
-    if len(exact) == 1:
-        return float(x[exact[0]])
-    i = s[0]
-    w = d[i] / (d[i] - d[i + 1])
-    return float(x[i] + w * (x[i + 1] - x[i]))
+    # a flip on either side of the hit node is that node's own crossing
+    j = int(np.argmax(hits))
+    n_flips -= int(j > 0 and flips[j - 1]) + int(j < len(flips) and flips[j])
+    return float(x[j]) if n_flips == 0 else math.nan
 
 
 def evolve(run: PdeRun, model, T: float, *, snapshot_times=(),
@@ -328,10 +315,11 @@ def evolve(run: PdeRun, model, T: float, *, snapshot_times=(),
     x = run.x
     dx = run.dx
     out: list[tuple[float, np.ndarray]] = []
+    work = np.empty((2, len(x)), dtype=bool)
 
     def record():
         if track_front:
-            pos = front_position(x, run.state, FRONT_LEVEL)
+            pos = front_position(x, run.state, FRONT_LEVEL, work)
             run.front_track.append((run.time, math.nan if pos is None else pos))
             if guard_cells is not None and pos is not None and math.isfinite(pos):
                 lo = run.x_min + guard_cells * dx
@@ -419,6 +407,10 @@ class AdvectResult:
     @property
     def min_before_clamp(self) -> float | None:
         return self.run.min_before_clamp if self.run.steps else None
+
+    @property
+    def limiter_clips(self) -> int | None:
+        return self.run.limiter_clips if self.run.steps else None
 
 
 def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,

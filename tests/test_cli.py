@@ -250,6 +250,22 @@ def test_pde_summary(workspace):
             assert row["steps"] == len(list(csv.reader(fh))) - 2
         assert 0.0 < row["dt_min"] <= row["dt_max"]
         assert -1e-12 <= row["min_before_clamp"] <= 1.0
+        assert isinstance(row["limiter_clips"], int) and row["limiter_clips"] >= 0
+
+
+def test_pde_summary_counts_limiter_clips_deterministically(tmp_path):
+    # the sub-linear sink of (1,1,0.5) meets the compactly supported tail;
+    # a second pde run over the same profile writes the same summary
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, model={"m": 1, "p": 1, "q": 0.5}, speeds=[-3],
+                    output_dir=str(out), pde={"n_cells": 400, "T": 0.5})
+    assert main(["shoot", "--config", str(cfg)]) == 0
+    summaries = []
+    for _ in range(2):
+        assert main(["pde", "--config", str(cfg)]) == 0
+        summaries.append((out / "pde_summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])[0]["limiter_clips"] > 0
 
 
 def test_pde_csv_text_matches_fmt(tmp_path, monkeypatch):
@@ -261,9 +277,9 @@ def test_pde_csv_text_matches_fmt(tmp_path, monkeypatch):
     assert main(["shoot", "--config", str(cfg)]) == 0
     real, calls = cli.pde.front_position, []
 
-    def front_lost_once(x, u, level):
+    def front_lost_once(x, u, level, *work):
         calls.append(level)
-        return None if len(calls) == 3 else real(x, u, level)
+        return None if len(calls) == 3 else real(x, u, level, *work)
 
     monkeypatch.setattr(cli.pde, "front_position", front_lost_once)
     assert main(["pde", "--config", str(cfg)]) == 0
@@ -326,7 +342,8 @@ def test_pde_zero_horizon(tmp_path):
     assert rows[0]["max_error"] == 0.0
     assert rows[0]["measured_speed"] is None
     assert rows[0]["steps"] == 0
-    assert rows[0]["dt_min"] is rows[0]["dt_max"] is rows[0]["min_before_clamp"] is None
+    assert (rows[0]["dt_min"] is rows[0]["dt_max"] is rows[0]["min_before_clamp"]
+            is rows[0]["limiter_clips"] is None)
 
 
 # --- sweep --------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Explicit scheme: steady states, conservation, fronts, profile advection."""
+"""Linearly implicit scheme: steady states, conservation, fronts, profile advection."""
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 import kppwaves as kw
-from kppwaves.pde import U_FLOOR, U_MAX
+from kppwaves.pde import H, U_FLOOR, U_MAX
 from kppwaves import (CanonicalModel, GeneralModel, advect_profile_test,
                       evolve, front_position, make_run, measure_front_speed,
                       step, support_edge, wave_ode_residual)
@@ -34,8 +35,7 @@ def test_rest_states_are_exact_equilibria(cm):
 
 
 def test_vacuum_state_steps_without_a_timescale():
-    # u = 0 gives no diffusive or reactive rate; the step falls back to the
-    # bare grid scale instead of dividing by zero
+    # u = 0 gives no diffusive or reactive rate; dt = cfl H dx needs neither
     run = make_run(0.0, 1.0, 10, lambda x: np.zeros_like(x), bc=(0.0, 0.0))
     step(run, CM121)
     assert run.dt > 0.0
@@ -64,21 +64,125 @@ def test_strong_sink_extinguishes_tiny_bump_cleanly():
     assert float(np.max(run.state)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_large_diffusion_number_keeps_state_non_negative(m, q):
+    # dt / dx^2 is far beyond the explicit bound of 1/2; the backward-Euler
+    # diffusion is an M-matrix solve and the sink limiter caps the reaction,
+    # so compactly supported data stays non-negative
+    run = make_run(-2.0, 2.0, 400, bump, bc=(0.0, 0.0))
+    cm = CanonicalModel(m=m, p=2, q=q)
+    for _ in range(200):
+        step(run, cm)
+        assert run.dt / run.dx ** 2 >= 4.0
+    assert run.min_before_clamp >= -1e-15
+    assert float(np.min(run.state)) >= 0.0
+
+
 def test_supercritical_state_trips_blowup_guard():
     run = make_run(-1.0, 1.0, 50, lambda x: np.full_like(x, 5.0), bc=(5.0, 5.0))
     with pytest.raises(kw.StabilityViolationError):
         evolve(run, CM121, 1.0)
 
 
+# --- the terms of the scheme ------------------------------------------------------
+
+def _dense_diffusion(u, a, dt, dx, zero_flux):
+    """u* solving (I - dt L_a) u* = u, L_a the flux differences of the face
+    coefficients a; Dirichlet ends hold their values."""
+    n = len(u)
+    L = np.zeros((n, n))
+    for i, ai in enumerate(a):
+        w = ai / dx ** 2
+        L[i, i] -= w
+        L[i, i + 1] += w
+        L[i + 1, i + 1] -= w
+        L[i + 1, i] += w
+    if not zero_flux:
+        L[0] = L[-1] = 0.0
+    return np.linalg.solve(np.eye(n) - dt * L, u)
+
+
+@pytest.mark.parametrize("zero_flux", [False, True], ids=["dirichlet", "zero-flux"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_diffusion_is_backward_euler_with_lagged_coefficients(m, zero_flux):
+    run = make_run(-8.0, 8.0, 160, _tailed_front, zero_flux=zero_flux,
+                   reaction_on=False)
+    u = run.state
+    a = 0.5 * (u[:-1] ** (m - 1) + u[1:] ** (m - 1))   # of the state before the step
+    step(run, CanonicalModel(m=m, p=2, q=1))
+    ref = _dense_diffusion(u, a, run.dt, run.dx, zero_flux)
+    assert float(np.max(np.abs(run.state - ref))) <= 1e-14
+    assert float(np.max(np.abs(run.state - u))) > 1e-3   # it did diffuse
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_constant_state_is_a_fixed_point_of_the_diffusion(m):
+    # in increment form L_a u vanishes exactly on a constant state, so the
+    # diffusion leaves it unchanged to the bit at any value
+    for zero_flux in (False, True):
+        run = make_run(-5.0, 5.0, 100, lambda x: np.full_like(x, 0.3),
+                       bc=(0.3, 0.3), zero_flux=zero_flux, reaction_on=False)
+        for _ in range(50):
+            step(run, CanonicalModel(m=m, p=2, q=1))
+        assert np.array_equal(run.state, np.full(101, 0.3))
+
+
+def test_time_step_is_linear_in_dx():
+    # dt = cfl H dx (b / a), with (a, b) the scales of nondimensionalize; the
+    # reaction-slope cap is off here
+    g = GeneralModel(kappa=4.0, alpha=1.0, beta=2.0, m=2, p=2, q=1)
+    _, s = kw.nondimensionalize(g)
+    for n_cells in (100, 200, 400):
+        for model, scale in ((CM221, 1.0), (g, s.b / s.a)):
+            run = make_run(-5.0, 5.0, n_cells, bump, bc=(0.0, 0.0), cfl=0.6,
+                           reaction_on=False)
+            step(run, model)
+            assert run.dt == pytest.approx(0.6 * H * run.dx * scale, rel=1e-15)
+    assert 0.9 * H == pytest.approx(0.05)
+
+
+def test_evolve_steps_grow_like_one_over_dx():
+    # (2,2,1) at 8000 cells: the step count to T is ceil(T / dt) plus the
+    # landing step, where dt ~ dx^2 would need about 10x as many
+    run = make_run(-40.0, 40.0, 8000, lambda x: 0.5 * (1.0 - np.tanh(x)))
+    T = 1.0
+    evolve(run, CM221, T)
+    assert run.time == pytest.approx(T, abs=1e-12)
+    assert run.steps <= math.ceil(T / (run.cfl * H * run.dx)) + 1
+
+
+def test_limiter_clips_are_counted_deterministically():
+    # the sub-linear sink of (1,1,0.5) overdraws the thin tail nodes, which the
+    # limiter cuts back; a rerun counts the same clips
+    counts = []
+    for _ in range(2):
+        run = make_run(-2.0, 2.0, 200, bump, bc=(0.0, 0.0))
+        assert run.limiter_clips == 0
+        for _ in range(50):
+            step(run, CanonicalModel(m=1, p=1, q=0.5))
+        counts.append(run.limiter_clips)
+    assert counts[0] > 0 and counts[0] == counts[1]
+    quiet = make_run(-5.0, 5.0, 100, lambda x: np.full_like(x, 1.0), bc=(1.0, 1.0))
+    step(quiet, CM121)
+    assert quiet.limiter_clips == 0
+
+
 # --- conservation ----------------------------------------------------------------
 
 def test_interior_mass_identity_without_reaction():
+    # backward-Euler diffusion reaches the Dirichlet walls in the first step,
+    # so mass leaves through them: each step changes it by exactly dt times
+    # the net boundary flux of the diffused state (m = 1, so a = 1)
     run = make_run(-3.0, 3.0, 300, bump, bc=(0.0, 0.0), reaction_on=False)
     dx = run.dx
-    m0 = float(np.sum(run.state)) * dx
     for _ in range(80):
+        m0 = float(np.sum(run.state)) * dx
         step(run, CM121)
-    assert abs(float(np.sum(run.state)) * dx - m0) <= 1e-12
+        u = run.state
+        net_flux = (u[-1] - u[-2]) / dx - (u[1] - u[0]) / dx
+        assert net_flux < 0.0
+        assert abs(float(np.sum(u)) * dx - m0 - run.dt * net_flux) <= 1e-12
 
 
 def test_zero_flux_walls_conserve_mass():
@@ -130,6 +234,21 @@ def test_front_position_cases():
     assert math.isnan(front_position(x, vee, 0.5))
     exact = np.linspace(1.0, 0.0, 11)
     assert front_position(x, exact, exact[3]) == pytest.approx(x[3])
+    # an exact hit is one crossing, also where u only touches the level
+    touch = np.array([1.0, 0.8, 0.5, 0.8, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    assert front_position(x, touch, 0.5) == x[2]
+    # a double crossing: two hits, or a hit and a strict crossing elsewhere
+    assert math.isnan(front_position(x, np.array(
+        [1.0, 0.5, 0.2, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), 0.5))
+    assert math.isnan(front_position(x, np.array(
+        [1.0, 0.5, 0.2, 0.7, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), 0.5))
+    assert math.isnan(front_position(x, np.array(
+        [0.2, 0.7, 0.9, 0.7, 0.2, 0.2, 0.2, 0.2, 0.5, 0.2, 0.2]), 0.5))
+    # a reused scratch buffer gives the same answers
+    work = np.empty((2, 11), dtype=bool)
+    for u, level in ((down, 0.5 + 1e-12), (vee, 0.5), (touch, 0.5), (np.ones(11), 0.5)):
+        a, b = front_position(x, u, level), front_position(x, u, level, work)
+        assert a == b or (math.isnan(a) and math.isnan(b))
 
 
 def _run_with_track(track):
@@ -278,44 +397,33 @@ def test_wave_residual_requires_uniform_samples():
         wave_ode_residual(prof, CM121, num=8)
 
 
-# --- the step against its original formulation ----------------------------------------
+# --- the step against the scheme's definition -----------------------------------------
 #
-# A verbatim copy of the step as first written: temporaries per call, the
-# reaction gathered through a boolean mask, four reductions for the guards.
-# The preallocated kernel must reproduce it to the bit.
+# The scheme written out from its definition: the banded matrix I - dt L_a
+# assembled in upper form and handed to solveh_banded, the reaction gathered
+# through a boolean mask.  The step must reproduce it to the bit.
 
 def _reference_coeffs(model):
     if isinstance(model, GeneralModel):
-        return model.kappa, model.alpha, model.beta, model.m, model.p, model.q
-    if isinstance(model, CanonicalModel):
-        return 1.0, 1.0, 1.0, model.m, model.p, model.q
-    raise kw.InvalidParameterError(f"unsupported model object {type(model).__name__}")
+        _, s = kw.nondimensionalize(model)
+        return (model.kappa, model.alpha, model.beta, model.m, model.p, model.q,
+                s.b / s.a)
+    return 1.0, 1.0, 1.0, model.m, model.p, model.q, 1.0
 
 
-def _reference_reaction(u, alpha, beta, p, q):
+def _reference_reaction(u, alpha, beta, p, q, dt):
     r = np.zeros_like(u)
     live = u >= U_FLOOR
     ul = u[live]
-    r[live] = alpha * ul ** p - beta * ul ** q
+    r[live] = (alpha * dt) * ul ** p - (beta * dt) * ul ** q
     return r
 
 
 def _reference_step(run, model, dt_limit=None):
-    kappa, alpha, beta, m, p, q = _reference_coeffs(model)
-    if m < 1.0:
-        raise kw.InvalidParameterError(
-            "the explicit scheme needs bounded diffusivity; m >= 1 required "
-            f"(got m = {m!r})")
-    if q < 0.0:
-        raise kw.InvalidParameterError(
-            "reaction exponents below zero are outside the solver's remit "
-            f"(got q = {q!r})")
-
+    kappa, alpha, beta, m, p, q, time_per_space = _reference_coeffs(model)
     u = run.state
     dx = run.dx
-    D = kappa * u ** (m - 1.0)  # 0**0 = 1 covers m = 1 exactly
-    d_max = float(np.max(D))
-    dt = run.cfl * dx * dx / (2.0 * d_max) if d_max > 0.0 else math.inf
+    dt = run.cfl * H * dx * time_per_space
     u_top = float(np.max(u))
     if run.reaction_on and u_top >= U_FLOOR:
         slope = abs(alpha * p * u_top ** (p - 1.0) - beta * q * u_top ** (q - 1.0))
@@ -323,40 +431,35 @@ def _reference_step(run, model, dt_limit=None):
             dt = min(dt, 0.5 / slope)
     if dt_limit is not None:
         dt = min(dt, dt_limit)
-    if math.isinf(dt):
-        dt = run.cfl * dx * dx / 2.0  # vacuum: no timescale in the state at all
-    if not dt > 0.0:
-        raise kw.StabilityViolationError(f"no positive step available (dt = {dt!r})")
 
-    flux = 0.5 * (D[:-1] + D[1:]) * np.diff(u) / dx
+    D = u ** (m - 1.0)
+    w = (-0.5 * kappa * dt / (dx * dx)) * (D[:-1] + D[1:])   # -dt a / dx^2 per face
+    ab = np.zeros((2, len(u)))
+    ab[0, 1:] = w
+    ab[1] = 1.0
+    ab[1, :-1] -= w
+    ab[1, 1:] -= w
+    flux = w * np.diff(u)
     div = np.zeros_like(u)
+    div[:-1] -= flux
+    div[1:] += flux
+    u_star = u.copy()
     if run.zero_flux:
-        div[:-1] += flux / dx
-        div[1:] -= flux / dx
+        u_star += solveh_banded(ab, div)
     else:
-        div[1:-1] = (flux[1:] - flux[:-1]) / dx
-    u_star = u + dt * div   # diffusion alone keeps u >= 0 under the cfl bound
+        u_star[1:-1] += solveh_banded(ab[:, 1:-1], div[1:-1])
 
     if run.reaction_on:
-        r = _reference_reaction(u, alpha, beta, p, q)
-        np.maximum(r, -np.maximum(u_star, 0.0) / dt, out=r)
-        u_new = u_star + dt * r
+        # the sink may not overdraw the diffused value
+        u_new = np.maximum(u_star + _reference_reaction(u, alpha, beta, p, q, dt),
+                           np.minimum(u_star, 0.0))
     else:
         u_new = u_star
     if not run.zero_flux:
         u_new[0], u_new[-1] = run.bc
-
-    if not np.all(np.isfinite(u_new)):
-        raise kw.StabilityViolationError("non-finite values appeared in the state")
-    low = float(np.min(u_new))
-    if low < -1e-12:
-        raise kw.NegativityError(f"state dipped to {low:.3e} before clamping")
+    assert np.all(np.isfinite(u_new)) and float(np.min(u_new)) >= -1e-12
     np.maximum(u_new, 0.0, out=u_new)
-    if float(np.max(np.abs(u_new))) > U_MAX:
-        raise kw.StabilityViolationError(
-            f"state reached {float(np.max(np.abs(u_new))):.3g}, beyond the "
-            f"blow-up guard {U_MAX}")
-
+    assert float(np.max(u_new)) <= U_MAX
     run.state = u_new
     run.time += dt
     run.dt = dt
@@ -383,7 +486,9 @@ def _assert_same_steps(models, n_steps, dt_limit=None, **kwargs):
     return new
 
 
-GKAB = dict(kappa=2.0, alpha=1.5, beta=0.5)
+# beta > alpha puts the unstable rest state l = (beta / alpha)^(1/(p-q)) above
+# the front's plateau of 0.5, which then stays bounded over the 250 steps
+GKAB = dict(kappa=2.0, alpha=0.5, beta=1.5)
 
 
 @pytest.mark.parametrize("model", [
@@ -412,9 +517,18 @@ def test_step_switches_are_bit_identical_to_reference(model, kwargs):
 
 
 def test_step_follows_a_change_of_model():
-    # the cached workspace must never serve the model of an earlier call
-    _assert_same_steps([CM221, CM121, CanonicalModel(m=2, p=2, q=1),
-                        GeneralModel(**GKAB, m=2, p=2, q=1)], 60)
+    # after a switch, the step is the one a fresh run of the new model takes
+    # from the same state: nothing of an earlier model's call carries over
+    run = make_run(-8.0, 8.0, 240, _tailed_front)
+    for model in (CM221, CM121, CanonicalModel(m=2, p=2, q=1),
+                  GeneralModel(**GKAB, m=2, p=2, q=1), CM221):
+        for _ in range(30):
+            fresh = make_run(-8.0, 8.0, 240, run.state)
+            step(run, model)
+            step(fresh, model)
+            assert np.array_equal(run.state, fresh.state)
+            assert run.dt == fresh.dt
+    assert run.steps == 150
 
 
 def test_step_refusals_fire_on_first_call_and_after_a_switch():
@@ -434,16 +548,24 @@ def test_step_refusals_fire_on_first_call_and_after_a_switch():
     (CM121, lambda x: np.full_like(x, 3.0))],
     ids=["blow-up-121"])
 def test_step_guards_match_reference(model, u0):
-    # same error, same message, same last good state
-    ref, new = [make_run(-8.0, 8.0, 240, u0, bc=(u0(-8.0), u0(8.0))) for _ in range(2)]
-    errors = []
-    for stepper, run in ((_reference_step, ref), (step, new)):
-        with pytest.raises(kw.StabilityViolationError) as ei:
-            for _ in range(1000):
-                stepper(run, model)
-        errors.append(str(ei.value))
-    assert "blow-up guard" in errors[0] and errors[0] == errors[1]
-    assert np.array_equal(ref.state, new.state) and ref.time == new.time
+    # the guard names the value it saw, and the failed step leaves the last
+    # good state, time and counters in place
+    run = make_run(-8.0, 8.0, 240, u0, bc=(u0(-8.0), u0(8.0)))
+    while True:
+        held, time, steps = run.state, run.time, run.steps
+        try:
+            step(run, model)
+        except kw.StabilityViolationError as e:
+            message = str(e)
+            break
+        assert run.steps < 1000
+    # a constant state does not diffuse; the reaction u^2 - u moves it
+    top = float(np.max(held))
+    dt = min(run.cfl * H * run.dx, 0.5 / (2.0 * top - 1.0))
+    high = top + dt * (top * top - top)
+    assert message == f"state reached {high:.3g}, beyond the blow-up guard {U_MAX}"
+    assert run.state is held and run.time == time and run.steps == steps
+    assert float(np.max(held)) <= U_MAX
 
 
 def test_step_refuses_p_below_q():
