@@ -8,15 +8,15 @@ fronts artificially).  In increment form, (I - dt L) delta = dt L u with L
 the flux-difference operator of those coefficients, the symmetric
 tridiagonal matrix is an M-matrix, so the diffused state u* = u + delta is
 non-negative, and a constant state gives delta = 0 exactly.  One LAPACK
-``ptsv`` call solves it; ``zero_flux`` runs solve all n + 1 nodes with
-no-flux end rows, Dirichlet runs the interior nodes.  The reaction stays
-explicit, evaluated pointwise on the old state with u below ``U_FLOOR``
-contributing nothing, and sinks are limited per node so they cannot
-overdraw u*.  The scheme is first order in time.
+``ptsv`` call solves it on the interior nodes; the end nodes hold their
+Dirichlet values.  The reaction stays explicit, evaluated pointwise on the
+old state with u below ``U_FLOOR`` contributing nothing, and sinks are
+limited per node so they cannot overdraw u*.  The scheme is first order in
+time.
 
-The time step is dt = cfl H dx (b / a) with (a, b) the space and time
-scales of `nondimensionalize` (both 1 for a canonical model), so a general
-model and its canonical form take the same steps; it is capped by the
+The equation is the canonical one: the functions here take a
+`CanonicalModel` and refuse a general model, which `nondimensionalize`
+reduces to canonical form.  The time step is dt = cfl H dx, capped by the
 reaction-slope constraint dt |p u^{p-1} - q u^{q-1}| <= 1/2 at the current
 maximum.  u stays non-negative up to roundoff, and anything below -1e-12
 before the clamp is treated as a scheme failure, not smoothed over.
@@ -42,9 +42,8 @@ from .errors import (
     NegativityError,
     NoFrontError,
     StabilityViolationError,
-    UnsupportedModelError,
 )
-from .model import CanonicalModel, GeneralModel, SpeedClass, nondimensionalize
+from .model import CanonicalModel, SpeedClass
 from .connect import WaveProfile
 
 log = logging.getLogger(__name__)
@@ -81,10 +80,8 @@ class PdeRun:
     """Mutable state of one finite-interval run.
 
     ``state`` holds node values on the uniform grid of ``n_cells`` cells
-    (n_cells + 1 nodes).  ``cfl`` scales the time step dt = cfl H dx (b / a)
-    (see the module docstring).  ``bc`` pins the end values (Dirichlet); the
-    ``zero_flux`` and ``reaction_on`` switches are test hooks for the
-    conservation checks and leave the production path untouched.
+    (n_cells + 1 nodes).  ``cfl`` scales the time step dt = cfl H dx (see
+    the module docstring).  ``bc`` pins the end values (Dirichlet).
 
     ``step`` keeps count: ``steps`` taken, the smallest and largest ``dt``
     (``dt_min``, ``dt_max``), ``min_before_clamp``, the lowest state value
@@ -102,8 +99,6 @@ class PdeRun:
     dt: float = 0.0
     front_track: list[tuple[float, float]] = field(default_factory=list)
     bc: tuple[float, float] = (1.0, 0.0)
-    zero_flux: bool = False
-    reaction_on: bool = True
     steps: int = 0
     dt_min: float = math.inf
     dt_max: float = -math.inf
@@ -120,8 +115,7 @@ class PdeRun:
 
 
 def make_run(x_min: float, x_max: float, n_cells: int, u0, *,
-             cfl: float = 0.9, bc: tuple[float, float] = (1.0, 0.0),
-             zero_flux: bool = False, reaction_on: bool = True) -> PdeRun:
+             cfl: float = 0.9, bc: tuple[float, float] = (1.0, 0.0)) -> PdeRun:
     """Build a run from an initial condition (callable of x or an array)."""
     if not (x_max > x_min):
         raise InvalidParameterError("x_max must exceed x_min")
@@ -137,56 +131,62 @@ def make_run(x_min: float, x_max: float, n_cells: int, u0, *,
     if np.min(u) < 0.0:
         raise NegativityError(f"initial state dips to {np.min(u):.3e}")
     run = PdeRun(x_min=float(x_min), x_max=float(x_max), n_cells=int(n_cells),
-                 cfl=float(cfl), state=u, bc=(float(bc[0]), float(bc[1])),
-                 zero_flux=zero_flux, reaction_on=reaction_on)
-    if not zero_flux:
-        run.state[0], run.state[-1] = run.bc
+                 cfl=float(cfl), state=u, bc=(float(bc[0]), float(bc[1])))
+    run.state[0], run.state[-1] = run.bc
     return run
 
 
-def _coefficients(model):
-    """(kappa, alpha, beta, m, p, q) of a model the step accepts, and the
-    ratio b / a of its time and space scales (1 for a canonical model)."""
-    if isinstance(model, GeneralModel):
-        coeffs = (model.kappa, model.alpha, model.beta, model.m, model.p, model.q)
-    elif isinstance(model, CanonicalModel):
-        coeffs = (1.0, 1.0, 1.0, model.m, model.p, model.q)
-    else:
+def _coefficients(cm) -> tuple[float, float, float]:
+    """(m, p, q) of a canonical model the step accepts."""
+    if not isinstance(cm, CanonicalModel):
         raise InvalidParameterError(
-            f"unsupported model object {type(model).__name__}")
-    _, _, _, m, p, q = coeffs
-    if not p > q:
-        # a canonical model cannot get here; a general one is refused as
-        # nondimensionalize refuses it
-        raise UnsupportedModelError("p > q")
-    if m < 1.0:
+            f"the PDE takes a CanonicalModel, got {type(cm).__name__}; "
+            "reduce a general model with nondimensionalize first")
+    if cm.m < 1.0:
         raise InvalidParameterError(
             "the lagged diffusivity must stay bounded; m >= 1 required "
-            f"(got m = {m!r})")
-    if q < 0.0:
+            f"(got m = {cm.m!r})")
+    if cm.q < 0.0:
         raise InvalidParameterError(
             "reaction exponents below zero are outside the solver's remit "
-            f"(got q = {q!r})")
-    if isinstance(model, CanonicalModel):
-        return coeffs, 1.0
-    _, s = nondimensionalize(model)
-    return coeffs, s.b / s.a
+            f"(got q = {cm.q!r})")
+    return cm.m, cm.p, cm.q
 
 
-def step(run: PdeRun, model, dt_limit: float | None = None) -> PdeRun:
+def _diffuse(u: np.ndarray, m: float, dt: float, dx: float) -> np.ndarray:
+    """The diffusion half of a step: a fresh u* = (I - dt L_a)^-1 u with the
+    end values held, solved on the interior in increment form."""
+    # w holds -dt a / dx^2 per face, a = mean(u^(m-1)): the off-diagonal
+    D = u ** (m - 1.0)
+    w = D[:-1] + D[1:]
+    w *= -0.5 * dt / (dx * dx)
+    flux = np.diff(u)
+    flux *= w
+    rhs = flux[:-1] - flux[1:]
+    diag = 1.0 - w[1:]
+    diag -= w[:-1]
+    *_, delta, info = _PTSV(diag, w[1:-1], rhs, 1, 1, 1)
+    if info != 0:
+        raise StabilityViolationError(f"diffusion solve failed (LAPACK info = {info})")
+    u_star = u.copy()
+    u_star[1:-1] += delta
+    return u_star
+
+
+def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeRun:
     """Advance one linearly implicit step; mutates and returns ``run``.
 
     ``dt_limit`` additionally caps the step (used to land exactly on
     snapshot times); the reaction-slope cap always applies.  The new state
     is a fresh array, so a caller holding the old ``run.state`` keeps it.
     """
-    (kappa, alpha, beta, m, p, q), time_per_space = _coefficients(model)
+    m, p, q = _coefficients(cm)
     u = run.state
     dx = run.dx
-    dt = run.cfl * H * dx * time_per_space
+    dt = run.cfl * H * dx
     u_top = float(u.max())
-    if run.reaction_on and u_top >= U_FLOOR:
-        slope = abs(alpha * p * u_top ** (p - 1.0) - beta * q * u_top ** (q - 1.0))
+    if u_top >= U_FLOOR:
+        slope = abs(p * u_top ** (p - 1.0) - q * u_top ** (q - 1.0))
         if slope > 0.0:
             dt = min(dt, 0.5 / slope)
     if dt_limit is not None:
@@ -194,45 +194,19 @@ def step(run: PdeRun, model, dt_limit: float | None = None) -> PdeRun:
     if not dt > 0.0:
         raise StabilityViolationError(f"no positive step available (dt = {dt!r})")
 
-    # (I - dt L_a) delta = dt L_a u, with the face coefficients
-    # a = kappa mean(u^(m-1)) of this state; w holds -dt a / dx^2 per face,
-    # the off-diagonal, padded with a face of weight 0 beyond each end
-    D = u ** (m - 1.0)
-    w = np.zeros(u.size + 1)
-    faces = w[1:-1]
-    np.add(D[:-1], D[1:], out=faces)
-    faces *= -0.5 * kappa * dt / (dx * dx)
-    flux = np.zeros_like(w)
-    np.subtract(u[1:], u[:-1], out=flux[1:-1])
-    flux *= w
-    rhs = flux[:-1] - flux[1:]
-    diag = 1.0 - w[1:]
-    diag -= w[:-1]
-    # no-flux runs solve every node (their end rows lack the outer face);
-    # Dirichlet ends keep delta = 0 and leave the interior system
-    rows = slice(None) if run.zero_flux else slice(1, -1)
-    *_, delta, info = _PTSV(diag[rows], faces[rows], rhs[rows], 1, 1, 1)
-    if info != 0:
-        raise StabilityViolationError(f"diffusion solve failed (LAPACK info = {info})")
-    u_star = u.copy()
-    u_star[rows] += delta   # u* = (I - dt L_a)^-1 u, non-negative (M-matrix)
-
-    if run.reaction_on:
-        # nodes below U_FLOOR contribute nothing (p > q >= 0 keeps u^p finite)
-        r = (alpha * dt) * u ** p
-        r -= (beta * dt) * u ** q
-        r[u < U_FLOOR] = 0.0
-        u_new = u_star + r
-    else:
-        u_new = u_star
-    if not run.zero_flux:
-        u_new[0], u_new[-1] = run.bc
+    u_star = _diffuse(u, m, dt, dx)
+    # nodes below U_FLOOR contribute nothing (p > q >= 0 keeps u^p finite)
+    r = dt * u ** p
+    r -= dt * u ** q
+    r[u < U_FLOOR] = 0.0
+    u_new = u_star + r
+    u_new[0], u_new[-1] = run.bc
 
     # NaN propagates through min and max, so these reductions carry the
     # finiteness, negativity and blow-up guards
     low = float(u_new.min())
     clips = 0
-    if run.reaction_on and low < 0.0:
+    if low < 0.0:
         # a sink may not overdraw its node: u* + dt r >= min(u*, 0), which
         # can bind only where the update went negative.  The bound must
         # reference the diffused value, or a retreating support edge dips
@@ -297,14 +271,14 @@ def front_position(x: np.ndarray, u: np.ndarray, level: float,
     return float(x[j]) if n_flips == 0 else math.nan
 
 
-def evolve(run: PdeRun, model, T: float, *, snapshot_times=(),
-           track_front: bool = True,
-           guard_cells: int | None = None) -> list[tuple[float, np.ndarray]]:
+def evolve(run: PdeRun, cm: CanonicalModel, T: float, *,
+           snapshot_times=()) -> list[tuple[float, np.ndarray]]:
     """Step ``run`` to time T, recording the front (the ``FRONT_LEVEL`` level
-    set) and requested snapshots.
+    set) after every step and the requested snapshots.
 
-    ``guard_cells`` raises DomainTooSmall when the tracked front comes within
-    that many cells of a boundary (None disables the check).
+    A tracked front that comes within ``BOUNDARY_GUARD_CELLS`` cells of a
+    boundary raises DomainTooSmall; a snapshot time outside [run.time, T]
+    is refused before any step.
     """
     if T < run.time:
         raise InvalidParameterError("target time lies in the past")
@@ -317,19 +291,19 @@ def evolve(run: PdeRun, model, T: float, *, snapshot_times=(),
     out: list[tuple[float, np.ndarray]] = []
     work = np.empty((2, len(x)), dtype=bool)
 
+    lo = run.x_min + BOUNDARY_GUARD_CELLS * dx
+    hi = run.x_max - BOUNDARY_GUARD_CELLS * dx
+
     def record():
-        if track_front:
-            pos = front_position(x, run.state, FRONT_LEVEL, work)
-            run.front_track.append((run.time, math.nan if pos is None else pos))
-            if guard_cells is not None and pos is not None and math.isfinite(pos):
-                lo = run.x_min + guard_cells * dx
-                hi = run.x_max - guard_cells * dx
-                if pos < lo or pos > hi:
-                    span = run.x_max - run.x_min
-                    raise DomainTooSmallError(
-                        f"front at x = {pos:.4g} is within {guard_cells} cells of "
-                        f"the boundary [{run.x_min:.4g}, {run.x_max:.4g}]",
-                        suggestion=(run.x_min - 0.5 * span, run.x_max + 0.5 * span))
+        pos = front_position(x, run.state, FRONT_LEVEL, work)
+        run.front_track.append((run.time, math.nan if pos is None else pos))
+        # a nan position (crossed more than once) compares false
+        if pos is not None and (pos < lo or pos > hi):
+            span = run.x_max - run.x_min
+            raise DomainTooSmallError(
+                f"front at x = {pos:.4g} is within {BOUNDARY_GUARD_CELLS} cells of "
+                f"the boundary [{run.x_min:.4g}, {run.x_max:.4g}]",
+                suggestion=(run.x_min - 0.5 * span, run.x_max + 0.5 * span))
         while snaps_pending and run.time >= snaps_pending[0] - 1e-12:
             out.append((run.time, run.state.copy()))
             snaps_pending.pop(0)
@@ -339,7 +313,7 @@ def evolve(run: PdeRun, model, T: float, *, snapshot_times=(),
         dt_limit = T - run.time
         if snaps_pending:
             dt_limit = min(dt_limit, snaps_pending[0] - run.time)
-        step(run, model, dt_limit=dt_limit)
+        step(run, cm, dt_limit=dt_limit)
         record()
     return out
 
@@ -422,7 +396,8 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     The domain defaults to the profile's span padded for the motion c T plus
     a safety margin; pass ``domain`` to override (a front straying within 10
     cells of a boundary raises DomainTooSmall with a widened suggestion).  A
-    profile with a non-finite xi or f is refused before the run is built.
+    profile with a non-finite xi or f is refused before the run is built,
+    and a snapshot time outside [0, T] before the first step.
 
     The plateau behind the front sits at an unstable state of the reaction,
     so any shortfall 1 - f at the profile's left end grows like
@@ -473,16 +448,12 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     inner = slice(BOUNDARY_GUARD_CELLS, len(x) - BOUNDARY_GUARD_CELLS)
     times = [T * (i + 1) / N_CHECKPOINTS for i in range(N_CHECKPOINTS)] if T > 0 else []
     wanted = sorted(float(t) for t in snapshot_times)
-    for t in wanted:
-        if t < 0.0 or t > T:
-            raise InvalidParameterError(f"snapshot time {t} outside [0, {T}]")
 
     checkpoints: list[tuple[float, float]] = []
     kept: list[tuple[float, np.ndarray]] = []
     if T == 0.0:
         checkpoints.append((0.0, 0.0))
-    recorded = evolve(run, cm, T, snapshot_times=sorted(set(times) | set(wanted)),
-                      guard_cells=BOUNDARY_GUARD_CELLS)
+    recorded = evolve(run, cm, T, snapshot_times=sorted(set(times) | set(wanted)))
     for t, u in recorded:
         if any(abs(t - tc) <= 1e-9 for tc in times):
             ref = np.interp(x - c * t, xi, f, left=f_left, right=f_right)

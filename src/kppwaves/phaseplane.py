@@ -337,12 +337,12 @@ def fixed_points(sys: PhaseSystem) -> list[FixedPointInfo]:
     return pts
 
 
-def dulac_divergence(sys: PhaseSystemI, X, Y=0.0):
+def dulac_divergence(sys: PhaseSystemI, X):
     """Divergence of the field weighted by B = X^(2/gamma - 1).
 
     The closed form is -c * X^(2/gamma - 1): independent of Y and strictly
     negative on X > 0 for c > 0, which rules out closed orbits in the open
-    half-plane.  Accepts arrays in X (Y is ignored beyond shape checks).
+    half-plane.  Accepts a scalar or an array of X.
     """
     if not isinstance(sys, PhaseSystemI):
         raise InvalidParameterError("dulac_divergence applies to Case I systems")

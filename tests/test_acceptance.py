@@ -321,7 +321,7 @@ def test_criterion_09_finite_propagation(capsys, finite_prop_profile,
     times = np.linspace(0.4, 4.0, 10)
     edges = []
     for t in times:
-        kw.evolve(run, cm, float(t), track_front=False)
+        kw.evolve(run, cm, float(t))
         edges.append(kw.support_edge(run, 1e-8))
     finite_edges = all(e is not None and math.isfinite(e) for e in edges)
     rates = np.diff(np.array(edges, dtype=float)) / np.diff(times)

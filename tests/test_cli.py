@@ -346,6 +346,27 @@ def test_pde_zero_horizon(tmp_path):
             is rows[0]["limiter_clips"] is None)
 
 
+def test_general_model_gives_the_bytes_of_its_canonical_form(tmp_path):
+    # the CLI hands the shot and the PDE the canonical model, so a general
+    # model and its (m, p, q) write the same shoot and pde artifacts
+    general = {"kappa": 2.0, "alpha": 1.5, "beta": 0.5, "m": 3.0, "p": 2.5, "q": 1.0}
+    outs = []
+    for name, model in (("general", general), ("canonical", {"m": 3.0, "p": 2.5, "q": 1.0})):
+        out = tmp_path / name
+        cfg = write_cfg(tmp_path, model=model, speeds=[-3.5, -1.2], output_dir=str(out),
+                        pde={"n_cells": 300, "T": 0.5, "snapshot_times": [0.25, 0.5]})
+        assert main(["shoot", "--config", str(cfg)]) == 0
+        assert main(["pde", "--config", str(cfg)]) == 0
+        outs.append(out)
+    patterns = ("profile_c*.csv", "front_c*.csv", "snapshot_c*.csv",
+                "classification.json", "pde_summary.json")
+    names = sorted(p.name for pat in patterns for p in outs[0].glob(pat))
+    assert len(names) == 10   # 2 profiles, 2 fronts, 4 snapshots, 2 summaries
+    assert names == sorted(p.name for pat in patterns for p in outs[1].glob(pat))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 # --- sweep --------------------------------------------------------------------------
 
 def test_sweep_table(workspace):

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import solveh_banded
 
 import kppwaves as kw
-from kppwaves.pde import H, U_FLOOR, U_MAX
+from kppwaves.pde import H, U_FLOOR, U_MAX, _diffuse
 from kppwaves import (CanonicalModel, GeneralModel, advect_profile_test,
                       evolve, front_position, make_run, measure_front_speed,
                       step, support_edge, wave_ode_residual)
@@ -87,9 +87,9 @@ def test_supercritical_state_trips_blowup_guard():
 
 # --- the terms of the scheme ------------------------------------------------------
 
-def _dense_diffusion(u, a, dt, dx, zero_flux):
+def _dense_diffusion(u, a, dt, dx):
     """u* solving (I - dt L_a) u* = u, L_a the flux differences of the face
-    coefficients a; Dirichlet ends hold their values."""
+    coefficients a; the Dirichlet ends hold their values."""
     n = len(u)
     L = np.zeros((n, n))
     for i, ai in enumerate(a):
@@ -98,47 +98,39 @@ def _dense_diffusion(u, a, dt, dx, zero_flux):
         L[i, i + 1] += w
         L[i + 1, i + 1] -= w
         L[i + 1, i] += w
-    if not zero_flux:
-        L[0] = L[-1] = 0.0
+    L[0] = L[-1] = 0.0
     return np.linalg.solve(np.eye(n) - dt * L, u)
 
 
-@pytest.mark.parametrize("zero_flux", [False, True], ids=["dirichlet", "zero-flux"])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_diffusion_is_backward_euler_with_lagged_coefficients(m, zero_flux):
-    run = make_run(-8.0, 8.0, 160, _tailed_front, zero_flux=zero_flux,
-                   reaction_on=False)
-    u = run.state
+@pytest.mark.parametrize("m", [1, 2, 3], ids=lambda m: f"{m}-dirichlet")
+def test_diffusion_is_backward_euler_with_lagged_coefficients(m):
+    u = _tailed_front(np.linspace(-8.0, 8.0, 161))
+    dx = 16.0 / 160
+    dt = 0.9 * H * dx
     a = 0.5 * (u[:-1] ** (m - 1) + u[1:] ** (m - 1))   # of the state before the step
-    step(run, CanonicalModel(m=m, p=2, q=1))
-    ref = _dense_diffusion(u, a, run.dt, run.dx, zero_flux)
-    assert float(np.max(np.abs(run.state - ref))) <= 1e-14
-    assert float(np.max(np.abs(run.state - u))) > 1e-3   # it did diffuse
+    u_star = _diffuse(u, m, dt, dx)
+    ref = _dense_diffusion(u, a, dt, dx)
+    assert float(np.max(np.abs(u_star - ref))) <= 1e-14
+    assert float(np.max(np.abs(u_star - u))) > 1e-3   # it did diffuse
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_constant_state_is_a_fixed_point_of_the_diffusion(m):
     # in increment form L_a u vanishes exactly on a constant state, so the
     # diffusion leaves it unchanged to the bit at any value
-    for zero_flux in (False, True):
-        run = make_run(-5.0, 5.0, 100, lambda x: np.full_like(x, 0.3),
-                       bc=(0.3, 0.3), zero_flux=zero_flux, reaction_on=False)
-        for _ in range(50):
-            step(run, CanonicalModel(m=m, p=2, q=1))
-        assert np.array_equal(run.state, np.full(101, 0.3))
+    u = np.full(101, 0.3)
+    for _ in range(50):
+        u = _diffuse(u, m, 0.9 * H * 0.1, 0.1)
+    assert np.array_equal(u, np.full(101, 0.3))
 
 
 def test_time_step_is_linear_in_dx():
-    # dt = cfl H dx (b / a), with (a, b) the scales of nondimensionalize; the
-    # reaction-slope cap is off here
-    g = GeneralModel(kappa=4.0, alpha=1.0, beta=2.0, m=2, p=2, q=1)
-    _, s = kw.nondimensionalize(g)
+    # dt = cfl H dx; the reaction-slope cap, 0.5 at the bump's top of 1,
+    # does not bind here
     for n_cells in (100, 200, 400):
-        for model, scale in ((CM221, 1.0), (g, s.b / s.a)):
-            run = make_run(-5.0, 5.0, n_cells, bump, bc=(0.0, 0.0), cfl=0.6,
-                           reaction_on=False)
-            step(run, model)
-            assert run.dt == pytest.approx(0.6 * H * run.dx * scale, rel=1e-15)
+        run = make_run(-5.0, 5.0, n_cells, bump, bc=(0.0, 0.0), cfl=0.6)
+        step(run, CM221)
+        assert run.dt == pytest.approx(0.6 * H * run.dx, rel=1e-15)
     assert 0.9 * H == pytest.approx(0.05)
 
 
@@ -174,24 +166,15 @@ def test_interior_mass_identity_without_reaction():
     # backward-Euler diffusion reaches the Dirichlet walls in the first step,
     # so mass leaves through them: each step changes it by exactly dt times
     # the net boundary flux of the diffused state (m = 1, so a = 1)
-    run = make_run(-3.0, 3.0, 300, bump, bc=(0.0, 0.0), reaction_on=False)
-    dx = run.dx
+    u = bump(np.linspace(-3.0, 3.0, 301))
+    dx = 6.0 / 300
+    dt = 0.9 * H * dx
     for _ in range(80):
-        m0 = float(np.sum(run.state)) * dx
-        step(run, CM121)
-        u = run.state
+        m0 = float(np.sum(u)) * dx
+        u = _diffuse(u, 1.0, dt, dx)
         net_flux = (u[-1] - u[-2]) / dx - (u[1] - u[0]) / dx
         assert net_flux < 0.0
-        assert abs(float(np.sum(u)) * dx - m0 - run.dt * net_flux) <= 1e-12
-
-
-def test_zero_flux_walls_conserve_mass():
-    run = make_run(0.0, 1.0, 128, lambda x: 0.5 + 0.4 * np.sin(2 * np.pi * x),
-                   zero_flux=True, reaction_on=False)
-    m0 = float(np.sum(run.state)) * run.dx
-    for _ in range(100):
-        step(run, CM221)
-    assert abs(float(np.sum(run.state)) * run.dx - m0) <= 1e-13
+        assert abs(float(np.sum(u)) * dx - m0 - dt * net_flux) <= 1e-12
 
 
 # --- validation -------------------------------------------------------------------
@@ -338,6 +321,13 @@ def test_advect_rejects_negative_horizon(monotone_profile_121):
         advect_profile_test(prof, cm, -1.0)
 
 
+@pytest.mark.parametrize("t", [-0.1, 1.5])
+def test_advect_rejects_snapshot_time_outside_horizon(monotone_profile_121, t):
+    prof, cm = monotone_profile_121
+    with pytest.raises(kw.InvalidParameterError, match="snapshot time"):
+        advect_profile_test(prof, cm, 1.0, n_cells=600, snapshot_times=(0.5, t))
+
+
 @pytest.mark.parametrize("name, xi, f", [
     ("f", [-1.0, 0.0, 1.0], [1.0, math.inf, 0.0]),
     ("f", [-1.0, 0.0, 1.0], [1.0, math.nan, 0.0]),
@@ -352,26 +342,6 @@ def test_advect_refuses_non_finite_profile(name, xi, f):
         warnings.simplefilter("error")
         with pytest.raises(kw.InvalidParameterError, match=rf"profile {name} "):
             advect_profile_test(prof, CM221, 1.0, n_cells=200)
-
-
-# --- discrete scaling equivariance ----------------------------------------------------
-
-def test_general_run_matches_rescaled_canonical_run():
-    g = GeneralModel(kappa=4.0, alpha=1.0, beta=1.0, m=1, p=2, q=1)
-    cm, s = kw.nondimensionalize(g)
-    assert (s.a, s.b, s.l) == (2.0, 1.0, 1.0)
-
-    def u0(x):
-        return 0.5 * (1.0 - np.tanh(x / 2.0))
-
-    rg = make_run(-20.0, 20.0, 800, u0)
-    rc = make_run(-10.0, 10.0, 800, lambda y: u0(s.a * y))
-    for _ in range(50):
-        step(rg, g)
-        step(rc, cm)
-    # nodes align under x = a y, so the two states agree to rounding
-    assert rg.time == pytest.approx(s.b * rc.time, rel=1e-14)
-    assert float(np.max(np.abs(rg.state - s.l * rc.state))) < 1e-13
 
 
 # --- weak form of the profile equation --------------------------------------------------
@@ -403,37 +373,9 @@ def test_wave_residual_requires_uniform_samples():
 # assembled in upper form and handed to solveh_banded, the reaction gathered
 # through a boolean mask.  The step must reproduce it to the bit.
 
-def _reference_coeffs(model):
-    if isinstance(model, GeneralModel):
-        _, s = kw.nondimensionalize(model)
-        return (model.kappa, model.alpha, model.beta, model.m, model.p, model.q,
-                s.b / s.a)
-    return 1.0, 1.0, 1.0, model.m, model.p, model.q, 1.0
-
-
-def _reference_reaction(u, alpha, beta, p, q, dt):
-    r = np.zeros_like(u)
-    live = u >= U_FLOOR
-    ul = u[live]
-    r[live] = (alpha * dt) * ul ** p - (beta * dt) * ul ** q
-    return r
-
-
-def _reference_step(run, model, dt_limit=None):
-    kappa, alpha, beta, m, p, q, time_per_space = _reference_coeffs(model)
-    u = run.state
-    dx = run.dx
-    dt = run.cfl * H * dx * time_per_space
-    u_top = float(np.max(u))
-    if run.reaction_on and u_top >= U_FLOOR:
-        slope = abs(alpha * p * u_top ** (p - 1.0) - beta * q * u_top ** (q - 1.0))
-        if slope > 0.0:
-            dt = min(dt, 0.5 / slope)
-    if dt_limit is not None:
-        dt = min(dt, dt_limit)
-
+def _reference_diffusion(u, m, dt, dx):
     D = u ** (m - 1.0)
-    w = (-0.5 * kappa * dt / (dx * dx)) * (D[:-1] + D[1:])   # -dt a / dx^2 per face
+    w = (-0.5 * dt / (dx * dx)) * (D[:-1] + D[1:])   # -dt a / dx^2 per face
     ab = np.zeros((2, len(u)))
     ab[0, 1:] = w
     ab[1] = 1.0
@@ -444,19 +386,36 @@ def _reference_step(run, model, dt_limit=None):
     div[:-1] -= flux
     div[1:] += flux
     u_star = u.copy()
-    if run.zero_flux:
-        u_star += solveh_banded(ab, div)
-    else:
-        u_star[1:-1] += solveh_banded(ab[:, 1:-1], div[1:-1])
+    u_star[1:-1] += solveh_banded(ab[:, 1:-1], div[1:-1])
+    return u_star
 
-    if run.reaction_on:
-        # the sink may not overdraw the diffused value
-        u_new = np.maximum(u_star + _reference_reaction(u, alpha, beta, p, q, dt),
-                           np.minimum(u_star, 0.0))
-    else:
-        u_new = u_star
-    if not run.zero_flux:
-        u_new[0], u_new[-1] = run.bc
+
+def _reference_reaction(u, p, q, dt):
+    r = np.zeros_like(u)
+    live = u >= U_FLOOR
+    ul = u[live]
+    r[live] = dt * ul ** p - dt * ul ** q
+    return r
+
+
+def _reference_step(run, cm, dt_limit=None):
+    m, p, q = cm.m, cm.p, cm.q
+    u = run.state
+    dx = run.dx
+    dt = run.cfl * H * dx
+    u_top = float(np.max(u))
+    if u_top >= U_FLOOR:
+        slope = abs(p * u_top ** (p - 1.0) - q * u_top ** (q - 1.0))
+        if slope > 0.0:
+            dt = min(dt, 0.5 / slope)
+    if dt_limit is not None:
+        dt = min(dt, dt_limit)
+
+    u_star = _reference_diffusion(u, m, dt, dx)
+    # the sink may not overdraw the diffused value
+    u_new = np.maximum(u_star + _reference_reaction(u, p, q, dt),
+                       np.minimum(u_star, 0.0))
+    u_new[0], u_new[-1] = run.bc
     assert np.all(np.isfinite(u_new)) and float(np.min(u_new)) >= -1e-12
     np.maximum(u_new, 0.0, out=u_new)
     assert float(np.max(u_new)) <= U_MAX
@@ -472,8 +431,8 @@ def _tailed_front(x):
     return np.where(x < 7.5, 0.5 * (1.0 - np.tanh(2.0 * x)), 0.0)
 
 
-def _assert_same_steps(models, n_steps, dt_limit=None, **kwargs):
-    ref, new = [make_run(-8.0, 8.0, 240, _tailed_front, **kwargs) for _ in range(2)]
+def _assert_same_steps(models, n_steps, dt_limit=None):
+    ref, new = [make_run(-8.0, 8.0, 240, _tailed_front) for _ in range(2)]
     for model in models:
         for _ in range(n_steps):
             _reference_step(ref, model, dt_limit=dt_limit)
@@ -486,49 +445,44 @@ def _assert_same_steps(models, n_steps, dt_limit=None, **kwargs):
     return new
 
 
-# beta > alpha puts the unstable rest state l = (beta / alpha)^(1/(p-q)) above
-# the front's plateau of 0.5, which then stays bounded over the 250 steps
-GKAB = dict(kappa=2.0, alpha=0.5, beta=1.5)
-
-
 @pytest.mark.parametrize("model", [
-    CM121, CM221, CanonicalModel(m=1, p=1, q=0.5), CanonicalModel(m=3, p=2.5, q=1),
-    GeneralModel(**GKAB, m=3, p=2.5, q=1), GeneralModel(**GKAB, m=1, p=2, q=1),
-    GeneralModel(**GKAB, m=2, p=1.5, q=0.5)],
-    ids=["121", "221", "1-1-0.5", "3-2.5-1", "general-3-2.5-1", "general-121",
-         "general-2-1.5-0.5"])
+    CM121, CM221, CanonicalModel(m=1, p=1, q=0.5), CanonicalModel(m=3, p=2.5, q=1)],
+    ids=["121", "221", "1-1-0.5", "3-2.5-1"])
 def test_step_is_bit_identical_to_reference(model):
     run = _assert_same_steps([model], 250)
     assert run.steps == 250
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(zero_flux=True), dict(reaction_on=False), dict(dt_limit=1e-4),
-    dict(zero_flux=True, reaction_on=False)],
-    ids=["zero-flux", "no-reaction", "dt-limit", "zero-flux-no-reaction"])
+@pytest.mark.parametrize("switch", ["no-reaction", "dt-limit"])
 @pytest.mark.parametrize("model", [CM121, CM221, CanonicalModel(m=1, p=1, q=0.5)],
                          ids=["121", "221", "1-1-0.5"])
-def test_step_switches_are_bit_identical_to_reference(model, kwargs):
-    kwargs = dict(kwargs)
-    dt_limit = kwargs.pop("dt_limit", None)
-    run = _assert_same_steps([model], 200, dt_limit=dt_limit, **kwargs)
-    if dt_limit is not None:
-        assert run.dt_max == dt_limit
+def test_step_switches_are_bit_identical_to_reference(model, switch):
+    if switch == "dt-limit":
+        run = _assert_same_steps([model], 200, dt_limit=1e-4)
+        assert run.dt_max == 1e-4
+        return
+    # the diffusion half of the step alone
+    u = ref = _tailed_front(np.linspace(-8.0, 8.0, 241))
+    dx = 16.0 / 240
+    dt = 0.9 * H * dx
+    for _ in range(200):
+        u = _diffuse(u, model.m, dt, dx)
+        ref = _reference_diffusion(ref, model.m, dt, dx)
+        assert np.array_equal(u, ref)
 
 
 def test_step_follows_a_change_of_model():
     # after a switch, the step is the one a fresh run of the new model takes
     # from the same state: nothing of an earlier model's call carries over
     run = make_run(-8.0, 8.0, 240, _tailed_front)
-    for model in (CM221, CM121, CanonicalModel(m=2, p=2, q=1),
-                  GeneralModel(**GKAB, m=2, p=2, q=1), CM221):
+    for model in (CM221, CM121, CanonicalModel(m=2, p=2, q=1), CM221):
         for _ in range(30):
             fresh = make_run(-8.0, 8.0, 240, run.state)
             step(run, model)
             step(fresh, model)
             assert np.array_equal(run.state, fresh.state)
             assert run.dt == fresh.dt
-    assert run.steps == 150
+    assert run.steps == 120
 
 
 def test_step_refusals_fire_on_first_call_and_after_a_switch():
@@ -568,17 +522,22 @@ def test_step_guards_match_reference(model, u0):
     assert float(np.max(held)) <= U_MAX
 
 
-def test_step_refuses_p_below_q():
-    # nondimensionalize refuses such a model, and so must the step, before
-    # it touches the state: on a fresh run and after a switch of model
-    bad = GeneralModel(kappa=1, alpha=1, beta=1, m=1, p=-0.5, q=0.5)
+def test_step_refuses_a_general_model():
+    # the step solves the canonical equation only; a general model is
+    # refused before it touches the run: on a fresh run and after a step
+    g = GeneralModel(kappa=2, alpha=0.5, beta=1.5, m=2, p=2, q=1)
     fresh, used = [make_run(-8.0, 8.0, 240, _tailed_front) for _ in range(2)]
     step(used, CM121)
-    for run, steps in ((fresh, 0), (used, 1)):
-        held, time = run.state.copy(), run.time
-        with pytest.raises(kw.UnsupportedModelError, match="p > q"):
-            step(run, bad)
-        assert run.steps == steps and run.time == time
+
+    def counters(run):
+        return (run.time, run.dt, run.steps, run.dt_min, run.dt_max,
+                run.min_before_clamp, run.limiter_clips)
+
+    for run in (fresh, used):
+        held, before = run.state.copy(), counters(run)
+        with pytest.raises(kw.InvalidParameterError, match="nondimensionalize"):
+            step(run, g)
+        assert counters(run) == before
         assert np.array_equal(run.state, held)
 
 
