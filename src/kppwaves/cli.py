@@ -133,7 +133,6 @@ def cmd_shoot(cfg: RunConfig, out: Path | None = None) -> list[dict]:
     _echo_config(cfg, out)
     cm, _ = _canonical(cfg)
     if not cfg.speeds:
-        log.warning("no speeds configured; nothing to shoot")
         print("warning: no speeds configured; nothing to shoot", file=sys.stderr)
         return []
     atol, rtol = cfg.ode_tolerances
@@ -232,10 +231,11 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
             res = pde.advect_profile_test(
                 profile, cm, pc.T, n_cells=pc.n_cells, cfl=pc.cfl,
                 domain=domain, snapshot_times=pc.snapshot_times)
+            run = res.run
             front_path = out / f"front_c{label}.csv"
-            write_float_csv(front_path, ["t", "x_front"], res.run.front_track)
+            write_float_csv(front_path, ["t", "x_front"], run.front_track)
             snap_files = []
-            x = res.run.x.tolist()
+            x = run.x.tolist()
             for t, u in res.snapshots:
                 spath = out / f"snapshot_c{label}_t{c_label(t)}.csv"
                 write_float_csv(spath, ["x", "u"], zip(x, u.tolist()))
@@ -243,18 +243,17 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
             row.update({
                 "max_error": res.max_error,
                 "measured_speed": res.measured_speed,
-                "domain": [res.domain[0], res.domain[1]],
+                "domain": [run.x_min, run.x_max],
                 "n_cells": pc.n_cells,
                 "cfl": pc.cfl,
                 "T": pc.T,
                 "checkpoints": [[t, e] for t, e in res.checkpoints],
                 "front_file": front_path.name,
                 "snapshot_files": snap_files,
-                "steps": res.steps,
-                "dt_min": res.dt_min,
-                "dt_max": res.dt_max,
-                "min_before_clamp": res.min_before_clamp,
-                "limiter_clips": res.limiter_clips,
+                "steps": run.steps,
+                # the extremes of a run that took no step are None
+                **{key: getattr(run, key) if run.steps else None for key in
+                   ("dt_min", "dt_max", "min_before_clamp", "limiter_clips")},
             })
         except KppWavesError as e:
             row["error"] = str(e)

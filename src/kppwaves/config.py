@@ -1,19 +1,21 @@
 """Run configuration: JSON parsing, defaults, and validation.
 
 Validation failures raise ConfigError with the offending field path in the
-message.  ``config_to_dict`` resolves defaults so the effective configuration
-can be echoed next to the outputs and re-parsed to reproduce a run.
+message.  Defaults live on the dataclasses alone: ``parse_config`` reads them
+there, and ``config_to_dict`` echoes the parsed dataclasses, so the effective
+configuration can be written next to the outputs and re-parsed to reproduce a
+run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigError, KppWavesError
-from .model import CanonicalModel, GeneralModel, model_from_json, model_to_json
+from .model import CanonicalModel, GeneralModel, model_from_json
 
 __all__ = ["PdeConfig", "SweepConfig", "RunConfig", "parse_config",
            "load_config", "config_to_dict", "c_label"]
@@ -151,14 +153,15 @@ def parse_config(data) -> RunConfig:
         raise
     except Exception as e:
         raise ConfigError(f"model: {e}") from e
+    d = RunConfig(model=model)
 
-    raw_speeds = data.get("speeds", [])
+    raw_speeds = data.get("speeds", list(d.speeds))
     if not isinstance(raw_speeds, (list, tuple)):
         raise ConfigError("speeds: expected a list")
     speeds = tuple(_need_finite(c, f"speeds[{i}]") for i, c in enumerate(raw_speeds))
     _refuse_shared_labels(speeds, "speeds")
 
-    raw_tol = data.get("ode_tolerances", [1e-10, 1e-10])
+    raw_tol = data.get("ode_tolerances", list(d.ode_tolerances))
     if not isinstance(raw_tol, (list, tuple)) or len(raw_tol) != 2:
         raise ConfigError("ode_tolerances: expected [abs, rel]")
     tol = tuple(_need_finite(v, f"ode_tolerances[{i}]") for i, v in enumerate(raw_tol))
@@ -168,11 +171,11 @@ def parse_config(data) -> RunConfig:
     pde = _parse_pde(data.get("pde", {}))
     sweep = _parse_sweep(data["sweep"]) if data.get("sweep") is not None else None
 
-    output_dir = data.get("output_dir", "out")
+    output_dir = data.get("output_dir", d.output_dir)
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError(f"output_dir: expected a non-empty string, got {output_dir!r}")
 
-    seed_eps = _need_finite(data.get("seed_eps", 1e-6), "seed_eps")
+    seed_eps = _need_finite(data.get("seed_eps", d.seed_eps), "seed_eps")
     if not (0.0 < seed_eps <= 1e-2):
         raise ConfigError(f"seed_eps: must lie in (0, 1e-2], got {seed_eps}")
 
@@ -194,23 +197,9 @@ def load_config(path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Effective configuration with every default resolved; round-trips
-    through parse_config."""
-    out = {
-        "model": model_to_json(cfg.model),
-        "speeds": list(cfg.speeds),
-        "ode_tolerances": list(cfg.ode_tolerances),
-        "pde": {
-            "x_min": cfg.pde.x_min,
-            "x_max": cfg.pde.x_max,
-            "n_cells": cfg.pde.n_cells,
-            "cfl": cfg.pde.cfl,
-            "T": cfg.pde.T,
-            "snapshot_times": list(cfg.pde.snapshot_times),
-        },
-        "output_dir": cfg.output_dir,
-        "seed_eps": cfg.seed_eps,
-    }
-    if cfg.sweep is not None:
-        out["sweep"] = {"c_min": cfg.sweep.c_min, "c_max": cfg.sweep.c_max,
-                        "step": cfg.sweep.step}
+    through parse_config.  Tuples stay tuples, which JSON writes as lists;
+    an unset sweep is left out."""
+    out = asdict(cfg)
+    if cfg.sweep is None:
+        del out["sweep"]
     return out

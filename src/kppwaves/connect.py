@@ -55,9 +55,9 @@ from .phaseplane import (
     FixedPointKind,
     PhaseSystem,
     PhaseSystemI,
+    _classify_p2,
     build_system,
     fixed_point_locations,
-    fixed_points,
     jacobian,
     scalar_field,
     zero_speed_curve,
@@ -167,18 +167,13 @@ class Trajectory:
     profile_of: CanonicalModel | None = None
     _table: _NordsieckTable | None = field(default=None, repr=False)
 
-    def _dense_at(self, tau) -> np.ndarray:
-        """Every state row (X, Y, xi) at the given tau values."""
+    def state_at(self, tau) -> np.ndarray:
+        """Dense-output state rows (X, Y, xi) at the given tau values."""
         if self._table is None:
             raise InvalidParameterError(
                 "trajectory carries no dense output: shoot it with "
                 "profile_of=<the model> to evaluate it between samples")
         return self._table(tau)
-
-    def state_at(self, tau):
-        """Dense-output states (X, Y) at the given tau values."""
-        out = self._dense_at(tau)
-        return out[0], out[1]
 
 
 @dataclass
@@ -329,7 +324,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     """Integrate forward from s0 with every event.  With ``xi_rate`` xi rides
     along as a third state from xi = 0, outside the error test, and each
     step's Nordsieck record is kept as the shot's dense output; without it
-    the dense output is None."""
+    the dense output is None.  ``events`` lists the events in the order
+    solve_ivp reports them: by event function, then in time."""
     rhs = scalar_field(sys)
     dense = xi_rate is not None
 
@@ -432,14 +428,11 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         if terminate:
             break
 
-    raw_events: list[tuple[EventKind, float, tuple[float, float], str | None]] = []
-    for (kind, target, _, _), found in zip(table, hits):
-        for t_e, s_e in found:
-            raw_events.append((kind, t_e, (float(s_e[0]), float(s_e[1])), target))
-
+    events = [TrajectoryEvent(kind, t_e, (float(s_e[0]), float(s_e[1])), target)
+              for (kind, target, _, _), found in zip(table, hits) for t_e, s_e in found]
     X, Y, *xi = np.array(flat).reshape(len(ts), -1).T.copy()
     return {
-        "tau": np.array(ts), "X": X, "Y": Y, "xi": xi[0] if xi else None, "raw_events": raw_events,
+        "tau": np.array(ts), "X": X, "Y": Y, "xi": xi[0] if xi else None, "events": events,
         # ODEPACK's own counters: steps NST, RHS calls NFE and Jacobians NJE
         "solver_steps": int(iwork[10]), "nfev": int(iwork[11]), "njev": int(iwork[12]),
     }, _NordsieckTable(ts, records) if dense else None
@@ -480,16 +473,11 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
         raise StepFailureError(f"integration left the half-plane (min X = {np.min(X):.3e})")
     X = np.maximum(X, 0.0)
 
-    events = [TrajectoryEvent(kind=k, tau=float(t), state=s, target=tgt)
-              for (k, t, s, tgt) in res["raw_events"]]
-
-    arrived = None
-    escaped = False
-    for ev in events:
-        if ev.kind is EventKind.FIXED_POINT_ARRIVAL:
-            arrived = ev.target
-        elif ev.kind is EventKind.ESCAPE:
-            escaped = True
+    # arrival and escape are terminal: at most one of them fires
+    events = res["events"]
+    arrived = next((ev.target for ev in events
+                    if ev.kind is EventKind.FIXED_POINT_ARRIVAL), None)
+    escaped = any(ev.kind is EventKind.ESCAPE for ev in events)
 
     # an orbit can end inside a ball without entering it on a step (it never
     # left P0's): attach the arrival at the last sample
@@ -576,8 +564,8 @@ def _wave_class(traj: Trajectory) -> tuple[SpeedClass, str, list[tuple[float, fl
                and abs(ev.state[0] - 1.0) > GRAZE_TOL]
     if extrema:
         return SpeedClass.OSCILLATORY, "extrema", extrema
-    p2 = next(fp for fp in fixed_points(traj.sys) if fp.name == "P2")
-    if p2.kind is FixedPointKind.STABLE_FOCUS and not p2.degenerate:
+    kind, degenerate = _classify_p2(traj.sys)
+    if kind is FixedPointKind.STABLE_FOCUS and not degenerate:
         # the orbit hit the arrival ball before its first X = 1 crossing;
         # inside the ball the hyperbolic focus forces the crossings the
         # truncation hid, so the wave still oscillates
@@ -619,10 +607,7 @@ def classify_connection(cm: CanonicalModel, c_original: float,
             f"(arrived={traj.arrived!r}, escaped={traj.escaped})")
 
     observed, evidence, extrema = _wave_class(traj)
-    try:
-        x0 = first_X_axis_intersection(traj)
-    except NoIntersectionError:
-        x0 = None
+    x0 = first_X_axis_intersection(traj)   # a float: the orbit reached P2
     low_confidence = abs(c - critical_speed(cm)) < LOW_CONFIDENCE_BAND
     return ConnectionResult(
         c=float(c_original), predicted=predicted, observed=observed,
@@ -687,23 +672,22 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     t_lo, t_hi = traj.tau[i1 - 1], traj.tau[i1]
 
     def half_defect(t):
-        X, _ = traj.state_at(t)
-        return float(X) - x_half
+        return float(traj.state_at(t)[0]) - x_half
 
     tau_half = brentq(half_defect, t_lo, t_hi, xtol=1e-13)
-    xi_half = float(traj._dense_at(tau_half)[2])
+    xi_half = float(traj.state_at(tau_half)[2])
 
     # invert the monotone xi(tau): a table estimate, then Newton on the
     # dense output with the (strictly positive, capped) rate as slope
     xi_target = np.linspace(traj.xi[0], traj.xi[-1], PROFILE_SAMPLES)
     tau_grid = np.interp(xi_target, traj.xi, traj.tau)
     for _ in range(XI_NEWTON_PASSES):
-        X_grid, _, xi_grid = traj._dense_at(tau_grid)
+        X_grid, _, xi_grid = traj.state_at(tau_grid)
         rate = pref * np.exp(np.minimum(expo * np.log(np.maximum(X_grid, _TINY)),
                                         XI_LOG_RATE_MAX))
         tau_grid = np.clip(tau_grid - (xi_grid - xi_target) / rate,
                            traj.tau[0], traj.tau[-1])
-    X_grid, _ = traj.state_at(tau_grid)
+    X_grid = traj.state_at(tau_grid)[0]
     xi_fwd = xi_target - xi_half
     f_fwd = np.maximum(X_grid, 0.0) ** fe
     if not (np.all(np.isfinite(xi_fwd)) and np.all(np.isfinite(f_fwd))):
@@ -714,7 +698,7 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     f = f_fwd[::-1].copy()
     f[0] = min(f[0], 1.0) if abs(f[0] - 1.0) < 1e-3 else f[0]
 
-    overshoots = sorted(((-(float(traj._dense_at(tau_e)[2]) - xi_half), x_e ** fe)
+    overshoots = sorted(((-(float(traj.state_at(tau_e)[2]) - xi_half), x_e ** fe)
                          for tau_e, x_e in extrema), key=lambda p: p[0])
     return WaveProfile(xi=xi, f=f, c=c_wave, classification=observed,
                        overshoot_extrema=tuple(overshoots))

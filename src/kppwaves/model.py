@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .errors import (
@@ -49,7 +49,6 @@ class Regime(str, Enum):
 
     CASE_I = "CaseI"        # m + q > 2
     CASE_II = "CaseII"      # 0 < m + q <= 2
-    UNSUPPORTED = "Unsupported"
 
 
 class SpeedClass(str, Enum):
@@ -215,9 +214,6 @@ def model_from_json(doc: str | dict) -> GeneralModel | CanonicalModel:
 
 def model_to_json(model: GeneralModel | CanonicalModel) -> dict:
     """Flat dict form of a model; round-trips through model_from_json."""
-    if isinstance(model, GeneralModel):
-        return {"kappa": model.kappa, "alpha": model.alpha, "beta": model.beta,
-                "m": model.m, "p": model.p, "q": model.q}
-    if isinstance(model, CanonicalModel):
-        return {"m": model.m, "p": model.p, "q": model.q}
-    raise InvalidParameterError(f"unsupported model object {type(model).__name__}")
+    if not isinstance(model, (GeneralModel, CanonicalModel)):
+        raise InvalidParameterError(f"unsupported model object {type(model).__name__}")
+    return asdict(model)

@@ -278,7 +278,9 @@ def evolve(run: PdeRun, cm: CanonicalModel, T: float, *,
 
     A tracked front that comes within ``BOUNDARY_GUARD_CELLS`` cells of a
     boundary raises DomainTooSmall; a snapshot time outside [run.time, T]
-    is refused before any step.
+    is refused before any step.  The front is recorded at the start too,
+    unless the track already ends at ``run.time`` (a run evolved before), so
+    the track holds one record per time.
     """
     if T < run.time:
         raise InvalidParameterError("target time lies in the past")
@@ -304,17 +306,22 @@ def evolve(run: PdeRun, cm: CanonicalModel, T: float, *,
                 f"front at x = {pos:.4g} is within {BOUNDARY_GUARD_CELLS} cells of "
                 f"the boundary [{run.x_min:.4g}, {run.x_max:.4g}]",
                 suggestion=(run.x_min - 0.5 * span, run.x_max + 0.5 * span))
+
+    def snapshot():
         while snaps_pending and run.time >= snaps_pending[0] - 1e-12:
             out.append((run.time, run.state.copy()))
             snaps_pending.pop(0)
 
-    record()
+    if not run.front_track or run.front_track[-1][0] != run.time:
+        record()
+    snapshot()
     while run.time < T - 1e-12:
         dt_limit = T - run.time
         if snaps_pending:
             dt_limit = min(dt_limit, snaps_pending[0] - run.time)
         step(run, cm, dt_limit=dt_limit)
         record()
+        snapshot()
     return out
 
 
@@ -355,36 +362,14 @@ def support_edge(run: PdeRun, threshold: float) -> float | None:
 @dataclass(frozen=True)
 class AdvectResult:
     """max_error over checkpoints of ||u(.,t) - f(. - ct)||_inf plus the
-    front-fitted speed (None signals no measurable front), and the step
-    diagnostics of the run (see `PdeRun`)."""
+    front-fitted speed (None signals no measurable front); ``run`` carries
+    the domain and the step diagnostics (see `PdeRun`)."""
 
     max_error: float
     measured_speed: float | None
     checkpoints: tuple[tuple[float, float], ...]
-    domain: tuple[float, float]
     run: PdeRun
     snapshots: tuple[tuple[float, np.ndarray], ...] = ()
-
-    # the run's step diagnostics; the extremes are None when no step ran
-    @property
-    def steps(self) -> int:
-        return self.run.steps
-
-    @property
-    def dt_min(self) -> float | None:
-        return self.run.dt_min if self.run.steps else None
-
-    @property
-    def dt_max(self) -> float | None:
-        return self.run.dt_max if self.run.steps else None
-
-    @property
-    def min_before_clamp(self) -> float | None:
-        return self.run.min_before_clamp if self.run.steps else None
-
-    @property
-    def limiter_clips(self) -> int | None:
-        return self.run.limiter_clips if self.run.steps else None
 
 
 def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
@@ -446,13 +431,12 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     run = make_run(x_min, x_max, n_cells, u0, cfl=cfl, bc=(f_left, f_right))
     x = run.x
     inner = slice(BOUNDARY_GUARD_CELLS, len(x) - BOUNDARY_GUARD_CELLS)
-    times = [T * (i + 1) / N_CHECKPOINTS for i in range(N_CHECKPOINTS)] if T > 0 else []
+    # at T = 0 every checkpoint is the initial state, whose error is 0
+    times = [T * (i + 1) / N_CHECKPOINTS for i in range(N_CHECKPOINTS)]
     wanted = sorted(float(t) for t in snapshot_times)
 
     checkpoints: list[tuple[float, float]] = []
     kept: list[tuple[float, np.ndarray]] = []
-    if T == 0.0:
-        checkpoints.append((0.0, 0.0))
     recorded = evolve(run, cm, T, snapshot_times=sorted(set(times) | set(wanted)))
     for t, u in recorded:
         if any(abs(t - tc) <= 1e-9 for tc in times):
@@ -469,8 +453,7 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     log.info("advect test c=%g T=%g N=%d: max_error=%.3e speed=%s",
              c, T, n_cells, max_error, speed)
     return AdvectResult(max_error=max_error, measured_speed=speed,
-                        checkpoints=tuple(checkpoints),
-                        domain=(x_min, x_max), run=run,
+                        checkpoints=tuple(checkpoints), run=run,
                         snapshots=tuple(kept))
 
 

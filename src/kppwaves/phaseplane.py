@@ -353,19 +353,17 @@ def dulac_divergence(sys: PhaseSystemI, X):
     return out if out.ndim else float(out)
 
 
-def region_G_residual(sys: PhaseSystemI, mq: float, X):
+def region_G_residual(sys: PhaseSystemI, X):
     """Outward normal flux R(X) = n . V on the line Y = a(1 - X), a = c/(2 gamma).
 
-    R(X) = -X^2 a^2 (m+q-1) + X (a^2 (m+q) + c a + 1) - a^2 - c a - X^k.
-    R(1) = 0 identically and R(X) <= 0 on [0,1] whenever c >= 2 sqrt(p-q),
-    which confines the connecting orbit to the triangle G.
+    R(X) = -X^2 a^2 (m+q-1) + X (a^2 (m+q) + c a + 1) - a^2 - c a - X^k,
+    with m + q = gamma + 2.  R(1) = 0 identically and R(X) <= 0 on [0,1]
+    whenever c >= 2 sqrt(p-q), which confines the connecting orbit to the
+    triangle G.
     """
     if not isinstance(sys, PhaseSystemI):
         raise InvalidParameterError("region_G_residual applies to Case I systems")
-    if abs(mq - (sys.gamma + 2.0)) > 1e-9 * max(1.0, abs(mq)):
-        raise InvalidParameterError(
-            f"mq = {mq!r} inconsistent with gamma = {sys.gamma!r} (mq must equal gamma + 2)"
-        )
+    mq = sys.gamma + 2.0
     Xa = np.asarray(X, dtype=float)
     if np.any(Xa < 0.0):
         raise DomainError("region_G_residual requires X >= 0")

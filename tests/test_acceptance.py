@@ -132,7 +132,7 @@ def test_criterion_04_region_confinement_at_critical_speed(capsys):
         cm = kw.CanonicalModel(*mpq)
         c_star = kw.critical_speed(cm)
         s = kw.build_system(cm, c_star)
-        worst_R = max(worst_R, float(np.max(kw.region_G_residual(s, mpq[0] + mpq[2], grid))))
+        worst_R = max(worst_R, float(np.max(kw.region_G_residual(s, grid))))
         traj = kw.shoot(s)
         a = c_star / (2.0 * s.gamma)
         # G = {0 <= X <= 1, 0 <= Y <= a(1 - X)}; positive excess = exit

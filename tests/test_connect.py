@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import LSODA, solve_ivp
 
 import kppwaves as kw
-from kppwaves import (CanonicalModel, EventKind, SpeedClass, WaveProfile,
-                      build_system, classify_connection,
+from kppwaves import (CanonicalModel, EventKind, SpeedClass, TrajectoryEvent,
+                      WaveProfile, build_system, classify_connection,
                       detect_finite_propagation, first_X_axis_intersection,
                       reconstruct_profile, shoot, threshold_crossings,
                       x0_monotonicity_check, x0_seed_sensitivity,
@@ -86,19 +86,20 @@ def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, terminal_x_axis
     assert sol.status != -1, sol.message
 
     n_fp = len(names)
-    raw_events = []
+    events = []
     for i, (t_ev, y_ev) in enumerate(zip(sol.t_events, sol.y_events)):
         for t_e, s_e in zip(t_ev, y_ev):
             state = (float(s_e[0]), float(s_e[1]))
             if i < n_fp:
-                raw_events.append((EventKind.FIXED_POINT_ARRIVAL, t_e, state, names[i]))
+                events.append(TrajectoryEvent(EventKind.FIXED_POINT_ARRIVAL, float(t_e),
+                                              state, names[i]))
             elif i == n_fp:
-                raw_events.append((EventKind.ESCAPE, t_e, state, None))
+                events.append(TrajectoryEvent(EventKind.ESCAPE, float(t_e), state))
             else:
-                raw_events.append((EventKind.X_AXIS_CROSS, t_e, state, None))
+                events.append(TrajectoryEvent(EventKind.X_AXIS_CROSS, float(t_e), state))
 
     return {"tau": sol.t, "X": sol.y[0], "Y": sol.y[1],
-            "xi": sol.y[2] if xi_rate is not None else None, "raw_events": raw_events,
+            "xi": sol.y[2] if xi_rate is not None else None, "events": events,
             "nfev": sol.nfev, "njev": sol.njev}, sol.sol
 
 
@@ -154,7 +155,7 @@ def test_forward_shot_reaches_rest_state():
 def test_dense_output_matches_samples():
     traj = shoot(build_system(CM221, 1.0), profile_of=CM221)
     for i in (len(traj.tau) // 3, 2 * len(traj.tau) // 3):
-        X, Y = traj.state_at(traj.tau[i])
+        X, Y, _ = traj.state_at(traj.tau[i])
         assert X == pytest.approx(traj.X[i], abs=1e-9)
         assert Y == pytest.approx(traj.Y[i], abs=1e-9)
 
@@ -177,9 +178,9 @@ def test_state_at_matches_scipy_dense_output(cm, c):
     pts = np.concatenate([tau, 0.5 * (tau[:-1] + tau[1:]),
                           [tau[0] - 0.5 * first, tau[-1] + 0.5 * last]])
     for t in (pts, pts[len(pts) // 3]):
-        X, Y = traj.state_at(t)
+        X, Y, xi = traj.state_at(t)
         want = reference(t)
-        for got, ref in ((X, want[0]), (Y, want[1]), (traj._dense_at(t)[2], want[2])):
+        for got, ref in ((X, want[0]), (Y, want[1]), (xi, want[2])):
             assert np.shape(got) == np.shape(ref)
             assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
@@ -191,7 +192,7 @@ def test_driver_is_bit_identical_to_solve_ivp(name, monkeypatch):
     want, reference = _solve_ivp_integrate(sys, s0, **kwargs)
     for key in ("tau", "X", "Y"):
         assert np.array_equal(got[key], want[key]), key
-    assert got["raw_events"] == want["raw_events"]
+    assert got["events"] == want["events"]
     assert (got["nfev"], got["njev"]) == (want["nfev"], want["njev"])
     assert got["solver_steps"] == len(reference.interpolants)
     if "xi_rate" not in kwargs:
@@ -215,8 +216,8 @@ def test_pin_shots_cover_the_event_paths(monkeypatch):
         res, _ = connect._integrate(sys, s0, **kwargs)
         ends[name] = res["tau"][-1]
         kinds[name] = {}
-        for kind, tau, _, _ in res["raw_events"]:
-            kinds[name].setdefault(kind, []).append(tau)
+        for ev in res["events"]:
+            kinds[name].setdefault(ev.kind, []).append(ev.tau)
     # the terminal X-axis root is the last sample
     assert kinds["221-P0-c0-terminal-axis"][EventKind.X_AXIS_CROSS] == \
         [ends["221-P0-c0-terminal-axis"]]
@@ -275,10 +276,9 @@ def test_no_arrival_fires_at_the_seed(eps):
     sys, _, kwargs = _shot_args(CM221, 1.0)
     res, _ = connect._integrate(sys, connect._seed_state(sys, eps), **kwargs)
     traj = shoot(sys, eps)
-    for arrivals in ([(tau, target) for kind, tau, _, target in res["raw_events"]
-                      if kind is EventKind.FIXED_POINT_ARRIVAL],
-                     [(ev.tau, ev.target) for ev in traj.events
-                      if ev.kind is EventKind.FIXED_POINT_ARRIVAL]):
+    for events in (res["events"], traj.events):
+        arrivals = [(ev.tau, ev.target) for ev in events
+                    if ev.kind is EventKind.FIXED_POINT_ARRIVAL]
         assert arrivals == [(traj.tau[-1], "P2")]
     assert traj.arrived == "P2" and traj.tau[-1] > 0.0
 

@@ -205,6 +205,21 @@ def test_evolve_time_validation():
         evolve(run, CM121, 2.0, snapshot_times=(3.0,))
 
 
+def test_evolve_again_records_each_time_once():
+    # a second call starts where the first ended: its entry record would
+    # repeat that time, and measure_front_speed would weigh the point twice
+    run = make_run(-20.0, 20.0, 400, lambda x: 0.5 * (1.0 - np.tanh(x)))
+    evolve(run, CM121, 0.1)
+    t_end = run.time
+    snaps = evolve(run, CM121, 0.2, snapshot_times=(t_end,))
+    assert [t for t, _ in snaps] == [t_end]
+    evolve(run, CM121, 0.3)
+    times = [t for t, _ in run.front_track]
+    assert run.steps == 60
+    assert len(times) == run.steps + 1 == 61
+    assert all(b > a for a, b in zip(times, times[1:]))
+
+
 # --- front measurements --------------------------------------------------------------
 
 def test_front_position_cases():
@@ -300,6 +315,7 @@ def test_advect_oscillatory_front_keeps_overshoot(oscillatory_profile_221):
 def test_advect_zero_horizon(monotone_profile_121):
     prof, cm = monotone_profile_121
     res = advect_profile_test(prof, cm, 0.0, n_cells=600)
+    assert res.checkpoints == ((0.0, 0.0),)
     assert res.max_error == 0.0
     assert res.measured_speed is None
 

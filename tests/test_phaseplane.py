@@ -214,15 +214,15 @@ def test_region_residual_anchors():
     for c in (0.5, 1.0, 2.0, 3.5):
         s = build_system(cm, c)
         a = c / (2.0 * s.gamma)
-        assert region_G_residual(s, 3.0, 1.0) == pytest.approx(0.0, abs=1e-13)
-        assert region_G_residual(s, 3.0, 0.0) == pytest.approx(-a * a - c * a, rel=1e-13)
+        assert region_G_residual(s, 1.0) == pytest.approx(0.0, abs=1e-13)
+        assert region_G_residual(s, 0.0) == pytest.approx(-a * a - c * a, rel=1e-13)
 
 
 def test_region_residual_quadratic_oracle():
     # (2,2,1) at c = 2: a = 1 and R collapses to -3 (X - 1)^2
     s = build_system(CanonicalModel(m=2, p=2, q=1), 2.0)
     X = np.linspace(0.0, 1.0, 101)
-    assert np.allclose(region_G_residual(s, 3.0, X), -3.0 * (X - 1.0) ** 2, atol=1e-13)
+    assert np.allclose(region_G_residual(s, X), -3.0 * (X - 1.0) ** 2, atol=1e-13)
 
 
 def test_region_residual_sign_at_critical_speed():
@@ -230,7 +230,7 @@ def test_region_residual_sign_at_critical_speed():
     for cm in (CanonicalModel(m=2, p=2, q=1), CanonicalModel(m=2, p=3, q=2),
                CanonicalModel(m=3, p=2.5, q=0.5)):
         s = build_system(cm, kw.critical_speed(cm))
-        assert np.max(region_G_residual(s, cm.m + cm.q, X)) <= 1e-12
+        assert np.max(region_G_residual(s, X)) <= 1e-12
 
 
 # --- the explicit zero-speed trajectory ----------------------------------------
