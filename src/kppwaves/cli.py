@@ -253,7 +253,8 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 "steps": run.steps,
                 # the extremes of a run that took no step are None
                 **{key: getattr(run, key) if run.steps else None for key in
-                   ("dt_min", "dt_max", "min_before_clamp", "limiter_clips")},
+                   ("dt_min", "dt_max", "min_before_clamp", "limiter_clips",
+                    "factorizations")},
             })
         except KppWavesError as e:
             row["error"] = str(e)

@@ -7,10 +7,14 @@ the flux off, which is the degenerate behavior; a harmonic mean would stall
 fronts artificially).  In increment form, (I - dt L) delta = dt L u with L
 the flux-difference operator of those coefficients, the symmetric
 tridiagonal matrix is an M-matrix, so the diffused state u* = u + delta is
-non-negative, and a constant state gives delta = 0 exactly.  One LAPACK
-``ptsv`` call solves it on the interior nodes; the end nodes hold their
-Dirichlet values.  The reaction stays explicit, evaluated pointwise on the
-old state with u below ``U_FLOOR`` contributing nothing, and sinks are
+non-negative, and a constant state gives delta = 0 exactly.  LAPACK
+``pttrf`` factors the matrix and ``pttrs`` solves with the factors on the
+interior nodes; the end nodes hold their Dirichlet values.  For m = 1 the
+matrix depends only on dt, dx and the cell count, so a run keeps its
+factors and refactors only when one of these changes (a short step that
+lands on a snapshot time, say); for m != 1 it changes with the state, and
+every step factors it.  The reaction stays explicit, evaluated pointwise on
+the old state with u below ``U_FLOOR`` contributing nothing, and sinks are
 limited per node so they cannot overdraw u*.  The scheme is first order in
 time.
 
@@ -22,9 +26,10 @@ maximum.  u stays non-negative up to roundoff, and anything below -1e-12
 before the clamp is treated as a scheme failure, not smoothed over.
 
 The run counts its steps, the range of dt, the lowest value seen before the
-clamp and the node updates whose sink the limiter cut back; the ``pde``
-command writes these into ``pde_summary.json`` as ``steps``, ``dt_min``,
-``dt_max``, ``min_before_clamp`` and ``limiter_clips``.
+clamp, the node updates whose sink the limiter cut back and the matrix
+factorizations; the ``pde`` command writes these into ``pde_summary.json``
+as ``steps``, ``dt_min``, ``dt_max``, ``min_before_clamp``,
+``limiter_clips`` and ``factorizations``.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ N_CHECKPOINTS = 5       # shape-error checkpoints of an advection test
 RESIDUAL_WINDOWS = 8    # windows of the weak-form residual
 RESIDUAL_MARGIN = 0.05  # share of the span the residual trims at each end
 
-_PTSV, = get_lapack_funcs(("ptsv",))
+_PTTRF, _PTTRS = get_lapack_funcs(("pttrf", "pttrs"))
 
 
 @dataclass
@@ -86,8 +91,10 @@ class PdeRun:
     ``step`` keeps count: ``steps`` taken, the smallest and largest ``dt``
     (``dt_min``, ``dt_max``), ``min_before_clamp``, the lowest state value
     any step produced before negatives of roundoff size were clamped to 0,
-    and ``limiter_clips``, the node updates whose sink the limiter cut back.
-    Before the first step the extremes are the empty-set values +-inf.
+    ``limiter_clips``, the node updates whose sink the limiter cut back, and
+    ``factorizations``, the diffusion matrices factored.  Before the first
+    step the extremes are the empty-set values +-inf.  For m = 1 the run
+    keeps the factored matrix of its last step, keyed on (dt, dx, n_cells).
     """
 
     x_min: float
@@ -104,6 +111,9 @@ class PdeRun:
     dt_max: float = -math.inf
     min_before_clamp: float = math.inf
     limiter_clips: int = 0
+    factorizations: int = 0
+    _factors: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def dx(self) -> float:
@@ -128,10 +138,18 @@ def make_run(x_min: float, x_max: float, n_cells: int, u0, *,
     if u.shape != x.shape:
         raise InvalidParameterError(
             f"initial state has shape {u.shape}, grid has {x.shape}")
+    bc = (float(bc[0]), float(bc[1]))
+    for name, value in zip(("left", "right"), bc):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise InvalidParameterError(
+                f"{name} boundary value must be finite and non-negative, got {value!r}")
+    # the minimum of a state holding NaN is NaN, which passes the sign test
+    if not np.all(np.isfinite(u)):
+        raise InvalidParameterError("initial state has non-finite values")
     if np.min(u) < 0.0:
         raise NegativityError(f"initial state dips to {np.min(u):.3e}")
     run = PdeRun(x_min=float(x_min), x_max=float(x_max), n_cells=int(n_cells),
-                 cfl=float(cfl), state=u, bc=(float(bc[0]), float(bc[1])))
+                 cfl=float(cfl), state=u, bc=bc)
     run.state[0], run.state[-1] = run.bc
     return run
 
@@ -153,24 +171,39 @@ def _coefficients(cm) -> tuple[float, float, float]:
     return cm.m, cm.p, cm.q
 
 
-def _diffuse(u: np.ndarray, m: float, dt: float, dx: float) -> np.ndarray:
-    """The diffusion half of a step: a fresh u* = (I - dt L_a)^-1 u with the
-    end values held, solved on the interior in increment form."""
-    # w holds -dt a / dx^2 per face, a = mean(u^(m-1)): the off-diagonal
+def _factor(u: np.ndarray, m: float, dt: float, dx: float):
+    """The off-diagonal w of I - dt L_a, -dt a / dx^2 per face with
+    a = mean(u^(m-1)), and the ``pttrf`` factors of its interior block."""
     D = u ** (m - 1.0)
     w = D[:-1] + D[1:]
     w *= -0.5 * dt / (dx * dx)
-    flux = np.diff(u)
-    flux *= w
-    rhs = flux[:-1] - flux[1:]
     diag = 1.0 - w[1:]
     diag -= w[:-1]
-    *_, delta, info = _PTSV(diag, w[1:-1], rhs, 1, 1, 1)
+    d, e, info = _PTTRF(diag, w[1:-1], overwrite_d=1)
+    if info != 0:
+        raise StabilityViolationError(
+            f"diffusion factorization failed (LAPACK info = {info})")
+    return w, d, e
+
+
+def _solve(u: np.ndarray, w: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """A fresh u* = u + delta, (I - dt L_a) delta = dt L_a u from the factors
+    of `_factor`, with the end values held."""
+    flux = u[1:] - u[:-1]
+    flux *= w
+    rhs = flux[:-1] - flux[1:]
+    delta, info = _PTTRS(d, e, rhs, overwrite_b=1)
     if info != 0:
         raise StabilityViolationError(f"diffusion solve failed (LAPACK info = {info})")
     u_star = u.copy()
     u_star[1:-1] += delta
     return u_star
+
+
+def _diffuse(u: np.ndarray, m: float, dt: float, dx: float) -> np.ndarray:
+    """The diffusion half of a step: a fresh u* = (I - dt L_a)^-1 u with the
+    end values held, solved on the interior in increment form."""
+    return _solve(u, *_factor(u, m, dt, dx))
 
 
 def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeRun:
@@ -194,7 +227,19 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     if not dt > 0.0:
         raise StabilityViolationError(f"no positive step available (dt = {dt!r})")
 
-    u_star = _diffuse(u, m, dt, dx)
+    if m == 1.0:
+        # the matrix depends on (dt, dx, n_cells) alone, so the factors of
+        # an earlier step with the same key still hold
+        key = (dt, dx, run.n_cells)
+        factors = run._factors
+        fresh = factors is None or factors[0] != key
+        if fresh:
+            factors = (key, *_factor(u, m, dt, dx))
+        u_star = _solve(u, *factors[1:])
+    else:
+        fresh = True
+        u_star = _diffuse(u, m, dt, dx)
+
     # nodes below U_FLOOR contribute nothing (p > q >= 0 keeps u^p finite)
     r = dt * u ** p
     r -= dt * u ** q
@@ -235,6 +280,9 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     run.dt_max = max(run.dt_max, dt)
     run.min_before_clamp = min(run.min_before_clamp, low)
     run.limiter_clips += clips
+    run.factorizations += fresh
+    if m == 1.0:
+        run._factors = factors
     return run
 
 

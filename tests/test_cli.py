@@ -259,6 +259,8 @@ def test_pde_summary(workspace):
         assert 0.0 < row["dt_min"] <= row["dt_max"]
         assert -1e-12 <= row["min_before_clamp"] <= 1.0
         assert isinstance(row["limiter_clips"], int) and row["limiter_clips"] >= 0
+        # m = 2: the lagged diffusivity changes the matrix every step
+        assert row["factorizations"] == row["steps"]
 
 
 def test_pde_summary_counts_limiter_clips_deterministically(tmp_path):
@@ -273,7 +275,10 @@ def test_pde_summary_counts_limiter_clips_deterministically(tmp_path):
         assert main(["pde", "--config", str(cfg)]) == 0
         summaries.append((out / "pde_summary.json").read_bytes())
     assert summaries[0] == summaries[1]
-    assert json.loads(summaries[0])[0]["limiter_clips"] > 0
+    [row] = json.loads(summaries[0])
+    assert row["limiter_clips"] > 0
+    # m = 1: one factorization per time step size, not one per step
+    assert 1 <= row["factorizations"] < row["steps"]
 
 
 def test_pde_csv_text_matches_fmt(tmp_path, monkeypatch):
@@ -351,7 +356,7 @@ def test_pde_zero_horizon(tmp_path):
     assert rows[0]["measured_speed"] is None
     assert rows[0]["steps"] == 0
     assert (rows[0]["dt_min"] is rows[0]["dt_max"] is rows[0]["min_before_clamp"]
-            is rows[0]["limiter_clips"] is None)
+            is rows[0]["limiter_clips"] is rows[0]["factorizations"] is None)
 
 
 def test_general_model_gives_the_bytes_of_its_canonical_form(tmp_path):

@@ -160,6 +160,16 @@ def test_limiter_clips_are_counted_deterministically():
     assert quiet.limiter_clips == 0
 
 
+def test_m1_factors_once_per_time_step_size():
+    # m = 1: the matrix depends on dt alone, so only the short steps that
+    # land on snapshots, and the full step after each, factor it again
+    run = make_run(-20.0, 20.0, 400, lambda x: 0.5 * (1.0 - np.tanh(x)))
+    snaps = (0.13, 0.37, 0.61)
+    evolve(run, CM121, 2.0, snapshot_times=snaps)
+    assert run.steps >= 400
+    assert 1 <= run.factorizations <= 2 * len(snaps) + 1
+
+
 # --- conservation ----------------------------------------------------------------
 
 def test_interior_mass_identity_without_reaction():
@@ -188,6 +198,20 @@ def test_make_run_validation():
         make_run(0.0, 1.0, 100, bump, cfl=0.95)
     with pytest.raises(kw.NegativityError):
         make_run(0.0, 1.0, 100, lambda x: x - 0.5)   # negative data
+
+
+@pytest.mark.parametrize("bc, u0, name", [
+    ((-0.5, 0.0), bump, "left boundary"),
+    ((math.nan, 0.0), bump, "left boundary"),
+    ((1.0, math.inf), bump, "right boundary"),
+    ((0.0, 0.0), lambda x: np.where(x > 0.5, math.nan, bump(x)), "initial state"),
+    ((0.0, 0.0), lambda x: np.where(x < -0.5, math.inf, bump(x)), "initial state"),
+], ids=["negative-bc", "nan-bc", "inf-bc", "nan-u0", "inf-u0"])
+def test_make_run_refuses_bad_boundary_and_initial_values(bc, u0, name):
+    # refused before any step, naming the input, rather than surfacing as a
+    # negativity, non-finite or zero-dt failure of a later step
+    with pytest.raises(kw.InvalidParameterError, match=name):
+        make_run(-1.0, 1.0, 100, u0, bc=bc)
 
 
 def test_fast_diffusion_rejected():
@@ -447,10 +471,13 @@ def _tailed_front(x):
     return np.where(x < 7.5, 0.5 * (1.0 - np.tanh(2.0 * x)), 0.0)
 
 
-def _assert_same_steps(models, n_steps, dt_limit=None):
-    ref, new = [make_run(-8.0, 8.0, 240, _tailed_front) for _ in range(2)]
+def _assert_same_steps(models, n_steps, dt_limits=(None,), runs=None):
+    # step i is capped by dt_limits[i % len(dt_limits)]; ``runs`` continues
+    # a (reference, step) pair instead of starting a fresh one
+    ref, new = runs or [make_run(-8.0, 8.0, 240, _tailed_front) for _ in range(2)]
     for model in models:
-        for _ in range(n_steps):
+        for i in range(n_steps):
+            dt_limit = dt_limits[i % len(dt_limits)]
             _reference_step(ref, model, dt_limit=dt_limit)
             held = new.state
             step(new, model, dt_limit=dt_limit)
@@ -469,13 +496,35 @@ def test_step_is_bit_identical_to_reference(model):
     assert run.steps == 250
 
 
-@pytest.mark.parametrize("switch", ["no-reaction", "dt-limit"])
+@pytest.mark.parametrize("switch", ["no-reaction", "dt-limit", "alternating-dt-limit",
+                                    "regrid"])
 @pytest.mark.parametrize("model", [CM121, CM221, CanonicalModel(m=1, p=1, q=0.5)],
                          ids=["121", "221", "1-1-0.5"])
 def test_step_switches_are_bit_identical_to_reference(model, switch):
     if switch == "dt-limit":
-        run = _assert_same_steps([model], 200, dt_limit=1e-4)
+        run = _assert_same_steps([model], 200, dt_limits=(1e-4,))
         assert run.dt_max == 1e-4
+        assert run.factorizations == (1 if model.m == 1 else 200)
+        return
+    if switch == "alternating-dt-limit":
+        # for m = 1 each change of dt must factor the matrix again
+        run = _assert_same_steps([model], 200, dt_limits=(None, 1e-4))
+        assert run.dt_min == 1e-4 < run.dt_max
+        assert run.factorizations == 200
+        return
+    if switch == "regrid":
+        # a change of dx, then of n_cells at the same dx, between steps, with
+        # dt held by its cap; the state is resampled onto a grid of a new size
+        runs = [make_run(-8.0, 8.0, 240, _tailed_front) for _ in range(2)]
+        for x_max, n_cells in ((8.0, 240), (10.0, 240), (14.5, 300)):
+            for side in runs:
+                if n_cells != side.n_cells:
+                    x = np.linspace(side.x_min, x_max, n_cells + 1)
+                    side.state = np.interp(x, side.x, side.state)
+                side.x_max, side.n_cells = x_max, n_cells
+            run = _assert_same_steps([model], 40, dt_limits=(1e-3,), runs=runs)
+        assert run.dx == 18.0 / 240 and run.dt_min == run.dt_max == 1e-3
+        assert run.factorizations == (3 if model.m == 1 else 120)
         return
     # the diffusion half of the step alone
     u = ref = _tailed_front(np.linspace(-8.0, 8.0, 241))
