@@ -254,7 +254,7 @@ def cmd_pde(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 # the extremes of a run that took no step are None
                 **{key: getattr(run, key) if run.steps else None for key in
                    ("dt_min", "dt_max", "min_before_clamp", "limiter_clips",
-                    "factorizations")},
+                    "positivity_fallbacks", "factorizations")},
             })
         except KppWavesError as e:
             row["error"] = str(e)

@@ -1,22 +1,35 @@
 """Direct solution of u_t = (u^{m-1} u_x)_x + u^p - u^q on an interval.
 
-Each step is linearly implicit and conservative.  Diffusion is backward
-Euler with the interface diffusivity lagged one step: the arithmetic mean of
-u^{m-1} at the neighbors of the current state (its limit at u = 0 switches
-the flux off, which is the degenerate behavior; a harmonic mean would stall
-fronts artificially).  In increment form, (I - dt L) delta = dt L u with L
-the flux-difference operator of those coefficients, the symmetric
-tridiagonal matrix is an M-matrix, so the diffused state u* = u + delta is
-non-negative, and a constant state gives delta = 0 exactly.  LAPACK
-``pttrf`` factors the matrix and ``pttrs`` solves with the factors on the
-interior nodes; the end nodes hold their Dirichlet values.  For m = 1 the
-matrix depends only on dt, dx and the cell count, so a run keeps its
-factors and refactors only when one of these changes (a short step that
-lands on a snapshot time, say); for m != 1 it changes with the state, and
-every step factors it.  The reaction stays explicit, evaluated pointwise on
-the old state with u below ``U_FLOOR`` contributing nothing, and sinks are
-limited per node so they cannot overdraw u*.  The scheme is first order in
-time.
+Each step is linearly implicit (IMEX-BDF2, "SBDF2": Ascher, Ruuth & Wetton
+1995; Hundsdorfer & Verwer 2003, ch. IV): diffusion implicit, reaction
+extrapolated, one symmetric tridiagonal solve per step.  Each interior row
+is one of two kinds,
+
+* SBDF2:  (3/2 - dt L_a) u^{n+1} = 2u^n - u^{n-1}/2 + dt (2R^n - R^{n-1}),
+* BE:     (1 - dt L_a) u^{n+1} = max(u^n + dt R^n, 0),
+
+with R = u^p - u^q (nodes below ``U_FLOOR`` contribute nothing) and L_a the
+flux-difference operator whose interface diffusivity a is the arithmetic
+mean of u^{m-1} at the neighbors (its limit at u = 0 switches the flux off,
+which is the degenerate behavior; a harmonic mean would stall fronts
+artificially).  u^{m-1} is taken from max(2u^n - u^{n-1}, 0), or from u^n
+on a BE start.  A row is BE on the first step, after any restart (see
+`PdeRun`), and wherever its SBDF2 right-hand side is negative.  The matrix
+is an M-matrix and every right-hand side is non-negative, so u^{n+1} >= 0
+with no limiter after the solve; no linear method above first order is
+positive unconditionally, so the per-row fallback is what keeps it so.
+The scheme is second order in time.
+
+The step solves in increment form, (lead - dt L_a) delta = b + dt L_a u^n
+with b the right-hand side less lead u^n, so a constant state gives delta =
+0 exactly.  LAPACK ``pttrf`` factors the matrix and ``pttrs`` solves with
+the factors on the interior nodes; the end nodes hold their Dirichlet
+values.  For m = 1 the matrix depends only on dt, dx, the cell count and
+the leads, so a run keeps the factors of both uniform leads for its current
+step size; a step with rows of both kinds factors afresh, and for m != 1
+every step does.  `evolve` takes full steps and lands only on its end time;
+a snapshot due inside a step is the linear interpolant of the states at the
+step's ends, second order like the step itself.
 
 The equation is the canonical one: the functions here take a
 `CanonicalModel` and refuse a general model, which `nondimensionalize`
@@ -26,10 +39,11 @@ maximum.  u stays non-negative up to roundoff, and anything below -1e-12
 before the clamp is treated as a scheme failure, not smoothed over.
 
 The run counts its steps, the range of dt, the lowest value seen before the
-clamp, the node updates whose sink the limiter cut back and the matrix
-factorizations; the ``pde`` command writes these into ``pde_summary.json``
-as ``steps``, ``dt_min``, ``dt_max``, ``min_before_clamp``,
-``limiter_clips`` and ``factorizations``.
+clamp, the BE right-hand sides clamped at 0, the node updates the
+positivity rule switched to BE and the matrix factorizations; the ``pde``
+command writes these into ``pde_summary.json`` as ``steps``, ``dt_min``,
+``dt_max``, ``min_before_clamp``, ``limiter_clips``,
+``positivity_fallbacks`` and ``factorizations``.
 """
 
 from __future__ import annotations
@@ -70,7 +84,7 @@ __all__ = [
 
 U_FLOOR = 1e-12
 U_MAX = 10.0
-H = 1.0 / 18.0          # dt = cfl H dx in canonical units: 0.05 dx at cfl 0.9
+H = 4.0 / 18.0          # dt = cfl H dx in canonical units: 0.2 dx at cfl 0.9
 BOUNDARY_GUARD_CELLS = 10
 FRONT_LEVEL = 0.5       # the level set tracked as the front
 N_CHECKPOINTS = 5       # shape-error checkpoints of an advection test
@@ -91,10 +105,19 @@ class PdeRun:
     ``step`` keeps count: ``steps`` taken, the smallest and largest ``dt``
     (``dt_min``, ``dt_max``), ``min_before_clamp``, the lowest state value
     any step produced before negatives of roundoff size were clamped to 0,
-    ``limiter_clips``, the node updates whose sink the limiter cut back, and
-    ``factorizations``, the diffusion matrices factored.  Before the first
-    step the extremes are the empty-set values +-inf.  For m = 1 the run
-    keeps the factored matrix of its last step, keyed on (dt, dx, n_cells).
+    ``limiter_clips``, the backward-Euler right-hand sides clamped at 0,
+    ``positivity_fallbacks``, the node updates that the positivity rule
+    switched from SBDF2 to backward Euler (start and restart rows are not
+    counted), and ``factorizations``, the diffusion matrices factored.
+    Before the first step the extremes are the empty-set values +-inf.
+
+    The run keeps the history of its last step: the state before it and
+    its dt R.  A step uses them only if the model, dt, dx and n_cells are
+    those of the last step and ``state`` is still the array that step
+    produced; otherwise it restarts with backward Euler.  For m = 1 the run
+    also keeps the factored matrices of both uniform leads (1 and 3/2),
+    keyed on (dt, dx, n_cells, lead) and dropped when the step size
+    changes.
     """
 
     x_min: float
@@ -111,8 +134,11 @@ class PdeRun:
     dt_max: float = -math.inf
     min_before_clamp: float = math.inf
     limiter_clips: int = 0
+    positivity_fallbacks: int = 0
     factorizations: int = 0
-    _factors: tuple | None = field(default=None, init=False, repr=False,
+    _factors: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    _history: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
 
     @property
@@ -162,7 +188,7 @@ def _coefficients(cm) -> tuple[float, float, float]:
             "reduce a general model with nondimensionalize first")
     if cm.m < 1.0:
         raise InvalidParameterError(
-            "the lagged diffusivity must stay bounded; m >= 1 required "
+            "the diffusivity u^(m-1) must stay bounded; m >= 1 required "
             f"(got m = {cm.m!r})")
     if cm.q < 0.0:
         raise InvalidParameterError(
@@ -171,46 +197,31 @@ def _coefficients(cm) -> tuple[float, float, float]:
     return cm.m, cm.p, cm.q
 
 
-def _factor(u: np.ndarray, m: float, dt: float, dx: float):
-    """The off-diagonal w of I - dt L_a, -dt a / dx^2 per face with
-    a = mean(u^(m-1)), and the ``pttrf`` factors of its interior block."""
+def _faces(u: np.ndarray, m: float, dt: float, dx: float) -> np.ndarray:
+    """w = -dt a / dx^2 per face, with a the mean of u^(m-1) at its nodes."""
     D = u ** (m - 1.0)
     w = D[:-1] + D[1:]
     w *= -0.5 * dt / (dx * dx)
-    diag = 1.0 - w[1:]
+    return w
+
+
+def _factor(w: np.ndarray, lead) -> tuple[np.ndarray, np.ndarray]:
+    """The ``pttrf`` factors of the interior block of lead - dt L_a, given
+    its face weights w; ``lead`` is one number or one per interior row."""
+    diag = lead - w[1:]
     diag -= w[:-1]
     d, e, info = _PTTRF(diag, w[1:-1], overwrite_d=1)
     if info != 0:
         raise StabilityViolationError(
             f"diffusion factorization failed (LAPACK info = {info})")
-    return w, d, e
-
-
-def _solve(u: np.ndarray, w: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """A fresh u* = u + delta, (I - dt L_a) delta = dt L_a u from the factors
-    of `_factor`, with the end values held."""
-    flux = u[1:] - u[:-1]
-    flux *= w
-    rhs = flux[:-1] - flux[1:]
-    delta, info = _PTTRS(d, e, rhs, overwrite_b=1)
-    if info != 0:
-        raise StabilityViolationError(f"diffusion solve failed (LAPACK info = {info})")
-    u_star = u.copy()
-    u_star[1:-1] += delta
-    return u_star
-
-
-def _diffuse(u: np.ndarray, m: float, dt: float, dx: float) -> np.ndarray:
-    """The diffusion half of a step: a fresh u* = (I - dt L_a)^-1 u with the
-    end values held, solved on the interior in increment form."""
-    return _solve(u, *_factor(u, m, dt, dx))
+    return d, e
 
 
 def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeRun:
     """Advance one linearly implicit step; mutates and returns ``run``.
 
-    ``dt_limit`` additionally caps the step (used to land exactly on
-    snapshot times); the reaction-slope cap always applies.  The new state
+    ``dt_limit`` additionally caps the step (`evolve` lands on its end time
+    with it); the reaction-slope cap always applies.  The new state
     is a fresh array, so a caller holding the old ``run.state`` keeps it.
     """
     m, p, q = _coefficients(cm)
@@ -227,41 +238,77 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     if not dt > 0.0:
         raise StabilityViolationError(f"no positive step available (dt = {dt!r})")
 
-    if m == 1.0:
-        # the matrix depends on (dt, dx, n_cells) alone, so the factors of
-        # an earlier step with the same key still hold
-        key = (dt, dx, run.n_cells)
-        factors = run._factors
-        fresh = factors is None or factors[0] != key
+    # dt R on the interior; nodes below U_FLOOR contribute nothing (p > q >= 0
+    # keeps u^p finite)
+    ui = u[1:-1]
+    r = ui ** p
+    r -= ui ** q
+    r[ui < U_FLOOR] = 0.0
+    r *= dt
+    # every row solves lead u_new - dt L_a u_new = s in increment form,
+    # (lead - dt L_a) delta = b + dt L_a u with b = s - lead u: a BE row has
+    # lead 1 and s = max(u + dt R, 0), an SBDF2 row lead 3/2 and
+    # s = 2u - u_prev/2 + dt (2R - R_prev)
+    key = (m, p, q, dt, dx, run.n_cells)
+    history = run._history
+    u_a = u
+    switched = 0
+    if history is not None and history[0] == key and history[1] is u:
+        u_prev, r_prev = history[2], history[3]
+        g = ui - u_prev[1:-1]
+        g *= 0.5
+        g += 2.0 * r
+        g -= r_prev
+        # the positivity rule: a row whose SBDF2 right-hand side is negative
+        # is a BE row
+        be = 1.5 * ui + g < 0.0
+        switched = int(np.count_nonzero(be))
+        if m != 1.0:
+            u_a = np.maximum(2.0 * u - u_prev, 0.0)
+        if switched:
+            b = np.where(be, np.maximum(r, -ui), g)
+            lead = np.where(be, 1.0, 1.5)
+            clips = int(np.count_nonzero(be & (r < -ui)))
+        else:
+            b, lead, clips = g, 1.5, 0
+    else:
+        # the first step, and every restart, is BE throughout
+        b = np.maximum(r, -ui)
+        lead = 1.0
+        clips = int(np.count_nonzero(r < -ui))
+
+    if m == 1.0 and not switched:
+        # the matrix depends on (dt, dx, n_cells) and the lead alone; the run
+        # keeps the factors of both uniform leads for the current step size
+        size = (dt, dx, run.n_cells)
+        factors_key = size + (lead,)
+        fresh = factors_key not in run._factors
         if fresh:
-            factors = (key, *_factor(u, m, dt, dx))
-        u_star = _solve(u, *factors[1:])
+            if any(k[:3] != size for k in run._factors):
+                run._factors.clear()
+            w = _faces(u, m, dt, dx)
+            run._factors[factors_key] = (w, *_factor(w, lead))
+        w, d, e = run._factors[factors_key]
     else:
         fresh = True
-        u_star = _diffuse(u, m, dt, dx)
+        w = _faces(u_a, m, dt, dx)
+        d, e = _factor(w, lead)
 
-    # nodes below U_FLOOR contribute nothing (p > q >= 0 keeps u^p finite)
-    r = dt * u ** p
-    r -= dt * u ** q
-    r[u < U_FLOOR] = 0.0
-    u_new = u_star + r
+    flux = u[1:] - u[:-1]
+    flux *= w
+    rhs = flux[:-1] - flux[1:]
+    rhs += b
+    delta, info = _PTTRS(d, e, rhs, overwrite_b=1)
+    if info != 0:
+        raise StabilityViolationError(f"diffusion solve failed (LAPACK info = {info})")
+    u_new = u.copy()
+    u_new[1:-1] += delta
     u_new[0], u_new[-1] = run.bc
 
     # NaN propagates through min and max, so these reductions carry the
-    # finiteness, negativity and blow-up guards
+    # finiteness, negativity and blow-up guards; every right-hand side is
+    # non-negative and the matrix is an M-matrix, so only roundoff can dip
     low = float(u_new.min())
-    clips = 0
-    if low < 0.0:
-        # a sink may not overdraw its node: u* + dt r >= min(u*, 0), which
-        # can bind only where the update went negative.  The bound must
-        # reference the diffused value, or a retreating support edge dips
-        # negative when absorption empties a node whose stencil is
-        # simultaneously losing
-        floor = np.minimum(u_star, 0.0)
-        clipped = u_new < floor
-        clips = int(np.count_nonzero(clipped))
-        np.maximum(u_new, floor, out=u_new)
-        low = float(u_new.min())
     high = float(u_new.max())
     if not (math.isfinite(low) and math.isfinite(high)):
         raise StabilityViolationError("non-finite values appeared in the state")
@@ -280,9 +327,9 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     run.dt_max = max(run.dt_max, dt)
     run.min_before_clamp = min(run.min_before_clamp, low)
     run.limiter_clips += clips
+    run.positivity_fallbacks += switched
     run.factorizations += fresh
-    if m == 1.0:
-        run._factors = factors
+    run._history = (key, u_new, u, r)
     return run
 
 
@@ -324,9 +371,11 @@ def evolve(run: PdeRun, cm: CanonicalModel, T: float, *,
     """Step ``run`` to time T, recording the front (the ``FRONT_LEVEL`` level
     set) after every step and the requested snapshots.
 
-    A tracked front that comes within ``BOUNDARY_GUARD_CELLS`` cells of a
-    boundary raises DomainTooSmall; a snapshot time outside [run.time, T]
-    is refused before any step.  The front is recorded at the start too,
+    Every step but the last is full size; a snapshot due inside a step is
+    interpolated linearly between the states at its ends, so snapshots do
+    not change the steps taken.  A tracked front that comes within
+    ``BOUNDARY_GUARD_CELLS`` cells of a boundary raises DomainTooSmall; a
+    snapshot time outside [run.time, T] is refused before any step.  The front is recorded at the start too,
     unless the track already ends at ``run.time`` (a run evolved before), so
     the track holds one record per time.
     """
@@ -355,21 +404,26 @@ def evolve(run: PdeRun, cm: CanonicalModel, T: float, *,
                 f"the boundary [{run.x_min:.4g}, {run.x_max:.4g}]",
                 suggestion=(run.x_min - 0.5 * span, run.x_max + 0.5 * span))
 
-    def snapshot():
+    def snapshot(before=None, t_before=None):
+        # a snapshot due inside the last step is the linear interpolant of
+        # the states at its ends, second order like the step, so snapshots
+        # never shorten a step or restart the scheme
         while snaps_pending and run.time >= snaps_pending[0] - 1e-12:
-            out.append((run.time, run.state.copy()))
-            snaps_pending.pop(0)
+            t = snaps_pending.pop(0)
+            if before is None or t >= run.time - 1e-12:
+                out.append((run.time, run.state.copy()))
+            else:
+                theta = (t - t_before) / (run.time - t_before)
+                out.append((t, before + theta * (run.state - before)))
 
     if not run.front_track or run.front_track[-1][0] != run.time:
         record()
     snapshot()
     while run.time < T - 1e-12:
-        dt_limit = T - run.time
-        if snaps_pending:
-            dt_limit = min(dt_limit, snaps_pending[0] - run.time)
-        step(run, cm, dt_limit=dt_limit)
+        before, t_before = run.state, run.time
+        step(run, cm, dt_limit=T - run.time)
         record()
-        snapshot()
+        snapshot(before, t_before)
     return out
 
 

@@ -45,3 +45,10 @@ def tight_profile_221():
 def finite_prop_profile():
     """(m,p,q) = (1,1,0.5) at c = -3: compactly supported ahead of the front."""
     return build_profile(1, 1, 0.5, -3.0)
+
+
+@pytest.fixture(scope="session")
+def tight_az_profile_121():
+    """(1,2,1) at the Ablowitz-Zeppetella speed -5/sqrt(6), shot to within
+    1e-9 of the rest state."""
+    return build_profile(1, 2, 1, -5.0 / 6.0 ** 0.5, arrival_radius=1e-9)

@@ -278,8 +278,10 @@ def test_criterion_08_pde_advects_profiles(capsys, tight_profile_121,
         ok = ok and speed_rel <= 0.02 and coarse.max_error < 0.02 and ratio <= 0.65
         assert speed_rel <= 0.02
         assert coarse.max_error < 0.02
-        # dt is tied to dx (0.05 dx), so the first-order error in time
-        # halves with dx and dominates: the measured ratios sit near 0.5
+        # dt is tied to dx (0.2 dx), so the fine run halves both.  The
+        # (1,2,1) error is mostly the second-order error in time, and its
+        # ratio sits near 0.23; for (2,2,1) the space error holds its own
+        # beside the time error, and its ratio sits near 0.6
         assert ratio <= 0.65
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0

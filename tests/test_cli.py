@@ -259,7 +259,7 @@ def test_pde_summary(workspace):
         assert 0.0 < row["dt_min"] <= row["dt_max"]
         assert -1e-12 <= row["min_before_clamp"] <= 1.0
         assert isinstance(row["limiter_clips"], int) and row["limiter_clips"] >= 0
-        # m = 2: the lagged diffusivity changes the matrix every step
+        # m = 2: the extrapolated diffusivity changes the matrix every step
         assert row["factorizations"] == row["steps"]
 
 
@@ -277,8 +277,28 @@ def test_pde_summary_counts_limiter_clips_deterministically(tmp_path):
     assert summaries[0] == summaries[1]
     [row] = json.loads(summaries[0])
     assert row["limiter_clips"] > 0
-    # m = 1: one factorization per time step size, not one per step
-    assert 1 <= row["factorizations"] < row["steps"]
+    # the sink empties tail nodes faster than SBDF2 can follow them
+    # positively, so the positivity rule switches some of them to BE
+    assert row["positivity_fallbacks"] > 0
+    # a step with a switched row factors its mixed-lead matrix afresh
+    assert 1 <= row["factorizations"] <= row["steps"]
+
+
+def test_pde_summary_has_no_positivity_fallbacks_for_a_linear_sink(tmp_path):
+    # (1,2,1): the linear sink -u cannot drain a node within a step (dt < 1),
+    # and no node of this smooth front loses 3/4 of its value in one step, so
+    # every SBDF2 right-hand side stays non-negative and no BE one is clamped
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, model={"m": 1, "p": 2, "q": 1}, speeds=[-3],
+                    output_dir=str(out), pde={"n_cells": 400, "T": 0.5})
+    assert main(["shoot", "--config", str(cfg)]) == 0
+    assert main(["pde", "--config", str(cfg)]) == 0
+    [row] = json.loads((out / "pde_summary.json").read_text())
+    assert row["steps"] > 10
+    assert row["positivity_fallbacks"] == row["limiter_clips"] == 0
+    # m = 1 with no switched row: the full step factors once per lead (1 at
+    # the start, 3/2 after it) and the last step, landing on T, once more
+    assert 2 <= row["factorizations"] <= 3
 
 
 def test_pde_csv_text_matches_fmt(tmp_path, monkeypatch):
@@ -356,7 +376,8 @@ def test_pde_zero_horizon(tmp_path):
     assert rows[0]["measured_speed"] is None
     assert rows[0]["steps"] == 0
     assert (rows[0]["dt_min"] is rows[0]["dt_max"] is rows[0]["min_before_clamp"]
-            is rows[0]["limiter_clips"] is rows[0]["factorizations"] is None)
+            is rows[0]["limiter_clips"] is rows[0]["positivity_fallbacks"]
+            is rows[0]["factorizations"] is None)
 
 
 def test_general_model_gives_the_bytes_of_its_canonical_form(tmp_path):

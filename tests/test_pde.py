@@ -1,4 +1,5 @@
-"""Linearly implicit scheme: steady states, conservation, fronts, profile advection."""
+"""Linearly implicit IMEX-BDF2 scheme: steady states, positivity, conservation,
+history, fronts, profile advection."""
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from scipy.linalg import solveh_banded
 
 import kppwaves as kw
-from kppwaves.pde import H, U_FLOOR, U_MAX, _diffuse
+from kppwaves.pde import H, U_FLOOR, U_MAX
 from kppwaves import (CanonicalModel, GeneralModel, advect_profile_test,
                       evolve, front_position, make_run, measure_front_speed,
                       step, support_edge, wave_ode_residual)
@@ -43,8 +44,8 @@ def test_vacuum_state_steps_without_a_timescale():
 
 
 def test_sink_limited_reaction_preserves_positivity():
-    # the sub-sqrt sink is non-Lipschitz at 0; tail nodes rely on the
-    # r >= -u/dt clamp to stay non-negative
+    # the sub-sqrt sink is non-Lipschitz at 0; tail nodes rely on the BE
+    # fallback and its right-hand side max(u + dt R, 0) to stay non-negative
     cm = CanonicalModel(m=1, p=1, q=0.5)
     run = make_run(-2.0, 2.0, 200, bump, bc=(0.0, 0.0))
     for _ in range(50):
@@ -54,8 +55,8 @@ def test_sink_limited_reaction_preserves_positivity():
 
 
 def test_strong_sink_extinguishes_tiny_bump_cleanly():
-    # finite-time extinction: the sink eats the bump and the overdraw bound
-    # hands back exact zeros instead of negative residue
+    # finite-time extinction: the sink eats the bump and the BE rows'
+    # clamped right-hand sides hand back zeros instead of negative residue
     cm = CanonicalModel(m=1, p=1, q=0.5)
     run = make_run(-2.0, 2.0, 200, lambda x: 1e-8 * bump(x), bc=(0.0, 0.0))
     for _ in range(400):
@@ -67,9 +68,9 @@ def test_strong_sink_extinguishes_tiny_bump_cleanly():
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("q", [0.5, 1.0])
 def test_large_diffusion_number_keeps_state_non_negative(m, q):
-    # dt / dx^2 is far beyond the explicit bound of 1/2; the backward-Euler
-    # diffusion is an M-matrix solve and the sink limiter caps the reaction,
-    # so compactly supported data stays non-negative
+    # dt / dx^2 is far beyond the explicit bound of 1/2; the implicit
+    # diffusion is an M-matrix solve and every row's right-hand side is
+    # non-negative, so compactly supported data stays non-negative
     run = make_run(-2.0, 2.0, 400, bump, bc=(0.0, 0.0))
     cm = CanonicalModel(m=m, p=2, q=q)
     for _ in range(200):
@@ -87,9 +88,11 @@ def test_supercritical_state_trips_blowup_guard():
 
 # --- the terms of the scheme ------------------------------------------------------
 
-def _dense_diffusion(u, a, dt, dx):
-    """u* solving (I - dt L_a) u* = u, L_a the flux differences of the face
-    coefficients a; the Dirichlet ends hold their values."""
+def _dense_rows(u, lead, s, u_a, m, dt, dx):
+    """u_new solving lead_i u_new_i - dt (L_a u_new)_i = s_i on the interior,
+    L_a the flux differences of the face means a of u_a^(m-1); the Dirichlet
+    ends hold their values."""
+    a = 0.5 * (u_a[:-1] ** (m - 1) + u_a[1:] ** (m - 1))
     n = len(u)
     L = np.zeros((n, n))
     for i, ai in enumerate(a):
@@ -99,29 +102,64 @@ def _dense_diffusion(u, a, dt, dx):
         L[i + 1, i + 1] -= w
         L[i + 1, i] += w
     L[0] = L[-1] = 0.0
-    return np.linalg.solve(np.eye(n) - dt * L, u)
+    M = np.diag(np.concatenate(([1.0], lead, [1.0]))) - dt * L
+    return np.linalg.solve(M, np.concatenate(([u[0]], s, [u[-1]])))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3], ids=lambda m: f"{m}-dirichlet")
 def test_diffusion_is_backward_euler_with_lagged_coefficients(m):
-    u = _tailed_front(np.linspace(-8.0, 8.0, 161))
-    dx = 16.0 / 160
-    dt = 0.9 * H * dx
-    a = 0.5 * (u[:-1] ** (m - 1) + u[1:] ** (m - 1))   # of the state before the step
-    u_star = _diffuse(u, m, dt, dx)
-    ref = _dense_diffusion(u, a, dt, dx)
-    assert float(np.max(np.abs(u_star - ref))) <= 1e-14
-    assert float(np.max(np.abs(u_star - u))) > 1e-3   # it did diffuse
+    # the first step is backward Euler throughout: (1 - dt L_a) u_new =
+    # max(u + dt R, 0), with a the face means of u^(m-1) before the step;
+    # the sub-linear sink of q = 0.5 clamps right-hand sides in the tail
+    cm = CanonicalModel(m=m, p=1, q=0.5)
+    run = make_run(-8.0, 8.0, 160, _tailed_front)
+    u = run.state
+    step(run, cm)
+    dt = run.dt
+    s = (u + _reference_reaction(u, cm.p, cm.q, dt))[1:-1]
+    ref = _dense_rows(u, np.ones(len(s)), np.maximum(s, 0.0), u, m, dt, run.dx)
+    assert float(np.max(np.abs(run.state - ref))) <= 1e-14
+    assert float(np.max(np.abs(run.state[1:-1] - s))) > 1e-3   # it did diffuse
+    assert run.limiter_clips == int(np.count_nonzero(s < 0.0)) > 0
+    assert run.positivity_fallbacks == 0   # start rows are not counted
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_later_steps_are_sbdf2_with_a_per_row_positivity_fallback(m):
+    # with the history of the last step, a row solves (3/2 - dt L_a) u_new =
+    # 2u - u_prev/2 + dt (2R - R_prev), a taken from max(2u - u_prev, 0);
+    # a row whose right-hand side is negative is backward Euler instead
+    cm = CanonicalModel(m=m, p=1, q=0.5)
+    run = make_run(-8.0, 8.0, 160, _tailed_front)
+    states = [run.state]
+    for _ in range(20):
+        fallbacks = run.positivity_fallbacks
+        step(run, cm)
+        states.append(run.state)
+    assert run.dt_min == run.dt_max
+    u_prev, u, dt = states[-3], states[-2], run.dt
+    r, r_prev = (_reference_reaction(v, cm.p, cm.q, dt) for v in (u, u_prev))
+    s = 2.0 * u - 0.5 * u_prev + 2.0 * r - r_prev
+    be = s < 0.0
+    s = np.where(be, np.maximum(u + r, 0.0), s)[1:-1]
+    lead = np.where(be, 1.0, 1.5)[1:-1]
+    u_a = np.maximum(2.0 * u - u_prev, 0.0)
+    ref = _dense_rows(u, lead, s, u_a, m, dt, run.dx)
+    assert float(np.max(np.abs(run.state - ref))) <= 1e-13
+    assert run.positivity_fallbacks - fallbacks == int(np.count_nonzero(be[1:-1])) > 0
+    assert np.any(lead == 1.5)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_constant_state_is_a_fixed_point_of_the_diffusion(m):
-    # in increment form L_a u vanishes exactly on a constant state, so the
-    # diffusion leaves it unchanged to the bit at any value
-    u = np.full(101, 0.3)
+    # at u = 1 the reaction 1^2 - 1^1 vanishes exactly and the diffusivity
+    # is 1; in increment form L_a u and the SBDF2 increment both vanish
+    # exactly on a constant state, so the BE start and the SBDF2 steps after
+    # it leave it unchanged to the bit
+    run = make_run(-5.0, 5.0, 100, lambda x: np.full_like(x, 1.0), bc=(1.0, 1.0))
     for _ in range(50):
-        u = _diffuse(u, m, 0.9 * H * 0.1, 0.1)
-    assert np.array_equal(u, np.full(101, 0.3))
+        step(run, CanonicalModel(m=m, p=2, q=1))
+    assert np.array_equal(run.state, np.full(101, 1.0))
 
 
 def test_time_step_is_linear_in_dx():
@@ -131,12 +169,12 @@ def test_time_step_is_linear_in_dx():
         run = make_run(-5.0, 5.0, n_cells, bump, bc=(0.0, 0.0), cfl=0.6)
         step(run, CM221)
         assert run.dt == pytest.approx(0.6 * H * run.dx, rel=1e-15)
-    assert 0.9 * H == pytest.approx(0.05)
+    assert 0.9 * H == pytest.approx(0.2)
 
 
 def test_evolve_steps_grow_like_one_over_dx():
     # (2,2,1) at 8000 cells: the step count to T is ceil(T / dt) plus the
-    # landing step, where dt ~ dx^2 would need about 10x as many
+    # landing step, where dt ~ dx^2 would need about 40x as many
     run = make_run(-40.0, 40.0, 8000, lambda x: 0.5 * (1.0 - np.tanh(x)))
     T = 1.0
     evolve(run, CM221, T)
@@ -145,46 +183,90 @@ def test_evolve_steps_grow_like_one_over_dx():
 
 
 def test_limiter_clips_are_counted_deterministically():
-    # the sub-linear sink of (1,1,0.5) overdraws the thin tail nodes, which the
-    # limiter cuts back; a rerun counts the same clips
+    # the sub-linear sink of (1,1,0.5) would overdraw the thin tail nodes, so
+    # the positivity rule switches them to BE and their right-hand sides are
+    # clamped at 0; a rerun counts the same switches and clips
     counts = []
     for _ in range(2):
         run = make_run(-2.0, 2.0, 200, bump, bc=(0.0, 0.0))
         assert run.limiter_clips == 0
         for _ in range(50):
             step(run, CanonicalModel(m=1, p=1, q=0.5))
-        counts.append(run.limiter_clips)
-    assert counts[0] > 0 and counts[0] == counts[1]
+        counts.append((run.limiter_clips, run.positivity_fallbacks))
+    assert min(counts[0]) > 0 and counts[0] == counts[1]
     quiet = make_run(-5.0, 5.0, 100, lambda x: np.full_like(x, 1.0), bc=(1.0, 1.0))
-    step(quiet, CM121)
-    assert quiet.limiter_clips == 0
+    for _ in range(5):
+        step(quiet, CM121)
+    assert quiet.limiter_clips == quiet.positivity_fallbacks == 0
 
 
 def test_m1_factors_once_per_time_step_size():
-    # m = 1: the matrix depends on dt alone, so only the short steps that
-    # land on snapshots, and the full step after each, factor it again
+    # m = 1: the matrix depends on dt and its leads alone, so the full step
+    # factors once per lead (1 at the start, 3/2 after it); snapshots are
+    # interpolated, so at most the last step, landing on T, factors again
     run = make_run(-20.0, 20.0, 400, lambda x: 0.5 * (1.0 - np.tanh(x)))
     snaps = (0.13, 0.37, 0.61)
     evolve(run, CM121, 2.0, snapshot_times=snaps)
-    assert run.steps >= 400
+    assert run.steps >= 2.0 / (0.9 * H * 0.1) == pytest.approx(100)
     assert 1 <= run.factorizations <= 2 * len(snaps) + 1
+    assert run.factorizations <= 3
+
+
+def test_snapshots_do_not_change_the_steps():
+    # snapshots due inside a step, here two or three to a step, are the
+    # linear interpolants of the states at its ends: the run takes the
+    # steps of an unobserved one, bit for bit, and lands only on T
+    def u0(x):
+        return 0.5 * (1.0 - np.tanh(x))
+    T = 1.01   # 50 full steps of 0.02 and a landing step
+    plain = make_run(-20.0, 20.0, 400, u0)
+    states = {0.0: plain.state}
+    while plain.time < T - 1e-12:
+        step(plain, CM121, dt_limit=T - plain.time)
+        states[plain.time] = plain.state
+    wanted = np.linspace(0.0, T, 121)
+    run = make_run(-20.0, 20.0, 400, u0)
+    snaps = evolve(run, CM121, T, snapshot_times=wanted)
+    assert run.steps == plain.steps == 51 and run.time == plain.time
+    assert np.array_equal(run.state, plain.state)
+    assert len(run.front_track) == run.steps + 1 and len(snaps) == len(wanted)
+    times = sorted(states)
+    for t, (t_snap, u) in zip(wanted, snaps):
+        after = next(s for s in times if s >= t - 1e-12)
+        if after - t <= 1e-12:
+            assert t_snap == after and np.array_equal(u, states[after])
+            continue
+        before = times[times.index(after) - 1]
+        assert t_snap == t
+        theta = (t - before) / (after - before)
+        assert np.allclose(u, (1.0 - theta) * states[before] + theta * states[after],
+                           rtol=0.0, atol=1e-15)
 
 
 # --- conservation ----------------------------------------------------------------
 
 def test_interior_mass_identity_without_reaction():
-    # backward-Euler diffusion reaches the Dirichlet walls in the first step,
-    # so mass leaves through them: each step changes it by exactly dt times
-    # the net boundary flux of the diffused state (m = 1, so a = 1)
-    u = bump(np.linspace(-3.0, 3.0, 301))
-    dx = 6.0 / 300
-    dt = 0.9 * H * dx
+    # below U_FLOOR the reaction is off, and backward-Euler diffusion reaches
+    # the Dirichlet walls in the first step, so mass leaves through them.
+    # Each step is conservative: dx times the sum of its left-hand side less
+    # its right-hand side, u1 - u0 for the BE start and 3/2 u2 - 2 u1 + u0/2
+    # for SBDF2, is exactly dt times the net boundary flux of the new state
+    scale = 1e-13
+    run = make_run(-3.0, 3.0, 300, lambda x: scale * bump(x), bc=(0.0, 0.0))
+    states = [run.state]
     for _ in range(80):
-        m0 = float(np.sum(u)) * dx
-        u = _diffuse(u, 1.0, dt, dx)
+        step(run, CM121)
+        states.append(run.state)
+    assert run.positivity_fallbacks == 0 and run.dt_min == run.dt_max
+    dx, dt = run.dx, run.dt
+    for k, u in enumerate(states[1:], start=1):
+        if k == 1:
+            change = u - states[0]
+        else:
+            change = 1.5 * u - 2.0 * states[k - 1] + 0.5 * states[k - 2]
         net_flux = (u[-1] - u[-2]) / dx - (u[1] - u[0]) / dx
         assert net_flux < 0.0
-        assert abs(float(np.sum(u)) * dx - m0 - dt * net_flux) <= 1e-12
+        assert abs(float(np.sum(change)) * dx - dt * net_flux) <= 1e-12 * scale
 
 
 # --- validation -------------------------------------------------------------------
@@ -239,8 +321,8 @@ def test_evolve_again_records_each_time_once():
     assert [t for t, _ in snaps] == [t_end]
     evolve(run, CM121, 0.3)
     times = [t for t, _ in run.front_track]
-    assert run.steps == 60
-    assert len(times) == run.steps + 1 == 61
+    assert run.steps == round(0.3 / (0.9 * H * 0.1)) == 15
+    assert len(times) == run.steps + 1 == 16
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
@@ -384,6 +466,52 @@ def test_advect_refuses_non_finite_profile(name, xi, f):
             advect_profile_test(prof, CM221, 1.0, n_cells=200)
 
 
+# At 1600 cells the advect error is mostly temporal.  These profiles are shot
+# to radius 1e-9, so the plateau floor lies below it; the bounds are the
+# errors of the first-order step that SBDF2 replaced, at 1600 cells and T = 5.
+
+def test_advect_error_is_second_order_in_time(tight_az_profile_121):
+    # halving dt cuts the error about 4x (backward Euler: 2x)
+    prof, cm = tight_az_profile_121
+    coarse = advect_profile_test(prof, cm, 5.0, n_cells=1600)
+    fine = advect_profile_test(prof, cm, 5.0, n_cells=1600, cfl=0.45)
+    assert fine.run.dt_max == pytest.approx(0.5 * coarse.run.dt_max, rel=1e-12)
+    assert coarse.max_error >= 3.0 * fine.max_error
+
+
+@pytest.mark.parametrize("m, p, q, c, bound", [
+    (1, 2, 1, -5.0 / math.sqrt(6.0), 1.36e-3),
+    (2, 2, 1, -3.0, 1.99e-3),
+    (1, 1, 0.5, -3.0, 1.20e-3),
+    (2, 2, 1, -1.0, 1.17e-3),
+], ids=["121-AZ", "221-3", "1-1-0.5-3", "221-1"])
+def test_advect_error_of_tight_profiles(m, p, q, c, bound):
+    cm = CanonicalModel(m=m, p=p, q=q)
+    prof = kw.reconstruct_profile(kw.shoot(kw.build_system(cm, abs(c)), profile_of=cm,
+                                           arrival_radius=1e-9))
+    res = advect_profile_test(prof, cm, 5.0, n_cells=1600)
+    assert res.max_error <= bound
+    assert res.measured_speed == pytest.approx(c, rel=1e-3)
+
+
+def test_dense_snapshots_keep_the_advect_error(tight_az_profile_121):
+    # 50 snapshot times, a step or so apart, neither shorten a step nor
+    # restart the scheme: the run at T is that of the plain advection, and
+    # each snapshot's error stays at the scale of the checkpoint errors
+    prof, cm = tight_az_profile_121
+    plain = advect_profile_test(prof, cm, 5.0, n_cells=1600)
+    wanted = tuple(0.1 * (k + 1) for k in range(50))
+    dense = advect_profile_test(prof, cm, 5.0, n_cells=1600, snapshot_times=wanted)
+    assert dense.run.steps == plain.run.steps
+    assert np.array_equal(dense.run.state, plain.run.state)
+    assert dense.max_error == plain.max_error <= 1.36e-3
+    x = dense.run.x
+    inner = slice(10, len(x) - 10)
+    for t, u in dense.snapshots:
+        ref = np.interp(x - prof.c * t, prof.xi, prof.f, left=prof.f[0], right=prof.f[-1])
+        assert float(np.max(np.abs(u[inner] - ref[inner]))) <= plain.max_error
+
+
 # --- weak form of the profile equation --------------------------------------------------
 
 def test_wave_residual_small_and_second_order(monotone_profile_121):
@@ -409,82 +537,101 @@ def test_wave_residual_requires_uniform_samples():
 
 # --- the step against the scheme's definition -----------------------------------------
 #
-# The scheme written out from its definition: the banded matrix I - dt L_a
-# assembled in upper form and handed to solveh_banded, the reaction gathered
-# through a boolean mask.  The step must reproduce it to the bit.
-
-def _reference_diffusion(u, m, dt, dx):
-    D = u ** (m - 1.0)
-    w = (-0.5 * dt / (dx * dx)) * (D[:-1] + D[1:])   # -dt a / dx^2 per face
-    ab = np.zeros((2, len(u)))
-    ab[0, 1:] = w
-    ab[1] = 1.0
-    ab[1, :-1] -= w
-    ab[1, 1:] -= w
-    flux = w * np.diff(u)
-    div = np.zeros_like(u)
-    div[:-1] -= flux
-    div[1:] += flux
-    u_star = u.copy()
-    u_star[1:-1] += solveh_banded(ab[:, 1:-1], div[1:-1])
-    return u_star
-
+# The scheme written out from its definition: each row is BE (lead 1) or
+# SBDF2 (lead 3/2), the banded matrix lead - dt L_a is assembled in upper
+# form and handed to solveh_banded, and the reaction is gathered through a
+# boolean mask.  The step must reproduce it to the bit.
 
 def _reference_reaction(u, p, q, dt):
     r = np.zeros_like(u)
     live = u >= U_FLOOR
     ul = u[live]
-    r[live] = dt * ul ** p - dt * ul ** q
+    r[live] = dt * (ul ** p - ul ** q)
     return r
 
 
-def _reference_step(run, cm, dt_limit=None):
-    m, p, q = cm.m, cm.p, cm.q
-    u = run.state
-    dx = run.dx
-    dt = run.cfl * H * dx
-    u_top = float(np.max(u))
-    if u_top >= U_FLOOR:
-        slope = abs(p * u_top ** (p - 1.0) - q * u_top ** (q - 1.0))
-        if slope > 0.0:
-            dt = min(dt, 0.5 / slope)
-    if dt_limit is not None:
-        dt = min(dt, dt_limit)
+class _Reference:
+    """A run stepped by the reference scheme, with the history it keeps."""
 
-    u_star = _reference_diffusion(u, m, dt, dx)
-    # the sink may not overdraw the diffused value
-    u_new = np.maximum(u_star + _reference_reaction(u, p, q, dt),
-                       np.minimum(u_star, 0.0))
-    u_new[0], u_new[-1] = run.bc
-    assert np.all(np.isfinite(u_new)) and float(np.min(u_new)) >= -1e-12
-    np.maximum(u_new, 0.0, out=u_new)
-    assert float(np.max(u_new)) <= U_MAX
-    run.state = u_new
-    run.time += dt
-    run.dt = dt
-    return run
+    def __init__(self, run):
+        self.run = run
+        self.history = None
+
+    def step(self, cm, dt_limit=None):
+        run = self.run
+        m, p, q = cm.m, cm.p, cm.q
+        u = run.state
+        dx = run.dx
+        dt = run.cfl * H * dx
+        u_top = float(np.max(u))
+        if u_top >= U_FLOOR:
+            slope = abs(p * u_top ** (p - 1.0) - q * u_top ** (q - 1.0))
+            if slope > 0.0:
+                dt = min(dt, 0.5 / slope)
+        if dt_limit is not None:
+            dt = min(dt, dt_limit)
+
+        ui = u[1:-1]
+        r = _reference_reaction(ui, p, q, dt)
+        # a BE row: lead 1 and right-hand side max(u + dt R, 0), here less u
+        lead = np.ones_like(ui)
+        b = np.maximum(r, -ui)
+        u_a = u
+        key = (m, p, q, dt, dx, run.n_cells)
+        if self.history is not None and self.history[0] == key and self.history[1] is u:
+            _, _, u_prev, r_prev = self.history
+            # an SBDF2 row: lead 3/2 and 2u - u_prev/2 + dt (2R - R_prev),
+            # here less 3u/2, wherever that right-hand side is non-negative
+            g = 0.5 * (ui - u_prev[1:-1]) + 2.0 * r - r_prev
+            sbdf2 = 1.5 * ui + g >= 0.0
+            lead[sbdf2] = 1.5
+            b[sbdf2] = g[sbdf2]
+            if m != 1.0:
+                u_a = np.maximum(2.0 * u - u_prev, 0.0)
+        D = u_a ** (m - 1.0)
+        w = (-0.5 * dt / (dx * dx)) * (D[:-1] + D[1:])   # -dt a / dx^2 per face
+        ab = np.zeros((2, len(ui)))
+        ab[0, 1:] = w[1:-1]
+        ab[1] = lead - w[1:] - w[:-1]
+        flux = w * np.diff(u)
+        u_new = u.copy()
+        u_new[1:-1] = ui + solveh_banded(ab, b + (flux[:-1] - flux[1:]))
+        u_new[0], u_new[-1] = run.bc
+        assert np.all(np.isfinite(u_new)) and float(np.min(u_new)) >= -1e-12
+        np.maximum(u_new, 0.0, out=u_new)
+        assert float(np.max(u_new)) <= U_MAX
+        self.history = (key, u_new, u, r)
+        run.state = u_new
+        run.time += dt
+        run.dt = dt
 
 
 def _tailed_front(x):
     # a front whose tail runs through U_FLOOR into exact zeros, so the
-    # reaction cut-off, the sink limiter and the degenerate flux all act
+    # reaction cut-off, the sink clamp and the degenerate flux all act
     return np.where(x < 7.5, 0.5 * (1.0 - np.tanh(2.0 * x)), 0.0)
+
+
+def _pair(u0=_tailed_front, bc=(1.0, 0.0)):
+    """A (reference, step) pair of runs from the same initial state."""
+    return (_Reference(make_run(-8.0, 8.0, 240, u0, bc=bc)),
+            make_run(-8.0, 8.0, 240, u0, bc=bc))
 
 
 def _assert_same_steps(models, n_steps, dt_limits=(None,), runs=None):
     # step i is capped by dt_limits[i % len(dt_limits)]; ``runs`` continues
     # a (reference, step) pair instead of starting a fresh one
-    ref, new = runs or [make_run(-8.0, 8.0, 240, _tailed_front) for _ in range(2)]
+    ref, new = runs or _pair()
     for model in models:
         for i in range(n_steps):
             dt_limit = dt_limits[i % len(dt_limits)]
-            _reference_step(ref, model, dt_limit=dt_limit)
+            ref.step(model, dt_limit=dt_limit)
             held = new.state
             step(new, model, dt_limit=dt_limit)
             assert new.state is not held
-            assert np.array_equal(new.state, ref.state)
-            assert new.dt == ref.dt
-            assert new.time == ref.time
+            assert np.array_equal(new.state, ref.run.state)
+            assert new.dt == ref.run.dt
+            assert new.time == ref.run.time
     return new
 
 
@@ -494,6 +641,9 @@ def _assert_same_steps(models, n_steps, dt_limits=(None,), runs=None):
 def test_step_is_bit_identical_to_reference(model):
     run = _assert_same_steps([model], 250)
     assert run.steps == 250
+    if model == CM121:
+        # the full step factors once per lead, 1 at the start and 3/2 after
+        assert run.positivity_fallbacks == 0 and run.factorizations == 2
 
 
 @pytest.mark.parametrize("switch", ["no-reaction", "dt-limit", "alternating-dt-limit",
@@ -502,52 +652,86 @@ def test_step_is_bit_identical_to_reference(model):
                          ids=["121", "221", "1-1-0.5"])
 def test_step_switches_are_bit_identical_to_reference(model, switch):
     if switch == "dt-limit":
+        # a constant step shorter than cfl H dx: for (1,2,1) the factors of
+        # each lead are kept as for the full step; m != 1, and the steps of
+        # (1,1,0.5) with switched rows, factor every step
         run = _assert_same_steps([model], 200, dt_limits=(1e-4,))
         assert run.dt_max == 1e-4
-        assert run.factorizations == (1 if model.m == 1 else 200)
+        assert run.factorizations == (2 if model == CM121 else 200)
         return
     if switch == "alternating-dt-limit":
-        # for m = 1 each change of dt must factor the matrix again
+        # each change of dt restarts with BE and drops the cached factors,
+        # so every step factors afresh
         run = _assert_same_steps([model], 200, dt_limits=(None, 1e-4))
         assert run.dt_min == 1e-4 < run.dt_max
+        assert run.positivity_fallbacks == 0
         assert run.factorizations == 200
         return
     if switch == "regrid":
-        # a change of dx, then of n_cells at the same dx, between steps, with
-        # dt held by its cap; the state is resampled onto a grid of a new size
-        runs = [make_run(-8.0, 8.0, 240, _tailed_front) for _ in range(2)]
+        # a change of dx, then of n_cells at the same dx, between full steps;
+        # the state is resampled onto a grid of a new size
+        runs = _pair()
         for x_max, n_cells in ((8.0, 240), (10.0, 240), (14.5, 300)):
-            for side in runs:
+            for side in (runs[0].run, runs[1]):
                 if n_cells != side.n_cells:
                     x = np.linspace(side.x_min, x_max, n_cells + 1)
                     side.state = np.interp(x, side.x, side.state)
                 side.x_max, side.n_cells = x_max, n_cells
-            run = _assert_same_steps([model], 40, dt_limits=(1e-3,), runs=runs)
-        assert run.dx == 18.0 / 240 and run.dt_min == run.dt_max == 1e-3
-        assert run.factorizations == (3 if model.m == 1 else 120)
+            run = _assert_same_steps([model], 40, runs=runs)
+        assert run.dx == 18.0 / 240 and run.dt_min < run.dt_max
+        if model == CM121:
+            assert run.positivity_fallbacks == 0 and run.factorizations == 6
+        elif model.m != 1:
+            assert run.factorizations == 120
         return
-    # the diffusion half of the step alone
-    u = ref = _tailed_front(np.linspace(-8.0, 8.0, 241))
-    dx = 16.0 / 240
-    dt = 0.9 * H * dx
-    for _ in range(200):
-        u = _diffuse(u, model.m, dt, dx)
-        ref = _reference_diffusion(ref, model.m, dt, dx)
-        assert np.array_equal(u, ref)
+    # no-reaction: below U_FLOOR the step is the diffusion alone
+    runs = _pair(lambda x: 1e-13 * _tailed_front(x), bc=(1e-13, 0.0))
+    run = _assert_same_steps([model], 200, runs=runs)
+    assert float(np.max(run.state)) < U_FLOOR
 
 
-def test_step_follows_a_change_of_model():
-    # after a switch, the step is the one a fresh run of the new model takes
-    # from the same state: nothing of an earlier model's call carries over
+def _fresh_first_step(run, model, dt_limit=None):
+    fresh = make_run(run.x_min, run.x_max, run.n_cells, run.state, cfl=run.cfl,
+                     bc=run.bc)
+    return step(fresh, model, dt_limit=dt_limit)
+
+
+@pytest.mark.parametrize("change", ["m", "q", "dt", "dx", "n_cells", "state"])
+@pytest.mark.parametrize("model", [CM121, CM221], ids=["121", "221"])
+def test_step_restarts_after_a_change_of_setup(model, change):
+    # the step uses the history of the last one only while the model, dt,
+    # dx and n_cells stay and run.state is the array that step produced;
+    # after any change it is the first step of a fresh run from the same
+    # state, bit for bit, and the steps after it use their history again
     run = make_run(-8.0, 8.0, 240, _tailed_front)
-    for model in (CM221, CM121, CanonicalModel(m=2, p=2, q=1), CM221):
-        for _ in range(30):
-            fresh = make_run(-8.0, 8.0, 240, run.state)
-            step(run, model)
-            step(fresh, model)
-            assert np.array_equal(run.state, fresh.state)
-            assert run.dt == fresh.dt
-    assert run.steps == 120
+    for _ in range(5):
+        step(run, model)
+    dt_limit, after = None, model
+    if change == "m":
+        after = CM221 if model == CM121 else CM121
+    elif change == "q":
+        after = CanonicalModel(m=model.m, p=model.p, q=0.5)
+    elif change == "dt":
+        dt_limit = 1e-3
+    elif change == "dx":
+        run.x_max = 9.0
+    elif change == "n_cells":
+        # 300 cells at the same dx: a fresh array that must be resampled
+        x = np.linspace(run.x_min, 12.0, 301)
+        run.state = np.interp(x, run.x, run.state)
+        run.x_max, run.n_cells = 12.0, 300
+    else:
+        run.state = run.state.copy()
+    fresh = _fresh_first_step(run, after, dt_limit)
+    step(run, after, dt_limit=dt_limit)
+    assert np.array_equal(run.state, fresh.state)
+    assert run.dt == fresh.dt
+    for _ in range(2):
+        fresh = _fresh_first_step(run, after, dt_limit)
+        step(run, after, dt_limit=dt_limit)
+        assert run.dt == fresh.dt
+        assert not np.array_equal(run.state, fresh.state)
+    assert run.steps == 8
 
 
 def test_step_refusals_fire_on_first_call_and_after_a_switch():
@@ -570,6 +754,7 @@ def test_step_guards_match_reference(model, u0):
     # the guard names the value it saw, and the failed step leaves the last
     # good state, time and counters in place
     run = make_run(-8.0, 8.0, 240, u0, bc=(u0(-8.0), u0(8.0)))
+    before = None
     while True:
         held, time, steps = run.state, run.time, run.steps
         try:
@@ -577,11 +762,16 @@ def test_step_guards_match_reference(model, u0):
         except kw.StabilityViolationError as e:
             message = str(e)
             break
+        before = held
         assert run.steps < 1000
-    # a constant state does not diffuse; the reaction u^2 - u moves it
-    top = float(np.max(held))
+    # a constant state does not diffuse; away from the ends the reaction
+    # R = u^2 - u moves it.  The failed step has the size of the one before,
+    # so it is SBDF2: 3/2 u_new = 2u - u_prev/2 + dt (2R - R_prev)
+    top, top_prev = float(np.max(held)), float(np.max(before))
     dt = min(run.cfl * H * run.dx, 0.5 / (2.0 * top - 1.0))
-    high = top + dt * (top * top - top)
+    assert dt == run.dt
+    high = (2.0 * top - 0.5 * top_prev
+            + dt * (2.0 * (top * top - top) - (top_prev * top_prev - top_prev))) / 1.5
     assert message == f"state reached {high:.3g}, beyond the blow-up guard {U_MAX}"
     assert run.state is held and run.time == time and run.steps == steps
     assert float(np.max(held)) <= U_MAX
