@@ -66,7 +66,6 @@ from .connect import (
     shoot,
     threshold_crossings,
     x0_monotonicity_check,
-    x0_seed_sensitivity,
 )
 from .pde import (
     AdvectResult,

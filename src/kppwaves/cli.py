@@ -147,6 +147,7 @@ def cmd_shoot(cfg: RunConfig, out: Path | None = None) -> list[dict]:
                 "observed_class": res.observed.value,
                 "low_confidence": res.low_confidence,
                 "n_oscillations": res.n_oscillations,
+                "tail_extrema": res.tail_extrema,
                 "x0": res.x0,
                 "evidence": res.evidence,
                 "solver_steps": res.solver_steps,
@@ -291,6 +292,7 @@ def _sweep_row(task) -> dict:
         return {"c": c, "predicted_class": res.predicted.value,
                 "observed_class": res.observed.value, "x0": res.x0,
                 "n_oscillations": res.n_oscillations, "agreement_flag": flag,
+                "tail_extrema": res.tail_extrema,
                 "evidence": res.evidence, "solver_steps": res.solver_steps,
                 "nfev": res.nfev, "njev": res.njev}
     except KppWavesError as e:

@@ -27,14 +27,27 @@ its error test (a quadrature state, as CVODES treats one).  Such a shot also
 keeps its dense output: a raw Nordsieck record (t, h, yh) per step, read from
 the solver's work arrays and evaluated as one table.  No other shot keeps
 one.
+
+A shot stops on entering P2's arrival ball, and the X extrema the ball hides
+are the Y = 0 crossings of P2's linear flow from the arrival state, found in
+closed form; so the oscillation count and X0 do not depend on the radius.
+A profile shot keeps its seed ``eps`` and ``ARRIVAL_RADIUS``, since its
+samples become the profile.  A shot that only classifies starts no closer
+than ``CLASSIFY_EPS`` and stops at ``CLASSIFY_RADIUS``: the seed's offset
+across the departure manifold decays along the orbit, and the linear tail
+takes over the spiral, so class, count and X0 keep their values (to 1e-8 in
+X0) at fewer steps.
 """
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import takewhile
 
 import numpy as np
 from scipy.integrate import LSODA
@@ -58,7 +71,7 @@ from .phaseplane import (
     _classify_p2,
     build_system,
     fixed_point_locations,
-    jacobian,
+    linearization,
     scalar_field,
     zero_speed_curve,
 )
@@ -78,11 +91,12 @@ __all__ = [
     "reconstruct_profile",
     "detect_finite_propagation",
     "threshold_crossings",
-    "x0_seed_sensitivity",
 ]
 
 DEFAULT_EPS = 1e-6
 ARRIVAL_RADIUS = 1e-5
+CLASSIFY_EPS = 1e-3       # nearest seed of a shot that only classifies
+CLASSIFY_RADIUS = 1e-4    # P2's arrival radius for such a shot
 ESCAPE_BOUND = 50.0
 TAU_SPAN = 1e9
 GRAZE_TOL = 1e-6          # |X-1| below this does not count as an oscillation
@@ -175,6 +189,11 @@ class Trajectory:
                 "profile_of=<the model> to evaluate it between samples")
         return self._table(tau)
 
+    @cached_property
+    def _p2_linearization(self):
+        # the classification, X0 and the profile of one shot all read it
+        return linearization(self.sys, 1.0, 0.0)
+
 
 @dataclass
 class WaveProfile:
@@ -197,14 +216,16 @@ class ConnectionResult:
     """Outcome of classify_connection: predicted vs observed class plus the
     trajectory evidence.
 
-    ``evidence`` records how the class was decided: "extrema" (measured
-    X = 1 overshoots), "range" (X confined to [0, 1] into a node), "focus"
-    (no overshoot resolved above the arrival radius, but the orbit entered a
-    non-degenerate stable focus, whose local form forces crossings below the
-    truncation scale), or "sign" (non-negative speed, no wave exists).
-    ``solver_steps``, ``nfev`` and ``njev`` are the shot's integrator counts
-    and ``event_counts`` its events per kind, an arrival attached at the
-    orbit's end included (all zero without a shot); the seed is no event.
+    ``evidence`` records how the class was decided: "extrema" (X = 1
+    overshoots, measured or from P2's linear flow), "range" (X confined to
+    [0, 1] into a node), "focus" (the orbit entered a non-degenerate stable
+    focus whose first overshoot is already within ``GRAZE_TOL``), or "sign"
+    (non-negative speed, no wave exists).  ``extrema`` lists the shot's own
+    extrema, then the ``tail_extrema`` that P2's linear flow adds after the
+    arrival; ``n_oscillations`` counts both.  ``solver_steps``, ``nfev`` and
+    ``njev`` are the shot's integrator counts and ``event_counts`` its events
+    per kind, an arrival attached at the orbit's end included (all zero
+    without a shot); the seed is no event.
     """
 
     c: float
@@ -216,6 +237,7 @@ class ConnectionResult:
     trajectory: Trajectory | None
     x0: float | None
     evidence: str = "extrema"
+    tail_extrema: int = 0
     solver_steps: int = 0
     nfev: int = 0
     njev: int = 0
@@ -225,26 +247,13 @@ class ConnectionResult:
 
 # --- seeds ----------------------------------------------------------------------
 
-def _axis_eigenvector(J: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the transverse eigenvalue J[0, 0] at a Y-axis
-    equilibrium, oriented into X > 0.
-
-    On X = 0 the Jacobian is lower triangular, [[lam, 0], [j21, d]], and
-    (d - lam, -j21) is the eigenvector of lam (lam != d).
-    """
-    lam, d, j21 = J[0, 0], J[1, 1], J[1, 0]
-    v = np.array([d - lam, -j21], dtype=float)
-    n = float(np.hypot(v[0], v[1]))
-    if n == 0.0:
-        raise SeedFailureError("degenerate eigenvector")
-    v /= n
-    if v[0] < 0.0:
-        v = -v
-    return v
-
-
 def _seed_state(sys: PhaseSystem, eps: float) -> np.ndarray:
-    """Seed eps from P0 along the eigenvector transverse to the Y axis."""
+    """Seed eps from P0 along the eigenvector transverse to the Y axis.
+
+    On the axis the Jacobian is triangular; the transverse eigenvalue is its
+    larger diagonal entry (0 at Case I's saddle-node, gamma Y+ > 0 in Case
+    II), the first that ``linearization`` lists.
+    """
     if isinstance(sys, PhaseSystemI) and sys.c == 0.0:
         # the fully degenerate origin has no transverse direction: seed on the
         # explicit trajectory Y^2 = 2X/(2+gamma) - 2X^k/(2+gamma k)
@@ -253,7 +262,11 @@ def _seed_state(sys: PhaseSystem, eps: float) -> np.ndarray:
             raise SeedFailureError("zero-speed curve has no real branch at the seed offset")
         return np.array([eps, math.sqrt(y2)])
     x0, y0 = fixed_point_locations(sys)["P0"]
-    v = _axis_eigenvector(jacobian(sys, x0, y0))
+    v = linearization(sys, x0, y0)[2][:, 0].real
+    if v[0] < 0.0:
+        v = -v
+    if not v[0] > 0.0:
+        raise SeedFailureError("P0's transverse eigenvector does not leave the Y axis")
     return np.array([x0, y0]) + eps * v
 
 
@@ -505,7 +518,9 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
 def first_X_axis_intersection(traj: Trajectory) -> float:
     """X at the first Y = 0 crossing with X > 0: the turning point X0.
 
-    A trajectory entering the node at P2 directly from above never crosses;
+    When the orbit entered P2's arrival ball before its first crossing, the
+    first crossing of P2's linear flow gives X0 (see _tail_zeros).  A
+    trajectory entering the node at P2 directly from above never crosses;
     the crossing then degenerates to P2 itself and 1.0 is returned.
     """
     for ev in traj.events:
@@ -518,7 +533,8 @@ def first_X_axis_intersection(traj: Trajectory) -> float:
                 )
             return x0
     if traj.arrived == "P2":
-        return 1.0
+        first = next(_tail_zeros(traj), None)
+        return 1.0 if first is None else first[1]
     raise NoIntersectionError(
         f"no X-axis crossing recorded and the trajectory did not reach P2 "
         f"(arrived={traj.arrived!r}, escaped={traj.escaped})"
@@ -546,33 +562,70 @@ def x0_monotonicity_check(cm: CanonicalModel, speeds, eps: float = DEFAULT_EPS,
     return out
 
 
-def x0_seed_sensitivity(sys: PhaseSystem, eps: float = DEFAULT_EPS, **shoot_kw) -> float:
-    """|X0(eps) - X0(eps/2)|: the built-in seed convergence diagnostic."""
-    a = first_X_axis_intersection(shoot(sys, eps, **shoot_kw))
-    b = first_X_axis_intersection(shoot(sys, eps / 2.0, **shoot_kw))
-    return abs(a - b)
+def _tail_zeros(traj: Trajectory):
+    """(tau, X) at each Y = 0 crossing of P2's linear flow after the shot's
+    arrival there, in time order: the crossings its arrival ball hides.
+
+    The flow is delta(t) = V e^{Lambda t} V^-1 delta0 from delta0 = (X - 1, Y)
+    at the arrival, with P2's eigenvalues Lambda and eigenvectors V (see
+    phaseplane.linearization).  A focus l = alpha +- i beta crosses every
+    pi/beta without end, |X - 1| shrinking by e^{alpha pi/beta} from one
+    crossing to the next; a node crosses at most once.  A degenerate P2
+    (c = c*) bounds the monotone class and yields none.
+    """
+    if traj.arrived != "P2":
+        return
+    _, (l1, l2), V = traj._p2_linearization
+    if _classify_p2(traj.sys.form[0], (l1, l2))[1]:
+        return
+    # the modal amplitudes a = V^-1 delta0, by Cramer's rule
+    (v00, v01), (v10, v11) = V.tolist()
+    dx, dy, tau0 = float(traj.X[-1]) - 1.0, float(traj.Y[-1]), float(traj.tau[-1])
+    det = v00 * v11 - v01 * v10
+    a1, a2 = (v11 * dx - v01 * dy) / det, (v00 * dy - v10 * dx) / det
+    exp = cmath.exp
+
+    def x_at(t):
+        return 1.0 + (v00 * a1 * exp(l1 * t) + v01 * a2 * exp(l2 * t)).real
+
+    if not l1.imag:
+        # Y = A e^{l1 t} + B e^{l2 t} with l1 > l2 vanishes where e^{(l1 - l2) t} = -B/A
+        A, B = (a1 * v10).real, (a2 * v11).real
+        if A != 0.0 and -B / A >= 1.0:
+            t = math.log(-B / A) / (l1 - l2).real
+            yield tau0 + t, x_at(t)
+        return
+    # Y = 2 Re(z e^{l1 t}) = 2 |z| e^{alpha t} cos(beta t + arg z), z = a1 V[1, 0]
+    half_turn = math.pi / l1.imag
+    t = (0.5 * math.pi - cmath.phase(a1 * v10)) % math.pi / l1.imag
+    while True:
+        yield tau0 + t, x_at(t)
+        t += half_turn
 
 
-def _wave_class(traj: Trajectory) -> tuple[SpeedClass, str, list[tuple[float, float]]]:
-    """(class, evidence, (tau, X) extrema) of a shot that arrived at P2.
+def _wave_class(traj: Trajectory) -> tuple[SpeedClass, str, list, list]:
+    """(class, evidence, measured, tail) of a shot that arrived at P2.
 
     Y = 0 crossings are exactly the X extrema (X' = gamma X Y); an extremum
     counts as an oscillation only if |X - 1| clears the grazing guard.
+    ``measured`` holds the (tau, X) extrema the shot recorded, ``tail`` those
+    of P2's linear flow after the arrival (see _tail_zeros), so no count
+    depends on the arrival radius.
     """
-    extrema = [(ev.tau, float(ev.state[0])) for ev in traj.events
-               if ev.kind is EventKind.X_AXIS_CROSS and ev.state[0] > 1e-8
-               and abs(ev.state[0] - 1.0) > GRAZE_TOL]
-    if extrema:
-        return SpeedClass.OSCILLATORY, "extrema", extrema
-    kind, degenerate = _classify_p2(traj.sys)
+    measured = [(ev.tau, float(ev.state[0])) for ev in traj.events
+                if ev.kind is EventKind.X_AXIS_CROSS and ev.state[0] > 1e-8
+                and abs(ev.state[0] - 1.0) > GRAZE_TOL]
+    tail = list(takewhile(lambda e: abs(e[1] - 1.0) > GRAZE_TOL, _tail_zeros(traj)))
+    if measured or tail:
+        return SpeedClass.OSCILLATORY, "extrema", measured, tail
+    kind, degenerate = _classify_p2(traj.sys.form[0], traj._p2_linearization[1])
     if kind is FixedPointKind.STABLE_FOCUS and not degenerate:
-        # the orbit hit the arrival ball before its first X = 1 crossing;
-        # inside the ball the hyperbolic focus forces the crossings the
-        # truncation hid, so the wave still oscillates
-        return SpeedClass.OSCILLATORY, "focus", extrema
+        # the first crossing already grazes X = 1, but the hyperbolic focus
+        # forces it, so the wave still oscillates
+        return SpeedClass.OSCILLATORY, "focus", measured, tail
     x_max = float(np.max(traj.X))
     if x_max <= 1.0 + GRAZE_TOL:
-        return SpeedClass.MONOTONE, "range", extrema
+        return SpeedClass.MONOTONE, "range", measured, tail
     raise InconclusiveError(
         f"X exceeds 1 (max {x_max}) without a recorded extremum; "
         "no classifiable pattern")
@@ -587,10 +640,16 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     arrive at P2.  It is Oscillatory when it has Y = 0 crossings (the X
     extrema) with |X - 1| above ``GRAZE_TOL`` or, failing those, when P2 is
     a non-degenerate stable focus; otherwise Monotone when X never exceeds
-    1 + ``GRAZE_TOL``.  reconstruct_profile classifies its profile by the
-    same rule.  ``shoot_kw`` go to shoot;
-    ``profile_of=cm`` makes the trajectory one that reconstruct_profile
-    accepts.
+    1 + ``GRAZE_TOL``.  The crossings after the arrival come from P2's
+    linear flow, so neither the count nor X0 depends on the arrival radius.
+    reconstruct_profile classifies its profile by the same rule.
+
+    ``shoot_kw`` go to shoot.  ``profile_of=cm`` makes the trajectory one
+    that reconstruct_profile accepts; it is shot from ``eps``.  A shot
+    without it only classifies: it seeds at max(eps, ``CLASSIFY_EPS``) and
+    arrives at radius ``CLASSIFY_RADIUS`` unless ``arrival_radius`` is given.
+    Its class, count and X0 agree with those of a shot from eps = 1e-6 to
+    radius 1e-8 (tests/test_connect.py), and it takes fewer steps.
     """
     predicted = classify_speed(cm, c_original)
     if c_original >= 0.0:
@@ -600,20 +659,24 @@ def classify_connection(cm: CanonicalModel, c_original: float,
             trajectory=None, x0=None, evidence="sign")
 
     c = abs(float(c_original))
+    if shoot_kw.get("profile_of") is None and eps > 0.0:
+        eps = max(eps, CLASSIFY_EPS)
+        shoot_kw.setdefault("arrival_radius", CLASSIFY_RADIUS)
     traj = shoot(build_system(cm, c), eps, **shoot_kw)
     if traj.arrived != "P2":
         raise InconclusiveError(
             f"trajectory for c = {c_original} did not reach P2 "
             f"(arrived={traj.arrived!r}, escaped={traj.escaped})")
 
-    observed, evidence, extrema = _wave_class(traj)
+    observed, evidence, measured, tail = _wave_class(traj)
     x0 = first_X_axis_intersection(traj)   # a float: the orbit reached P2
     low_confidence = abs(c - critical_speed(cm)) < LOW_CONFIDENCE_BAND
     return ConnectionResult(
         c=float(c_original), predicted=predicted, observed=observed,
-        low_confidence=low_confidence, n_oscillations=len(extrema),
-        extrema=tuple(extrema), trajectory=traj, x0=x0, evidence=evidence,
-        solver_steps=traj.solver_steps, nfev=traj.nfev, njev=traj.njev,
+        low_confidence=low_confidence, n_oscillations=len(measured) + len(tail),
+        extrema=tuple(measured + tail), trajectory=traj, x0=x0, evidence=evidence,
+        tail_extrema=len(tail), solver_steps=traj.solver_steps, nfev=traj.nfev,
+        njev=traj.njev,
         event_counts={kind.value: sum(ev.kind is kind for ev in traj.events)
                       for kind in EventKind})
 
@@ -648,7 +711,8 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
         raise InvalidParameterError(
             "trajectory carries no xi: shoot it with profile_of=<the model> "
             "to reconstruct a profile")
-    observed, _, extrema = _wave_class(traj)
+    # the profile ends at the arrival, so it shows only the measured extrema
+    observed, _, extrema, _ = _wave_class(traj)
     speed = sys.form[0]
     c_wave = -speed if isinstance(sys, PhaseSystemI) else -speed * math.sqrt(cm.mq / 2.0)
     pref, expo, fe = _profile_exponents(sys, cm)

@@ -43,6 +43,7 @@ __all__ = [
     "build_system",
     "vector_field",
     "jacobian",
+    "linearization",
     "fixed_points",
     "fixed_point_locations",
     "scalar_field",
@@ -246,43 +247,56 @@ def jacobian(sys: PhaseSystem, X: float, Y: float) -> np.ndarray:
     return np.array([[sys.gamma * Y, sys.gamma * X], [dQdX, dQdY]], dtype=float)
 
 
-def _eigenpair(J: np.ndarray) -> tuple[complex, complex]:
-    # exact roots of the characteristic polynomial of a 2x2 matrix
-    tr = J[0, 0] + J[1, 1]
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    root = cmath.sqrt(complex(tr * tr - 4.0 * det))
-    return (complex(tr + root) / 2.0, complex(tr - root) / 2.0)
+def _eigenvector(J: list[list[float]], lam: complex) -> tuple[complex, complex]:
+    # J - lam I is singular, so (J01, lam - J00) and (lam - J11, J10) each
+    # solve it; the longer one is the better conditioned
+    (a, b), (c, d) = J
+    v = (b + 0j, lam - a)
+    if abs(v[0]) + abs(v[1]) < abs(lam - d) + abs(c):
+        v = (lam - d, c + 0j)
+    # Python's complex division by a real n divides each part by n exactly
+    n = float(np.hypot(abs(v[0]), abs(v[1])))
+    return v[0] / n, v[1] / n
 
 
-def _info(sys: PhaseSystem, name: str, x: float, y: float,
-          kind: FixedPointKind, degenerate: bool = False) -> FixedPointInfo:
+def linearization(sys: PhaseSystem, x: float, y: float
+                  ) -> tuple[np.ndarray, tuple[complex, complex], np.ndarray]:
+    """(J, (l1, l2), V): the field's Jacobian at the fixed point (x, y), its
+    eigenvalues and its eigenvectors.
+
+    l1 and l2 = (tr +- root)/2 are the roots of the characteristic polynomial,
+    except that a triangular Jacobian (every Y-axis equilibrium has J01 =
+    gamma X = 0) gives its diagonal exactly, the larger entry first.  Column
+    k of the complex 2x2 array V is a unit eigenvector of l_k; at a double
+    eigenvalue the two columns coincide.
+    """
     J = jacobian(sys, x, y)
-    return FixedPointInfo(
-        name=name,
-        location=(x, y),
-        jacobian=((J[0, 0], J[0, 1]), (J[1, 0], J[1, 1])),
-        eigenvalues=_eigenpair(J),
-        kind=kind,
-        degenerate=degenerate,
-    )
+    Jl = J.tolist()
+    (a, b), (c, d) = Jl
+    if b == 0.0 or c == 0.0:
+        lam = (complex(max(a, d)), complex(min(a, d)))
+    else:
+        tr = a + d
+        root = cmath.sqrt(complex(tr * tr - 4.0 * (a * d - b * c)))
+        lam = (complex(tr + root) / 2.0, complex(tr - root) / 2.0)
+    return J, lam, np.array([_eigenvector(Jl, z) for z in lam]).T
 
 
-def _classify_p2(sys: PhaseSystem) -> tuple[FixedPointKind, bool]:
-    # at P2 the trace is -s and the determinant gamma (e - b)
-    speed, _, b, e = sys.form
-    det4 = 4.0 * sys.gamma * (e - b)
-    disc = speed * speed - det4
-    tol = 1e-12 * max(abs(speed * speed), det4, 1.0)
+def _classify_p2(speed: float, lam: tuple[complex, complex]) -> tuple[FixedPointKind, bool]:
+    """Kind of P2 and its degenerate flag, from the field's speed coefficient
+    s and P2's eigenvalues."""
     if speed == 0.0:
         # zero-speed boundary: purely imaginary eigenvalues (center at the
         # linear level); not in the stable node/focus dichotomy
         return FixedPointKind.DEGENERATE, True
-    if abs(disc) <= tol:
+    l1, l2 = lam
+    # (l1 - l2)^2 is the discriminant s^2 - 4 gamma (e - b), l1 l2 = gamma (e - b)
+    if abs(l1 - l2) ** 2 <= 1e-12 * max(speed * speed, 4.0 * abs(l1 * l2), 1.0):
         # boundary c = c*: reported as StableNode, flagged degenerate
         return FixedPointKind.STABLE_NODE, True
-    if disc > 0.0:
-        return FixedPointKind.STABLE_NODE, False
-    return FixedPointKind.STABLE_FOCUS, False
+    if l1.imag:
+        return FixedPointKind.STABLE_FOCUS, False
+    return FixedPointKind.STABLE_NODE, False
 
 
 def axis_equilibria(sys: PhaseSystemII) -> tuple[float, float]:
@@ -325,15 +339,19 @@ def fixed_points(sys: PhaseSystem) -> list[FixedPointInfo]:
     """
     pts: list[FixedPointInfo] = []
     for name, (x, y) in fixed_point_locations(sys).items():
+        J, lam, _ = linearization(sys, x, y)
         if name == "P2":
-            kind, degenerate = _classify_p2(sys)
+            kind, degenerate = _classify_p2(sys.form[0], lam)
         elif name == "P1" or isinstance(sys, PhaseSystemII):
             kind, degenerate = FixedPointKind.SADDLE, False
         elif sys.c == 0.0:
             kind, degenerate = FixedPointKind.DEGENERATE, True
         else:
             kind, degenerate = FixedPointKind.SADDLE_NODE, False
-        pts.append(_info(sys, name, x, y, kind, degenerate))
+        pts.append(FixedPointInfo(
+            name=name, location=(x, y),
+            jacobian=((J[0, 0], J[0, 1]), (J[1, 0], J[1, 1])),
+            eigenvalues=lam, kind=kind, degenerate=degenerate))
     return pts
 
 

@@ -1,6 +1,9 @@
 """Shooting, classification, profile reconstruction, finite propagation."""
+import importlib.util
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +14,10 @@ from kppwaves import (CanonicalModel, EventKind, SpeedClass, TrajectoryEvent,
                       WaveProfile, build_system, classify_connection,
                       detect_finite_propagation, first_X_axis_intersection,
                       reconstruct_profile, shoot, threshold_crossings,
-                      x0_monotonicity_check, x0_seed_sensitivity,
-                      zero_speed_X0, zero_speed_curve)
+                      x0_monotonicity_check, zero_speed_X0, zero_speed_curve)
 from kppwaves import connect
-from kppwaves.phaseplane import PhaseSystemI, fixed_point_locations, scalar_field
+from kppwaves.phaseplane import (PhaseSystemI, fixed_point_locations, linearization,
+                                 scalar_field)
 
 CM221 = CanonicalModel(m=2, p=2, q=1)
 ESCAPE_BOUND = connect.ESCAPE_BOUND
@@ -297,9 +300,11 @@ def test_any_seed_offset_gives_a_result_or_a_typed_error():
                 continue
             assert r.observed is r.predicted, (cm, c, kwargs)
     # the seed on the radius and the radius shrunk to the seed offset used
-    # to end in a raw ValueError and in an arrival back at P0
+    # to end in a raw ValueError and in an arrival back at P0.  A profile
+    # shot keeps its seed; a shot that only classifies would move it
     for kwargs in ({"eps": 1e-5}, {"eps": 1e-6, "arrival_radius": 1e-6}):
-        assert classify_connection(CM221, -1.0, **kwargs).evidence == "extrema"
+        r = classify_connection(CM221, -1.0, profile_of=CM221, **kwargs)
+        assert r.evidence == "extrema"
 
 
 def test_shot_diagnostics_are_deterministic_counts():
@@ -310,7 +315,8 @@ def test_shot_diagnostics_are_deterministic_counts():
         assert r.nfev >= r.solver_steps >= len(r.trajectory.tau) - 1
         assert counts == (r.trajectory.solver_steps, r.trajectory.nfev, r.trajectory.njev)
         assert sum(r.event_counts.values()) == len(r.trajectory.events)
-        assert r.event_counts["XAxisCross"] >= r.n_oscillations
+        # the crossings P2's linear flow adds after the arrival are no events
+        assert r.event_counts["XAxisCross"] >= r.n_oscillations - r.tail_extrema
     assert (a.solver_steps, a.nfev, a.njev, a.event_counts) == \
         (b.solver_steps, b.nfev, b.njev, b.event_counts)
     none = classify_connection(CM221, 1.0)
@@ -351,8 +357,86 @@ def test_axis_events_sit_on_the_axis():
         assert abs(ev.state[1]) < 1e-9
 
 
-def test_seed_sensitivity_diagnostic():
-    assert x0_seed_sensitivity(build_system(CM221, 1.0)) < 1e-5
+# --- a shot that only classifies against a fine shot -------------------------------
+
+def _fine_shot(cm, c):
+    """(class, count, X0) of the shot from eps = 1e-6 to radius 1e-8, read
+    from the crossings it records: no linear tail adds to them."""
+    traj = shoot(build_system(cm, abs(c)), 1e-6, arrival_radius=1e-8)
+    assert traj.arrived == "P2"
+    xs = [ev.state[0] for ev in traj.events
+          if ev.kind is EventKind.X_AXIS_CROSS and ev.state[0] > 1e-8]
+    n = sum(abs(x - 1.0) > connect.GRAZE_TOL for x in xs)
+    p2 = {fp.name: fp for fp in kw.fixed_points(traj.sys)}["P2"]
+    focus = p2.kind is kw.FixedPointKind.STABLE_FOCUS and not p2.degenerate
+    observed = SpeedClass.OSCILLATORY if n or focus else SpeedClass.MONOTONE
+    return observed, n, xs[0] if xs else 1.0
+
+
+def _assert_matches_fine_shot(cm, speeds):
+    for c in speeds:
+        r = classify_connection(cm, c)
+        observed, n, x0 = _fine_shot(cm, c)
+        assert (r.observed, r.n_oscillations) == (observed, n), (cm, c)
+        assert abs(r.x0 - x0) <= 1e-8, (cm, c, r.x0, x0)
+
+
+@pytest.mark.parametrize("mpq", [(2, 2, 1), (1, 2, 1), (1, 1, 0.5), (0.5, 2, 1), (3, 2.5, 1)])
+def test_classification_shot_matches_the_fine_shot(mpq):
+    # seeded 1e-3 from P0 and stopped 1e-4 from P2, the shot's class, count
+    # and X0 are those of a shot from 1e-6 to 1e-8; the counts of the
+    # 0.45-0.99 c* rows fell short when the arrival ball hid the spiral's tail
+    cm = CanonicalModel(*mpq)
+    shares = (0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9, 0.95, 0.99, 1.05, 1.5)
+    _assert_matches_fine_shot(cm, [-s * kw.critical_speed(cm) for s in shares])
+
+
+def test_classification_shot_matches_the_fine_shot_on_the_sweep_benchmark():
+    # the 120 speeds of the benchmark's seed-1 sweep round
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+        _, jobs = workloads.make_jobs("sweep", 1)
+    finally:
+        del sys.modules[spec.name]
+    assert sum(len(job.speeds) for job in jobs) == 120
+    for job in jobs:
+        if "kappa" in job.model:
+            cm, _ = kw.nondimensionalize(kw.GeneralModel(**job.model))
+        else:
+            cm = CanonicalModel(**job.model)
+        _assert_matches_fine_shot(cm, job.speeds)
+
+
+def test_tail_crossings_follow_the_focus():
+    # after the arrival the crossings are those of P2's linear flow: pi/beta
+    # apart, |X - 1| shrinking by exp(alpha pi/beta) from one to the next
+    r = classify_connection(CM221, -0.5)
+    (alpha, beta), = {(lam.real, abs(lam.imag)) for lam in
+                      linearization(r.trajectory.sys, 1.0, 0.0)[1]}
+    tail = r.extrema[-r.tail_extrema:]
+    assert r.tail_extrema >= 5 and tail[0][0] > r.trajectory.tau[-1]
+    assert np.allclose(np.diff([t for t, _ in tail]), math.pi / beta, rtol=1e-12)
+    amps = np.array([x - 1.0 for _, x in tail])
+    assert np.all(amps[1:] * amps[:-1] < 0.0)
+    assert np.allclose(amps[1:] / amps[:-1], -math.exp(alpha * math.pi / beta), rtol=1e-10)
+    assert abs(amps[-1]) > connect.GRAZE_TOL >= abs(amps[-1]) * math.exp(alpha * math.pi / beta)
+
+
+@pytest.mark.parametrize("mpq, c", [((2, 2, 1), -1.0), ((2, 2, 1), -3.0),
+                                    ((3, 2.5, 1), -3.5198)])
+def test_tiny_seed_classifies_but_gives_no_profile(mpq, c):
+    # from eps = 1e-9 the orbit drifts for tau ~ c/(gamma eps) and is still
+    # in P0's ball at TAU_SPAN.  A shot that only classifies seeds farther
+    # out; a profile shot keeps its seed and gets the typed error
+    cm = CanonicalModel(*mpq)
+    r = classify_connection(cm, c, eps=1e-9)
+    assert r.observed is r.predicted
+    with pytest.raises(kw.InconclusiveError, match="arrived='P0'"):
+        classify_connection(cm, c, eps=1e-9, profile_of=cm)
 
 
 # --- the explicit zero-speed orbit ----------------------------------------------
@@ -406,20 +490,27 @@ def test_classify_oscillatory_with_measured_overshoots():
 
 
 def test_classify_oscillatory_near_threshold_uses_focus_evidence():
-    # the first overshoot here is smaller than the arrival ball, so the
-    # extremum count is zero; the spiral kind of the rest state decides
+    # the first overshoot here, 1 + 3.7e-8, is within the grazing guard, so
+    # the extremum count is zero, as it is on a shot to radius 1e-8; the
+    # spiral kind of the rest state decides
     r = classify_connection(CM221, -1.95)
     assert r.observed is SpeedClass.OSCILLATORY
     assert r.evidence == "focus"
-    assert r.n_oscillations == 0
+    assert r.n_oscillations == _fine_shot(CM221, -1.95)[1] == 0
+    assert r.x0 == pytest.approx(1.0 + 3.66e-8, abs=1e-9)
 
 
 @pytest.mark.parametrize("c", [-1.90, -1.93, -1.96])
 def test_profile_class_is_the_shot_class(c):
-    # the profile of a shot classified on focus evidence has no overshoot
-    # either; the same rule classifies it, so it is oscillatory too
+    # each first overshoot lies inside the profile shot's arrival ball.  At
+    # -1.90 it clears the grazing guard and P2's linear flow counts it; at
+    # -1.93 and -1.96 it does not, and focus evidence decides.  The profile
+    # ends at the arrival, so it shows no overshoot, and the same rule
+    # classifies it
     r = classify_connection(CM221, c, profile_of=CM221)
-    assert (r.observed, r.evidence) == (SpeedClass.OSCILLATORY, "focus")
+    n = {-1.90: 1, -1.93: 0, -1.96: 0}[c]
+    assert r.n_oscillations == r.tail_extrema == n == _fine_shot(CM221, c)[1]
+    assert (r.observed, r.evidence) == (SpeedClass.OSCILLATORY, "extrema" if n else "focus")
     prof = reconstruct_profile(r.trajectory)
     assert prof.classification is r.observed
     assert prof.overshoot_extrema == ()
@@ -541,11 +632,14 @@ def test_reconstructed_profile_has_the_shot_speed():
 
 
 def test_classify_names_where_a_failed_orbit_went():
-    # just off (1,2,1) gamma = 1e-3, and the orbit from P0 never leaves P0's
-    # ball within TAU_SPAN: the arrival attached at its end names P0, and
-    # the error says so
+    # just off (1,2,1) gamma = 1e-3, and the orbit from the profile seed
+    # never leaves P0's ball within TAU_SPAN: the arrival attached at its end
+    # names P0, and the error says so.  A shot that only classifies starts
+    # far enough out to arrive
+    cm = CanonicalModel(m=1, p=2, q=1.001)
     with pytest.raises(kw.InconclusiveError, match=r"did not reach P2 \(arrived='P0'"):
-        classify_connection(CanonicalModel(m=1, p=2, q=1.001), -1.0)
+        classify_connection(cm, -1.0, profile_of=cm)
+    assert classify_connection(cm, -1.0).observed is SpeedClass.OSCILLATORY
 
 
 def test_reconstruct_rejects_non_connections():

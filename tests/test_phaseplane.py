@@ -11,7 +11,7 @@ from kppwaves import (CanonicalModel, FixedPointKind, PhaseSystemI,
                       dulac_divergence, fixed_points, jacobian,
                       region_G_residual, vector_field, zero_speed_X0,
                       zero_speed_curve)
-from kppwaves.phaseplane import scalar_field, xpow
+from kppwaves.phaseplane import linearization, scalar_field, xpow
 
 
 # --- construction ------------------------------------------------------------
@@ -166,6 +166,14 @@ def test_fixed_points_are_field_zeros_with_consistent_linearization(t, c):
         got = sorted(np.asarray(fp.eigenvalues), key=lambda z: (z.real, z.imag))
         ref = sorted(lam, key=lambda z: (z.real, z.imag))
         assert np.allclose(got, ref, atol=1e-10)
+        # the eigenvectors: unit columns that J maps onto lam times themselves
+        _, lam, V = linearization(s, *fp.location)
+        assert lam == fp.eigenvalues
+        assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=1e-14)
+        assert np.allclose(J @ V, V * np.array(lam), atol=1e-10 * max(1.0, np.abs(J).max()))
+        if fp.location[0] == 0.0:
+            # a Y-axis equilibrium's Jacobian is triangular: its diagonal, exactly
+            assert lam == tuple(complex(d) for d in sorted(np.diag(J), reverse=True))
 
 
 def test_jacobian_matches_finite_differences():
