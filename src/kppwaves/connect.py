@@ -14,9 +14,10 @@ step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.  scipy's
 ``LSODA`` only sets a shot up (tolerances, work arrays); each step is one
 direct call of scipy's ODEPACK wrapper in one-step mode, with the arguments
 ``scipy.integrate._ode.lsoda.run`` passes, and the counters are ODEPACK's own.
-The events (fixed-point arrival, escape, Y = 0 crossing) are evaluated
-together as one function of (X, Y) per step, with the sign-change rule and
-root solve of ``solve_ivp`` reproduced exactly.  P0's arrival event starts
+The events (fixed-point arrival, escape, Y = 0 crossing) are one function
+of (X, Y), evaluated only on the few steps that a cheap screen cannot rule
+out, with the sign-change rule and root solve of ``solve_ivp`` reproduced
+exactly.  The RHS fills one preallocated array.  P0's arrival event starts
 inside its ball whatever the seed, so for a seed inside that ball samples,
 events and roots equal what ``solve_ivp(..., events=..., dense_output=True)``
 returns.
@@ -32,11 +33,11 @@ A shot stops on entering P2's arrival ball, and the X extrema the ball hides
 are the Y = 0 crossings of P2's linear flow from the arrival state, found in
 closed form; so the oscillation count and X0 do not depend on the radius.
 A profile shot keeps its seed ``eps`` and ``ARRIVAL_RADIUS``, since its
-samples become the profile.  A shot that only classifies starts no closer
-than ``CLASSIFY_EPS`` and stops at ``CLASSIFY_RADIUS``: the seed's offset
-across the departure manifold decays along the orbit, and the linear tail
-takes over the spiral, so class, count and X0 keep their values (to 1e-8 in
-X0) at fewer steps.
+samples become the profile.  A shot that only classifies starts
+``CLASSIFY_EPS`` = 1e-2 from P0, the largest offset ``shoot`` accepts, and
+stops at ``CLASSIFY_RADIUS``: the seed's offset across the departure
+manifold decays along the orbit, and the linear tail takes over the spiral,
+so class, count and X0 keep their values (to 1e-8 in X0) at fewer steps.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ __all__ = [
 
 DEFAULT_EPS = 1e-6
 ARRIVAL_RADIUS = 1e-5
-CLASSIFY_EPS = 1e-3       # nearest seed of a shot that only classifies
+CLASSIFY_EPS = 1e-2       # seed offset of a shot that only classifies
 CLASSIFY_RADIUS = 1e-4    # P2's arrival radius for such a shot
 ESCAPE_BOUND = 50.0
 TAU_SPAN = 1e9
@@ -306,16 +307,40 @@ def _odepack_core(solver: LSODA):
     return core
 
 
-def _crossed(g, h) -> bool:
-    """Whether any event value moved from g to h across zero in its direction.
+def _event_functions(fps: dict, rad: float, escape: float):
+    """(values, screen) of the shot's events: arrival within ``rad`` of each
+    fixed point of ``fps``, escape past ``escape``, the X axis.
 
-    solve_ivp's find_active_events unrolled over the event layout of
-    ``_integrate``: two or three arrivals (-1), then escape (+1) and the X
-    axis (0).  With two arrivals g[-3] is g[1].
+    ``values(X, Y)`` gives every event function at once.  ``screen(Xo, Yo,
+    X, Y)`` passes every step on which solve_ivp's find_active_events can
+    find a crossing, and few others: an arrival needs the new point in the
+    box of half-width rad about its fixed point (a faithfully rounded hypot
+    is at least each |component|), an escape X or |Y| at the bound, the X
+    axis a sign change of Y.
     """
-    return (g[0] >= 0.0 >= h[0] or g[1] >= 0.0 >= h[1] or g[-3] >= 0.0 >= h[-3]
-            or g[-2] <= 0.0 <= h[-2]
-            or g[-1] <= 0.0 <= h[-1] or g[-1] >= 0.0 >= h[-1])
+    hypot = math.hypot
+    (ax, ay), (bx, by), *third = fps.values()
+    # unrolled over the two or three arrival balls: the screen runs on every step
+    if third:
+        (cx, cy), = third
+
+        def values(X, Y):
+            return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
+                    hypot(X - cx, Y - cy) - rad, max(X - escape, abs(Y) - escape), Y)
+    else:
+        cx, cy = ax, ay   # P0's box stands in for a third ball
+
+        def values(X, Y):
+            return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
+                    max(X - escape, abs(Y) - escape), Y)
+
+    def screen(Xo: float, Yo: float, X: float, Y: float) -> bool:
+        return (Yo <= 0.0 <= Y or Yo >= 0.0 >= Y or X >= escape or abs(Y) >= escape
+                or abs(X - ax) <= rad and abs(Y - ay) <= rad
+                or abs(X - bx) <= rad and abs(Y - by) <= rad
+                or abs(X - cx) <= rad and abs(Y - cy) <= rad)
+
+    return values, screen
 
 
 def _xi_rate(sys: PhaseSystem, cm: CanonicalModel):
@@ -342,15 +367,19 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     rhs = scalar_field(sys)
     dense = xi_rate is not None
 
+    # Python floats, not numpy scalars: the same arithmetic, done faster.  The
+    # derivative goes into one array, which the ODEPACK wrapper reads as it is
+    out = np.empty(len(s0) + dense)
     if xi_rate is None:
         def fun(_t, s):
-            # Python floats, not numpy scalars: the same arithmetic, done faster
-            return rhs(*s.tolist())
+            out[0], out[1] = rhs(*s.tolist())
+            return out
     else:
         def fun(_t, s):
             X, Y, _ = s.tolist()
-            dx, dy = rhs(X, Y)
-            return (dx, dy, xi_rate(X))
+            out[0], out[1] = rhs(X, Y)
+            out[2] = xi_rate(X)
+            return out
 
         s0 = np.append(s0, 0.0)
         atol = [atol, atol, XI_ATOL]
@@ -362,19 +391,7 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     table += [(EventKind.ESCAPE, None, 1, True),
               (EventKind.X_AXIS_CROSS, None, 0, terminal_x_axis)]
     directions = [d for _, _, d, _ in table]
-    hypot, rad, e = math.hypot, arrival_radius, ESCAPE_BOUND
-    (ax, ay), (bx, by), *third = fps.values()
-    # unrolled over the two or three arrival balls: this runs on every step
-    if third:
-        (cx, cy), = third
-
-        def event_values(X, Y):
-            return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
-                    hypot(X - cx, Y - cy) - rad, max(X - e, abs(Y) - e), Y)
-    else:
-        def event_values(X, Y):
-            return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
-                    max(X - e, abs(Y) - e), Y)
+    event_values, screen = _event_functions(fps, arrival_radius, ESCAPE_BOUND)
 
     # LSODA validates the tolerances and allocates the work arrays; each step
     # is then one itask-5 call of ODEPACK, with scipy.integrate._ode.lsoda.run's
@@ -391,10 +408,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     ts, flat = [0.0], list(state)
     records: list = []
     hits: list[list] = [[] for _ in table]
-    # the events see X and Y only, never a carried xi.  The P0 row (fps lists
-    # P0 first) starts inside its ball, as at P0 itself: the steps that leave
-    # the seed then fire no arrival there, whatever eps and the radius are
-    g = (-rad, *event_values(state[0], state[1])[1:])
+    # the events see X and Y only, never a carried xi
+    X, Y = state[0], state[1]
     while t < TAU_SPAN:
         t_old = t
         y, t, istate = run(fun, y, t, TAU_SPAN, rtol, atol, 5, istate, rwork, iwork,
@@ -407,12 +422,21 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         if dense:
             records.append((t, *_nordsieck_record(iwork, rwork, n)))
         state = y.tolist()
-        g_new = event_values(state[0], state[1])
+        Xo, Yo, X, Y = X, Y, state[0], state[1]
         terminate = False
-        if _crossed(g, g_new):
+        active = []
+        if screen(Xo, Yo, X, Y):
+            g, g_new = event_values(Xo, Yo), event_values(X, Y)
+            if t_old == 0.0:
+                # the P0 row (fps lists P0 first) starts inside its ball, as at
+                # P0 itself: leaving the seed fires no arrival there, whatever
+                # eps and the radius are
+                g = (-arrival_radius, *g[1:])
+            # solve_ivp's find_active_events
             active = [i for i, d in enumerate(directions)
                       if (g[i] <= 0.0 <= g_new[i] and d >= 0)
                       or (g[i] >= 0.0 >= g_new[i] and d <= 0)]
+        if active:
             h, yh = _nordsieck_record(iwork, rwork, n)
             # LSODA.dense_output over the step: its (n, order + 1) C layout
             sol = LsodaDenseOutput(t_old, t, h, len(yh) - 1, yh.T.copy())
@@ -430,7 +454,6 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
             if terminate:
                 t = roots[-1]
                 state = sol(t).tolist()
-        g = g_new
         if len(ts) > 1 and ts[-1] == t:
             # solve_ivp keeps neither a repeated final time nor its interpolant
             if dense:
@@ -646,8 +669,9 @@ def classify_connection(cm: CanonicalModel, c_original: float,
 
     ``shoot_kw`` go to shoot.  ``profile_of=cm`` makes the trajectory one
     that reconstruct_profile accepts; it is shot from ``eps``.  A shot
-    without it only classifies: it seeds at max(eps, ``CLASSIFY_EPS``) and
-    arrives at radius ``CLASSIFY_RADIUS`` unless ``arrival_radius`` is given.
+    without it only classifies: it seeds ``CLASSIFY_EPS`` = 1e-2 from P0
+    (an eps above that is shoot's error) and arrives at radius
+    ``CLASSIFY_RADIUS`` unless ``arrival_radius`` is given.
     Its class, count and X0 agree with those of a shot from eps = 1e-6 to
     radius 1e-8 (tests/test_connect.py), and it takes fewer steps.
     """

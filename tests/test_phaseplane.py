@@ -176,6 +176,33 @@ def test_fixed_points_are_field_zeros_with_consistent_linearization(t, c):
             assert lam == tuple(complex(d) for d in sorted(np.diag(J), reverse=True))
 
 
+SWEEP_MODELS = [(2, 2, 1), (1, 2, 1), (0.5, 2, 1), (1, 1, 0.5), (3, 2.5, 1)]
+
+
+@pytest.mark.parametrize("mpq", SWEEP_MODELS)
+def test_fixed_point_linearization_is_numpys_bit_for_bit(mpq, monkeypatch):
+    # at X = 0 and 1 the Jacobian takes its powers in plain floats; they must
+    # be the bits numpy's power (xpow) gives, from J to the eigenvectors
+    cm = CanonicalModel(*mpq)
+    systems = [build_system(cm, share * kw.critical_speed(cm))
+               for share in (0.0, 0.05, 0.2, 0.6, 0.95, 1.0, 1.05, 1.5, 3.0)]
+
+    def linearizations():
+        return [(fp.jacobian, fp.eigenvalues, *linearization(s, *fp.location),
+                 jacobian(s, *fp.location))
+                for s in systems for fp in fixed_points(s)]
+
+    got = linearizations()
+    monkeypatch.setattr(kw.phaseplane, "_unit_power", xpow)
+    want = linearizations()
+    assert len(got) == len(want) >= 2 * len(systems)
+    for a, b in zip(got, want):
+        # every value bit for bit, signed zeros included
+        for x, y in zip(a, b):
+            x, y = np.asarray(x), np.asarray(y)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(7)
     for cm, c in [(CanonicalModel(m=2, p=3, q=1), 1.5),
