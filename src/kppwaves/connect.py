@@ -17,7 +17,7 @@ direct call of scipy's ODEPACK wrapper in one-step mode, with the arguments
 The events (fixed-point arrival, escape, Y = 0 crossing) are one function
 of (X, Y), evaluated only on the few steps that a cheap screen cannot rule
 out, with the sign-change rule and root solve of ``solve_ivp`` reproduced
-exactly.  The RHS fills one preallocated array.  P0's arrival event starts
+exactly.  The RHS is one phaseplane.solver_rhs call.  P0's arrival event starts
 inside its ball whatever the seed, so for a seed inside that ball samples,
 events and roots equal what ``solve_ivp(..., events=..., dense_output=True)``
 returns.
@@ -33,11 +33,11 @@ A shot stops on entering P2's arrival ball, and the X extrema the ball hides
 are the Y = 0 crossings of P2's linear flow from the arrival state, found in
 closed form; so the oscillation count and X0 do not depend on the radius.
 A profile shot keeps its seed ``eps`` and ``ARRIVAL_RADIUS``, since its
-samples become the profile.  A shot that only classifies starts
-``CLASSIFY_EPS`` = 1e-2 from P0, the largest offset ``shoot`` accepts, and
-stops at ``CLASSIFY_RADIUS``: the seed's offset across the departure
-manifold decays along the orbit, and the linear tail takes over the spiral,
-so class, count and X0 keep their values (to 1e-8 in X0) at fewer steps.
+samples become the profile.  A shot that only classifies starts on P0's
+departure manifold (phaseplane.departure_seed, up to X = 0.2) and stops at
+``CLASSIFY_RADIUS``: it skips the drift away from P0, and the linear tail
+takes over the spiral, so class, count and X0 keep their values (to 2e-9
+in X0) at fewer steps.
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ from .phaseplane import (
     PhaseSystemI,
     _classify_p2,
     build_system,
+    departure_seed,
     fixed_point_locations,
     linearization,
-    scalar_field,
+    solver_rhs,
     zero_speed_curve,
 )
 
@@ -96,7 +97,6 @@ __all__ = [
 
 DEFAULT_EPS = 1e-6
 ARRIVAL_RADIUS = 1e-5
-CLASSIFY_EPS = 1e-2       # seed offset of a shot that only classifies
 CLASSIFY_RADIUS = 1e-4    # P2's arrival radius for such a shot
 ESCAPE_BOUND = 50.0
 TAU_SPAN = 1e9
@@ -274,6 +274,7 @@ def _seed_state(sys: PhaseSystem, eps: float) -> np.ndarray:
 # --- integration core --------------------------------------------------------
 
 _ROOT_TOL = 4.0 * np.finfo(float).eps   # solve_ivp's brentq xtol and rtol
+_SPARE_WORK: dict[tuple[int, int], list] = {}   # (rwork, iwork) pairs no shot runs on
 
 
 def _nordsieck_record(iwork: np.ndarray, rwork: np.ndarray, n: int):
@@ -364,23 +365,9 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     step's Nordsieck record is kept as the shot's dense output; without it
     the dense output is None.  ``events`` lists the events in the order
     solve_ivp reports them: by event function, then in time."""
-    rhs = scalar_field(sys)
     dense = xi_rate is not None
-
-    # Python floats, not numpy scalars: the same arithmetic, done faster.  The
-    # derivative goes into one array, which the ODEPACK wrapper reads as it is
-    out = np.empty(len(s0) + dense)
-    if xi_rate is None:
-        def fun(_t, s):
-            out[0], out[1] = rhs(*s.tolist())
-            return out
-    else:
-        def fun(_t, s):
-            X, Y, _ = s.tolist()
-            out[0], out[1] = rhs(X, Y)
-            out[2] = xi_rate(X)
-            return out
-
+    fun = solver_rhs(sys, np.empty(len(s0) + dense), xi_rate)
+    if dense:
         s0 = np.append(s0, 0.0)
         atol = [atol, atol, XI_ATOL]
 
@@ -399,7 +386,11 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     solver = LSODA(fun, 0.0, s0, TAU_SPAN, rtol=rtol, atol=atol)
     core = _odepack_core(solver)
     run, messages = core.runner, core.messages
-    rtol, atol, _, _, rwork, iwork, jt = core.call_args   # as LSODA validated them
+    rtol, atol, _, _, rwork0, iwork0, jt = core.call_args   # as LSODA validated them
+    # the wrapper keeps every work array it is given: run on a spare pair
+    spare = _SPARE_WORK.setdefault((rwork0.size, iwork0.size), [])
+    rwork, iwork = spare.pop() if spare else (np.empty_like(rwork0), np.empty_like(iwork0))
+    rwork[:], iwork[:] = rwork0, iwork0
     sd, si, n = core.state_doubles, core.state_ints, solver.n
     y, t, istate = solver._lsoda_solver._y, 0.0, 1
     # samples as one flat list of floats: kept per-step lists would load the
@@ -467,10 +458,12 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     events = [TrajectoryEvent(kind, t_e, (float(s_e[0]), float(s_e[1])), target)
               for (kind, target, _, _), found in zip(table, hits) for t_e, s_e in found]
     X, Y, *xi = np.array(flat).reshape(len(ts), -1).T.copy()
+    # ODEPACK's own counters: steps NST, RHS calls NFE and Jacobians NJE
+    steps, nfev, njev = iwork[10:13].tolist()
+    spare.append((rwork, iwork))
     return {
         "tau": np.array(ts), "X": X, "Y": Y, "xi": xi[0] if xi else None, "events": events,
-        # ODEPACK's own counters: steps NST, RHS calls NFE and Jacobians NJE
-        "solver_steps": int(iwork[10]), "nfev": int(iwork[11]), "njev": int(iwork[12]),
+        "solver_steps": steps, "nfev": nfev, "njev": njev,
     }, _NordsieckTable(ts, records) if dense else None
 
 
@@ -498,8 +491,12 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
     """
     if not (eps > 0.0) or eps > 1e-2:
         raise InvalidParameterError(f"seed offset eps must lie in (0, 1e-2], got {eps!r}")
+    return _shoot_from(sys, _seed_state(sys, eps), rtol=rtol, atol=atol,
+                       arrival_radius=arrival_radius, profile_of=profile_of)
 
-    s0 = _seed_state(sys, eps)
+
+def _shoot_from(sys: PhaseSystem, s0, *, rtol: float = 1e-10, atol: float = 1e-10,
+                arrival_radius: float = ARRIVAL_RADIUS, profile_of=None) -> Trajectory:
     res, table = _integrate(
         sys, s0, rtol=rtol, atol=atol, arrival_radius=arrival_radius,
         terminal_x_axis=isinstance(sys, PhaseSystemI) and sys.c == 0.0,
@@ -527,8 +524,8 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
                 break
     events.sort(key=lambda e: (e.tau, e.kind.value))
 
-    log.debug("shoot eps=%g: %d samples, arrived=%s escaped=%s",
-              eps, len(tau), arrived, escaped)
+    log.debug("shot from %s: %d samples, arrived=%s escaped=%s",
+              s0, len(tau), arrived, escaped)
     return Trajectory(
         tau=tau, X=X, Y=Y, events=events, sys=sys, arrived=arrived,
         escaped=escaped, solver_steps=res["solver_steps"], nfev=res["nfev"],
@@ -669,11 +666,11 @@ def classify_connection(cm: CanonicalModel, c_original: float,
 
     ``shoot_kw`` go to shoot.  ``profile_of=cm`` makes the trajectory one
     that reconstruct_profile accepts; it is shot from ``eps``.  A shot
-    without it only classifies: it seeds ``CLASSIFY_EPS`` = 1e-2 from P0
-    (an eps above that is shoot's error) and arrives at radius
-    ``CLASSIFY_RADIUS`` unless ``arrival_radius`` is given.
-    Its class, count and X0 agree with those of a shot from eps = 1e-6 to
-    radius 1e-8 (tests/test_connect.py), and it takes fewer steps.
+    without it only classifies and does not read ``eps``: it starts on P0's
+    departure manifold at phaseplane.departure_seed and arrives at radius
+    ``CLASSIFY_RADIUS`` unless ``arrival_radius`` is given.  Its class,
+    count and X0 agree with those of a shot from eps = 1e-6 to radius 1e-8,
+    X0 to 2e-9 (tests/test_connect.py), and it takes fewer steps.
     """
     predicted = classify_speed(cm, c_original)
     if c_original >= 0.0:
@@ -683,10 +680,12 @@ def classify_connection(cm: CanonicalModel, c_original: float,
             trajectory=None, x0=None, evidence="sign")
 
     c = abs(float(c_original))
-    if shoot_kw.get("profile_of") is None and eps > 0.0:
-        eps = max(eps, CLASSIFY_EPS)
+    sys = build_system(cm, c)
+    if shoot_kw.get("profile_of") is not None:
+        traj = shoot(sys, eps, **shoot_kw)
+    else:
         shoot_kw.setdefault("arrival_radius", CLASSIFY_RADIUS)
-    traj = shoot(build_system(cm, c), eps, **shoot_kw)
+        traj = _shoot_from(sys, np.array(departure_seed(sys)), **shoot_kw)
     if traj.arrived != "P2":
         raise InconclusiveError(
             f"trajectory for c = {c_original} did not reach P2 "

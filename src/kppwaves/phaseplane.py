@@ -29,10 +29,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, SeedFailureError
 from .model import CanonicalModel, Regime
 
 __all__ = [
@@ -47,6 +49,9 @@ __all__ = [
     "fixed_points",
     "fixed_point_locations",
     "scalar_field",
+    "solver_rhs",
+    "departure_series",
+    "departure_seed",
     "dulac_divergence",
     "region_G_residual",
     "zero_speed_curve",
@@ -214,11 +219,11 @@ def vector_field(sys: PhaseSystem, X, Y):
 
 
 def scalar_field(sys: PhaseSystem):
-    """The vector field as a function of two floats X, Y, for integrators.
+    """The vector field as a function of two floats X, Y: the reference
+    that solver_rhs, the integrators' form, matches bit for bit.
 
     X <= 0 evaluates as X = 0, so a step that strays just outside the
-    half-plane stays finite.
-    """
+    half-plane stays finite."""
     g, (s, a, b, e) = sys.gamma, sys.form
 
     def rhs(X: float, Y: float) -> tuple[float, float]:
@@ -227,6 +232,26 @@ def scalar_field(sys: PhaseSystem):
         return g * Xp * Y, -Y * (Y + s * Xp ** a) + Xp ** b - Xp ** e
 
     return rhs
+
+
+def solver_rhs(sys: PhaseSystem, out: np.ndarray, xi_rate=None):
+    """The field as an ODE right-hand side fun(t, state) that writes
+    scalar_field's values, bit for bit, into ``out`` and returns it; with
+    ``xi_rate`` the state is (X, Y, xi) and out[2] = xi_rate(X).  fun is
+    compiled for the field's form with X^0 = 1 and X^1 = X written out
+    (Python's ** gives them exactly), so one call does the whole evaluation."""
+    s, a, b, e = sys.form
+    A, B, E = ({0.0: "1.0", 1.0: "X"}.get(r, f"X ** {r!r}") for r in (a, b, e))
+    code = ("def fun(_t, state):\n"
+            f"    Z, Y{', _' if xi_rate else ''} = state.tolist()\n"
+            "    X = Z if Z > 0.0 else 0.0\n"
+            "    out[0] = g * X * Y\n"
+            f"    out[1] = -Y * (Y + {'s' if A == '1.0' else 's * ' + A}) + {B} - {E}\n"
+            + ("    out[2] = xi_rate(Z)\n" if xi_rate else "")
+            + "    return out\n")
+    scope = dict(g=sys.gamma, s=s, out=out, xi_rate=xi_rate)
+    exec(code, scope)
+    return scope["fun"]
 
 
 def jacobian(sys: PhaseSystem, X: float, Y: float) -> np.ndarray:
@@ -333,6 +358,62 @@ def fixed_point_locations(sys: PhaseSystem) -> dict[str, tuple[float, float]]:
         pts = {"P0": (0.0, y_plus), "P1": (0.0, y_minus)}
     pts["P2"] = (1.0, 0.0)
     return pts
+
+
+SERIES_ORDER = 8      # highest exponent of P0's departure-manifold series
+SERIES_TOL = 1e-10    # bound on each term of its top band at the seed
+SERIES_X_MAX = 0.2    # cap on the seed's X
+
+
+@lru_cache(maxsize=64)
+def _series_exponents(a: float, b: float, e: float):
+    """(alpha, rows): 0 and each sum of positive ones of a, b, e up to
+    SERIES_ORDER, ascending, as exact Fractions (no pair is lost to rounding);
+    per alpha_k > 0 the pairs (i, j > 0) with alpha_i + alpha_j = alpha_k,
+    the index of alpha_k - a and [alpha_k = b] - [alpha_k = e]."""
+    gens = {Fraction(g) for g in (a, b, e) if g > 0.0}
+    alpha = {Fraction(0)}
+    while new := {x + g for x in alpha for g in gens if x + g <= SERIES_ORDER} - alpha:
+        alpha |= new
+    alpha = sorted(alpha)
+    at = {x: i for i, x in enumerate(alpha)}
+    return [float(x) for x in alpha], [
+        ([(i, at[x - y]) for i, y in enumerate(alpha[1:], 1) if at.get(x - y, 0)],
+         at.get(x - Fraction(a)) if a > 0.0 else None, float((x == b) - (x == e)))
+        for x in alpha[1:]]
+
+
+def departure_series(sys: PhaseSystem) -> tuple[list[float], list[float]]:
+    """(alpha, c): P0's departure manifold as the graph Y = h(X) = sum_k
+    c_k X^alpha_k, alpha_0 = 0 and c_0 = P0's Y.  The invariance gamma X h h'
+    = -h (h + s X^a) + X^b - X^e gives each c_k from those before it over
+    L(alpha_k) = gamma c_0 alpha_k - dY'/dY(P0): c in Case I (which must be
+    positive), positive in Case II, so no exponent is resonant."""
+    g, (s, a, b, e) = sys.gamma, sys.form
+    y0 = 0.0 if isinstance(sys, PhaseSystemI) else axis_equilibria(sys)[0]
+    alpha, rows = _series_exponents(a, b, e)
+    lead = 2.0 * y0 + (s if a == 0.0 else 0.0)   # -dY'/dY at P0
+    if not lead > 0.0:
+        raise SeedFailureError(f"P0 has no departure-manifold series at speed {s!r}")
+    c = [y0]
+    for x, (pairs, shift, force) in zip(alpha[1:], rows):
+        force -= s * c[shift] if shift is not None else 0.0
+        quad = sum([c[i] * c[j] for i, j in pairs])
+        c.append((force - (1.0 + 0.5 * g * x) * quad) / (g * y0 * x + lead))
+    return alpha, c
+
+
+def departure_seed(sys: PhaseSystem) -> tuple[float, float]:
+    """(X, Y) on P0's departure manifold at the largest X <= SERIES_X_MAX
+    where each term with alpha > SERIES_ORDER - 2 is within SERIES_TOL (a
+    band of two terms at least: one alone can vanish by chance)."""
+    alpha, c = departure_series(sys)
+    X = min([SERIES_X_MAX] + [(SERIES_TOL / abs(ck)) ** (1.0 / x)
+                              for x, ck in zip(alpha, c) if x > SERIES_ORDER - 2 and ck])
+    Y = c[0] + sum([ck * X ** x for x, ck in zip(alpha[1:], c[1:])])
+    if not (X > 0.0 and math.isfinite(Y)):
+        raise SeedFailureError(f"P0's departure-manifold series gives no seed: {(X, Y)!r}")
+    return X, Y
 
 
 def fixed_points(sys: PhaseSystem) -> list[FixedPointInfo]:

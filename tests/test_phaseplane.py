@@ -111,6 +111,80 @@ def test_scalar_field_matches_vector_field(cm):
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
 
 
+# one model per form family of solver_rhs: Case I with k = 2 and with the
+# general model's k = 1.75, Case II with a = 0, a = 1 and a = k1 > 1
+FORM_MODELS = [CanonicalModel(m=2, p=2, q=1), CanonicalModel(m=3, p=2.5, q=1),
+               CanonicalModel(m=1, p=2, q=1), CanonicalModel(m=0.5, p=2, q=0.5),
+               CanonicalModel(m=0.5, p=0.75, q=0.5)]
+_field_X = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+    [0.0, -0.0, 1.0, 5e-324, -5e-324, -1.0, 1e-300, 2.0 ** -60]))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(model=st.integers(0, len(FORM_MODELS) - 1), c=st.sampled_from([0.0, 0.7, 3.0]),
+       X=_field_X, Y=st.floats(-2.0, 2.0), carry_xi=st.booleans())
+def test_solver_rhs_is_the_scalar_field_bit_for_bit(model, c, X, Y, carry_xi):
+    # the integrator's fused right-hand side writes scalar_field's (X, Y)
+    # derivative, and with xi the xi rate connect's shots use, into out
+    cm = FORM_MODELS[model]
+    s = build_system(cm, c)
+    rate = kw.connect._xi_rate(s, cm) if carry_xi else None
+    out = np.empty(2 + carry_xi)
+    got = kw.phaseplane.solver_rhs(s, out, rate)(0.0, np.array([X, Y, 0.3][:len(out)]))
+    assert got is out
+    assert got[:2].tolist() == list(scalar_field(s)(X, Y))
+    if X in (0.0, 1.0):
+        assert tuple(got[:2].tolist()) == vector_field(s, X, Y)
+    if carry_xi:
+        assert got[2] == rate(X)
+
+
+def _invariance_residual(s, alpha, c, X):
+    """(gamma X h h' + h (h + s X^a) - X^b + X^e at X, its largest term)."""
+    sp, a, b, e = s.form
+    h = sum(ck * X ** x for x, ck in zip(alpha, c))
+    dh = sum(x * ck * X ** (x - 1.0) for x, ck in zip(alpha[1:], c[1:]))
+    terms = (s.gamma * X * h * dh, h * h, sp * h * X ** a, -(X ** b), X ** e)
+    return math.fsum(terms), max(map(abs, terms))
+
+
+@pytest.mark.parametrize("cm", FORM_MODELS)
+def test_departure_seed_solves_the_invariance_equation(cm):
+    # the series leaves a residual of the order of the first omitted band,
+    # which SERIES_TOL bounds: at most L(alpha) SERIES_TOL for the next
+    # exponent, L(alpha) = gamma Y0 alpha - dY'/dY(P0) being the factor that
+    # turns a coefficient into its residual.  Every kept exponent is solved:
+    # halving X cuts the residual at least 2^SERIES_ORDER-fold
+    pp = kw.phaseplane
+    for share in (0.05, 0.2, 0.5, 0.9, 1.2, 2.0):
+        s = build_system(cm, share * kw.critical_speed(cm))
+        alpha, c = pp.departure_series(s)
+        X, Y = pp.departure_seed(s)
+        assert 0.0 < X <= pp.SERIES_X_MAX
+        assert Y == c[0] + sum(ck * X ** x for x, ck in zip(alpha[1:], c[1:]))
+        # X is the largest at which the top band stays within SERIES_TOL
+        top = [abs(ck) * X ** x for x, ck in zip(alpha, c) if x > pp.SERIES_ORDER - 2]
+        assert max(top) <= pp.SERIES_TOL * (1 + 1e-12)
+        assert X == pp.SERIES_X_MAX or max(top) >= pp.SERIES_TOL * (1 - 1e-12)
+        sp, a, _, _ = s.form
+        y0 = c[0]
+        lead = 2.0 * y0 + (sp if a == 0.0 else 0.0)
+        res, _ = _invariance_residual(s, alpha, c, X)
+        assert abs(res) <= pp.SERIES_TOL * (s.gamma * y0 * (pp.SERIES_ORDER + 1) + lead)
+        half, half_scale = _invariance_residual(s, alpha, c, X / 2.0)
+        assert abs(half) <= abs(res) / 2.0 ** pp.SERIES_ORDER + 8e-16 * half_scale
+
+
+def test_departure_seed_needs_a_positive_case_i_speed():
+    # L(alpha) = c vanishes at c = 0 and the series overflows as c -> 0: a
+    # typed error, not a ZeroDivisionError or a seed at P0
+    cm = CanonicalModel(m=2, p=2, q=1)
+    for s in (build_system(cm, 0.0), build_system(cm, 1e-30),
+              PhaseSystemI(gamma=1.0, k=2.0, c=-1.0)):
+        with pytest.raises(kw.SeedFailureError):
+            kw.phaseplane.departure_seed(s)
+
+
 def test_p2_linearization_trio():
     cm = CanonicalModel(m=2, p=2, q=1)
     p2 = {fp.name: fp for fp in fixed_points(build_system(cm, 3.0))}["P2"]
