@@ -280,9 +280,9 @@ def _sweep_grid(cfg: RunConfig) -> list[float]:
 
 
 def _sweep_row(task) -> dict:
-    cm, c, eps, atol, rtol = task
+    cm, c, atol, rtol = task
     try:
-        res = connect.classify_connection(cm, c, eps=eps, rtol=rtol, atol=atol)
+        res = connect.classify_connection(cm, c, rtol=rtol, atol=atol)
         if res.low_confidence:
             flag = "low_confidence"
         elif res.predicted == res.observed:
@@ -329,7 +329,7 @@ def cmd_sweep(cfg: RunConfig, out: Path | None = None, *, jobs: int = 1,
     if not grid:
         raise ConfigError("sweep: no speeds to sweep (set `sweep` or `speeds`)")
     atol, rtol = cfg.ode_tolerances
-    tasks = [(cm, c, cfg.seed_eps, atol, rtol) for c in grid]
+    tasks = [(cm, c, atol, rtol) for c in grid]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:

@@ -107,7 +107,6 @@ XI_ATOL = 1e300             # xi's absolute tolerance: its error weight vanishes
 XI_LOG_RATE_MAX = 575.0     # cap on log X^expo, so xi stays finite over TAU_SPAN
 XI_NEWTON_PASSES = 3        # Newton passes of the tau(xi) inversion
 _TINY = 5e-324              # X at or below 0 enters the xi rate as this
-FINITE_EDGE_RATIO = 0.9     # gap contraction that signals a finite support edge
 
 
 class EventKind(str, Enum):
@@ -312,30 +311,25 @@ def _event_functions(fps: dict, rad: float, escape: float):
     """(values, screen) of the shot's events: arrival within ``rad`` of each
     fixed point of ``fps``, escape past ``escape``, the X axis.
 
-    ``values(X, Y)`` gives every event function at once.  ``screen(Xo, Yo,
-    X, Y)`` passes every step on which solve_ivp's find_active_events can
-    find a crossing, and few others: an arrival needs the new point in the
+    ``values(X, Y)`` gives every event function at once.  ``screen(Yo, X,
+    Y)`` passes every step on which solve_ivp's find_active_events can find
+    a crossing, and few others: an arrival needs the new point (X, Y) in the
     box of half-width rad about its fixed point (a faithfully rounded hypot
     is at least each |component|), an escape X or |Y| at the bound, the X
-    axis a sign change of Y.
+    axis a sign change of Y from the old point's Yo.
     """
     hypot = math.hypot
-    (ax, ay), (bx, by), *third = fps.values()
-    # unrolled over the two or three arrival balls: the screen runs on every step
-    if third:
-        (cx, cy), = third
+    balls = list(fps.values())
 
-        def values(X, Y):
-            return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
-                    hypot(X - cx, Y - cy) - rad, max(X - escape, abs(Y) - escape), Y)
-    else:
-        cx, cy = ax, ay   # P0's box stands in for a third ball
+    def values(X, Y):
+        return (*[hypot(X - px, Y - py) - rad for px, py in balls],
+                max(X - escape, abs(Y) - escape), Y)
 
-        def values(X, Y):
-            return (hypot(X - ax, Y - ay) - rad, hypot(X - bx, Y - by) - rad,
-                    max(X - escape, abs(Y) - escape), Y)
+    # unrolled over the two or three boxes, as it runs on every step; P0's
+    # box stands in for a missing third
+    (ax, ay), (bx, by), (cx, cy), *_ = *balls, balls[0]
 
-    def screen(Xo: float, Yo: float, X: float, Y: float) -> bool:
+    def screen(Yo: float, X: float, Y: float) -> bool:
         return (Yo <= 0.0 <= Y or Yo >= 0.0 >= Y or X >= escape or abs(Y) >= escape
                 or abs(X - ax) <= rad and abs(Y - ay) <= rad
                 or abs(X - bx) <= rad and abs(Y - by) <= rad
@@ -416,7 +410,7 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         Xo, Yo, X, Y = X, Y, state[0], state[1]
         terminate = False
         active = []
-        if screen(Xo, Yo, X, Y):
+        if screen(Yo, X, Y):
             g, g_new = event_values(Xo, Yo), event_values(X, Y)
             if t_old == 0.0:
                 # the P0 row (fps lists P0 first) starts inside its ball, as at
@@ -822,17 +816,20 @@ def threshold_crossings(profile: WaveProfile, thresholds) -> list[tuple[float, f
     return [(t, float(np.interp(math.log(t), logf, xi_r))) for t in thresholds]
 
 
-def detect_finite_propagation(profile: WaveProfile, cm: CanonicalModel,
-                              thresholds=(1e-2, 1e-3, 1e-4)) -> float | None:
-    """Estimate the support edge xi0 by threshold extrapolation.
+def detect_finite_propagation(profile: WaveProfile, cm: CanonicalModel) -> float | None:
+    """The support edge xi0 of a profile from reconstruct_profile, or None
+    when its tail is exponential.
 
-    The xi positions of a geometric sequence of f thresholds form gaps that
-    contract when the profile touches zero at finite xi (which happens for
-    q < 1, m > q) and stay level for exponential tails.  Contraction by at
-    least ``FINITE_EDGE_RATIO`` per threshold step extrapolates geometrically
-    to a finite xi0; anything slower returns None.  Exact zeros already present in
+    The profile ends at its shot's seed on P0's departure manifold, where
+    Y = y1 X^d to leading order: X/c in Case I, P0's Y in Case II.  The xi
+    left between the seed and P0 is then pref X^(expo-d) / (gamma y1
+    (expo-d)) with X the seed's (see _profile_exponents).  It is finite
+    exactly when expo > d, that is q < 1 in Case I and m > q in Case II;
+    otherwise the tail never reaches zero.  Exact zeros already present in
     the samples short-circuit to the first such xi.
     """
+    if not profile.c < 0.0:
+        raise InvalidParameterError(f"a wave profile has speed c < 0, got c = {profile.c!r}")
     f = profile.f
     zero = np.nonzero(f == 0.0)[0]
     if len(zero) > 0 and zero[-1] == len(f) - 1:
@@ -840,16 +837,13 @@ def detect_finite_propagation(profile: WaveProfile, cm: CanonicalModel,
         while j > 0 and f[j - 1] == 0.0:
             j -= 1
         return float(profile.xi[j])
-    crossings = threshold_crossings(profile, thresholds)
-    if len(crossings) < 3:
-        raise InvalidParameterError("need at least 3 thresholds to extrapolate")
-    xis = [xi for _, xi in crossings]
-    gaps = np.diff(xis)
-    if np.any(gaps <= 0.0):
+    sys = build_system(cm, -profile.c)
+    pref, expo, fe = _profile_exponents(sys, cm)
+    if isinstance(sys, PhaseSystemI):
+        y1, d = 1.0 / sys.c, 1.0
+    else:
+        y1, d = fixed_point_locations(sys)["P0"][1], 0.0
+    if expo <= d:
         return None
-    ratios = gaps[1:] / gaps[:-1]
-    log.debug("finite propagation gaps %s ratios %s", gaps, ratios)
-    if np.any(ratios >= FINITE_EDGE_RATIO):
-        return None
-    r = float(ratios[-1])
-    return float(xis[-1] + gaps[-1] * r / (1.0 - r))
+    x_seed = float(f[-1]) ** (1.0 / fe)
+    return float(profile.xi[-1] + pref * x_seed ** (expo - d) / (sys.gamma * y1 * (expo - d)))

@@ -69,14 +69,10 @@ def xpow(X, r: float):
     arr = np.asarray(X, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError(f"negative base in X^{r}")
-    if r == 0.0:
-        out = np.ones_like(arr)
-    elif r > 0.0:
-        out = arr ** r
-    else:
-        if np.any(arr == 0.0):
-            raise DomainError(f"X^{r} undefined at X = 0")
-        out = arr ** r
+    if r < 0.0 and np.any(arr == 0.0):
+        raise DomainError(f"X^{r} undefined at X = 0")
+    # numpy's power gives 1 at r = 0, X = 0 included
+    out = arr ** r
     return out if out.ndim else float(out)
 
 

@@ -338,7 +338,7 @@ def test_criterion_09_finite_propagation(capsys, finite_prop_profile,
             f"{', x'.join(f'{1/r:.1f}' for r in ratios)} per step giving "
             f"xi0 = {xi0:.4f}; PDE support edge moves at <= {max_rate:.2f} "
             f"(bound 4); (1,2,1) gaps shrink x{1/exp_ratio:.2f} only and "
-            f"extrapolation reports no edge ({elapsed:.1f} s)")
+            f"its divergent xi integral to P0 reports no edge ({elapsed:.1f} s)")
     assert np.all(ratios <= 0.5)
     assert xi0 is not None and math.isfinite(xi0)
     assert exp_ratio >= 0.8

@@ -294,14 +294,14 @@ def test_event_screen_never_misses_a_crossing(n_arrivals):
     for prev, new, seed in steps:
         active = [int(i) for i in _solve_ivp_active(fps, prev, new, seed)]
         if active:
-            assert screen(*prev, *new), (prev, new, seed, active)
+            assert screen(prev[1], *new), (prev, new, seed, active)
         fired.update(active)
         on_boundary.update(i for i in active if i < n_arrivals and values(*new)[i] == 0.0)
     # every event fires, each arrival also from a state on its ball's boundary
     assert fired == set(range(n_arrivals + 2))
     assert on_boundary == set(range(n_arrivals))
     # and the screen is no constant: it rejects an ordinary step
-    assert not screen(0.5, 0.3, 0.51, 0.31)
+    assert not screen(0.3, 0.51, 0.31)
 
 
 _near = st.one_of(st.floats(-3 * SCREEN_RAD, 3 * SCREEN_RAD),
@@ -320,7 +320,7 @@ def test_event_screen_never_misses_a_crossing_near_a_fixed_point(n_arrivals, tar
     new = (x0 + offsets[2], y0 + offsets[3])
     _, screen = connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)
     if len(_solve_ivp_active(fps, prev, new, seed)):
-        assert screen(*prev, *new)
+        assert screen(prev[1], *new)
 
 
 def test_nordsieck_capture_matches_lsoda_dense_output(monkeypatch):
@@ -808,13 +808,46 @@ def test_threshold_crossings_oracle(finite_prop_profile):
         assert x1 == pytest.approx(x2, abs=2e-3)
 
 
-def test_compact_support_edge_extrapolates(finite_prop_profile):
-    prof, cm = finite_prop_profile
+def _profile(m, p, q, c, eps=connect.DEFAULT_EPS):
+    cm = CanonicalModel(m, p, q)
+    return reconstruct_profile(shoot(build_system(cm, abs(c)), eps, profile_of=cm)), cm
+
+
+@pytest.mark.parametrize("m, p, q, c", [(1, 1, 0.5, -1.0), (1, 1, 0.5, -3.0),
+                                        (2, 2, 0.5, -1.0)])
+def test_compact_support_edge_lies_beyond_the_tail(m, p, q, c):
+    prof, cm = _profile(m, p, q, c)
     xi0 = detect_finite_propagation(prof, cm)
     assert xi0 is not None
-    assert xi0 == pytest.approx(8.4157, abs=1e-2)
-    # the estimate must land inside the resolved part of the tail
-    assert xi0 < prof.xi[-1]
+    assert xi0 > prof.xi[prof.f > 0.0].max()
+    if cm.m == 1.0:
+        # near the edge f ~ A (xi0 - xi)^(2/(1-q)): f^((1-q)/2) is linear in
+        # xi, and its zero is the edge
+        tail = (prof.f > 0.0) & (prof.f < 1e-6)
+        slope, icpt = np.polyfit(prof.xi[tail], prof.f[tail] ** ((1.0 - cm.q) / 2.0), 1)
+        assert xi0 == pytest.approx(-icpt / slope, abs=1e-3)
+
+
+@pytest.mark.parametrize("m, p, q, spread", [(1, 1, 0.5, 1e-6), (2, 2, 0.5, 1e-6),
+                                            (1.5, 2, 0.5, 1e-4)])
+def test_compact_support_edge_does_not_depend_on_the_seed(m, p, q, spread):
+    edges = [detect_finite_propagation(*_profile(m, p, q, -1.0, eps))
+             for eps in (1e-5, 1e-6, 1e-7)]
+    assert max(edges) - min(edges) <= spread
+
+
+@pytest.mark.parametrize("m, p, q", [(2, 2, 1), (0.5, 2, 1)])
+def test_divergent_edge_integral_reports_no_edge(m, p, q):
+    # the xi left between the seed and P0 diverges at q = 1 in Case I and at
+    # m < q in Case II
+    assert detect_finite_propagation(*_profile(m, p, q, -1.0)) is None
+
+
+def test_edge_needs_a_negative_speed():
+    prof = WaveProfile(xi=np.array([0.0, 1.0]), f=np.array([1.0, 0.5]), c=0.0,
+                       classification=SpeedClass.MONOTONE)
+    with pytest.raises(kw.InvalidParameterError, match="c < 0"):
+        detect_finite_propagation(prof, CM221)
 
 
 def test_exponential_tail_reports_no_edge(monotone_profile_121):

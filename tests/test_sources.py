@@ -60,6 +60,34 @@ def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(path.read_text()) == []
 
 
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of every function, nested ones included, that the function
+    never loads; a leading underscore marks one as deliberately unused."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}.{p.arg} (line {node.lineno})" for p in params
+                  if not p.arg.startswith("_") and p.arg not in used]
+    return found
+
+
+def test_unused_parameter_check_flags_dead_parameters():
+    source = ("def f(a, b, _c, *args, d=1, **kw):\n    def g(x, y):\n        return a + y\n"
+              "    return g(d, kw)\n\n\ndef h(n, *, key):\n    return key\n")
+    assert unused_parameters(source) == [
+        "f.b (line 1)", "f.args (line 1)", "h.n (line 7)", "g.x (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
 # __init__.py only re-exports, so its imports are referenced by no code
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
                                         if p.name != "__init__.py"),
