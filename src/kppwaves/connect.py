@@ -341,7 +341,11 @@ def _event_functions(fps: dict, rad: float, escape: float):
 def _xi_rate(sys: PhaseSystem, cm: CanonicalModel):
     """dxi/dtau = pref * X^expo as a function of one float, in log form with
     log X^expo capped at XI_LOG_RATE_MAX: X^expo itself overflows near the
-    seed when expo is large and negative."""
+    seed when expo is large and negative.  ``cm`` must give ``sys``'s field
+    at some speed: its type, gamma and exponents."""
+    ref = build_system(cm, 0.0)
+    if type(ref) is not type(sys) or (ref.gamma, *ref.form[1:]) != (sys.gamma, *sys.form[1:]):
+        raise InvalidParameterError(f"profile_of={cm} does not give the system {sys}")
     pref, expo, _ = _profile_exponents(sys, cm)
     exp, log, cap = math.exp, math.log, XI_LOG_RATE_MAX
 
@@ -352,8 +356,7 @@ def _xi_rate(sys: PhaseSystem, cm: CanonicalModel):
 
 
 def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
-               arrival_radius: float, terminal_x_axis: bool,
-               xi_rate=None) -> tuple[dict, _NordsieckTable | None]:
+               arrival_radius: float, xi_rate=None) -> tuple[dict, _NordsieckTable | None]:
     """Integrate forward from s0 with every event.  With ``xi_rate`` xi rides
     along as a third state from xi = 0, outside the error test, and each
     step's Nordsieck record is kept as the shot's dense output; without it
@@ -366,11 +369,13 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         atol = [atol, atol, XI_ATOL]
 
     # one row per event function, in the order solve_ivp would be given them:
-    # (kind, target, direction, terminal).  Arrivals fire only on entry
+    # (kind, target, direction, terminal).  Arrivals fire only on entry; the
+    # X axis stops the shot in Case I at c = 0 (see shoot)
     fps = fixed_point_locations(sys)
     table = [(EventKind.FIXED_POINT_ARRIVAL, name, -1, True) for name in fps]
     table += [(EventKind.ESCAPE, None, 1, True),
-              (EventKind.X_AXIS_CROSS, None, 0, terminal_x_axis)]
+              (EventKind.X_AXIS_CROSS, None, 0,
+               isinstance(sys, PhaseSystemI) and sys.c == 0.0)]
     directions = [d for _, _, d, _ in table]
     event_values, screen = _event_functions(fps, arrival_radius, ESCAPE_BOUND)
 
@@ -474,9 +479,10 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
     entered on a step (still in P0's at ``TAU_SPAN``) gets the arrival
     attached at its last sample.
 
-    ``profile_of`` names the model ``sys`` was built from when the orbit is
-    to become a profile: the shot then carries xi (see reconstruct_profile)
-    as a third state and keeps the dense output ``state_at`` evaluates.
+    ``profile_of`` names the model ``sys`` was built from (one of another
+    system is refused) when the orbit is to become a profile: the shot then
+    carries xi (see reconstruct_profile) as a third state and keeps the
+    dense output ``state_at`` evaluates.
     Without it the shot integrates (X, Y) alone and keeps no dense output.
 
     At c = 0 in Case I the shot terminates at the first X-axis crossing: the
@@ -493,7 +499,6 @@ def _shoot_from(sys: PhaseSystem, s0, *, rtol: float = 1e-10, atol: float = 1e-1
                 arrival_radius: float = ARRIVAL_RADIUS, profile_of=None) -> Trajectory:
     res, table = _integrate(
         sys, s0, rtol=rtol, atol=atol, arrival_radius=arrival_radius,
-        terminal_x_axis=isinstance(sys, PhaseSystemI) and sys.c == 0.0,
         xi_rate=None if profile_of is None else _xi_rate(sys, profile_of))
     tau, X, Y = res["tau"], res["X"], res["Y"]
     if np.min(X) < -1e-9:
@@ -646,7 +651,7 @@ def _wave_class(traj: Trajectory) -> tuple[SpeedClass, str, list, list]:
 
 
 def classify_connection(cm: CanonicalModel, c_original: float,
-                        eps: float = DEFAULT_EPS, **shoot_kw) -> ConnectionResult:
+                        **shoot_kw) -> ConnectionResult:
     """Measure the wave class for an original-frame speed.
 
     c_original >= 0 carries no wave.  For c_original < 0 the mirrored system
@@ -659,8 +664,8 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     reconstruct_profile classifies its profile by the same rule.
 
     ``shoot_kw`` go to shoot.  ``profile_of=cm`` makes the trajectory one
-    that reconstruct_profile accepts; it is shot from ``eps``.  A shot
-    without it only classifies and does not read ``eps``: it starts on P0's
+    that reconstruct_profile accepts; it is shot from shoot's ``eps``.  A
+    shot without it only classifies and takes no ``eps``: it starts on P0's
     departure manifold at phaseplane.departure_seed and arrives at radius
     ``CLASSIFY_RADIUS`` unless ``arrival_radius`` is given.  Its class,
     count and X0 agree with those of a shot from eps = 1e-6 to radius 1e-8,
@@ -676,7 +681,7 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     c = abs(float(c_original))
     sys = build_system(cm, c)
     if shoot_kw.get("profile_of") is not None:
-        traj = shoot(sys, eps, **shoot_kw)
+        traj = shoot(sys, **shoot_kw)
     else:
         shoot_kw.setdefault("arrival_radius", CLASSIFY_RADIUS)
         traj = _shoot_from(sys, np.array(departure_seed(sys)), **shoot_kw)

@@ -257,22 +257,20 @@ def jacobian(sys: PhaseSystem, X: float, Y: float) -> np.ndarray:
     if X < 0.0:
         raise DomainError("jacobian requires X >= 0")
     s, a, b, e = sys.form
-    # every fixed point has X = 0 or 1, where the powers are exact
-    power = _unit_power if X in (0.0, 1.0) else xpow
     # a vanishing exponent drops its term, which keeps X^-1 out at X = 0
     dQdX = 0.0
     if a != 0.0:
-        dQdX -= s * Y * a * power(X, a - 1.0)
+        dQdX -= s * Y * a * _unit_power(X, a - 1.0)
     if b != 0.0:
-        dQdX += b * power(X, b - 1.0)
-    dQdX -= e * power(X, e - 1.0)
-    dQdY = -2.0 * Y - s * power(X, a)
+        dQdX += b * _unit_power(X, b - 1.0)
+    dQdX -= e * _unit_power(X, e - 1.0)
+    dQdY = -2.0 * Y - s * _unit_power(X, a)
     return np.array([[sys.gamma * Y, sys.gamma * X], [dQdX, dQdY]], dtype=float)
 
 
 def _unit_power(X: float, r: float) -> float:
-    """xpow(X, r) at X = 0 or 1 in plain floats: there Python's ** gives
-    numpy's power exactly (elsewhere it differs in the last bit)."""
+    """X^r in plain floats.  At X = 0 or 1, where every fixed point lies,
+    it is xpow(X, r) exactly; elsewhere it may differ in the last bit."""
     if X == 0.0 and r < 0.0:
         raise DomainError(f"X^{r} undefined at X = 0")
     return X ** r

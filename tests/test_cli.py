@@ -1,7 +1,9 @@
 """Command line driver: artifacts, exit codes, determinism."""
 import csv
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,9 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kppwaves import CanonicalModel, EventKind, classify_connection, cli
+from kppwaves import (CanonicalModel, EventKind, InconclusiveError, classify_connection,
+                      cli, connect)
 from kppwaves.cli import main
 from kppwaves.io import fmt, write_float_csv, write_profile_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_CFG = {
     "model": {"m": 2, "p": 2, "q": 1},
@@ -346,6 +351,20 @@ def test_pde_profile_without_classified_row_fails_loudly(tmp_path):
     assert "no classified row" in rows[0]["error"]
 
 
+def test_pde_domain_too_small_suggests_one(tmp_path):
+    # at c = -3 over T = 1 the front would end near x = -3, within the ten
+    # guard cells (0.26) of x_min = -3.2; the row names a domain padded by
+    # the motion and by half the span on either side
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out),
+                    pde={"n_cells": 200, "T": 1.0, "x_min": -3.2, "x_max": 2.0})
+    assert main(["shoot", "--config", str(cfg)]) == 0
+    assert main(["pde", "--config", str(cfg)]) == 3
+    rows = json.loads((out / "pde_summary.json").read_text())
+    assert rows[0]["error_kind"] == "DomainTooSmallError"
+    assert rows[0]["suggested_domain"] == pytest.approx([-8.8, 4.6], abs=1e-12)
+
+
 @pytest.mark.parametrize("text, reason", [
     ("xi,f\n", "0 profile rows"),
     ("xi,f\n-1.0,1.0\n0.0,abc\n1.0,0.0\n", "malformed profile row"),
@@ -490,6 +509,47 @@ def test_sweep_jobs_are_capped(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--jobs", "10000"]) == 0
     assert seen == [4]
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_sweep_error_row(tmp_path, monkeypatch, caplog):
+    # one speed fails: its row keeps the speed, names the error, and is
+    # logged like a shoot or pde error row; the other rows are classified
+    classify = connect.classify_connection
+
+    def fail_at_minus_one(cm, c, **kw):
+        if c == -1.0:
+            raise InconclusiveError("no classifiable pattern")
+        return classify(cm, c, **kw)
+
+    monkeypatch.setattr(connect, "classify_connection", fail_at_minus_one)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, output_dir=str(out))
+    for fmt_kind in ("csv", "json"):
+        with caplog.at_level(logging.ERROR, logger="kppwaves.cli"):
+            assert main(["sweep", "--config", str(cfg), "--jobs", "1",
+                         "--format", fmt_kind]) == 3
+    with (out / "sweep.csv").open() as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert ["-1.0", "", "Error", "", "", "error"] in rows and len(rows) == 11
+    by_c = {row["c"]: row for row in json.loads((out / "sweep.json").read_text())}
+    assert by_c[-1.0] == {"c": -1.0, "error": "no classifiable pattern",
+                          "error_kind": "InconclusiveError"}
+    assert by_c[-1.25]["observed_class"] == "Oscillatory"
+    assert [r.getMessage() for r in caplog.records] == [
+        "speed -1 failed: no classifiable pattern"] * 2
+
+
+def test_readme_sweep_rows_are_current(tmp_path):
+    # README's example config, run through sweep, writes every row README shows
+    text = README.read_text()
+    config = re.search(r"Example config:\n\n```json\n(.*?)```", text, re.S).group(1)
+    shown = re.search(r"`sweep` writes `sweep\.csv`.*?```\n(.*?)\n *```", text, re.S).group(1)
+    shown = [line.strip() for line in shown.splitlines()]
+    cfg = tmp_path / "waves.json"
+    cfg.write_text(config)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    written = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert len(shown) == 4 and [line for line in shown if line not in written] == []
 
 
 def test_sweep_explicit_speeds_all_positive(tmp_path):

@@ -46,15 +46,12 @@ def _shot_args(cm, c, s0=None, **overrides):
     sys = build_system(cm, c)
     if s0 is None:
         s0 = connect._seed_state(sys, connect.DEFAULT_EPS)
-    kwargs = dict(
-        rtol=1e-10, atol=1e-10, arrival_radius=connect.ARRIVAL_RADIUS,
-        terminal_x_axis=isinstance(sys, PhaseSystemI) and sys.c == 0.0)
+    kwargs = dict(rtol=1e-10, atol=1e-10, arrival_radius=connect.ARRIVAL_RADIUS)
     kwargs.update(overrides)
     return sys, s0, kwargs
 
 
-def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, terminal_x_axis,
-                         xi_rate=None):
+def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, xi_rate=None):
     """The shot through solve_ivp with one closure per event, as the library
     computed it before driving LSODA itself: the driver's reference.  With
     ``xi_rate`` xi is a third state with the driver's tolerance."""
@@ -86,7 +83,7 @@ def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, terminal_x_axis
 
     def x_axis(_t, s):
         return s[1]
-    x_axis.terminal = terminal_x_axis
+    x_axis.terminal = isinstance(sys, PhaseSystemI) and sys.c == 0.0
     evts.append(x_axis)
 
     sol = solve_ivp(fun, (0.0, connect.TAU_SPAN), s0, method="LSODA",
@@ -365,7 +362,7 @@ def test_no_arrival_fires_at_the_seed(eps):
 
 
 def test_any_seed_offset_gives_a_result_or_a_typed_error():
-    # the classification of every pinned model and speed over seed offsets
+    # the profile shot of every pinned model and speed over seed offsets
     # across (0, 1e-2], including offsets on and just past the arrival radius
     # and a radius equal to the offset, is a result or a KppWavesError
     pins = sorted({(cm, c) for cm, c, _ in PIN_SHOTS.values() if c > 0.0}, key=str)
@@ -373,7 +370,7 @@ def test_any_seed_offset_gives_a_result_or_a_typed_error():
     for cm, c in pins:
         for kwargs in [{"eps": e} for e in grid] + [{"eps": 1e-6, "arrival_radius": 1e-6}]:
             try:
-                r = classify_connection(cm, -c, **kwargs)
+                r = classify_connection(cm, -c, profile_of=cm, **kwargs)
             except kw.KppWavesError:
                 continue
             assert r.observed is r.predicted, (cm, c, kwargs)
@@ -566,11 +563,14 @@ def test_tail_crossings_follow_the_focus():
                                     ((3, 2.5, 1), -3.5198)])
 def test_tiny_seed_classifies_but_gives_no_profile(mpq, c):
     # from eps = 1e-9 the orbit drifts for tau ~ c/(gamma eps) and is still
-    # in P0's ball at TAU_SPAN.  A shot that only classifies seeds farther
-    # out; a profile shot keeps its seed and gets the typed error
+    # in P0's ball at TAU_SPAN.  A shot that only classifies seeds on P0's
+    # departure manifold and takes no eps; a profile shot keeps its seed and
+    # gets the typed error
     cm = CanonicalModel(*mpq)
-    r = classify_connection(cm, c, eps=1e-9)
+    r = classify_connection(cm, c)
     assert r.observed is r.predicted
+    with pytest.raises(TypeError, match="eps"):
+        classify_connection(cm, c, eps=1e-9)
     with pytest.raises(kw.InconclusiveError, match="arrived='P0'"):
         classify_connection(cm, c, eps=1e-9, profile_of=cm)
 
@@ -755,6 +755,25 @@ def test_reconstruct_needs_a_shot_that_carries_xi():
         plain.state_at(plain.tau[len(plain.tau) // 2])
     with pytest.raises(kw.InvalidParameterError, match="profile_of"):
         reconstruct_profile(plain)
+
+
+@pytest.mark.parametrize("mpq", [(3, 2.5, 1), (1, 2, 1)])
+def test_profile_of_must_give_the_shot_system(mpq):
+    # (3, 2.5, 1) has (gamma, k) = (2, 1.75) against (2,2,1)'s (1, 2), and
+    # (1, 2, 1) is Case II: either xi map would make a wrong profile of the
+    # (2,2,1) orbit
+    with pytest.raises(kw.InvalidParameterError, match="profile_of"):
+        shoot(build_system(CM221, 1.0), profile_of=CanonicalModel(*mpq))
+
+
+def test_profile_of_may_be_any_model_of_the_shot_system():
+    # (3, 1, 0) shares (gamma, k) = (1, 2) with (2,2,1), so both give one
+    # system at every speed, and the xi map of (3, 1, 0) is its own wave's
+    s, other = build_system(CM221, 1.0), CanonicalModel(m=3, p=1, q=0)
+    assert build_system(other, 1.0) == s
+    got = reconstruct_profile(shoot(s, profile_of=other))
+    want = reconstruct_profile(shoot(build_system(other, 1.0), profile_of=other))
+    assert np.array_equal(got.xi, want.xi) and np.array_equal(got.f, want.f)
 
 
 def test_reconstructed_profile_has_the_shot_speed():

@@ -1,5 +1,6 @@
 """Static checks on the package sources."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,37 @@ def test_unused_parameter_check_flags_dead_parameters():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def single_use_one_line_helpers(source: str) -> list[str]:
+    """Private module-level functions whose body, docstring aside, is one
+    statement and which the module references once: such a wrapper hides
+    nothing its one caller does not already know."""
+    tree = ast.parse(source)
+    loads = Counter(node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    found = []
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and len(node.body) - (ast.get_docstring(node) is not None) == 1
+                and loads[node.name] == 1):
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_single_use_helper_check_flags_one_line_wrappers():
+    source = ('def _wrap(x):\n    """Doc."""\n    return [x]\n\n\n'
+              "def _twice(x):\n    return x + 1\n\n\n"
+              "def _long(x):\n    y = x * 2\n    return y\n\n\n"
+              "def public(x):\n    return x\n\n\n"
+              "print(_wrap(1), _twice(2), _twice(3), _long(4), public(5))\n")
+    assert single_use_one_line_helpers(source) == ["_wrap (line 1)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_single_use_one_line_helpers(path):
+    assert single_use_one_line_helpers(path.read_text()) == []
 
 
 # __init__.py only re-exports, so its imports are referenced by no code
