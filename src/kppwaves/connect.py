@@ -14,10 +14,10 @@ step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.  scipy's
 ``LSODA`` only sets a shot up (tolerances, work arrays); each step is one
 direct call of scipy's ODEPACK wrapper in one-step mode, with the arguments
 ``scipy.integrate._ode.lsoda.run`` passes, and the counters are ODEPACK's own.
-The events (fixed-point arrival, escape, Y = 0 crossing) are one function
-of (X, Y), evaluated only on the few steps that a cheap screen cannot rule
-out, with the sign-change rule and root solve of ``solve_ivp`` reproduced
-exactly.  The RHS is one phaseplane.solver_rhs call.  P0's arrival event starts
+The events (fixed-point arrival, escape, Y = 0 crossing) are functions of
+(X, Y), evaluated only on the few steps that one inline test and then a cheap
+screen cannot rule out, with the sign-change rule and root solve of
+``solve_ivp`` reproduced exactly.  The RHS is one phaseplane.solver_rhs call.  P0's arrival event starts
 inside its ball whatever the seed, so for a seed inside that ball samples,
 events and roots equal what ``solve_ivp(..., events=..., dense_output=True)``
 returns.
@@ -52,7 +52,6 @@ from itertools import takewhile
 
 import numpy as np
 from scipy.integrate import LSODA
-from scipy.integrate._ivp.lsoda import LsodaDenseOutput
 from scipy.optimize import brentq
 
 from .errors import (
@@ -100,6 +99,7 @@ ARRIVAL_RADIUS = 1e-5
 CLASSIFY_RADIUS = 1e-4    # P2's arrival radius for such a shot
 ESCAPE_BOUND = 50.0
 TAU_SPAN = 1e9
+MAX_AXIS_CROSSINGS = 10_000   # recorded X-axis crossings past which a shot stops
 GRAZE_TOL = 1e-6          # |X-1| below this does not count as an oscillation
 LOW_CONFIDENCE_BAND = 1e-3  # |c - c*| band where the class is flagged
 PROFILE_SAMPLES = 4001      # uniform xi grid of a reconstructed profile
@@ -308,25 +308,34 @@ def _odepack_core(solver: LSODA):
 
 
 def _event_functions(fps: dict, rad: float, escape: float):
-    """(values, screen) of the shot's events: arrival within ``rad`` of each
-    fixed point of ``fps``, escape past ``escape``, the X axis.
+    """(events, screen, gaps) of the shot's events: arrival within ``rad`` of
+    each fixed point of ``fps``, escape past ``escape``, the X axis.
 
-    ``values(X, Y)`` gives every event function at once.  ``screen(Yo, X,
-    Y)`` passes every step on which solve_ivp's find_active_events can find
-    a crossing, and few others: an arrival needs the new point (X, Y) in the
-    box of half-width rad about its fixed point (a faithfully rounded hypot
-    is at least each |component|), an escape X or |Y| at the bound, the X
-    axis a sign change of Y from the old point's Yo.
+    ``events`` lists each event function of (X, Y), in that order.
+    ``screen(Yo, X, Y)`` passes every step on which solve_ivp's
+    find_active_events can find a crossing, and few others: an arrival needs
+    the new point (X, Y) in the box of half-width rad about its fixed point (a
+    faithfully rounded hypot is at least each |component|), an escape X or |Y|
+    at the bound, the X axis a sign change of Y from the old point's Yo.
+
+    ``gaps`` = (lo, mid, hi) bounds the X between the boxes: a step with Yo *
+    Y > 0, lo < X < mid or hi < X < escape, and |Y| < escape fails the
+    screen.  With every fixed point on X = 0 or X = 1 they are rad, 1 - rad
+    and 1 + rad.  X - 0 is exact, and so is X - 1 for X >= 0.5; below that
+    |X - 1| > 0.5 exceeds rad whenever lo < X < mid can hold.  So an X past
+    these float bounds lies outside the boxes in floats too.  Any other
+    layout gets NaN bounds, which no X passes.
     """
     hypot = math.hypot
     balls = list(fps.values())
 
-    def values(X, Y):
-        return (*[hypot(X - px, Y - py) - rad for px, py in balls],
-                max(X - escape, abs(Y) - escape), Y)
+    def arrival(px: float, py: float):
+        return lambda X, Y: hypot(X - px, Y - py) - rad
 
-    # unrolled over the two or three boxes, as it runs on every step; P0's
-    # box stands in for a missing third
+    events = [arrival(px, py) for px, py in balls]
+    events += [lambda X, Y: max(X - escape, abs(Y) - escape), lambda _X, Y: Y]
+
+    # unrolled over the two or three boxes; P0's box stands in for a missing third
     (ax, ay), (bx, by), (cx, cy), *_ = *balls, balls[0]
 
     def screen(Yo: float, X: float, Y: float) -> bool:
@@ -335,7 +344,25 @@ def _event_functions(fps: dict, rad: float, escape: float):
                 or abs(X - bx) <= rad and abs(Y - by) <= rad
                 or abs(X - cx) <= rad and abs(Y - cy) <= rad)
 
-    return values, screen
+    if {px for px, _ in balls} <= {0.0, 1.0}:
+        gaps = (rad, 1.0 - rad, 1.0 + rad)
+    else:
+        gaps = (math.nan,) * 3
+    return events, screen, gaps
+
+
+def _step_interpolant(t: float, h: float, yh: np.ndarray):
+    """The step's Nordsieck polynomial as a function of tau, for the step
+    that ends at t with record (h, yh) (see _nordsieck_record): the arithmetic
+    of scipy's LsodaDenseOutput, np.dot(yh.T, ((u - t) / h) ** p) with yh.T
+    in C order and p = 0, 1, ..., order, without building the object.  p is
+    held as floats: numpy's power casts integer exponents to them anyway."""
+    yhT, p = yh.T.copy(), np.arange(len(yh), dtype=float)
+
+    def at(u):
+        return np.dot(yhT, ((u - t) / h) ** p)
+
+    return at
 
 
 def _xi_rate(sys: PhaseSystem, cm: CanonicalModel):
@@ -361,7 +388,21 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     along as a third state from xi = 0, outside the error test, and each
     step's Nordsieck record is kept as the shot's dense output; without it
     the dense output is None.  ``events`` lists the events in the order
-    solve_ivp reports them: by event function, then in time."""
+    solve_ivp reports them: by event function, then in time.
+
+    Most steps are quiet: Y keeps its sign, and X lies in a gap between the
+    arrival boxes (see _event_functions) and, like |Y|, short of the escape
+    bound.  The screen fails on every such step, so no event can fire there;
+    as the step also advances tau, solve_ivp would keep its sample and
+    nothing else, and that is all the loop does with it after one inline
+    test.  Every other step takes the screen and, if that passes, the event
+    values, their sign-change rule and the root solves on the step's
+    Nordsieck polynomial (_step_interpolant).
+
+    A shot that records more than MAX_AXIS_CROSSINGS X-axis crossings stops
+    with an InconclusiveError: a slow wave spirals into P2 with work like 1/c,
+    and (2,2,1) at c = -1e-3 records 5,250 of them.
+    """
     dense = xi_rate is not None
     fun = solver_rhs(sys, np.empty(len(s0) + dense), xi_rate)
     if dense:
@@ -377,7 +418,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
               (EventKind.X_AXIS_CROSS, None, 0,
                isinstance(sys, PhaseSystemI) and sys.c == 0.0)]
     directions = [d for _, _, d, _ in table]
-    event_values, screen = _event_functions(fps, arrival_radius, ESCAPE_BOUND)
+    escape = ESCAPE_BOUND
+    event_fns, screen, (lo, mid, hi) = _event_functions(fps, arrival_radius, escape)
 
     # LSODA validates the tolerances and allocates the work arrays; each step
     # is then one itask-5 call of ODEPACK, with scipy.integrate._ode.lsoda.run's
@@ -396,8 +438,10 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     # garbage collector on every shot
     state = s0.tolist()
     ts, flat = [0.0], list(state)
+    sample, extend = ts.append, flat.extend
     records: list = []
     hits: list[list] = [[] for _ in table]
+    crossings = hits[-1]
     # the events see X and Y only, never a carried xi
     X, Y = state[0], state[1]
     while t < TAU_SPAN:
@@ -413,24 +457,27 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
             records.append((t, *_nordsieck_record(iwork, rwork, n)))
         state = y.tolist()
         Xo, Yo, X, Y = X, Y, state[0], state[1]
+        if (Yo * Y > 0.0 and (lo < X < mid or hi < X < escape)
+                and -escape < Y < escape and t_old < t):
+            sample(t)
+            extend(state)
+            continue
         terminate = False
         active = []
         if screen(Yo, X, Y):
-            g, g_new = event_values(Xo, Yo), event_values(X, Y)
+            g, g_new = [f(Xo, Yo) for f in event_fns], [f(X, Y) for f in event_fns]
             if t_old == 0.0:
                 # the P0 row (fps lists P0 first) starts inside its ball, as at
                 # P0 itself: leaving the seed fires no arrival there, whatever
                 # eps and the radius are
-                g = (-arrival_radius, *g[1:])
+                g[0] = -arrival_radius
             # solve_ivp's find_active_events
             active = [i for i, d in enumerate(directions)
                       if (g[i] <= 0.0 <= g_new[i] and d >= 0)
                       or (g[i] >= 0.0 >= g_new[i] and d <= 0)]
         if active:
-            h, yh = _nordsieck_record(iwork, rwork, n)
-            # LSODA.dense_output over the step: its (n, order + 1) C layout
-            sol = LsodaDenseOutput(t_old, t, h, len(yh) - 1, yh.T.copy())
-            roots = [brentq(lambda u, i=i: event_values(*sol(u)[:2])[i], t_old, t,
+            sol = _step_interpolant(t, *_nordsieck_record(iwork, rwork, n))
+            roots = [brentq(lambda u, f=event_fns[i]: f(*sol(u)[:2]), t_old, t,
                             xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active]
             terminate = any(table[i][3] for i in active)
             if terminate:
@@ -441,6 +488,11 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
                 roots = [roots[j] for j in order[:stop + 1]]
             for i, root in zip(active, roots):
                 hits[i].append((root, sol(root)))
+            if len(crossings) > MAX_AXIS_CROSSINGS:
+                raise InconclusiveError(
+                    f"the shot in {sys} made more than {MAX_AXIS_CROSSINGS} X-axis "
+                    f"crossings (MAX_AXIS_CROSSINGS) by tau = {t:.6g} without arriving; "
+                    "a slow wave's spiral into P2 costs work like 1/c")
             if terminate:
                 t = roots[-1]
                 state = sol(t).tolist()
@@ -449,8 +501,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
             if dense:
                 records.pop()
         else:
-            ts.append(t)
-            flat.extend(state)
+            sample(t)
+            extend(state)
         if terminate:
             break
 
@@ -473,7 +525,8 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
 
     Events record the X-axis (Y = 0) crossings, escape beyond
     ``ESCAPE_BOUND`` and arrival within ``arrival_radius`` of a fixed point;
-    arrival and escape stop the integration, and ``TAU_SPAN`` bounds it.
+    arrival and escape stop the integration, and ``TAU_SPAN`` bounds it.  A
+    shot past ``MAX_AXIS_CROSSINGS`` X-axis crossings raises InconclusiveError.
     Arrivals fire on entry into a ball and the seed counts as inside P0's,
     so leaving it records none.  An orbit that ends in a ball it never
     entered on a step (still in P0's at ``TAU_SPAN``) gets the arrival

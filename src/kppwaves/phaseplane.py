@@ -48,7 +48,6 @@ __all__ = [
     "linearization",
     "fixed_points",
     "fixed_point_locations",
-    "scalar_field",
     "solver_rhs",
     "departure_series",
     "departure_seed",
@@ -214,40 +213,35 @@ def vector_field(sys: PhaseSystem, X, Y):
     return dX, dY
 
 
-def scalar_field(sys: PhaseSystem):
-    """The vector field as a function of two floats X, Y: the reference
-    that solver_rhs, the integrators' form, matches bit for bit.
-
-    X <= 0 evaluates as X = 0, so a step that strays just outside the
-    half-plane stays finite."""
-    g, (s, a, b, e) = sys.gamma, sys.form
-
-    def rhs(X: float, Y: float) -> tuple[float, float]:
-        Xp = X if X > 0.0 else 0.0
-        # 0.0 ** 0.0 is 1.0, so X^0 = 1 holds at X = 0 too
-        return g * Xp * Y, -Y * (Y + s * Xp ** a) + Xp ** b - Xp ** e
-
-    return rhs
-
-
 def solver_rhs(sys: PhaseSystem, out: np.ndarray, xi_rate=None):
-    """The field as an ODE right-hand side fun(t, state) that writes
-    scalar_field's values, bit for bit, into ``out`` and returns it; with
-    ``xi_rate`` the state is (X, Y, xi) and out[2] = xi_rate(X).  fun is
-    compiled for the field's form with X^0 = 1 and X^1 = X written out
-    (Python's ** gives them exactly), so one call does the whole evaluation."""
+    """The field as an ODE right-hand side fun(t, state) that writes (X', Y')
+    of the module docstring's field into ``out`` and returns it; with
+    ``xi_rate`` the state is (X, Y, xi) and out[2] = xi_rate(X).  X <= 0
+    evaluates as X = 0, so a step that strays just outside the half-plane
+    stays finite.  fun is compiled once per field form (see _rhs_template),
+    so one call does the whole evaluation."""
     s, a, b, e = sys.form
+    return _rhs_template(a, b, e, xi_rate is not None)(sys.gamma, s, out, xi_rate)
+
+
+@lru_cache(maxsize=64)
+def _rhs_template(a: float, b: float, e: float, carry_xi: bool):
+    """make(g, s, out, xi_rate) -> fun for the exponents (a, b, e), with X^0 =
+    1 and X^1 = X written out (Python's ** gives them exactly) and the
+    coefficients bound per shot."""
     A, B, E = ({0.0: "1.0", 1.0: "X"}.get(r, f"X ** {r!r}") for r in (a, b, e))
-    code = ("def fun(_t, state):\n"
-            f"    Z, Y{', _' if xi_rate else ''} = state.tolist()\n"
-            "    X = Z if Z > 0.0 else 0.0\n"
-            "    out[0] = g * X * Y\n"
-            f"    out[1] = -Y * (Y + {'s' if A == '1.0' else 's * ' + A}) + {B} - {E}\n"
-            + ("    out[2] = xi_rate(Z)\n" if xi_rate else "")
-            + "    return out\n")
-    scope = dict(g=sys.gamma, s=s, out=out, xi_rate=xi_rate)
+    code = ("def make(g, s, out, xi_rate):\n"
+            "    def fun(_t, state):\n"
+            f"        Z, Y{', _' if carry_xi else ''} = state.tolist()\n"
+            "        X = Z if Z > 0.0 else 0.0\n"
+            "        out[0] = g * X * Y\n"
+            f"        out[1] = -Y * (Y + {'s' if A == '1.0' else 's * ' + A}) + {B} - {E}\n"
+            + ("        out[2] = xi_rate(Z)\n" if carry_xi else "")
+            + "        return out\n"
+            "    return fun\n")
+    scope: dict = {}
     exec(code, scope)
-    return scope["fun"]
+    return scope["make"]
 
 
 def jacobian(sys: PhaseSystem, X: float, Y: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures and oracles.
 
 Profile reconstruction is the expensive step (the shot creeps along the
 slow manifold before taking off), so profiles used by several test modules
@@ -7,6 +7,22 @@ are built once per session here.
 import pytest
 
 import kppwaves as kw
+
+
+def scalar_field(sys):
+    """The vector field as a function of two floats X, Y: the reference that
+    phaseplane.solver_rhs, the integrators' form, matches bit for bit.
+
+    X <= 0 evaluates as X = 0, so a step that strays just outside the
+    half-plane stays finite."""
+    g, (s, a, b, e) = sys.gamma, sys.form
+
+    def rhs(X: float, Y: float) -> tuple[float, float]:
+        Xp = X if X > 0.0 else 0.0
+        # 0.0 ** 0.0 is 1.0, so X^0 = 1 holds at X = 0 too
+        return g * Xp * Y, -Y * (Y + s * Xp ** a) + Xp ** b - Xp ** e
+
+    return rhs
 
 
 def build_profile(m, p, q, c, arrival_radius=None):

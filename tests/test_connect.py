@@ -6,12 +6,14 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import LSODA, solve_ivp
 from scipy.integrate._ivp.ivp import find_active_events
+from scipy.integrate._ivp.lsoda import LsodaDenseOutput
 from scipy.optimize import brentq
 
 import kppwaves as kw
@@ -21,8 +23,8 @@ from kppwaves import (CanonicalModel, EventKind, SpeedClass, TrajectoryEvent,
                       reconstruct_profile, shoot, threshold_crossings,
                       x0_monotonicity_check, zero_speed_X0, zero_speed_curve)
 from kppwaves import connect
-from kppwaves.phaseplane import (PhaseSystemI, fixed_point_locations, linearization,
-                                 scalar_field)
+from conftest import scalar_field
+from kppwaves.phaseplane import PhaseSystemI, fixed_point_locations, linearization
 
 CM221 = CanonicalModel(m=2, p=2, q=1)
 ESCAPE_BOUND = connect.ESCAPE_BOUND
@@ -278,7 +280,11 @@ def test_event_screen_never_misses_a_crossing(n_arrivals):
     # on passes the screen
     fps = SCREEN_FPS[n_arrivals]
     assert len(fps) == n_arrivals
-    values, screen = connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)
+    events, screen, _ = connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)
+
+    def values(X, Y):
+        return [f(X, Y) for f in events]
+
     pts = _screen_points(fps)
     for p in pts:
         # the driver's event values are the closures' values
@@ -315,9 +321,158 @@ def test_event_screen_never_misses_a_crossing_near_a_fixed_point(n_arrivals, tar
     x0, y0 = list(fps.values())[target % n_arrivals]
     prev = (x0 + offsets[0], y0 + offsets[1])
     new = (x0 + offsets[2], y0 + offsets[3])
-    _, screen = connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)
+    _, screen, _ = connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)
     if len(_solve_ivp_active(fps, prev, new, seed)):
         assert screen(prev[1], *new)
+
+
+# --- the quiet-step path ---------------------------------------------------------------
+
+def _scripted_shot(monkeypatch, sys, s0, steps, fps=None):
+    """connect._integrate of ``sys`` from s0 at arrival radius SCREEN_RAD,
+    with ODEPACK replaced by a script of (tau, (X, Y)) steps that ends with a
+    step to TAU_SPAN, and the screen by one that records the tau of each step
+    it is asked about and passes none.  ``fps`` replaces the system's fixed
+    points.  Returns (the shot, the taus of the screened steps)."""
+    screened, now, script = [], [0.0], iter(steps)
+    event_functions, odepack_core = connect._event_functions, connect._odepack_core
+
+    def recorded(*args):
+        events, _, gaps = event_functions(*args)
+
+        def screen(_Yo, _X, _Y):
+            screened.append(now[0])
+            return False
+
+        return events, screen, gaps
+
+    def scripted(solver):
+        core = odepack_core(solver)
+
+        def runner(_fun, y, _t, *_args):
+            now[0], state = next(script, (connect.TAU_SPAN, y))
+            return np.array(state, dtype=float), now[0], 2
+
+        return SimpleNamespace(runner=runner, messages=core.messages,
+                               call_args=core.call_args, state_doubles=core.state_doubles,
+                               state_ints=core.state_ints)
+
+    monkeypatch.setattr(connect, "_event_functions", recorded)
+    monkeypatch.setattr(connect, "_odepack_core", scripted)
+    if fps is not None:
+        monkeypatch.setattr(connect, "fixed_point_locations", lambda _sys: fps)
+    res, _ = connect._integrate(sys, np.array(s0, dtype=float), rtol=1e-10, atol=1e-10,
+                                arrival_radius=SCREEN_RAD)
+    return res, screened
+
+
+def _assert_quiet_hides_no_event(monkeypatch, sys, s0, path, fps=None):
+    """Every step of the path s0 -> path[0] -> path[1] ... on which solve_ivp's
+    rule finds a crossing (the first from a seed inside P0's ball) reaches
+    the screen; returns the number of steps the quiet path took."""
+    fps = fixed_point_locations(sys) if fps is None else fps
+    steps = [(float(k), p) for k, p in enumerate(path, 1)]
+    _, screened = _scripted_shot(monkeypatch, sys, s0, steps, fps)
+    screened = set(screened)
+    for (t, new), prev in zip(steps, [s0, *path]):
+        active = _solve_ivp_active(fps, prev, new, seed=t == 1.0)
+        if len(active):
+            assert t in screened, (prev, new, active)
+    return len(steps) - len(screened & {t for t, _ in steps})
+
+
+# Case I with two and with three fixed points, Case II with P0 and P1 off Y = 0
+QUIET_SYSTEMS = {"case-i-c0": build_system(CM221, 0.0), "case-i": build_system(CM221, 0.5),
+                 "case-ii": build_system(CanonicalModel(m=1, p=2, q=1), 1.0)}
+
+
+def _gap_edges(fps):
+    """States on, just inside and just outside each bound of the quiet test,
+    with every sign of Y, and the screen's own boundary states."""
+    rad, e, tiny = SCREEN_RAD, ESCAPE_BOUND, 2.0 ** -60
+    xs = [x for edge in (rad, 1.0 - rad, 1.0 + rad, e)
+          for x in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))]
+    ys = [tiny, -tiny, 0.0, -0.0, 0.3, -0.3, rad, -rad, e, -e,
+          math.nextafter(e, 0.0), math.nextafter(-e, 0.0)]
+    return ([(x, y) for x in xs + [0.5, math.inf, math.nan] for y in ys]
+            + [(0.5, math.inf), (0.5, -math.inf), (0.5, math.nan)] + _screen_points(fps))
+
+
+@pytest.mark.parametrize("name", QUIET_SYSTEMS)
+def test_quiet_path_never_hides_an_event(name, monkeypatch):
+    # the loop's inline test skips the screen only on steps where no event
+    # can fire: every step between the gaps' edges, the arrival boxes and the
+    # escape bound, from states on either side of the X axis and inside each
+    # ball, that solve_ivp's rule finds a crossing on is screened
+    sys = QUIET_SYSTEMS[name]
+    fps = fixed_point_locations(sys)
+    news = _gap_edges(fps)
+    prevs = [(0.5, 0.3), (0.5, -0.3), (0.5, 2.0 ** -60), (2.0, -2.0 ** -60), (60.0, 0.3),
+             (0.5, 60.0), (math.nan, 0.3)] + [(x + 1e-4, y + 1e-4) for x, y in fps.values()]
+    path = [p for prev in prevs for new in news for p in (prev, new)]
+    quiet = _assert_quiet_hides_no_event(monkeypatch, sys, (0.5, 0.3), path)
+    # seeds inside P0's ball: their first step fires no arrival there
+    (x0, y0), u = fps["P0"], SCREEN_UNIT
+    for seed in [(x0 + 3 * u, y0 + u), (x0 + 3 * u, y0 - 4 * u)]:
+        for new in news:
+            quiet += _assert_quiet_hides_no_event(monkeypatch, sys, seed, [new])
+    # and the quiet path is taken: an ordinary step skips the screen
+    assert quiet > 0
+    assert _assert_quiet_hides_no_event(monkeypatch, sys, (0.5, 0.3), [(0.51, 0.31)]) == 1
+
+
+def test_quiet_path_needs_every_fixed_point_on_x_0_or_1(monkeypatch):
+    # a fixed point between X = 0 and X = 1 switches the quiet path off: the
+    # step into its ball is screened, and so is every other
+    sys = QUIET_SYSTEMS["case-i"]
+    fps = {"P0": (0.0, 0.0), "Q": (0.5, 0.25), "P2": (1.0, 0.0)}
+    path = [(0.5, 0.3), (0.5, 0.25 + SCREEN_UNIT), (0.51, 0.31), (0.52, 0.32)]
+    assert _assert_quiet_hides_no_event(monkeypatch, sys, (0.5, 0.3), path, fps) == 0
+    assert np.isnan(connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)[2]).all()
+
+
+def test_quiet_path_keeps_no_repeated_time(monkeypatch):
+    # a step that does not advance tau keeps no sample, as in solve_ivp
+    steps = [(1.0, (0.5, 0.3)), (2.0, (0.5, 0.31)), (2.0, (0.5, 0.32)), (3.0, (0.5, 0.33))]
+    res, screened = _scripted_shot(monkeypatch, QUIET_SYSTEMS["case-i"], (0.5, 0.29), steps)
+    assert res["tau"].tolist() == [0.0, 1.0, 2.0, 3.0, connect.TAU_SPAN]
+    assert res["Y"].tolist() == [0.29, 0.3, 0.31, 0.33, 0.33]
+    assert screened == [2.0]
+
+
+_edge_x = st.sampled_from([SCREEN_RAD, 1.0 - SCREEN_RAD, 1.0 + SCREEN_RAD, ESCAPE_BOUND, 0.0, 1.0])
+_quiet_state = st.tuples(
+    st.one_of(st.floats(-1.0, 60.0), st.builds(lambda x, d: x + d, _edge_x,
+                                               st.floats(-3 * SCREEN_RAD, 3 * SCREEN_RAD))),
+    st.one_of(st.floats(-60.0, 60.0), _near,
+              st.sampled_from([ESCAPE_BOUND, -ESCAPE_BOUND, 2.0 ** -60, -2.0 ** -60])))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(QUIET_SYSTEMS)), path=st.lists(_quiet_state, min_size=2,
+                                                                  max_size=6))
+def test_quiet_path_never_hides_an_event_on_random_steps(name, path):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_quiet_hides_no_event(monkeypatch, QUIET_SYSTEMS[name], (0.5, 0.3), path)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("order", range(1, 13))
+def test_step_interpolant_is_lsoda_dense_output_bit_for_bit(order, n):
+    # the event roots evaluate each step's Nordsieck polynomial directly;
+    # scipy's LsodaDenseOutput over the same record gives the same bits at
+    # both ends of the step and inside it
+    rng = np.random.default_rng(1000 * order + n)
+    for _ in range(20):
+        t = float(rng.uniform(-10.0, 1e3))
+        h = float(10.0 ** rng.uniform(-6.0, 1.0))
+        t_old = t - h * float(rng.uniform(0.2, 1.0))
+        yh = rng.normal(size=(order + 1, n)) * 10.0 ** rng.uniform(-8.0, 2.0, (order + 1, 1))
+        got = connect._step_interpolant(t, h, yh)
+        want = LsodaDenseOutput(t_old, t, h, order, yh.T.copy())
+        for u in [t_old, t, *rng.uniform(t_old, t, 5).tolist()]:
+            a, b = got(u), want(u)
+            assert a.shape == b.shape == (n,) and a.tobytes() == b.tobytes(), (u, a, b)
 
 
 def test_nordsieck_capture_matches_lsoda_dense_output(monkeypatch):
@@ -573,6 +728,18 @@ def test_tiny_seed_classifies_but_gives_no_profile(mpq, c):
         classify_connection(cm, c, eps=1e-9)
     with pytest.raises(kw.InconclusiveError, match="arrived='P0'"):
         classify_connection(cm, c, eps=1e-9, profile_of=cm)
+
+
+def test_slow_wave_stops_at_the_crossing_budget():
+    # a slow Case I wave spirals into P2 with work like 1/c: (2,2,1) records
+    # 5,250 crossings at c = -1e-3, which still classifies, and about 26,000
+    # at c = -2e-4.  At c = -1e-5 the shot ran for minutes; past
+    # MAX_AXIS_CROSSINGS it stops with a typed error naming c and the budget
+    assert classify_connection(CM221, -1e-3).n_oscillations == 8182
+    with pytest.raises(kw.InconclusiveError) as err:
+        classify_connection(CM221, -2e-4)
+    assert "c=0.0002" in str(err.value)
+    assert f"{connect.MAX_AXIS_CROSSINGS} X-axis crossings" in str(err.value)
 
 
 # --- the explicit zero-speed orbit ----------------------------------------------

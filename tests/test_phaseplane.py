@@ -11,7 +11,8 @@ from kppwaves import (CanonicalModel, FixedPointKind, PhaseSystemI,
                       dulac_divergence, fixed_points, jacobian,
                       region_G_residual, vector_field, zero_speed_X0,
                       zero_speed_curve)
-from kppwaves.phaseplane import linearization, scalar_field, xpow
+from conftest import scalar_field
+from kppwaves.phaseplane import linearization, xpow
 
 
 # --- construction ------------------------------------------------------------
