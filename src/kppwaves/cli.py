@@ -136,8 +136,7 @@ def _shoot_row(row: dict, cfg: RunConfig, cm: CanonicalModel, out: Path) -> None
     traj, label = res.trajectory, c_label(row["c"])
     T = float(traj.tau[-1])
     tpath = out / f"trajectory_c{label}.csv"
-    write_float_csv(tpath, ["tau", "X", "Y"], zip(
-        (traj.tau - T).tolist(), traj.X.tolist(), traj.Y.tolist()))
+    write_float_csv(tpath, ["tau", "X", "Y"], (traj.tau - T, traj.X, traj.Y))
     row["trajectory_file"] = tpath.name
     row["events"] = [
         {"kind": ev.kind.value, "tau": ev.tau - T,
@@ -186,12 +185,11 @@ def _pde_row(row: dict, cfg: RunConfig, cm: CanonicalModel, out: Path,
         snapshot_times=pc.snapshot_times)
     run = res.run
     front_path = out / f"front_c{label}.csv"
-    write_float_csv(front_path, ["t", "x_front"], run.front_track)
+    write_float_csv(front_path, ["t", "x_front"], zip(*run.front_track))
     snap_files = []
-    x = run.x.tolist()
     for t, u in res.snapshots:
         spath = out / f"snapshot_c{label}_t{c_label(t)}.csv"
-        write_float_csv(spath, ["x", "u"], zip(x, u.tolist()))
+        write_float_csv(spath, ["x", "u"], (run.x, u))
         snap_files.append(spath.name)
     row.update({
         "max_error": res.max_error,

@@ -25,9 +25,9 @@ returns.
 A shot that is to become a profile carries the wave coordinate xi as a third
 state, dxi/dtau = pref * X^expo, which the solver integrates but leaves out of
 its error test (a quadrature state, as CVODES treats one).  Such a shot also
-keeps its dense output: a raw Nordsieck record (t, h, yh) per step, read from
-the solver's work arrays and evaluated as one table.  No other shot keeps
-one.
+keeps its dense output: each step's raw Nordsieck record (t, h, yh) is one
+copy from the solver's work arrays into a row of one table.  No other shot
+keeps one.
 
 A shot stops on entering P2's arrival ball, and the X extrema the ball hides
 are the Y = 0 crossings of P2's linear flow from the arrival state, found in
@@ -126,22 +126,17 @@ class TrajectoryEvent:
 class _NordsieckTable:
     """LSODA dense output of a whole shot as one zero-padded coefficient table.
 
-    ``ts`` are the sample times, ascending.  Each record (t, h, yh) holds a
-    step's end t, its step size h and its history yh, whose row k is the k-th
-    Nordsieck coefficient of every state component.  Step n's interpolant is
-    the Nordsieck polynomial sum_k yh[k] s^k, s = (t - t_n) / h, about the
-    step's end t_n (Petzold 1983).  As in the OdeSolution solve_ivp builds
-    for LSODA, a breakpoint belongs to the step that starts there.
+    ``ts`` are the sample times, ascending.  Step n ends at t_end[n], with
+    step size h[n] and history coef[:, :, n], whose row k is the k-th
+    Nordsieck coefficient of every state component.  Its interpolant is the
+    polynomial sum_k coef[k, :, n] s^k, s = (t - t_end[n]) / h[n], about the
+    step's end (Petzold 1983).  As in the OdeSolution solve_ivp builds for
+    LSODA, a breakpoint belongs to the step that starts there.
     """
 
-    def __init__(self, ts, records: list):
+    def __init__(self, ts, t_end: np.ndarray, h: np.ndarray, coef: np.ndarray):
         self.ts = np.asarray(ts, dtype=float)
-        self.t_end = np.array([t for t, _, _ in records], dtype=float)
-        self.h = np.array([h for _, h, _ in records], dtype=float)
-        order = max(len(yh) for _, _, yh in records)
-        self.coef = np.zeros((order, records[0][2].shape[1], len(records)))
-        for j, (_, _, yh) in enumerate(records):
-            self.coef[:len(yh), :, j] = yh
+        self.t_end, self.h, self.coef = t_end, h, coef
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -274,6 +269,7 @@ def _seed_state(sys: PhaseSystem, eps: float) -> np.ndarray:
 
 _ROOT_TOL = 4.0 * np.finfo(float).eps   # solve_ivp's brentq xtol and rtol
 _SPARE_WORK: dict[tuple[int, int], list] = {}   # (rwork, iwork) pairs no shot runs on
+_DENSE_ROWS = 1024      # first length of a profile shot's record table
 
 
 def _nordsieck_record(iwork: np.ndarray, rwork: np.ndarray, n: int):
@@ -365,21 +361,16 @@ def _step_interpolant(t: float, h: float, yh: np.ndarray):
     return at
 
 
-def _xi_rate(sys: PhaseSystem, cm: CanonicalModel):
-    """dxi/dtau = pref * X^expo as a function of one float, in log form with
-    log X^expo capped at XI_LOG_RATE_MAX: X^expo itself overflows near the
-    seed when expo is large and negative.  ``cm`` must give ``sys``'s field
-    at some speed: its type, gamma and exponents."""
+def _xi_rate(sys: PhaseSystem, cm: CanonicalModel) -> tuple[float, float, float, float]:
+    """(pref, expo, _TINY, XI_LOG_RATE_MAX) of dxi/dtau = pref * X^expo, which
+    solver_rhs takes in log form with log X^expo capped: X^expo overflows
+    near the seed when expo is large and negative.  ``cm`` must give
+    ``sys``'s field at some speed: its type, gamma and exponents."""
     ref = build_system(cm, 0.0)
     if type(ref) is not type(sys) or (ref.gamma, *ref.form[1:]) != (sys.gamma, *sys.form[1:]):
         raise InvalidParameterError(f"profile_of={cm} does not give the system {sys}")
     pref, expo, _ = _profile_exponents(sys, cm)
-    exp, log, cap = math.exp, math.log, XI_LOG_RATE_MAX
-
-    def rate(X: float) -> float:
-        return pref * exp(min(expo * log(max(X, _TINY)), cap))
-
-    return rate
+    return pref, expo, _TINY, XI_LOG_RATE_MAX
 
 
 def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
@@ -433,13 +424,19 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     rwork, iwork = spare.pop() if spare else (np.empty_like(rwork0), np.empty_like(iwork0))
     rwork[:], iwork[:] = rwork0, iwork0
     sd, si, n = core.state_doubles, core.state_ints, solver.n
+    if dense:
+        # step k's record is row k of one zero-filled table (doubled when
+        # full), one copy of rwork[11:]: HCUR (its h), TCUR (its end), seven
+        # unread words, the Nordsieck entries in use (see _nordsieck_record).
+        # Orders reach MXORDN or MXORDS; ``top`` counts the history rows used
+        width = 9 + (max(iwork[7:9].tolist()) + 1) * n
+        rows, k, top, item = np.zeros((_DENSE_ROWS, width)), 0, 0, iwork.item
     y, t, istate = solver._lsoda_solver._y, 0.0, 1
     # samples as one flat list of floats: kept per-step lists would load the
     # garbage collector on every shot
     state = s0.tolist()
     ts, flat = [0.0], list(state)
     sample, extend = ts.append, flat.extend
-    records: list = []
     hits: list[list] = [[] for _ in table]
     crossings = hits[-1]
     # the events see X and Y only, never a carried xi
@@ -454,7 +451,16 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
                 f"{messages.get(istate, 'unexpected istate')}")
         istate = 2
         if dense:
-            records.append((t, *_nordsieck_record(iwork, rwork, n)))
+            order = item(13)
+            m = 9 + (order + 1) * n
+            if k == len(rows):
+                rows = np.concatenate((rows, np.zeros_like(rows)))
+            rows[k, :m] = rwork[11:11 + m]
+            if item(14) < order:
+                rows[k, m - n:m] *= (rwork[11] / rwork[10]) ** iwork[13]
+            if order >= top:
+                top = order + 1
+            k += 1
         state = y.tolist()
         Xo, Yo, X, Y = X, Y, state[0], state[1]
         if (Yo * Y > 0.0 and (lo < X < mid or hi < X < escape)
@@ -499,7 +505,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         if len(ts) > 1 and ts[-1] == t:
             # solve_ivp keeps neither a repeated final time nor its interpolant
             if dense:
-                records.pop()
+                k -= 1
+                rows[k] = 0.0
         else:
             sample(t)
             extend(state)
@@ -515,7 +522,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     return {
         "tau": np.array(ts), "X": X, "Y": Y, "xi": xi[0] if xi else None, "events": events,
         "solver_steps": steps, "nfev": nfev, "njev": njev,
-    }, _NordsieckTable(ts, records) if dense else None
+    }, _NordsieckTable(ts, rows[:k, 1], rows[:k, 0], rows[:k, 9:9 + top * n].reshape(
+        k, top, n).transpose(1, 2, 0)) if dense else None
 
 
 def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
@@ -810,10 +818,10 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     i1 = above[0]
     t_lo, t_hi = traj.tau[i1 - 1], traj.tau[i1]
 
-    def half_defect(t):
-        return float(traj.state_at(t)[0]) - x_half
-
-    tau_half = brentq(half_defect, t_lo, t_hi, xtol=1e-13)
+    # the trajectory goes in through args: brentq's wrapper of its function is
+    # a reference cycle, which would keep a captured one alive until collected
+    tau_half = brentq(lambda t, state_at, x: float(state_at(t)[0]) - x, t_lo, t_hi,
+                      args=(traj.state_at, x_half), xtol=1e-13)
     xi_half = float(traj.state_at(tau_half)[2])
 
     # invert the monotone xi(tau): a table estimate, then Newton on the

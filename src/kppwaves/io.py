@@ -2,7 +2,8 @@
 
 All floats are rendered with repr (shortest round-trip form), so identical
 inputs produce byte-identical CSV and JSON; nothing time- or host-dependent
-goes into data files.
+goes into data files.  Float tables are written from their columns, one
+%-format per chunk of rows, and a profile is read back in one conversion.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingArtifactError
+
+CSV_CHUNK_ROWS = 1024   # rows per %-format: a table's text never exists whole
 
 
 def fmt(x) -> str:
@@ -37,16 +40,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             w.writerow(row)
 
 
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"expected file {path} is missing")
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        return header, [row for row in r if row]
-
-
 def write_json(path: Path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -63,39 +56,52 @@ def read_json(path: Path):
         return json.load(fh)
 
 
-def write_float_csv(path: Path, header: list[str], rows) -> None:
-    """A table whose rows are tuples of Python floats, as write_csv writes it.
+def write_float_csv(path: Path, header: list[str], columns) -> None:
+    """Float columns, one per header name, as write_csv writes them in fmt's text.
 
     repr of a Python float is fmt's text, "nan" included, and never needs
-    CSV quoting, so each line is one %-format, written without csv.writer.
+    CSV quoting, so each chunk of CSV_CHUNK_ROWS rows is one %-format of the
+    columns interleaved, written as ASCII without csv.writer.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = ",".join(["%r"] * len(header)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(line.__mod__, rows))
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    k = len(header)
+    line = ",".join(["%r"] * k) + "\n"
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        for lo in range(0, len(cols[0]), CSV_CHUNK_ROWS):
+            part = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in cols]
+            flat = [0.0] * (k * len(part[0]))
+            for j, values in enumerate(part):
+                flat[j::k] = values
+            fh.write((line * len(part[0]) % tuple(flat)).encode("ascii"))
 
 
 def write_profile_csv(path: Path, xi, f) -> None:
-    xi = np.asarray(xi, dtype=float).tolist()
-    f = np.asarray(f, dtype=float).tolist()
-    write_float_csv(path, ["xi", "f"], zip(xi, f))
+    write_float_csv(path, ["xi", "f"], (xi, f))
 
 
 def read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """(xi, f) of a profile table: at least 2 rows of finite numbers, xi
-    strictly increasing; anything else is a MissingArtifactError naming it."""
-    header, rows = read_csv(path)
+    strictly increasing; anything else is a MissingArtifactError naming it.
+    Blank lines and columns past the second are ignored."""
+    path = Path(path)
+    if not path.exists():
+        raise MissingArtifactError(f"expected file {path} is missing")
+    head, _, body = path.read_text().partition("\n")
+    header = head.rstrip("\r").split(",")
     if header[:2] != ["xi", "f"]:
         raise MissingArtifactError(f"{path} is not a profile table (header {header})")
-    if len(rows) < 2:
-        raise MissingArtifactError(f"{path} holds {len(rows)} profile rows; need at least 2")
     try:
-        xi = np.array([float(r[0]) for r in rows])
-        f = np.array([float(r[1]) for r in rows])
-    except (ValueError, IndexError) as e:
+        # one conversion of the whole table; loadtxt warns on one without rows
+        table = (np.loadtxt(body.splitlines(), delimiter=",", comments=None,
+                            usecols=(0, 1), ndmin=2) if body.strip() else np.empty((0, 2)))
+    except ValueError as e:
         raise MissingArtifactError(f"{path} has a malformed profile row ({e})") from None
+    if len(table) < 2:
+        raise MissingArtifactError(f"{path} holds {len(table)} profile rows; need at least 2")
+    xi, f = table.T.copy()
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(f))):
         raise MissingArtifactError(f"{path} holds non-finite profile values")
     if not np.all(np.diff(xi) > 0.0):

@@ -216,30 +216,32 @@ def vector_field(sys: PhaseSystem, X, Y):
 def solver_rhs(sys: PhaseSystem, out: np.ndarray, xi_rate=None):
     """The field as an ODE right-hand side fun(t, state) that writes (X', Y')
     of the module docstring's field into ``out`` and returns it; with
-    ``xi_rate`` the state is (X, Y, xi) and out[2] = xi_rate(X).  X <= 0
-    evaluates as X = 0, so a step that strays just outside the half-plane
-    stays finite.  fun is compiled once per field form (see _rhs_template),
-    so one call does the whole evaluation."""
+    ``xi_rate`` = (pref, expo, tiny, cap) the state is (X, Y, xi) and out[2] =
+    pref exp(min(expo log(max(X, tiny)), cap)).  X <= 0 evaluates as X = 0
+    in the field, so a step just outside the half-plane stays finite.  fun
+    is compiled once per field form (see _rhs_template)."""
     s, a, b, e = sys.form
-    return _rhs_template(a, b, e, xi_rate is not None)(sys.gamma, s, out, xi_rate)
+    return _rhs_template(a, b, e, xi_rate is not None)(sys.gamma, s, out, *xi_rate or ())
 
 
 @lru_cache(maxsize=64)
 def _rhs_template(a: float, b: float, e: float, carry_xi: bool):
-    """make(g, s, out, xi_rate) -> fun for the exponents (a, b, e), with X^0 =
-    1 and X^1 = X written out (Python's ** gives them exactly) and the
-    coefficients bound per shot."""
+    """make(g, s, out[, pref, expo, tiny, cap]) -> fun for the exponents (a,
+    b, e), with X^0 = 1 and X^1 = X written out (Python's ** gives them
+    exactly), the coefficients bound per shot, and the xi rate's max and min
+    as conditionals that pick what Python's would, NaN included."""
     A, B, E = ({0.0: "1.0", 1.0: "X"}.get(r, f"X ** {r!r}") for r in (a, b, e))
-    code = ("def make(g, s, out, xi_rate):\n"
+    code = (f"def make(g, s, out{', pref, expo, tiny, cap' if carry_xi else ''}):\n"
             "    def fun(_t, state):\n"
             f"        Z, Y{', _' if carry_xi else ''} = state.tolist()\n"
             "        X = Z if Z > 0.0 else 0.0\n"
             "        out[0] = g * X * Y\n"
             f"        out[1] = -Y * (Y + {'s' if A == '1.0' else 's * ' + A}) + {B} - {E}\n"
-            + ("        out[2] = xi_rate(Z)\n" if carry_xi else "")
+            + ("        L = expo * log(tiny if tiny > Z else Z)\n"
+               "        out[2] = pref * exp(cap if cap < L else L)\n" if carry_xi else "")
             + "        return out\n"
             "    return fun\n")
-    scope: dict = {}
+    scope = {"exp": math.exp, "log": math.log}
     exec(code, scope)
     return scope["make"]
 

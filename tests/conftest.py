@@ -4,6 +4,9 @@ Profile reconstruction is the expensive step (the shot creeps along the
 slow manifold before taking off), so profiles used by several test modules
 are built once per session here.
 """
+import math
+
+import numpy as np
 import pytest
 
 import kppwaves as kw
@@ -23,6 +26,32 @@ def scalar_field(sys):
         return g * Xp * Y, -Y * (Y + s * Xp ** a) + Xp ** b - Xp ** e
 
     return rhs
+
+
+def scalar_xi_rate(params):
+    """The xi rate that connect._xi_rate's (pref, expo, tiny, cap) give, as
+    a function of one float: the reference that the xi state of
+    phaseplane.solver_rhs matches bit for bit."""
+    pref, expo, tiny, cap = params
+    exp, log = math.exp, math.log
+
+    def rate(X: float) -> float:
+        return pref * exp(min(expo * log(max(X, tiny)), cap))
+
+    return rate
+
+
+def scipy_table(ode_solution):
+    """The Nordsieck table of the interpolants solve_ivp returns, assembled
+    record by record: the reference for a profile shot's dense output."""
+    records = [(s.t, s.h, s.yh.T) for s in ode_solution.interpolants]
+    order = max(len(yh) for _, _, yh in records)
+    coef = np.zeros((order, records[0][2].shape[1], len(records)))
+    for j, (_, _, yh) in enumerate(records):
+        coef[:len(yh), :, j] = yh
+    return kw.connect._NordsieckTable(
+        ode_solution.ts, np.array([t for t, _, _ in records], dtype=float),
+        np.array([h for _, h, _ in records], dtype=float), coef)
 
 
 def build_profile(m, p, q, c, arrival_radius=None):

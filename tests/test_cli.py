@@ -2,6 +2,7 @@
 import csv
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -11,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kppwaves import (CanonicalModel, EventKind, InconclusiveError, classify_connection,
                       cli, connect)
 from kppwaves.cli import main
-from kppwaves.io import fmt, write_float_csv, write_profile_csv
+from kppwaves.io import CSV_CHUNK_ROWS, fmt, write_float_csv, write_profile_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -149,13 +151,48 @@ def test_float_csv_matches_csv_writer(tmp_path):
             w.writerow(header)
             for row in zip(*data):
                 w.writerow([fmt(v) for v in row])
-        write_float_csv(tmp_path / "got.csv", header, zip(*data))
+        write_float_csv(tmp_path / "got.csv", header, data)
         assert (tmp_path / "got.csv").read_bytes() == want_path.read_bytes()
     for args in (cols[:2], [np.array(c) for c in cols[:2]]):
         write_profile_csv(tmp_path / "p.csv", *args)
         with open(tmp_path / "p.csv", newline="") as fh:
             assert list(csv.reader(fh)) == [["xi", "f"]] + [
                 [fmt(a), fmt(b)] for a, b in zip(*cols[:2])]
+
+
+# NaN, the infinities, signed zeros, subnormals and the points where repr
+# switches between positional and exponent form
+_CSV_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+               2.225073858507201e-308, 2.2250738585072014e-308, 1e-5, 1e-4,
+               9.999999999999999e-05, 1e16, 9999999999999998.0, 1e17, 0.1, 1.0 / 3.0,
+               1.7976931348623157e308]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1),
+       extra=st.lists(st.floats(), max_size=8))
+@example(k=3, n=CSV_CHUNK_ROWS, seed=1, extra=[]).via("one whole chunk")
+@example(k=2, n=2 * CSV_CHUNK_ROWS + 1, seed=2, extra=[]).via("a one-row last chunk")
+def test_float_csv_is_csv_writer_on_any_floats(tmp_path_factory, k, n, seed, extra):
+    # each value is a random bit pattern, a float of random magnitude or one
+    # of the special values; columns come as arrays or as lists
+    rng = np.random.default_rng(seed)
+    pool = np.array(_CSV_FLOATS + extra)
+    pick = rng.integers(0, 3, (k, n))
+    bits = rng.integers(0, 2 ** 64, (k, n), dtype=np.uint64).view(float)
+    scaled = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-20, 20, (k, n))
+    data = np.where(pick == 0, bits,
+                    np.where(pick == 1, scaled, pool[rng.integers(0, len(pool), (k, n))]))
+    header = ["a", "b", "c"][:k]
+    cols = list(data) if seed % 2 else [c.tolist() for c in data]
+    want = tmp_path_factory.mktemp("csv") / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in data.T.tolist():
+            w.writerow([fmt(v) for v in row])
+    write_float_csv(want.with_name("got.csv"), header, cols)
+    assert want.with_name("got.csv").read_bytes() == want.read_bytes()
 
 
 def test_shoot_profile_csv_round_trips(workspace):

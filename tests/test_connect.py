@@ -23,7 +23,7 @@ from kppwaves import (CanonicalModel, EventKind, SpeedClass, TrajectoryEvent,
                       reconstruct_profile, shoot, threshold_crossings,
                       x0_monotonicity_check, zero_speed_X0, zero_speed_curve)
 from kppwaves import connect
-from conftest import scalar_field
+from conftest import scalar_field, scalar_xi_rate, scipy_table
 from kppwaves.phaseplane import PhaseSystemI, fixed_point_locations, linearization
 
 CM221 = CanonicalModel(m=2, p=2, q=1)
@@ -32,12 +32,14 @@ ESCAPE_BOUND = connect.ESCAPE_BOUND
 
 # --- the shot as solve_ivp computes it --------------------------------------------
 
-def _shot_fun(sys, xi_rate=None):
-    rhs = scalar_field(sys)
+def _shot_fun(sys, xi=None):
+    """The shot's right-hand side from the oracles; with ``xi``, the
+    parameters connect._xi_rate gives, it carries xi."""
+    rhs, rate = scalar_field(sys), None if xi is None else scalar_xi_rate(xi)
 
     def fun(_t, s):
         dx, dy = rhs(s[0], s[1])
-        return (dx, dy) if xi_rate is None else (dx, dy, xi_rate(s[0]))
+        return (dx, dy) if rate is None else (dx, dy, rate(s[0]))
 
     return fun
 
@@ -108,12 +110,6 @@ def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, xi_rate=None):
     return {"tau": sol.t, "X": sol.y[0], "Y": sol.y[1],
             "xi": sol.y[2] if xi_rate is not None else None, "events": events,
             "nfev": sol.nfev, "njev": sol.njev}, sol.sol
-
-
-def _scipy_table(ode_solution):
-    """The Nordsieck table built from the interpolants solve_ivp returns."""
-    return connect._NordsieckTable(
-        ode_solution.ts, [(s.t, s.h, s.yh.T) for s in ode_solution.interpolants])
 
 
 # (model, c, _shot_args overrides; "escape_bound" is set on the module
@@ -208,7 +204,7 @@ def test_driver_is_bit_identical_to_solve_ivp(name, monkeypatch):
     # a profile shot carries xi and keeps its dense output: both equal
     # solve_ivp's on the same three-state shot
     assert np.array_equal(got["xi"], want["xi"])
-    ref_table = _scipy_table(reference)
+    ref_table = scipy_table(reference)
     for attr in ("ts", "t_end", "h", "coef"):
         assert np.array_equal(getattr(table, attr), getattr(ref_table, attr)), attr
     ts = table.ts
@@ -499,6 +495,45 @@ def test_nordsieck_capture_matches_lsoda_dense_output(monkeypatch):
             rescaled += core.iwork[14] < core.iwork[13]
     # the order-drop rescale of the last column is exercised
     assert rescaled > 0
+
+
+def test_record_table_keeps_order_drops_and_a_repeated_end(monkeypatch):
+    # the record table's rare branches on a profile shot: a step whose order
+    # drops has its last history row rescaled in place, a terminal root on
+    # the last sample drops that step's record and zeroes its row, and a full
+    # table doubles.  On those steps state_at is solve_ivp's dense output bit
+    # for bit
+    sys, s0, kwargs = _pin_args("221-xi-oscillatory", monkeypatch)
+    res, table = connect._integrate(sys, s0, **kwargs)
+    solver = LSODA(_shot_fun(sys, kwargs["xi_rate"]), 0.0, np.append(s0, 0.0),
+                   connect.TAU_SPAN, rtol=kwargs["rtol"],
+                   atol=[kwargs["atol"], kwargs["atol"], connect.XI_ATOL])
+    core, drops = solver._lsoda_solver._integrator, []
+    for k in range(res["solver_steps"]):
+        solver.step()
+        if core.iwork[14] < core.iwork[13]:
+            drops.append(k)
+    assert drops
+    # a radius one ulp inside the distance of the last step's start from P2:
+    # the arrival's root lands on that sample, so the final time repeats
+    X, Y = res["X"][-2], res["Y"][-2]
+    at_end = dict(kwargs, arrival_radius=float(np.nextafter(math.hypot(X - 1.0, Y), 0.0)))
+    end, end_table = connect._integrate(sys, s0, **at_end)
+    assert end["tau"][-1] == res["tau"][-2]
+    assert end["solver_steps"] == res["solver_steps"] == len(end_table.h) + 1
+    for got, tab, kw_, steps in ((res, table, kwargs, drops),
+                                 (end, end_table, at_end, [len(end_table.h) - 1])):
+        ref = scipy_table(_solve_ivp_integrate(sys, s0, **kw_)[1])
+        ts = got["tau"]
+        pts = np.concatenate([np.linspace(ts[k], ts[k + 1], 9) for k in steps]
+                             + [[ts[-1] + 0.5 * (ts[-1] - ts[-2])]])
+        assert np.array_equal(tab.coef[..., steps], ref.coef[..., steps])
+        assert np.array_equal(tab(pts), ref(pts))
+    # a table that starts with one row doubles into the same table
+    monkeypatch.setattr(connect, "_DENSE_ROWS", 1)
+    grown = connect._integrate(sys, s0, **kwargs)[1]
+    for attr in ("ts", "t_end", "h", "coef"):
+        assert np.array_equal(getattr(grown, attr), getattr(table, attr)), attr
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-5, 2e-5])

@@ -11,7 +11,7 @@ from kppwaves import (CanonicalModel, FixedPointKind, PhaseSystemI,
                       dulac_divergence, fixed_points, jacobian,
                       region_G_residual, vector_field, zero_speed_X0,
                       zero_speed_curve)
-from conftest import scalar_field
+from conftest import scalar_field, scalar_xi_rate
 from kppwaves.phaseplane import linearization, xpow
 
 
@@ -129,9 +129,10 @@ def test_solver_rhs_is_the_scalar_field_bit_for_bit(model, c, X, Y, carry_xi):
     # derivative, and with xi the xi rate connect's shots use, into out
     cm = FORM_MODELS[model]
     s = build_system(cm, c)
-    rate = kw.connect._xi_rate(s, cm) if carry_xi else None
+    params = kw.connect._xi_rate(s, cm) if carry_xi else None
+    rate = params and scalar_xi_rate(params)
     out = np.empty(2 + carry_xi)
-    got = kw.phaseplane.solver_rhs(s, out, rate)(0.0, np.array([X, Y, 0.3][:len(out)]))
+    got = kw.phaseplane.solver_rhs(s, out, params)(0.0, np.array([X, Y, 0.3][:len(out)]))
     assert got is out
     assert got[:2].tolist() == list(scalar_field(s)(X, Y))
     if X in (0.0, 1.0):
