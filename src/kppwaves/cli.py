@@ -331,7 +331,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = load_config(args.config)
-    except (ConfigError, UnsupportedModelError, KppWavesError) as e:
+    except KppWavesError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = Path(args.out or cfg.output_dir)

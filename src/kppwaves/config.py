@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .errors import ConfigError, KppWavesError
 from .model import CanonicalModel, GeneralModel, model_from_json
@@ -66,6 +65,8 @@ def _refuse_shared_labels(values: tuple[float, ...], path: str) -> None:
 
 def _need_finite(value, path: str) -> float:
     try:
+        if isinstance(value, bool):   # JSON true and false are no numbers
+            raise TypeError
         v = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: expected a number, got {value!r}") from None
@@ -184,14 +185,15 @@ def parse_config(data) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    """The parsed config file at ``path``: a missing, unreadable or
+    non-UTF-8 file is a ConfigError that names it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e})") from e
+        raise ConfigError(f"config file {path}: invalid JSON ({e})") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {path}: cannot be read ({e})") from e
     return parse_config(data)
 
 

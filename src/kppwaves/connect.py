@@ -15,9 +15,9 @@ step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.  scipy's
 direct call of scipy's ODEPACK wrapper in one-step mode, with the arguments
 ``scipy.integrate._ode.lsoda.run`` passes, and the counters are ODEPACK's own.
 The events (fixed-point arrival, escape, Y = 0 crossing) are functions of
-(X, Y), evaluated only on the few steps that one inline test and then a cheap
-screen cannot rule out, with the sign-change rule and root solve of
-``solve_ivp`` reproduced exactly.  The RHS is one phaseplane.solver_rhs call.  P0's arrival event starts
+(X, Y), evaluated only on the few steps that one exact inline test cannot
+rule out, with the sign-change rule and root solve of ``solve_ivp``
+reproduced exactly.  The RHS is one phaseplane.solver_rhs call.  P0's arrival event starts
 inside its ball whatever the seed, so for a seed inside that ball samples,
 events and roots equal what ``solve_ivp(..., events=..., dense_output=True)``
 returns.
@@ -304,47 +304,16 @@ def _odepack_core(solver: LSODA):
 
 
 def _event_functions(fps: dict, rad: float, escape: float):
-    """(events, screen, gaps) of the shot's events: arrival within ``rad`` of
-    each fixed point of ``fps``, escape past ``escape``, the X axis.
-
-    ``events`` lists each event function of (X, Y), in that order.
-    ``screen(Yo, X, Y)`` passes every step on which solve_ivp's
-    find_active_events can find a crossing, and few others: an arrival needs
-    the new point (X, Y) in the box of half-width rad about its fixed point (a
-    faithfully rounded hypot is at least each |component|), an escape X or |Y|
-    at the bound, the X axis a sign change of Y from the old point's Yo.
-
-    ``gaps`` = (lo, mid, hi) bounds the X between the boxes: a step with Yo *
-    Y > 0, lo < X < mid or hi < X < escape, and |Y| < escape fails the
-    screen.  With every fixed point on X = 0 or X = 1 they are rad, 1 - rad
-    and 1 + rad.  X - 0 is exact, and so is X - 1 for X >= 0.5; below that
-    |X - 1| > 0.5 exceeds rad whenever lo < X < mid can hold.  So an X past
-    these float bounds lies outside the boxes in floats too.  Any other
-    layout gets NaN bounds, which no X passes.
-    """
+    """The shot's event functions of (X, Y), in this order: arrival within
+    ``rad`` of each fixed point of ``fps``, escape past ``escape``, the X
+    axis."""
     hypot = math.hypot
-    balls = list(fps.values())
 
     def arrival(px: float, py: float):
         return lambda X, Y: hypot(X - px, Y - py) - rad
 
-    events = [arrival(px, py) for px, py in balls]
-    events += [lambda X, Y: max(X - escape, abs(Y) - escape), lambda _X, Y: Y]
-
-    # unrolled over the two or three boxes; P0's box stands in for a missing third
-    (ax, ay), (bx, by), (cx, cy), *_ = *balls, balls[0]
-
-    def screen(Yo: float, X: float, Y: float) -> bool:
-        return (Yo <= 0.0 <= Y or Yo >= 0.0 >= Y or X >= escape or abs(Y) >= escape
-                or abs(X - ax) <= rad and abs(Y - ay) <= rad
-                or abs(X - bx) <= rad and abs(Y - by) <= rad
-                or abs(X - cx) <= rad and abs(Y - cy) <= rad)
-
-    if {px for px, _ in balls} <= {0.0, 1.0}:
-        gaps = (rad, 1.0 - rad, 1.0 + rad)
-    else:
-        gaps = (math.nan,) * 3
-    return events, screen, gaps
+    return [arrival(px, py) for px, py in fps.values()] + [
+        lambda X, Y: max(X - escape, abs(Y) - escape), lambda _X, Y: Y]
 
 
 def _step_interpolant(t: float, h: float, yh: np.ndarray):
@@ -381,19 +350,28 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     the dense output is None.  ``events`` lists the events in the order
     solve_ivp reports them: by event function, then in time.
 
-    Most steps are quiet: Y keeps its sign, and X lies in a gap between the
-    arrival boxes (see _event_functions) and, like |Y|, short of the escape
-    bound.  The screen fails on every such step, so no event can fire there;
-    as the step also advances tau, solve_ivp would keep its sample and
-    nothing else, and that is all the loop does with it after one inline
-    test.  Every other step takes the screen and, if that passes, the event
-    values, their sign-change rule and the root solves on the step's
-    Nordsieck polynomial (_step_interpolant).
+    Most steps are quiet: tau advances, Y keeps its sign, |Y| < escape and
+    X lies in a gap between the arrival balls, rad < X < 1 - rad or 1 + rad
+    < X < escape.  Such a step keeps its sample and nothing else, as in
+    solve_ivp, after one inline test.  The test is exact while every fixed
+    point lies on X = 0 or X = 1, which the shot checks first: a faithfully
+    rounded hypot is at least each |component|, and X - 0 and X - 1 are
+    exact where they matter (X - 1 for X >= 0.5; below that, |X - 1| > 0.5
+    exceeds any rad that leaves the first gap open), so no arrival value
+    reaches 0, and the escape value stays below it.  Every other step
+    evaluates the event values, their sign-change rule and the root solves
+    on the step's Nordsieck polynomial (_step_interpolant).  A root brentq
+    finds no bracket for there (the rule reads the samples, which can differ
+    from the polynomial in the last bit) raises StepFailureError.
 
     A shot that records more than MAX_AXIS_CROSSINGS X-axis crossings stops
     with an InconclusiveError: a slow wave spirals into P2 with work like 1/c,
     and (2,2,1) at c = -1e-3 records 5,250 of them.
     """
+    fps = fixed_point_locations(sys)
+    if any(px not in (0.0, 1.0) for px, _ in fps.values()):
+        raise RuntimeError(f"a fixed point of {sys} lies off X = 0 and X = 1: {fps}; "
+                           "the quiet-step test is exact only on those lines")
     dense = xi_rate is not None
     fun = solver_rhs(sys, np.empty(len(s0) + dense), xi_rate)
     if dense:
@@ -403,14 +381,14 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     # one row per event function, in the order solve_ivp would be given them:
     # (kind, target, direction, terminal).  Arrivals fire only on entry; the
     # X axis stops the shot in Case I at c = 0 (see shoot)
-    fps = fixed_point_locations(sys)
     table = [(EventKind.FIXED_POINT_ARRIVAL, name, -1, True) for name in fps]
     table += [(EventKind.ESCAPE, None, 1, True),
               (EventKind.X_AXIS_CROSS, None, 0,
                isinstance(sys, PhaseSystemI) and sys.c == 0.0)]
     directions = [d for _, _, d, _ in table]
     escape = ESCAPE_BOUND
-    event_fns, screen, (lo, mid, hi) = _event_functions(fps, arrival_radius, escape)
+    event_fns = _event_functions(fps, arrival_radius, escape)
+    lo, mid, hi = arrival_radius, 1.0 - arrival_radius, 1.0 + arrival_radius
 
     # LSODA validates the tolerances and allocates the work arrays; each step
     # is then one itask-5 call of ODEPACK, with scipy.integrate._ode.lsoda.run's
@@ -469,22 +447,29 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
             extend(state)
             continue
         terminate = False
-        active = []
-        if screen(Yo, X, Y):
-            g, g_new = [f(Xo, Yo) for f in event_fns], [f(X, Y) for f in event_fns]
-            if t_old == 0.0:
-                # the P0 row (fps lists P0 first) starts inside its ball, as at
-                # P0 itself: leaving the seed fires no arrival there, whatever
-                # eps and the radius are
-                g[0] = -arrival_radius
-            # solve_ivp's find_active_events
-            active = [i for i, d in enumerate(directions)
-                      if (g[i] <= 0.0 <= g_new[i] and d >= 0)
-                      or (g[i] >= 0.0 >= g_new[i] and d <= 0)]
+        g, g_new = [f(Xo, Yo) for f in event_fns], [f(X, Y) for f in event_fns]
+        if t_old == 0.0:
+            # the P0 row (fps lists P0 first) starts inside its ball, as at
+            # P0 itself: leaving the seed fires no arrival there, whatever
+            # eps and the radius are
+            g[0] = -arrival_radius
+        # solve_ivp's find_active_events
+        active = [i for i, d in enumerate(directions)
+                  if (g[i] <= 0.0 <= g_new[i] and d >= 0)
+                  or (g[i] >= 0.0 >= g_new[i] and d <= 0)]
         if active:
             sol = _step_interpolant(t, *_nordsieck_record(iwork, rwork, n))
-            roots = [brentq(lambda u, f=event_fns[i]: f(*sol(u)[:2]), t_old, t,
-                            xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active]
+            roots = []
+            for i in active:
+                try:
+                    roots.append(brentq(lambda u, f=event_fns[i]: f(*sol(u)[:2]), t_old, t,
+                                        xtol=_ROOT_TOL, rtol=_ROOT_TOL))
+                except ValueError as e:
+                    kind, target = table[i][:2]
+                    raise StepFailureError(
+                        f"{kind.value}{f' ({target})' if target else ''} event: a sign change "
+                        f"on the samples of the step from tau = {t_old!r} to {t!r} that its "
+                        f"interpolant does not bracket ({e})") from e
             terminate = any(table[i][3] for i in active)
             if terminate:
                 # handle_events: in time order, up to the first terminal root

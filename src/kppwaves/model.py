@@ -60,6 +60,8 @@ class SpeedClass(str, Enum):
 
 
 def _require_finite(name: str, value: float) -> float:
+    if isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")

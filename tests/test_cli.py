@@ -643,6 +643,32 @@ def test_missing_config_file(tmp_path):
     assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_config_directory_is_a_config_error(tmp_path, capsys):
+    assert main(["analyze", "--config", str(tmp_path)]) == 2
+    assert f"config file {tmp_path}: cannot be read" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"model": {"m": 2, "p": 2, "q": 1}, "output_dir": "\xe9"}'.encode("latin-1"))
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert f"config file {cfg}: cannot be read" in capsys.readouterr().err
+
+
+def test_json_booleans_are_no_numbers(tmp_path, capsys):
+    # JSON true and false where a number belongs are refused by field name,
+    # not read as 1.0 and 0.0
+    for key, value, message in [
+            ("ode_tolerances", [True, 1e-10], "ode_tolerances[0]: expected a number"),
+            ("speeds", [True], "speeds[0]: expected a number"),
+            ("sweep", {"c_min": -3.0, "c_max": False, "step": 0.25},
+             "sweep.c_max: expected a number"),
+            ("model", {"m": True, "p": 2, "q": 1}, "m must be a number")]:
+        cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **{key: value})
+        assert main(["analyze", "--config", str(cfg)]) == 2, key
+        assert message in capsys.readouterr().err, key
+
+
 def test_bad_jobs_value(tmp_path):
     cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
     assert main(["sweep", "--config", str(cfg), "--jobs", "0"]) == 2

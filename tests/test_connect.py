@@ -229,9 +229,10 @@ def test_pin_shots_cover_the_event_paths(monkeypatch):
     assert 0.0 in kinds["221-P2-forward"][EventKind.X_AXIS_CROSS]
 
 
-# the screen's fixed points: two arrival balls at c = 0, three at c = 0.5.  A
-# radius of 5 * 2^-12 and offsets in units of 2^-12 put (3, 4) offsets
-# exactly on a ball's boundary and (5, 0) offsets on a box's edge as well
+# the event tests' fixed points: two arrival balls at c = 0, three at c = 0.5.
+# A radius of 5 * 2^-12 and offsets in units of 2^-12 put (3, 4) offsets
+# exactly on a ball's boundary and (5, 0) offsets on its bounding box's edge
+# as well
 SCREEN_FPS = {2: fixed_point_locations(build_system(CM221, 0.0)),
               3: fixed_point_locations(build_system(CM221, 0.5))}
 SCREEN_RAD, SCREEN_UNIT = 5.0 * 2.0 ** -12, 2.0 ** -12
@@ -270,37 +271,16 @@ def _screen_points(fps):
 
 
 @pytest.mark.parametrize("n_arrivals", [2, 3])
-def test_event_screen_never_misses_a_crossing(n_arrivals):
-    # every step between two of the states, and every first step from a seed
-    # inside P0's ball to one of them, that solve_ivp's rule finds a crossing
-    # on passes the screen
+def test_event_values_are_solve_ivps(n_arrivals):
+    # the driver's event values are the closures' values at every state on,
+    # just inside and just outside each ball's boundary and box edge, NaN and
+    # signed zeros included
     fps = SCREEN_FPS[n_arrivals]
     assert len(fps) == n_arrivals
-    events, screen, _ = connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)
-
-    def values(X, Y):
-        return [f(X, Y) for f in events]
-
-    pts = _screen_points(fps)
-    for p in pts:
-        # the driver's event values are the closures' values
-        assert np.array_equal(values(*p), _solve_ivp_values(fps, *p), equal_nan=True), p
-    x0, y0 = fps["P0"]
-    u = SCREEN_UNIT
-    seeds = [(x0 + 3 * u, y0 + u), (x0 + 3 * u, y0 - 4 * u)]
-    steps = [(a, b, False) for a in pts for b in pts] + [(a, b, True) for a in seeds for b in pts]
-    fired, on_boundary = set(), set()
-    for prev, new, seed in steps:
-        active = [int(i) for i in _solve_ivp_active(fps, prev, new, seed)]
-        if active:
-            assert screen(prev[1], *new), (prev, new, seed, active)
-        fired.update(active)
-        on_boundary.update(i for i in active if i < n_arrivals and values(*new)[i] == 0.0)
-    # every event fires, each arrival also from a state on its ball's boundary
-    assert fired == set(range(n_arrivals + 2))
-    assert on_boundary == set(range(n_arrivals))
-    # and the screen is no constant: it rejects an ordinary step
-    assert not screen(0.3, 0.51, 0.31)
+    events = connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)
+    for p in _screen_points(fps):
+        assert np.array_equal([f(*p) for f in events], _solve_ivp_values(fps, *p),
+                              equal_nan=True), p
 
 
 _near = st.one_of(st.floats(-3 * SCREEN_RAD, 3 * SCREEN_RAD),
@@ -308,46 +288,32 @@ _near = st.one_of(st.floats(-3 * SCREEN_RAD, 3 * SCREEN_RAD),
                                    -4 * SCREEN_UNIT, math.nextafter(SCREEN_RAD, 1.0)]))
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(n_arrivals=st.sampled_from([2, 3]), target=st.integers(0, 2),
-       offsets=st.tuples(_near, _near, _near, _near), seed=st.booleans())
-def test_event_screen_never_misses_a_crossing_near_a_fixed_point(n_arrivals, target,
-                                                                 offsets, seed):
-    fps = SCREEN_FPS[n_arrivals]
-    x0, y0 = list(fps.values())[target % n_arrivals]
-    prev = (x0 + offsets[0], y0 + offsets[1])
-    new = (x0 + offsets[2], y0 + offsets[3])
-    _, screen, _ = connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)
-    if len(_solve_ivp_active(fps, prev, new, seed)):
-        assert screen(prev[1], *new)
-
-
 # --- the quiet-step path ---------------------------------------------------------------
 
 def _scripted_shot(monkeypatch, sys, s0, steps, fps=None):
     """connect._integrate of ``sys`` from s0 at arrival radius SCREEN_RAD,
     with ODEPACK replaced by a script of (tau, (X, Y)) steps that ends with a
-    step to TAU_SPAN, and the screen by one that records the tau of each step
-    it is asked about and passes none.  ``fps`` replaces the system's fixed
-    points.  Returns (the shot, the taus of the screened steps)."""
-    screened, now, script = [], [0.0], iter(steps)
+    step to TAU_SPAN, and each event function by one that records the tau of
+    the step it is evaluated on and returns 1, so that no event fires.
+    ``fps`` replaces the system's fixed points.  Returns (the shot, the taus
+    of the steps whose event values the driver computed, once a step)."""
+    evaluated, now, script = {}, [0, 0.0], iter(steps)
     event_functions, odepack_core = connect._event_functions, connect._odepack_core
 
+    def value(_X, _Y):
+        evaluated[now[0]] = now[1]
+        return 1.0
+
     def recorded(*args):
-        events, _, gaps = event_functions(*args)
-
-        def screen(_Yo, _X, _Y):
-            screened.append(now[0])
-            return False
-
-        return events, screen, gaps
+        return [value for _ in event_functions(*args)]
 
     def scripted(solver):
         core = odepack_core(solver)
 
         def runner(_fun, y, _t, *_args):
-            now[0], state = next(script, (connect.TAU_SPAN, y))
-            return np.array(state, dtype=float), now[0], 2
+            now[0] += 1
+            now[1], state = next(script, (connect.TAU_SPAN, y))
+            return np.array(state, dtype=float), now[1], 2
 
         return SimpleNamespace(runner=runner, messages=core.messages,
                                call_args=core.call_args, state_doubles=core.state_doubles,
@@ -359,22 +325,22 @@ def _scripted_shot(monkeypatch, sys, s0, steps, fps=None):
         monkeypatch.setattr(connect, "fixed_point_locations", lambda _sys: fps)
     res, _ = connect._integrate(sys, np.array(s0, dtype=float), rtol=1e-10, atol=1e-10,
                                 arrival_radius=SCREEN_RAD)
-    return res, screened
+    return res, list(evaluated.values())
 
 
 def _assert_quiet_hides_no_event(monkeypatch, sys, s0, path, fps=None):
     """Every step of the path s0 -> path[0] -> path[1] ... on which solve_ivp's
-    rule finds a crossing (the first from a seed inside P0's ball) reaches
-    the screen; returns the number of steps the quiet path took."""
+    rule finds a crossing (the first from a seed inside P0's ball) has its
+    event values computed; returns the number of steps the quiet path took."""
     fps = fixed_point_locations(sys) if fps is None else fps
     steps = [(float(k), p) for k, p in enumerate(path, 1)]
-    _, screened = _scripted_shot(monkeypatch, sys, s0, steps, fps)
-    screened = set(screened)
+    _, evaluated = _scripted_shot(monkeypatch, sys, s0, steps, fps)
+    evaluated = set(evaluated)
     for (t, new), prev in zip(steps, [s0, *path]):
         active = _solve_ivp_active(fps, prev, new, seed=t == 1.0)
         if len(active):
-            assert t in screened, (prev, new, active)
-    return len(steps) - len(screened & {t for t, _ in steps})
+            assert t in evaluated, (prev, new, active)
+    return len(steps) - len(evaluated & {t for t, _ in steps})
 
 
 # Case I with two and with three fixed points, Case II with P0 and P1 off Y = 0
@@ -384,7 +350,7 @@ QUIET_SYSTEMS = {"case-i-c0": build_system(CM221, 0.0), "case-i": build_system(C
 
 def _gap_edges(fps):
     """States on, just inside and just outside each bound of the quiet test,
-    with every sign of Y, and the screen's own boundary states."""
+    with every sign of Y, and the balls' boundary states."""
     rad, e, tiny = SCREEN_RAD, ESCAPE_BOUND, 2.0 ** -60
     xs = [x for edge in (rad, 1.0 - rad, 1.0 + rad, e)
           for x in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))]
@@ -396,10 +362,10 @@ def _gap_edges(fps):
 
 @pytest.mark.parametrize("name", QUIET_SYSTEMS)
 def test_quiet_path_never_hides_an_event(name, monkeypatch):
-    # the loop's inline test skips the screen only on steps where no event
-    # can fire: every step between the gaps' edges, the arrival boxes and the
+    # the loop's inline test skips the event values only on steps where no
+    # event can fire: every step between the gaps' edges, the balls and the
     # escape bound, from states on either side of the X axis and inside each
-    # ball, that solve_ivp's rule finds a crossing on is screened
+    # ball, that solve_ivp's rule finds a crossing on has them computed
     sys = QUIET_SYSTEMS[name]
     fps = fixed_point_locations(sys)
     news = _gap_edges(fps)
@@ -412,28 +378,27 @@ def test_quiet_path_never_hides_an_event(name, monkeypatch):
     for seed in [(x0 + 3 * u, y0 + u), (x0 + 3 * u, y0 - 4 * u)]:
         for new in news:
             quiet += _assert_quiet_hides_no_event(monkeypatch, sys, seed, [new])
-    # and the quiet path is taken: an ordinary step skips the screen
+    # and the quiet path is taken: an ordinary step skips the event values
     assert quiet > 0
     assert _assert_quiet_hides_no_event(monkeypatch, sys, (0.5, 0.3), [(0.51, 0.31)]) == 1
 
 
 def test_quiet_path_needs_every_fixed_point_on_x_0_or_1(monkeypatch):
-    # a fixed point between X = 0 and X = 1 switches the quiet path off: the
-    # step into its ball is screened, and so is every other
+    # the quiet test is exact only while every fixed point lies on X = 0 or
+    # X = 1: a shot in a system with one between them is refused at its start
     sys = QUIET_SYSTEMS["case-i"]
     fps = {"P0": (0.0, 0.0), "Q": (0.5, 0.25), "P2": (1.0, 0.0)}
-    path = [(0.5, 0.3), (0.5, 0.25 + SCREEN_UNIT), (0.51, 0.31), (0.52, 0.32)]
-    assert _assert_quiet_hides_no_event(monkeypatch, sys, (0.5, 0.3), path, fps) == 0
-    assert np.isnan(connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)[2]).all()
+    with pytest.raises(RuntimeError, match="off X = 0 and X = 1"):
+        _scripted_shot(monkeypatch, sys, (0.5, 0.3), [(1.0, (0.5, 0.3))], fps)
 
 
 def test_quiet_path_keeps_no_repeated_time(monkeypatch):
     # a step that does not advance tau keeps no sample, as in solve_ivp
     steps = [(1.0, (0.5, 0.3)), (2.0, (0.5, 0.31)), (2.0, (0.5, 0.32)), (3.0, (0.5, 0.33))]
-    res, screened = _scripted_shot(monkeypatch, QUIET_SYSTEMS["case-i"], (0.5, 0.29), steps)
+    res, evaluated = _scripted_shot(monkeypatch, QUIET_SYSTEMS["case-i"], (0.5, 0.29), steps)
     assert res["tau"].tolist() == [0.0, 1.0, 2.0, 3.0, connect.TAU_SPAN]
     assert res["Y"].tolist() == [0.29, 0.3, 0.31, 0.33, 0.33]
-    assert screened == [2.0]
+    assert evaluated == [2.0]
 
 
 _edge_x = st.sampled_from([SCREEN_RAD, 1.0 - SCREEN_RAD, 1.0 + SCREEN_RAD, ESCAPE_BOUND, 0.0, 1.0])
@@ -534,6 +499,22 @@ def test_record_table_keeps_order_drops_and_a_repeated_end(monkeypatch):
     grown = connect._integrate(sys, s0, **kwargs)[1]
     for attr in ("ts", "t_end", "h", "coef"):
         assert np.array_equal(getattr(grown, attr), getattr(table, attr)), attr
+
+
+def test_event_root_without_a_bracket_is_a_step_failure():
+    # a radius one ulp inside the distance of the (1,1,0.5) c = 1 profile
+    # shot's last sample before its arrival: the arrival value changes sign
+    # on the step's samples, but its Nordsieck polynomial at the step's start
+    # is already inside the ball, so brentq has no bracket.  The shot stops
+    # with a typed error, not brentq's ValueError
+    cm = CanonicalModel(m=1, p=1, q=0.5)
+    sys, s0, kwargs = _shot_args(cm, 1.0, xi_rate=connect._xi_rate(build_system(cm, 1.0), cm))
+    res, _ = connect._integrate(sys, s0, **kwargs)
+    r = float(np.nextafter(math.hypot(res["X"][-2] - 1.0, res["Y"][-2]), 0.0))
+    with pytest.raises(kw.StepFailureError, match=r"FixedPointArrival \(P2\) event"):
+        connect._integrate(sys, s0, **dict(kwargs, arrival_radius=r))
+    with pytest.raises(kw.KppWavesError):
+        classify_connection(cm, -1.0, profile_of=cm, arrival_radius=r)
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-5, 2e-5])

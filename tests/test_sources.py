@@ -1,9 +1,12 @@
 """Static checks on the package sources."""
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from kppwaves import errors
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kppwaves"
 
@@ -126,3 +129,34 @@ def test_no_single_use_one_line_helpers(path):
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def redundant_handlers(source: str) -> list[str]:
+    """``except`` tuples that name a kppwaves.errors class together with one
+    of its bases, which already catches it."""
+    known = {**vars(builtins), **vars(errors)}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple)):
+            continue
+        named = {n.id: known[n.id] for n in node.type.elts
+                 if isinstance(n, ast.Name) and isinstance(known.get(n.id), type)}
+        found += [f"{name} under {base} (line {node.lineno})"
+                  for name, cls in named.items() if cls.__module__ == errors.__name__
+                  for base, other in named.items() if other is not cls and issubclass(cls, other)]
+    return found
+
+
+def test_redundant_handler_check_flags_subclasses_beside_their_base():
+    source = ("try:\n    pass\nexcept (ConfigError, KppWavesError, OSError):\n    pass\n"
+              "try:\n    pass\nexcept (StepFailureError, InconclusiveError):\n    pass\n"
+              "try:\n    pass\nexcept (DomainError, ValueError):\n    pass\n"
+              "try:\n    pass\nexcept (KeyError, LookupError):\n    pass\n"
+              "try:\n    pass\nexcept KppWavesError:\n    pass\n")
+    assert redundant_handlers(source) == [
+        "ConfigError under KppWavesError (line 3)", "DomainError under ValueError (line 11)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_redundant_handlers(path):
+    assert redundant_handlers(path.read_text()) == []
