@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +42,7 @@ from .model import (
     SpeedClass,
     classify_speed,
     critical_speed,
+    json_number,
     model_to_json,
     nondimensionalize,
 )
@@ -209,17 +211,36 @@ def _pde_row(row: dict, cfg: RunConfig, cm: CanonicalModel, out: Path,
     })
 
 
+def _observed_classes(path: Path) -> dict[str, SpeedClass]:
+    """The observed class of each speed the shoot stage classified, by file
+    label, from its classification.json at ``path``; none when the file is
+    absent.  A file that is not a list of objects, each with a finite
+    number c and, where it has one, a valid observed_class, is a
+    MissingArtifactError naming the file."""
+    shots = read_json(path) if path.exists() else []
+    if not isinstance(shots, list) or not all(isinstance(r, dict) for r in shots):
+        raise MissingArtifactError(f"{path}: expected a list of row objects")
+    observed = {}
+    for i, r in enumerate(shots):
+        c = json_number(r.get("c"))
+        if c is None or not math.isfinite(c):
+            raise MissingArtifactError(f"{path}: row {i} has no finite speed c")
+        if "observed_class" in r:
+            try:
+                observed[c_label(c)] = SpeedClass(r["observed_class"])
+            except ValueError as e:
+                raise MissingArtifactError(f"{path}: row {i}: {e}") from None
+    return observed
+
+
 def cmd_pde(cfg: RunConfig, cm: CanonicalModel, out: Path) -> list[dict]:
     """Advect each speed's stored profile and write PDE artifacts.
 
     Speeds the shoot stage recorded as waveless are skipped; a profile that
     should exist but does not, or one the shoot stage left unclassified, is
-    a missing artifact.
+    a missing artifact, and so is a malformed classification.json.
     """
-    path = out / "classification.json"
-    observed = {c_label(r["c"]): SpeedClass(r["observed_class"])
-                for r in (read_json(path) if path.exists() else ())
-                if "observed_class" in r}
+    observed = _observed_classes(out / "classification.json")
     rows = [_row(c, _pde_row, cfg, cm, out, observed) for c in cfg.speeds]
     write_json(out / "pde_summary.json", rows)
     return rows
@@ -264,8 +285,8 @@ def cmd_sweep(cfg: RunConfig, cm: CanonicalModel, out: Path, *, jobs: int = 1,
     """Classify a grid of speeds and write the comparison table."""
     s = cfg.sweep
     if s is not None:
-        n = int(round((s.c_max - s.c_min) / s.step + 1e-9)) + 1
-        grid = [c for c in (round(s.c_min + i * s.step, 12) for i in range(n))
+        grid = [c for c in (round(s.c_min + i * s.step, 12)
+                            for i in range(int(s.n_points)))
                 if c <= s.c_max + 1e-9]
     else:
         grid = sorted(cfg.speeds)

@@ -400,110 +400,113 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     # the wrapper keeps every work array it is given: run on a spare pair
     spare = _SPARE_WORK.setdefault((rwork0.size, iwork0.size), [])
     rwork, iwork = spare.pop() if spare else (np.empty_like(rwork0), np.empty_like(iwork0))
-    rwork[:], iwork[:] = rwork0, iwork0
-    sd, si, n = core.state_doubles, core.state_ints, solver.n
-    if dense:
-        # step k's record is row k of one zero-filled table (doubled when
-        # full), one copy of rwork[11:]: HCUR (its h), TCUR (its end), seven
-        # unread words, the Nordsieck entries in use (see _nordsieck_record).
-        # Orders reach MXORDN or MXORDS; ``top`` counts the history rows used
-        width = 9 + (max(iwork[7:9].tolist()) + 1) * n
-        rows, k, top, item = np.zeros((_DENSE_ROWS, width)), 0, 0, iwork.item
-    y, t, istate = solver._lsoda_solver._y, 0.0, 1
-    # samples as one flat list of floats: kept per-step lists would load the
-    # garbage collector on every shot
-    state = s0.tolist()
-    ts, flat = [0.0], list(state)
-    sample, extend = ts.append, flat.extend
-    hits: list[list] = [[] for _ in table]
-    crossings = hits[-1]
-    # the events see X and Y only, never a carried xi
-    X, Y = state[0], state[1]
-    while t < TAU_SPAN:
-        t_old = t
-        y, t, istate = run(fun, y, t, TAU_SPAN, rtol, atol, 5, istate, rwork, iwork,
-                           None, jt, (), 1, (), sd, si)
-        if istate < 0:
-            raise StepFailureError(
-                f"integrator failed: LSODA istate {istate}: "
-                f"{messages.get(istate, 'unexpected istate')}")
-        istate = 2
+    try:
+        rwork[:], iwork[:] = rwork0, iwork0
+        sd, si, n = core.state_doubles, core.state_ints, solver.n
         if dense:
-            order = item(13)
-            m = 9 + (order + 1) * n
-            if k == len(rows):
-                rows = np.concatenate((rows, np.zeros_like(rows)))
-            rows[k, :m] = rwork[11:11 + m]
-            if item(14) < order:
-                rows[k, m - n:m] *= (rwork[11] / rwork[10]) ** iwork[13]
-            if order >= top:
-                top = order + 1
-            k += 1
-        state = y.tolist()
-        Xo, Yo, X, Y = X, Y, state[0], state[1]
-        if (Yo * Y > 0.0 and (lo < X < mid or hi < X < escape)
-                and -escape < Y < escape and t_old < t):
-            sample(t)
-            extend(state)
-            continue
-        terminate = False
-        g, g_new = [f(Xo, Yo) for f in event_fns], [f(X, Y) for f in event_fns]
-        if t_old == 0.0:
-            # the P0 row (fps lists P0 first) starts inside its ball, as at
-            # P0 itself: leaving the seed fires no arrival there, whatever
-            # eps and the radius are
-            g[0] = -arrival_radius
-        # solve_ivp's find_active_events
-        active = [i for i, d in enumerate(directions)
-                  if (g[i] <= 0.0 <= g_new[i] and d >= 0)
-                  or (g[i] >= 0.0 >= g_new[i] and d <= 0)]
-        if active:
-            sol = _step_interpolant(t, *_nordsieck_record(iwork, rwork, n))
-            roots = []
-            for i in active:
-                try:
-                    roots.append(brentq(lambda u, f=event_fns[i]: f(*sol(u)[:2]), t_old, t,
-                                        xtol=_ROOT_TOL, rtol=_ROOT_TOL))
-                except ValueError as e:
-                    kind, target = table[i][:2]
-                    raise StepFailureError(
-                        f"{kind.value}{f' ({target})' if target else ''} event: a sign change "
-                        f"on the samples of the step from tau = {t_old!r} to {t!r} that its "
-                        f"interpolant does not bracket ({e})") from e
-            terminate = any(table[i][3] for i in active)
-            if terminate:
-                # handle_events: in time order, up to the first terminal root
-                order = sorted(range(len(roots)), key=roots.__getitem__)
-                stop = next(k for k, j in enumerate(order) if table[active[j]][3])
-                active = [active[j] for j in order[:stop + 1]]
-                roots = [roots[j] for j in order[:stop + 1]]
-            for i, root in zip(active, roots):
-                hits[i].append((root, sol(root)))
-            if len(crossings) > MAX_AXIS_CROSSINGS:
-                raise InconclusiveError(
-                    f"the shot in {sys} made more than {MAX_AXIS_CROSSINGS} X-axis "
-                    f"crossings (MAX_AXIS_CROSSINGS) by tau = {t:.6g} without arriving; "
-                    "a slow wave's spiral into P2 costs work like 1/c")
-            if terminate:
-                t = roots[-1]
-                state = sol(t).tolist()
-        if len(ts) > 1 and ts[-1] == t:
-            # solve_ivp keeps neither a repeated final time nor its interpolant
+            # step k's record is row k of one zero-filled table (doubled when
+            # full), one copy of rwork[11:]: HCUR (its h), TCUR (its end), seven
+            # unread words, the Nordsieck entries in use (see _nordsieck_record).
+            # Orders reach MXORDN or MXORDS; ``top`` counts the history rows used
+            width = 9 + (max(iwork[7:9].tolist()) + 1) * n
+            rows, k, top, item = np.zeros((_DENSE_ROWS, width)), 0, 0, iwork.item
+        y, t, istate = solver._lsoda_solver._y, 0.0, 1
+        # samples as one flat list of floats: kept per-step lists would load the
+        # garbage collector on every shot
+        state = s0.tolist()
+        ts, flat = [0.0], list(state)
+        sample, extend = ts.append, flat.extend
+        hits: list[list] = [[] for _ in table]
+        crossings = hits[-1]
+        # the events see X and Y only, never a carried xi
+        X, Y = state[0], state[1]
+        while t < TAU_SPAN:
+            t_old = t
+            y, t, istate = run(fun, y, t, TAU_SPAN, rtol, atol, 5, istate, rwork, iwork,
+                               None, jt, (), 1, (), sd, si)
+            if istate < 0:
+                raise StepFailureError(
+                    f"integrator failed: LSODA istate {istate}: "
+                    f"{messages.get(istate, 'unexpected istate')}")
+            istate = 2
             if dense:
-                k -= 1
-                rows[k] = 0.0
-        else:
-            sample(t)
-            extend(state)
-        if terminate:
-            break
+                order = item(13)
+                m = 9 + (order + 1) * n
+                if k == len(rows):
+                    rows = np.concatenate((rows, np.zeros_like(rows)))
+                rows[k, :m] = rwork[11:11 + m]
+                if item(14) < order:
+                    rows[k, m - n:m] *= (rwork[11] / rwork[10]) ** iwork[13]
+                if order >= top:
+                    top = order + 1
+                k += 1
+            state = y.tolist()
+            Xo, Yo, X, Y = X, Y, state[0], state[1]
+            if (Yo * Y > 0.0 and (lo < X < mid or hi < X < escape)
+                    and -escape < Y < escape and t_old < t):
+                sample(t)
+                extend(state)
+                continue
+            terminate = False
+            g, g_new = [f(Xo, Yo) for f in event_fns], [f(X, Y) for f in event_fns]
+            if t_old == 0.0:
+                # the P0 row (fps lists P0 first) starts inside its ball, as at
+                # P0 itself: leaving the seed fires no arrival there, whatever
+                # eps and the radius are
+                g[0] = -arrival_radius
+            # solve_ivp's find_active_events
+            active = [i for i, d in enumerate(directions)
+                      if (g[i] <= 0.0 <= g_new[i] and d >= 0)
+                      or (g[i] >= 0.0 >= g_new[i] and d <= 0)]
+            if active:
+                sol = _step_interpolant(t, *_nordsieck_record(iwork, rwork, n))
+                roots = []
+                for i in active:
+                    try:
+                        roots.append(brentq(lambda u, f=event_fns[i]: f(*sol(u)[:2]), t_old, t,
+                                            xtol=_ROOT_TOL, rtol=_ROOT_TOL))
+                    except ValueError as e:
+                        kind, target = table[i][:2]
+                        raise StepFailureError(
+                            f"{kind.value}{f' ({target})' if target else ''} event: a sign change "
+                            f"on the samples of the step from tau = {t_old!r} to {t!r} that its "
+                            f"interpolant does not bracket ({e})") from e
+                terminate = any(table[i][3] for i in active)
+                if terminate:
+                    # handle_events: in time order, up to the first terminal root
+                    order = sorted(range(len(roots)), key=roots.__getitem__)
+                    stop = next(k for k, j in enumerate(order) if table[active[j]][3])
+                    active = [active[j] for j in order[:stop + 1]]
+                    roots = [roots[j] for j in order[:stop + 1]]
+                for i, root in zip(active, roots):
+                    hits[i].append((root, sol(root)))
+                if len(crossings) > MAX_AXIS_CROSSINGS:
+                    raise InconclusiveError(
+                        f"the shot in {sys} made more than {MAX_AXIS_CROSSINGS} X-axis "
+                        f"crossings (MAX_AXIS_CROSSINGS) by tau = {t:.6g} without arriving; "
+                        "a slow wave's spiral into P2 costs work like 1/c")
+                if terminate:
+                    t = roots[-1]
+                    state = sol(t).tolist()
+            if len(ts) > 1 and ts[-1] == t:
+                # solve_ivp keeps neither a repeated final time nor its interpolant
+                if dense:
+                    k -= 1
+                    rows[k] = 0.0
+            else:
+                sample(t)
+                extend(state)
+            if terminate:
+                break
 
+        # ODEPACK's own counters: steps NST, RHS calls NFE and Jacobians NJE
+        steps, nfev, njev = iwork[10:13].tolist()
+    finally:
+        # a shot that raises gives its pair back too
+        spare.append((rwork, iwork))
     events = [TrajectoryEvent(kind, t_e, (float(s_e[0]), float(s_e[1])), target)
               for (kind, target, _, _), found in zip(table, hits) for t_e, s_e in found]
     X, Y, *xi = np.array(flat).reshape(len(ts), -1).T.copy()
-    # ODEPACK's own counters: steps NST, RHS calls NFE and Jacobians NJE
-    steps, nfev, njev = iwork[10:13].tolist()
-    spare.append((rwork, iwork))
     return {
         "tau": np.array(ts), "X": X, "Y": Y, "xi": xi[0] if xi else None, "events": events,
         "solver_steps": steps, "nfev": nfev, "njev": njev,

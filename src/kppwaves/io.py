@@ -52,8 +52,11 @@ def read_json(path: Path):
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"expected file {path} is missing")
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as e:   # not JSON, not text, or an int past Python's digit limit
+        raise MissingArtifactError(f"{path} does not hold valid JSON ({e})") from None
 
 
 def write_float_csv(path: Path, header: list[str], columns) -> None:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from .errors import (
@@ -59,13 +60,25 @@ class SpeedClass(str, Enum):
     OSCILLATORY = "Oscillatory"
 
 
+def json_number(value) -> float | None:
+    """The one rule for a number read from JSON, config files included: an
+    int or a float, numpy's too (numbers.Real), but never a bool or a
+    string, as a float; None for anything else.  An int too large for a
+    float reads as inf, so a finiteness check refuses it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _require_finite(name: str, value: float) -> float:
-    if isinstance(value, bool):
-        raise InvalidParameterError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    return value
+    v = json_number(value)
+    if v is None or not math.isfinite(v):
+        raise InvalidParameterError(
+            f"{name} must be {'a number' if v is None else 'finite'}, got {value!r}")
+    return v
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -197,20 +210,21 @@ def classify_speed(cm: CanonicalModel, c: float) -> SpeedClass:
 def model_from_json(doc: str | dict) -> GeneralModel | CanonicalModel:
     """Build a model from a JSON document or parsed dict.
 
-    Keys {kappa, alpha, beta, m, p, q} give a GeneralModel; {m, p, q} alone
-    give a CanonicalModel.
+    The keys are GeneralModel's fields.  Any of its coefficients beyond
+    CanonicalModel's fields gives a GeneralModel, whose other coefficients
+    default to 1; without them the model is a CanonicalModel.
     """
     data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-    unknown = set(data) - {"kappa", "alpha", "beta", "m", "p", "q"}
+    general = {f.name for f in fields(GeneralModel)}
+    canonical = {f.name for f in fields(CanonicalModel)}
+    unknown = set(data) - general
     if unknown:
         raise InvalidParameterError(f"unknown model keys: {sorted(unknown)}")
-    missing = {"m", "p", "q"} - set(data)
+    missing = canonical - set(data)
     if missing:
         raise InvalidParameterError(f"model is missing keys: {sorted(missing)}")
-    if {"kappa", "alpha", "beta"} & set(data):
-        for key in ("kappa", "alpha", "beta"):
-            data.setdefault(key, 1.0)
-        return GeneralModel(**data)
+    if set(data) - canonical:
+        return GeneralModel(**{**dict.fromkeys(general - canonical, 1.0), **data})
     return CanonicalModel(**data)
 
 

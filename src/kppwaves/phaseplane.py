@@ -48,6 +48,7 @@ __all__ = [
     "linearization",
     "fixed_points",
     "fixed_point_locations",
+    "axis_equilibria",
     "solver_rhs",
     "departure_series",
     "departure_seed",

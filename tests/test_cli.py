@@ -1,4 +1,5 @@
 """Command line driver: artifacts, exit codes, determinism."""
+import copy
 import csv
 import json
 import logging
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kppwaves import (CanonicalModel, EventKind, InconclusiveError, classify_connection,
                       cli, connect)
@@ -388,6 +389,27 @@ def test_pde_profile_without_classified_row_fails_loudly(tmp_path):
     assert "no classified row" in rows[0]["error"]
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('[{"c": -3, "observed_class": "Foo"}]', "row 0: 'Foo' is not a valid SpeedClass"),
+    ('[{"observed_class": "Monotone"}]', "row 0 has no finite speed c"),
+    ('[{"c": "-3", "observed_class": "Monotone"}]', "row 0 has no finite speed c"),
+    ('[{"c": -3, "observed_class": "Monotone"', "does not hold valid JSON"),
+    ('{"c": -3, "observed_class": "Monotone"}', "expected a list of row objects"),
+], ids=["class", "no-c", "string-c", "not-json", "object"])
+def test_pde_refuses_a_malformed_classification(tmp_path, capsys, text, reason):
+    # the shoot stage's classification.json is checked before any row runs:
+    # a bad one ends the command with one error line that names it
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "classification.json").write_text(text)
+    write_profile_csv(out / "profile_c-3.csv", [-1.0, 0.0, 1.0], [1.0, 0.5, 0.0])
+    cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out))
+    assert main(["pde", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err, err
+    assert f"error: {out / 'classification.json'}" in err and reason in err, err
+
+
 def test_pde_domain_too_small_suggests_one(tmp_path):
     # at c = -3 over T = 1 the front would end near x = -3, within the ten
     # guard cells (0.26) of x_min = -3.2; the row names a domain padded by
@@ -669,6 +691,78 @@ def test_json_booleans_are_no_numbers(tmp_path, capsys):
         assert message in capsys.readouterr().err, key
 
 
+def test_strings_are_no_numbers(tmp_path, capsys):
+    # a number written as a JSON string is refused, not read through float()
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                    model={"m": "2", "p": 2, "q": 1}, speeds=["-1.5", " 3 "],
+                    ode_tolerances=["1e-10", 1e-10])
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert "error: m must be a number, got '2'" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), speeds=["-1.5"])
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert "error: speeds[0]: expected a number, got '-1.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits, message", [
+    (400, "speeds[0]: must be finite"),
+    (5000, "cannot be read"),   # past the digits Python converts at all
+], ids=["400-digits", "5000-digits"])
+def test_huge_json_integers_are_config_errors(tmp_path, capsys, digits, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CFG, "output_dir": str(tmp_path / "out")})
+                   .replace('"speeds": [-3', '"speeds": [' + "9" * digits))
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_model_must_be_an_object(tmp_path, capsys):
+    # a model written as a JSON string holding JSON was parsed before
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                    model=json.dumps(BASE_CFG["model"]))
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert "error: model: expected an object" in capsys.readouterr().err
+
+
+# every leaf of a valid config, and values that JSON can hold but none of
+# those leaves takes
+FULL_CFG = {**BASE_CFG, "ode_tolerances": [1e-10, 1e-9], "output_dir": "out", "seed_eps": 1e-6,
+            "pde": {"x_min": -40.0, "x_max": 40.0, "n_cells": 600, "cfl": 0.5, "T": 0.5,
+                    "snapshot_times": [0.25, 0.5]}}
+
+
+def config_leaves(node, path=()):
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from config_leaves(value, path + (key,))
+
+
+def field_in_message(path) -> str:
+    """How a refusal names the field at ``path``: the model's checks name
+    the bare parameter, the config's its dotted and indexed path."""
+    if path[0] == "model":
+        return f"{path[1]} must be"
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:] + ":"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(list(config_leaves(FULL_CFG))),
+       st.sampled_from(["2", True, False, None, [1.0], {"x": 1.0}, 10 ** 400]))
+def test_a_wrong_json_value_is_refused_by_its_field(path, value):
+    assume(not (path == ("output_dir",) and isinstance(value, str)))
+    import kppwaves as kw
+    cfg = copy.deepcopy(FULL_CFG)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(kw.KppWavesError) as err:
+        kw.parse_config(cfg)
+    assert field_in_message(path) in str(err.value)
+
+
 def test_bad_jobs_value(tmp_path):
     cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
     assert main(["sweep", "--config", str(cfg), "--jobs", "0"]) == 2
@@ -690,6 +784,15 @@ def test_parse_config_guards():
         kw.parse_config({**BASE_CFG, "seed_eps": 0.5})
     with pytest.raises(kw.ConfigError):
         kw.parse_config({**BASE_CFG, "speeds": [float("inf")]})
+
+
+def test_sweep_grid_guard_counts_the_grid_it_guards():
+    # c_min -100000 to 0 in steps of 1 is 100,001 speeds
+    import kppwaves as kw
+    with pytest.raises(kw.ConfigError, match="exceed 100000 points"):
+        kw.parse_config({**BASE_CFG, "sweep": {"c_min": -100000, "c_max": 0, "step": 1}})
+    cfg = kw.parse_config({**BASE_CFG, "sweep": {"c_min": -99999, "c_max": 0, "step": 1}})
+    assert cfg.sweep.n_points == 100000
 
 
 def test_config_round_trips_through_dict():

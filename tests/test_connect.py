@@ -602,6 +602,37 @@ def test_shots_leave_no_work_arrays_behind():
     assert grown < 500, after.compare_to(before, "lineno")[:3]
 
 
+def test_failing_shots_leave_no_work_arrays_behind(monkeypatch):
+    # a shot that raises gives its spare (rwork, iwork) pair back as a shot
+    # that ends does; each failing shot kept a fresh pair of 700 bytes before.
+    # (1,2,1) at c = 0.5 fails ODEPACK's accuracy test within 1 ms; with no
+    # crossing allowed, (2,2,1) at c = 1 exhausts the budget at its first one
+    failing = build_system(CanonicalModel(m=1, p=2, q=1), 0.5)
+    spiral = build_system(CM221, 1.0)
+    monkeypatch.setattr(connect, "MAX_AXIS_CROSSINGS", 0)
+
+    def shots():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for _ in range(10):
+                with pytest.raises(kw.StepFailureError):
+                    shoot(failing, rtol=1e-20, atol=1e-30)
+                with pytest.raises(kw.InconclusiveError):
+                    shoot(spiral)
+        gc.collect()
+        return tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, "*kppwaves/connect.py")])
+
+    tracemalloc.start()
+    try:
+        before = shots()
+        after = shots()
+    finally:
+        tracemalloc.stop()
+    grown = sum(stat.size_diff for stat in after.compare_to(before, "lineno"))
+    assert grown < 500, after.compare_to(before, "lineno")[:3]
+
+
 def test_integrator_failure_names_the_reason():
     sys = build_system(CM221, 1.0)
     with warnings.catch_warnings():

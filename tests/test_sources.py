@@ -1,6 +1,7 @@
 """Static checks on the package sources."""
 import ast
 import builtins
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -160,3 +161,26 @@ def test_redundant_handler_check_flags_subclasses_beside_their_base():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_redundant_handlers(path):
     assert redundant_handlers(path.read_text()) == []
+
+
+def reexports_missing_from_all(source: str, package: str) -> list[str]:
+    """Names the package ``__init__`` source imports from a sibling module
+    that defines ``__all__`` but leaves out of it."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"{package}.{node.module}")
+            public = getattr(module, "__all__", None)
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if public is not None and alias.name not in public]
+    return found
+
+
+def test_reexport_check_flags_names_outside_all():
+    source = ("from .model import critical_speed, _require_finite\n"
+              "from .errors import KppWavesError\n")
+    assert reexports_missing_from_all(source, "kppwaves") == ["model._require_finite"]
+
+
+def test_package_reexports_only_names_in_all():
+    assert reexports_missing_from_all((PACKAGE / "__init__.py").read_text(), "kppwaves") == []
