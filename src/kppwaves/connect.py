@@ -10,10 +10,13 @@ the axis point.
 
 LSODA does the integration: the forward orbit spends tau ~ c/(gamma eps)
 drifting along the center manifold near P0 with a stiffness-limited explicit
-step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.  scipy's
-``LSODA`` only sets a shot up (tolerances, work arrays); each step is one
-direct call of scipy's ODEPACK wrapper in one-step mode, with the arguments
-``scipy.integrate._ode.lsoda.run`` passes, and the counters are ODEPACK's own.
+step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.  Each step
+is one direct call of scipy's compiled ODEPACK wrapper in one-step mode, with
+the arguments ``scipy.integrate._ode.lsoda.run`` passes, on the tolerances
+and work arrays a fresh ``scipy.integrate.LSODA`` would hand it; no such
+object is built, and no scipy subpackage is imported (see _compiled).  The
+counters are ODEPACK's own, and event roots come from scipy's compiled
+``brentq``.
 The events (fixed-point arrival, escape, Y = 0 crossing) are functions of
 (X, Y), evaluated only on the few steps that one exact inline test cannot
 rule out, with the sign-change rule and root solve of ``solve_ivp``
@@ -45,15 +48,16 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import takewhile
 
 import numpy as np
-from scipy.integrate import LSODA
-from scipy.optimize import brentq
 
+from . import _compiled
+from ._compiled import brentq
 from .errors import (
     InconclusiveError,
     InsufficientTailError,
@@ -268,7 +272,19 @@ def _seed_state(sys: PhaseSystem, eps: float) -> np.ndarray:
 # --- integration core --------------------------------------------------------
 
 _ROOT_TOL = 4.0 * np.finfo(float).eps   # solve_ivp's brentq xtol and rtol
-_SPARE_WORK: dict[tuple[int, int], list] = {}   # (rwork, iwork) pairs no shot runs on
+_RTOL_MIN = 100.0 * np.finfo(float).eps  # the floor scipy's LSODA raises rtol to
+_ISTATE_MESSAGES = {     # scipy.integrate._ode.lsoda.messages
+    -1: "Excess work done on this call (perhaps wrong Dfun type).",
+    -2: "Excess accuracy requested (tolerances too small).",
+    -3: "Illegal input detected (internal error).",
+    -4: "Repeated error test failures (internal error).",
+    -5: "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    -6: "Error weight became zero during problem.",
+    -7: "Internal workspace insufficient to finish (internal error).",
+}
+_lsoda = _compiled.odepack.lsoda   # ODEPACK's lsoda, called once a step
+_WORK_TEMPLATES: dict[int, tuple] = {}   # n -> the arrays a fresh shot of n states starts on
+_SPARE_WORK: dict[int, list] = {}   # n -> sets of those arrays no shot runs on
 _DENSE_ROWS = 1024      # first length of a profile shot's record table
 
 
@@ -288,19 +304,39 @@ def _nordsieck_record(iwork: np.ndarray, rwork: np.ndarray, n: int):
     return h, yh
 
 
-def _odepack_core(solver: LSODA):
-    """The ODEPACK integrator inside a fresh ``LSODA``, checked against the
-    layout the direct step call relies on."""
-    core = solver._lsoda_solver._integrator
-    sd, si = core.state_doubles, core.state_ints
-    if (len(core.call_args) != 7 or sd.shape != (240,) or sd.dtype != np.float64
-            or si.shape != (48,) or si.dtype != np.int32):
-        raise RuntimeError(
-            "scipy's LSODA internals changed: the shot calls ODEPACK's lsoda "
-            "as scipy.integrate._ode.lsoda.run does in scipy 1.17 (7 call_args, "
-            f"240 state doubles, 48 state ints), found {len(core.call_args)} "
-            f"call_args and state arrays {sd.shape} {sd.dtype}, {si.shape} {si.dtype}")
-    return core
+def _tolerances(rtol: float, atol, n: int):
+    """(rtol, atol) as scipy's LSODA hands them to ODEPACK, checked as its
+    validate_tol checks them: an rtol below 100 eps is raised to that floor
+    with scipy's UserWarning, and an atol that is negative or neither a
+    scalar nor of shape (n,) is refused."""
+    if rtol < _RTOL_MIN:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {_RTOL_MIN})`.")
+        rtol = _RTOL_MIN
+    atol = np.asarray(atol)
+    if atol.ndim > 0 and atol.shape != (n,):
+        raise InvalidParameterError(f"atol must be a scalar or of shape ({n},), "
+                                    f"got shape {atol.shape}")
+    if np.any(atol < 0):
+        raise InvalidParameterError(f"atol must be non-negative, got {atol}")
+    return rtol, atol
+
+
+def _work_template(n: int) -> tuple[np.ndarray, ...]:
+    """(rwork, iwork, state doubles, state ints) of a shot of n states, as a
+    fresh ``LSODA`` hands them to ODEPACK: scipy.integrate._ode.lsoda.reset's
+    arrays for jt = 2 (full Jacobian by differences) with its default
+    options, and TAU_SPAN as the critical time in rwork[0].  Built once per
+    n; the first build checks the installed scipy (_compiled.check_lsoda_layout)."""
+    if not _WORK_TEMPLATES:
+        _compiled.check_lsoda_layout()
+    rwork = np.zeros(max(20 + 16 * n, 22 + 9 * n + n * n))   # for orders up to 12 and 5
+    rwork[0] = TAU_SPAN
+    iwork = np.zeros(20 + n, dtype=np.int32)
+    iwork[[5, 7, 8]] = 500, 12, 5   # MXSTEP, MXORDN, MXORDS
+    doubles, ints = _compiled.LSODA_STATE
+    return _WORK_TEMPLATES.setdefault(
+        n, (rwork, iwork, np.zeros(doubles), np.zeros(ints, dtype=np.int32)))
 
 
 def _event_functions(fps: dict, rad: float, escape: float):
@@ -377,6 +413,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     if dense:
         s0 = np.append(s0, 0.0)
         atol = [atol, atol, XI_ATOL]
+    n = len(s0)
+    rtol, atol = _tolerances(rtol, atol, n)
 
     # one row per event function, in the order solve_ivp would be given them:
     # (kind, target, direction, terminal).  Arrivals fire only on entry; the
@@ -390,19 +428,16 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     event_fns = _event_functions(fps, arrival_radius, escape)
     lo, mid, hi = arrival_radius, 1.0 - arrival_radius, 1.0 + arrival_radius
 
-    # LSODA validates the tolerances and allocates the work arrays; each step
-    # is then one itask-5 call of ODEPACK, with scipy.integrate._ode.lsoda.run's
-    # arguments, and t_bound = TAU_SPAN as the critical time in rwork[0]
-    solver = LSODA(fun, 0.0, s0, TAU_SPAN, rtol=rtol, atol=atol)
-    core = _odepack_core(solver)
-    run, messages = core.runner, core.messages
-    rtol, atol, _, _, rwork0, iwork0, jt = core.call_args   # as LSODA validated them
-    # the wrapper keeps every work array it is given: run on a spare pair
-    spare = _SPARE_WORK.setdefault((rwork0.size, iwork0.size), [])
-    rwork, iwork = spare.pop() if spare else (np.empty_like(rwork0), np.empty_like(iwork0))
+    # each step is one itask-5 call of ODEPACK with scipy.integrate._ode.lsoda.run's
+    # arguments.  The wrapper keeps every rwork and iwork it is given: run on a
+    # spare set of arrays, reset from the template
+    template = _WORK_TEMPLATES.get(n) or _work_template(n)
+    spare, run = _SPARE_WORK.setdefault(n, []), _lsoda
+    work = spare.pop() if spare else tuple(map(np.empty_like, template))
     try:
-        rwork[:], iwork[:] = rwork0, iwork0
-        sd, si, n = core.state_doubles, core.state_ints, solver.n
+        for a, a0 in zip(work, template):
+            a[:] = a0
+        rwork, iwork, sd, si = work
         if dense:
             # step k's record is row k of one zero-filled table (doubled when
             # full), one copy of rwork[11:]: HCUR (its h), TCUR (its end), seven
@@ -410,7 +445,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
             # Orders reach MXORDN or MXORDS; ``top`` counts the history rows used
             width = 9 + (max(iwork[7:9].tolist()) + 1) * n
             rows, k, top, item = np.zeros((_DENSE_ROWS, width)), 0, 0, iwork.item
-        y, t, istate = solver._lsoda_solver._y, 0.0, 1
+        # the wrapper steps y in place
+        y, t, istate = np.array(s0, dtype=float), 0.0, 1
         # samples as one flat list of floats: kept per-step lists would load the
         # garbage collector on every shot
         state = s0.tolist()
@@ -423,11 +459,11 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         while t < TAU_SPAN:
             t_old = t
             y, t, istate = run(fun, y, t, TAU_SPAN, rtol, atol, 5, istate, rwork, iwork,
-                               None, jt, (), 1, (), sd, si)
+                               None, 2, (), 1, (), sd, si)
             if istate < 0:
                 raise StepFailureError(
                     f"integrator failed: LSODA istate {istate}: "
-                    f"{messages.get(istate, 'unexpected istate')}")
+                    f"{_ISTATE_MESSAGES.get(istate, 'unexpected istate')}")
             istate = 2
             if dense:
                 order = item(13)
@@ -502,8 +538,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         # ODEPACK's own counters: steps NST, RHS calls NFE and Jacobians NJE
         steps, nfev, njev = iwork[10:13].tolist()
     finally:
-        # a shot that raises gives its pair back too
-        spare.append((rwork, iwork))
+        # a shot that raises gives its arrays back too
+        spare.append(work)
     events = [TrajectoryEvent(kind, t_e, (float(s_e[0]), float(s_e[1])), target)
               for (kind, target, _, _), found in zip(table, hits) for t_e, s_e in found]
     X, Y, *xi = np.array(flat).reshape(len(ts), -1).T.copy()
@@ -806,10 +842,7 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     i1 = above[0]
     t_lo, t_hi = traj.tau[i1 - 1], traj.tau[i1]
 
-    # the trajectory goes in through args: brentq's wrapper of its function is
-    # a reference cycle, which would keep a captured one alive until collected
-    tau_half = brentq(lambda t, state_at, x: float(state_at(t)[0]) - x, t_lo, t_hi,
-                      args=(traj.state_at, x_half), xtol=1e-13)
+    tau_half = brentq(lambda t: float(traj.state_at(t)[0]) - x_half, t_lo, t_hi, xtol=1e-13)
     xi_half = float(traj.state_at(tau_half)[2])
 
     # invert the monotone xi(tau): a table estimate, then Newton on the

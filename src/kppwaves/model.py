@@ -212,9 +212,18 @@ def model_from_json(doc: str | dict) -> GeneralModel | CanonicalModel:
 
     The keys are GeneralModel's fields.  Any of its coefficients beyond
     CanonicalModel's fields gives a GeneralModel, whose other coefficients
-    default to 1; without them the model is a CanonicalModel.
+    default to 1; without them the model is a CanonicalModel.  A document
+    that is not a JSON object is an InvalidParameterError.
     """
-    data = json.loads(doc) if isinstance(doc, str) else dict(doc)
+    data = doc
+    if isinstance(doc, str):
+        try:
+            data = json.loads(doc)
+        except json.JSONDecodeError as e:
+            raise InvalidParameterError(f"model document is not JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise InvalidParameterError(
+            f"a model must be a JSON object, got {type(data).__name__}: {data!r}")
     general = {f.name for f in fields(GeneralModel)}
     canonical = {f.name for f in fields(CanonicalModel)}
     unknown = set(data) - general

@@ -53,8 +53,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._compiled import flapack
 from .errors import (
     DomainTooSmallError,
     InvalidParameterError,
@@ -91,7 +91,7 @@ N_CHECKPOINTS = 5       # shape-error checkpoints of an advection test
 RESIDUAL_WINDOWS = 8    # windows of the weak-form residual
 RESIDUAL_MARGIN = 0.05  # share of the span the residual trims at each end
 
-_PTTRF, _PTTRS = get_lapack_funcs(("pttrf", "pttrs"))
+_PTTRF, _PTTRS = flapack.dpttrf, flapack.dpttrs   # what get_lapack_funcs gives for float64
 
 
 @dataclass

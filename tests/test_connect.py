@@ -6,7 +6,6 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from kppwaves import (CanonicalModel, EventKind, SpeedClass, TrajectoryEvent,
                       detect_finite_propagation, first_X_axis_intersection,
                       reconstruct_profile, shoot, threshold_crossings,
                       x0_monotonicity_check, zero_speed_X0, zero_speed_curve)
-from kppwaves import connect
+from kppwaves import _compiled, connect
 from conftest import scalar_field, scalar_xi_rate, scipy_table
 from kppwaves.phaseplane import PhaseSystemI, fixed_point_locations, linearization
 
@@ -298,7 +297,7 @@ def _scripted_shot(monkeypatch, sys, s0, steps, fps=None):
     ``fps`` replaces the system's fixed points.  Returns (the shot, the taus
     of the steps whose event values the driver computed, once a step)."""
     evaluated, now, script = {}, [0, 0.0], iter(steps)
-    event_functions, odepack_core = connect._event_functions, connect._odepack_core
+    event_functions = connect._event_functions
 
     def value(_X, _Y):
         evaluated[now[0]] = now[1]
@@ -307,20 +306,13 @@ def _scripted_shot(monkeypatch, sys, s0, steps, fps=None):
     def recorded(*args):
         return [value for _ in event_functions(*args)]
 
-    def scripted(solver):
-        core = odepack_core(solver)
-
-        def runner(_fun, y, _t, *_args):
-            now[0] += 1
-            now[1], state = next(script, (connect.TAU_SPAN, y))
-            return np.array(state, dtype=float), now[1], 2
-
-        return SimpleNamespace(runner=runner, messages=core.messages,
-                               call_args=core.call_args, state_doubles=core.state_doubles,
-                               state_ints=core.state_ints)
+    def runner(_fun, y, _t, *_args):
+        now[0] += 1
+        now[1], state = next(script, (connect.TAU_SPAN, y))
+        return np.array(state, dtype=float), now[1], 2
 
     monkeypatch.setattr(connect, "_event_functions", recorded)
-    monkeypatch.setattr(connect, "_odepack_core", scripted)
+    monkeypatch.setattr(connect, "_lsoda", runner)
     if fps is not None:
         monkeypatch.setattr(connect, "fixed_point_locations", lambda _sys: fps)
     res, _ = connect._integrate(sys, np.array(s0, dtype=float), rtol=1e-10, atol=1e-10,
@@ -578,10 +570,10 @@ def test_shot_diagnostics_are_deterministic_counts():
 
 def test_shots_leave_no_work_arrays_behind():
     # scipy's ODEPACK wrapper keeps a reference to the rwork and iwork it is
-    # given on every step, and LSODA allocates a fresh pair for every shot in
-    # scipy.integrate._ode; shots run on spare arrays, so none of those stays
-    # alive.  41 shots kept 30 kB of them, 730 bytes a shot, before; numpy's
-    # cache of array dimensions may hold a few bytes
+    # given on every step, so a shot that allocated its own would leave them
+    # alive; shots run on spare arrays that connect allocates once per size.
+    # 41 shots kept 30 kB of fresh arrays, 730 bytes a shot, when each shot
+    # allocated them; numpy's cache of array dimensions may hold a few bytes
     sys = build_system(CM221, 3.0)
 
     def shots():
@@ -590,7 +582,7 @@ def test_shots_leave_no_work_arrays_behind():
         shoot(sys, profile_of=CM221)
         gc.collect()
         return tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.Filter(True, "*scipy/integrate/_ode.py")])
+            [tracemalloc.Filter(True, "*kppwaves/connect.py")])
 
     tracemalloc.start()
     try:
@@ -643,19 +635,119 @@ def test_integrator_failure_names_the_reason():
     assert "istate -2" in str(err.value)
 
 
-def test_odepack_layout_change_fails_loudly(monkeypatch):
-    # the shot calls ODEPACK with the arguments scipy's own wrapper passes; a
-    # scipy whose wrapper keeps its state differently must stop the shot
-    from scipy.integrate import _ode
-    reset = _ode.lsoda.reset
-
-    def short_state(self, n, has_jac):
-        reset(self, n, has_jac)
-        self.state_ints = np.zeros(47, dtype=np.int32)
-
-    monkeypatch.setattr(_ode.lsoda, "reset", short_state)
-    with pytest.raises(RuntimeError, match=r"scipy\.integrate\._ode\.lsoda\.run"):
+def test_odepack_layout_change_fails_loudly(monkeypatch, tmp_path):
+    # the shot calls ODEPACK's C lsoda as scipy's own wrapper does, on state
+    # arrays of the sizes that wrapper allocates.  A scipy whose wrapper keeps
+    # 47 state ints (which crashes the C lsoda, not raises) must stop the shot
+    full, short = ("self.state_ints = zeros(%d, dtype=np.int32)" % k for k in (48, 47))
+    source = _compiled.ODE_SOURCE.read_text()
+    assert source.count(full) == 1
+    doctored = tmp_path / "_ode.py"
+    doctored.write_text(source.replace(full, short))
+    monkeypatch.setattr(_compiled, "ODE_SOURCE", doctored)
+    monkeypatch.setattr(connect, "_WORK_TEMPLATES", {})
+    with pytest.raises(RuntimeError, match=r"scipy\.integrate\._ode\.lsoda\.run") as err:
         shoot(build_system(CM221, 1.0))
+    assert "48 state ints" in str(err.value) and full in str(err.value)
+    assert connect._WORK_TEMPLATES == {}
+
+
+def test_odepack_layout_is_checked_once_before_the_first_call(monkeypatch):
+    calls = []
+    check = _compiled.check_lsoda_layout
+    monkeypatch.setattr(_compiled, "check_lsoda_layout", lambda: calls.append(check()))
+    monkeypatch.setattr(connect, "_WORK_TEMPLATES", {})
+    ref = classify_connection(CM221, -1.0)
+    assert calls == [None]
+    shoot(build_system(CM221, 1.0), profile_of=CM221)
+    assert classify_connection(CM221, -1.0).extrema == ref.extrema
+    assert calls == [None] and sorted(connect._WORK_TEMPLATES) == [2, 3]
+
+
+@pytest.mark.parametrize("n, atol", [(2, 1e-10), (3, 1e-10), (3, [1e-10, 1e-10, 1e300])])
+@pytest.mark.parametrize("rtol", [1e-10, 1e-3])
+def test_work_arrays_are_what_lsoda_builds(n, atol, rtol):
+    # the shot hands ODEPACK the tolerances, work arrays, option words, jt
+    # and state arrays a fresh scipy LSODA of n states would
+    core = LSODA(lambda _t, y: -y, 0.0, np.ones(n), connect.TAU_SPAN, rtol=rtol,
+                 atol=atol)._lsoda_solver._integrator
+    want_rtol, want_atol, _, _, rwork, iwork, jt = core.call_args
+    got_rtol, got_atol = connect._tolerances(rtol, atol, n)
+    assert type(got_rtol) is type(want_rtol) and got_rtol == want_rtol
+    assert got_atol.dtype == want_atol.dtype and np.array_equal(got_atol, want_atol)
+    assert jt == 2
+    for got, want in zip(connect._work_template(n),
+                         (rwork, iwork, core.state_doubles, core.state_ints)):
+        assert got.dtype == want.dtype and np.array_equal(got, want), (got, want)
+    assert connect._ISTATE_MESSAGES.items() <= core.messages.items()
+
+
+def test_tolerances_are_checked_as_lsoda_checks_them():
+    with pytest.warns(UserWarning) as want:
+        core = LSODA(lambda _t, y: -y, 0.0, np.ones(2), 1.0, rtol=1e-20,
+                     atol=1e-30)._lsoda_solver._integrator
+    with pytest.warns(UserWarning) as got:
+        rtol, _ = connect._tolerances(1e-20, 1e-30, 2)
+    assert [str(w.message) for w in got] == [str(w.message) for w in want]
+    assert type(rtol) is type(core.call_args[0]) and rtol == core.call_args[0]
+    for atol in (-1e-10, [1e-10, -1e-10], [1e-10] * 3, [[1e-10, 1e-10]]):
+        with pytest.raises(ValueError):
+            LSODA(lambda _t, y: -y, 0.0, np.ones(2), 1.0, atol=atol)
+        with pytest.raises(kw.InvalidParameterError, match="atol"):
+            connect._tolerances(1e-10, atol, 2)
+
+
+def test_missing_compiled_module_names_the_scipy(monkeypatch, tmp_path):
+    import scipy
+    monkeypatch.setattr(_compiled, "SCIPY_DIR", tmp_path)
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__} .* no compiled module "
+                       r"scipy\.integrate\._absent"):
+        _compiled._load("integrate", "_absent")
+
+
+def _event_like(kind):
+    """A function of tau shaped like a shot's event values: a path spiralling
+    into P2 = (1, 0), seen by an arrival ball, the escape box or the X axis."""
+    def path(u):
+        r = 0.5 * math.exp(-u)
+        return 1.0 + r * math.cos(3.0 * u), r * math.sin(3.0 * u)
+
+    return {"arrival": lambda u: math.hypot(path(u)[0] - 1.0, path(u)[1]) - 1e-2,
+            "axis": lambda u: path(u)[1],
+            "escape": lambda u: max(path(u)[0] - 3.0, abs(path(u)[1]) - 3.0)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["arrival", "axis", "escape"])
+@pytest.mark.parametrize("xtol, rtol", [(connect._ROOT_TOL, connect._ROOT_TOL),
+                                        (1e-13, 4 * np.finfo(float).eps), (2e-12, 1e-6)])
+def test_brentq_is_scipys_bit_for_bit(kind, xtol, rtol):
+    f = _event_like(kind)
+    grid = np.linspace(-2.0, 5.0, 201)
+    values = [f(u) for u in grid]
+    brackets = [(a, b) for a, b, fa, fb in zip(grid, grid[1:], values, values[1:])
+                if fa * fb < 0.0]
+    assert brackets
+    for a, b in brackets:
+        for lo, hi in ((a, b), (b, a), (a - 0.013, b + 0.021)):
+            if f(lo) * f(hi) > 0.0:
+                continue
+            got = _compiled.brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+            want = brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+            assert type(got) is type(want) and got.hex() == want.hex(), (lo, hi)
+
+
+def test_brentq_refuses_what_scipys_refuses():
+    def nan_inside(u):
+        return math.nan if 0.3 < u < 0.7 else u - 0.5
+
+    # no sign change; NaN at an end; NaN on an iterate
+    for f, a, b in ((lambda u: u * u + 1.0, -1.0, 1.0), (lambda _u: math.nan, 0.0, 1.0),
+                    (nan_inside, 0.0, 1.0)):
+        with pytest.raises(ValueError) as want:
+            brentq(f, a, b)
+        with pytest.raises(ValueError) as got:
+            _compiled.brentq(f, a, b)
+        assert str(got.value) == str(want.value)
 
 
 def test_axis_events_sit_on_the_axis():

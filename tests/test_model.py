@@ -147,3 +147,18 @@ def test_json_rejects_junk():
         model_from_json({"m": 1, "p": 2})
     with pytest.raises(kw.KppWavesError):
         model_from_json({"m": 1, "p": 2, "q": 1, "extra": 7})
+
+
+def test_json_text_that_is_no_object_is_an_invalid_parameter():
+    with pytest.raises(kw.InvalidParameterError, match="not JSON"):
+        model_from_json("{")
+
+
+@pytest.mark.parametrize("doc", ["3", "[[1, 2]]", '"m"', "null", 3, [["m", 1]]])
+def test_json_document_that_is_no_object_is_an_invalid_parameter(doc):
+    with pytest.raises(kw.InvalidParameterError, match="must be a JSON object"):
+        model_from_json(doc)
+
+
+def test_json_object_text_is_read():
+    assert model_from_json('{"m": 1, "p": 2, "q": 1}') == CanonicalModel(m=1, p=2, q=1)

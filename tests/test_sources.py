@@ -2,6 +2,9 @@
 import ast
 import builtins
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -184,3 +187,15 @@ def test_reexport_check_flags_names_outside_all():
 
 def test_package_reexports_only_names_in_all():
     assert reexports_missing_from_all((PACKAGE / "__init__.py").read_text(), "kppwaves") == []
+
+
+def test_cli_imports_no_scipy_subpackage():
+    # the package reaches scipy's compiled routines through kppwaves._compiled,
+    # which loads them without running their subpackages' __init__
+    heavy = ["scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.special",
+             "scipy.sparse"]
+    code = ("import sys, kppwaves.cli\n"
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"
