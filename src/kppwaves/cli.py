@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import connect, pde
@@ -49,6 +48,9 @@ from .model import (
 from .phaseplane import PhaseSystemI, build_system, fixed_points
 
 log = logging.getLogger(__name__)
+
+# concurrent.futures.process loads only when a sweep runs on a pool
+ProcessPoolExecutor = None
 
 __all__ = ["main", "cmd_analyze", "cmd_shoot", "cmd_pde", "cmd_sweep"]
 
@@ -296,6 +298,9 @@ def cmd_sweep(cfg: RunConfig, cm: CanonicalModel, out: Path, *, jobs: int = 1,
     tasks = [(c, _sweep_row, cm, atol, rtol) for c in grid]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_sweep_task, tasks))
     else:

@@ -6,6 +6,26 @@ class; all inherit from :class:`KppWavesError` so blanket handling stays easy.
 
 from __future__ import annotations
 
+__all__ = [
+    "KppWavesError",
+    "InvalidParameterError",
+    "DegenerateScaleError",
+    "UnsupportedModelError",
+    "DomainError",
+    "SeedFailureError",
+    "StepFailureError",
+    "NoIntersectionError",
+    "InconclusiveError",
+    "NotAConnectionError",
+    "InsufficientTailError",
+    "StabilityViolationError",
+    "NegativityError",
+    "DomainTooSmallError",
+    "NoFrontError",
+    "MissingArtifactError",
+    "ConfigError",
+]
+
 
 class KppWavesError(Exception):
     """Base class for all package-specific errors."""

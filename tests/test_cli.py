@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from kppwaves import (CanonicalModel, EventKind, InconclusiveError, classify_connection,
-                      cli, connect)
+from kppwaves import (CanonicalModel, EventKind, InconclusiveError, SpeedClass,
+                      classify_connection, cli, connect)
 from kppwaves.cli import main
 from kppwaves.io import CSV_CHUNK_ROWS, fmt, write_float_csv, write_profile_csv
 
@@ -621,6 +621,31 @@ def test_sweep_explicit_speeds_all_positive(tmp_path):
     with (out / "sweep.csv").open() as fh:
         rows = list(csv.reader(fh))[1:]
     assert all(r[2] == "None" and r[5] == "agree" for r in rows)
+
+
+def test_sweep_without_speeds_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, speeds=[], output_dir=str(tmp_path / "out"))
+    cfg_data = json.loads(cfg.read_text())
+    del cfg_data["sweep"]
+    cfg.write_text(json.dumps(cfg_data))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "no speeds to sweep" in capsys.readouterr().err
+
+
+def _bracket_rows(mono, osc):
+    return ([{"c": c, "observed_class": SpeedClass.MONOTONE.value} for c in mono]
+            + [{"c": c, "observed_class": SpeedClass.OSCILLATORY.value} for c in osc])
+
+
+@pytest.mark.parametrize("mono, osc", [([-3.0, -2.5, -1.0], [-0.5]),    # monotone too late
+                                       ([-3.5], [-3.0, -1.0])])         # oscillatory too soon
+def test_sweep_refuses_a_transition_away_from_minus_c_star(mono, osc):
+    # c* = 2 for (2, 2, 1): a boundary that misses -2 by more than one 0.5
+    # grid step is refused, and one that brackets it within the step passes
+    cm = CanonicalModel(2, 2, 1)
+    with pytest.raises(InconclusiveError, match=r"does not bracket -c\* = -2\.0"):
+        cli._check_transition_bracket(_bracket_rows(mono, osc), cm, 0.5)
+    cli._check_transition_bracket(_bracket_rows([-3.0, -2.5], [-2.0, -1.0]), cm, 0.5)
 
 
 # --- config handling -----------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import LSODA, solve_ivp
 from scipy.integrate._ivp.ivp import find_active_events
 from scipy.integrate._ivp.lsoda import LsodaDenseOutput
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 import kppwaves as kw
@@ -851,6 +852,24 @@ def test_tail_crossings_follow_the_focus():
     assert np.all(amps[1:] * amps[:-1] < 0.0)
     assert np.allclose(amps[1:] / amps[:-1], -math.exp(alpha * math.pi / beta), rtol=1e-10)
     assert abs(amps[-1]) > connect.GRAZE_TOL >= abs(amps[-1]) * math.exp(alpha * math.pi / beta)
+
+
+def test_tail_zero_of_a_node_lies_on_its_linear_flow():
+    # at a node P2 the linear flow from the slow mode plus twice as much of
+    # the fast one in Y, opposite in sign, crosses Y = 0 once
+    sys_ = build_system(CM221, 3.0)
+    J, (l1, l2), V = linearization(sys_, 1.0, 0.0)
+    assert l1.imag == l2.imag == 0.0 and l1.real > l2.real
+    V = V.real
+    delta0 = 1e-3 * (V[:, 0] - 2.0 * V[1, 0] / V[1, 1] * V[:, 1])
+    traj = connect.Trajectory(tau=np.array([0.0, 7.0]), X=np.array([0.5, 1.0 + delta0[0]]),
+                              Y=np.array([0.0, delta0[1]]), events=[], sys=sys_,
+                              arrived="P2", escaped=False)
+    (tau, x), = connect._tail_zeros(traj)
+    assert tau > 7.0
+    X, Y = expm(J * (tau - 7.0)) @ delta0 + (1.0, 0.0)
+    assert abs(Y) <= 1e-15 and x == pytest.approx(X, rel=1e-14)
+    assert first_X_axis_intersection(traj) == x
 
 
 @pytest.mark.parametrize("mpq, c", [((2, 2, 1), -1.0), ((2, 2, 1), -3.0),

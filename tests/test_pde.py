@@ -437,6 +437,20 @@ def test_advect_rejects_cramped_domain(monotone_profile_121):
     assert lo < -15.2 and hi >= 16.0
 
 
+def test_evolve_stops_a_front_near_the_boundary():
+    # the stable state 0 invades 1 leftwards; the run stops once the front is
+    # within the 10-cell guard of x_min = -4 (the layer the boundary value
+    # u = 1 holds is about one unit wide, well inside the guard's two)
+    run = make_run(-4.0, 4.0, 40, lambda x: np.where(x < 0.0, 1.0, 0.0))
+    with pytest.raises(kw.DomainTooSmallError) as ei:
+        evolve(run, CM121, 5.0)
+    assert ei.value.suggestion == (-8.0, 8.0)
+    lo = run.x_min + kw.pde.BOUNDARY_GUARD_CELLS * run.dx
+    (t0, x0), *inside, (t, x) = run.front_track
+    assert t0 == 0.0 and 0.0 < t < 5.0 and run.steps > 0
+    assert x < lo <= min(pos for _, pos in inside) < x0
+
+
 def test_advect_rejects_negative_horizon(monotone_profile_121):
     prof, cm = monotone_profile_121
     with pytest.raises(kw.InvalidParameterError):

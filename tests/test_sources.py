@@ -166,27 +166,53 @@ def test_no_redundant_handlers(path):
     assert redundant_handlers(path.read_text()) == []
 
 
-def reexports_missing_from_all(source: str, package: str) -> list[str]:
-    """Names the package ``__init__`` source imports from a sibling module
-    that defines ``__all__`` but leaves out of it."""
-    found = []
+def star_import_faults(source: str, package: str) -> list[str]:
+    """Faults of the package ``__init__`` source's star imports from sibling
+    modules: a module without ``__all__`` (its imports and helpers would leak
+    into the package), and a name in the ``__all__`` of two of them (the later
+    import would silently shadow the earlier one)."""
+    found, owner = [], {}
     for node in ast.parse(source).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"{package}.{node.module}")
-            public = getattr(module, "__all__", None)
-            found += [f"{node.module}.{alias.name}" for alias in node.names
-                      if public is not None and alias.name not in public]
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.names[0].name == "*":
+            public = getattr(importlib.import_module(f"{package}.{node.module}"), "__all__", None)
+            if public is None:
+                found.append(f"{node.module} has no __all__")
+                continue
+            for name in public:
+                if name in owner:
+                    found.append(f"{name} in {owner[name]} and {node.module}")
+                owner.setdefault(name, node.module)
     return found
 
 
-def test_reexport_check_flags_names_outside_all():
-    source = ("from .model import critical_speed, _require_finite\n"
-              "from .errors import KppWavesError\n")
-    assert reexports_missing_from_all(source, "kppwaves") == ["model._require_finite"]
+@pytest.fixture
+def star_package(tmp_path, monkeypatch):
+    """A package ``starpkg``: module ``a`` lists f and g in ``__all__``,
+    ``b`` lists g, and ``c`` has no ``__all__``."""
+    package = tmp_path / "starpkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text('__all__ = ["f", "g"]\nf = g = 1\n')
+    (package / "b.py").write_text('__all__ = ["g"]\ng = 2\n')
+    (package / "c.py").write_text("import os\nh = 3\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    yield package.name
+    for name in [m for m in sys.modules if m.partition(".")[0] == package.name]:
+        del sys.modules[name]
+
+
+def test_reexport_check_flags_names_outside_all(star_package):
+    source = "from .a import *\nfrom .c import *\n"
+    assert star_import_faults(source, star_package) == ["c has no __all__"]
+
+
+def test_reexport_check_flags_names_shadowed_by_a_later_import(star_package):
+    source = "from .a import *\nfrom .b import *\n"
+    assert star_import_faults(source, star_package) == ["g in a and b"]
 
 
 def test_package_reexports_only_names_in_all():
-    assert reexports_missing_from_all((PACKAGE / "__init__.py").read_text(), "kppwaves") == []
+    assert star_import_faults((PACKAGE / "__init__.py").read_text(), "kppwaves") == []
 
 
 def test_cli_imports_no_scipy_subpackage():
@@ -199,3 +225,11 @@ def test_cli_imports_no_scipy_subpackage():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_imports_no_process_pool():
+    # only a sweep run on more than one worker needs the pool
+    code = "import sys, kppwaves.cli\nprint('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "False"
