@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -325,7 +326,10 @@ def cmd_sweep(cfg: RunConfig, cm: CanonicalModel, out: Path, *, jobs: int = 1,
 
 # --- entry point -----------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged)."""
     p = argparse.ArgumentParser(
         prog="kppwaves",
         description="Travelling-wave analysis of u_t = (u^{m-1} u_x)_x + u^p - u^q")

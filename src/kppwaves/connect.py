@@ -37,7 +37,7 @@ are the Y = 0 crossings of P2's linear flow from the arrival state, found in
 closed form; so the oscillation count and X0 do not depend on the radius.
 A profile shot keeps its seed ``eps`` and ``ARRIVAL_RADIUS``, since its
 samples become the profile.  A shot that only classifies starts on P0's
-departure manifold (phaseplane.departure_seed, up to X = 0.2) and stops at
+departure manifold (phaseplane.departure_seed, up to X = 0.8) and stops at
 ``CLASSIFY_RADIUS``: it skips the drift away from P0, and the linear tail
 takes over the spiral, so class, count and X0 keep their values (to 2e-9
 in X0) at fewer steps.
@@ -98,7 +98,8 @@ __all__ = [
     "threshold_crossings",
 ]
 
-DEFAULT_EPS = 1e-6
+DEFAULT_EPS = 1e-6        # a profile shot's seed offset from P0
+MAX_EPS = 1e-2            # the largest seed offset a shot takes
 ARRIVAL_RADIUS = 1e-5
 CLASSIFY_RADIUS = 1e-4    # P2's arrival radius for such a shot
 ESCAPE_BOUND = 50.0
@@ -574,8 +575,8 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
     orbit is symmetric under (Y, tau) -> (-Y, -tau) there, and following the
     mirror half numerically runs into the fully degenerate origin.
     """
-    if not (eps > 0.0) or eps > 1e-2:
-        raise InvalidParameterError(f"seed offset eps must lie in (0, 1e-2], got {eps!r}")
+    if not 0.0 < eps <= MAX_EPS:
+        raise InvalidParameterError(f"seed offset eps must lie in (0, {MAX_EPS:g}], got {eps!r}")
     return _shoot_from(sys, _seed_state(sys, eps), rtol=rtol, atol=atol,
                        arrival_radius=arrival_radius, profile_of=profile_of)
 

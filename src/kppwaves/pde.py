@@ -26,10 +26,13 @@ with b the right-hand side less lead u^n, so a constant state gives delta =
 the factors on the interior nodes; the end nodes hold their Dirichlet
 values.  For m = 1 the matrix depends only on dt, dx, the cell count and
 the leads, so a run keeps the factors of both uniform leads for its current
-step size; a step with rows of both kinds factors afresh, and for m != 1
-every step does.  `evolve` takes full steps and lands only on its end time;
-a snapshot due inside a step is the linear interpolant of the states at the
-step's ends, second order like the step itself.
+step size.  A step with rows of both kinds keeps the lead-3/2 factors down
+to the row before its first BE row and factors only the rows below it
+(``pttrf`` is a forward recursion, so this is the full factorization bit
+for bit), and for m != 1 every step factors afresh.  `evolve` takes full
+steps and lands only on its end time; a snapshot due inside a step is the
+linear interpolant of the states at the step's ends, second order like the
+step itself.
 
 The equation is the canonical one: the functions here take a
 `CanonicalModel` and refuse a general model, which `nondimensionalize`
@@ -117,7 +120,8 @@ class PdeRun:
     produced; otherwise it restarts with backward Euler.  For m = 1 the run
     also keeps the factored matrices of both uniform leads (1 and 3/2),
     keyed on (dt, dx, n_cells, lead) and dropped when the step size
-    changes.
+    changes; a step with switched rows reuses the lead-3/2 factors up to
+    its first BE row (see ``step``).
     """
 
     x_min: float
@@ -205,15 +209,23 @@ def _faces(u: np.ndarray, m: float, dt: float, dx: float) -> np.ndarray:
     return w
 
 
-def _factor(w: np.ndarray, lead) -> tuple[np.ndarray, np.ndarray]:
+def _factor(w: np.ndarray, lead, head=None) -> tuple[np.ndarray, np.ndarray]:
     """The ``pttrf`` factors of the interior block of lead - dt L_a, given
-    its face weights w; ``lead`` is one number or one per interior row."""
-    diag = lead - w[1:]
-    diag -= w[:-1]
-    d, e, info = _PTTRF(diag, w[1:-1], overwrite_d=1)
+    its face weights w; ``lead`` is one number or one per interior row.
+    ``head`` = (k, d, e) holds the factors of a matrix with the same rows
+    up to row k: those rows keep them, and ``pttrf`` runs from row k on,
+    with d[k] as its first pivot, which is what it computes there."""
+    k = head[0] if head else 0
+    diag = (lead[k:] if head else lead) - w[k + 1:]
+    diag -= w[k:-1]
+    if head:
+        diag[0] = head[1][k]
+    d, e, info = _PTTRF(diag, w[k + 1:-1], overwrite_d=1)
     if info != 0:
         raise StabilityViolationError(
-            f"diffusion factorization failed (LAPACK info = {info})")
+            f"diffusion factorization failed (LAPACK info = {info + k if info > 0 else info})")
+    if head:
+        d, e = np.concatenate((head[1][:k], d)), np.concatenate((head[2][:k], e))
     return d, e
 
 
@@ -289,6 +301,19 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
             w = _faces(u, m, dt, dx)
             run._factors[factors_key] = (w, *_factor(w, lead))
         w, d, e = run._factors[factors_key]
+    elif m == 1.0 and not be[0]:
+        # the rows before the first BE row are those of the uniform lead-3/2
+        # matrix and keep its factors: the run's, or else the ones such a
+        # step builds and keeps under a key of their own, so that a uniform
+        # step still counts the matrix it factors
+        fresh = True
+        size = (dt, dx, run.n_cells)
+        head = run._factors.get(size + (1.5,)) or run._factors.get(size + ("head",))
+        if head is None:
+            w = _faces(u, m, dt, dx)
+            head = run._factors[size + ("head",)] = (w, *_factor(w, 1.5))
+        w = head[0]
+        d, e = _factor(w, lead, (int(be.argmax()) - 1, *head[1:]))
     else:
         fresh = True
         w = _faces(u_a, m, dt, dx)

@@ -26,11 +26,14 @@ critical speed 2 sqrt(p-q).
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import takewhile
+from operator import mul
 
 import numpy as np
 
@@ -351,58 +354,101 @@ def fixed_point_locations(sys: PhaseSystem) -> dict[str, tuple[float, float]]:
     return pts
 
 
-SERIES_ORDER = 8      # highest exponent of P0's departure-manifold series
-SERIES_TOL = 1e-10    # bound on each term of its top band at the seed
-SERIES_X_MAX = 0.2    # cap on the seed's X
+SERIES_TERMS = 48     # terms of P0's departure-manifold series
+SERIES_MIN_TERMS = 8  # fewer finite terms than this give no seed
+SERIES_TOL = 1e-10    # bound on the seed's error and its top band's terms
+SERIES_X_MAX = 0.8    # cap on the seed's X
 
 
 @lru_cache(maxsize=64)
 def _series_exponents(a: float, b: float, e: float):
-    """(alpha, rows): 0 and each sum of positive ones of a, b, e up to
-    SERIES_ORDER, ascending, as exact Fractions (no pair is lost to rounding);
-    per alpha_k > 0 the pairs (i, j > 0) with alpha_i + alpha_j = alpha_k,
-    the index of alpha_k - a and [alpha_k = b] - [alpha_k = e]."""
-    gens = {Fraction(g) for g in (a, b, e) if g > 0.0}
-    alpha = {Fraction(0)}
-    while new := {x + g for x in alpha for g in gens if x + g <= SERIES_ORDER} - alpha:
-        alpha |= new
-    alpha = sorted(alpha)
+    """(alpha, rows): the SERIES_TERMS + 1 smallest sums of the positive ones
+    of a, b, e, ascending from 0, found exactly as whole multiples of 1/D, D
+    the least common denominator of a, b and e (no pair is lost to
+    rounding); per alpha_k > 0 but the last, alpha_k, the pairs (i, j), 0 <
+    i < j, with alpha_i + alpha_j = alpha_k (so each product is formed
+    once), the index of alpha_k / 2 (or None), the index of alpha_k - a and
+    [alpha_k = b] - [alpha_k = e].  The exponents are the lattice's first,
+    so every sum and difference a row needs comes before it."""
+    exact = [Fraction(g) for g in (a, b, e)]
+    D = math.lcm(*(g.denominator for g in exact))
+    A, B, E = (int(g * D) for g in exact)
+    heap, alpha = [0], []
+    while len(alpha) <= SERIES_TERMS:
+        x = heapq.heappop(heap)
+        alpha.append(x)
+        for z in {x + y for y in (A, B, E) if y > 0} - set(heap):
+            heapq.heappush(heap, z)
     at = {x: i for i, x in enumerate(alpha)}
-    return [float(x) for x in alpha], [
-        ([(i, at[x - y]) for i, y in enumerate(alpha[1:], 1) if at.get(x - y, 0)],
-         at.get(x - Fraction(a)) if a > 0.0 else None, float((x == b) - (x == e)))
-        for x in alpha[1:]]
+    return [x / D for x in alpha], [
+        (x / D, [(i, at[x - y]) for i, y in enumerate(alpha[1:k], 1) if i < at.get(x - y, 0)],
+         at.get(Fraction(x, 2)), at.get(x - A) if A > 0 else None, float((x == B) - (x == E)))
+        for k, x in enumerate(alpha[1:-1], 1)]
+
+
+def _lead(sys: PhaseSystem, y0: float) -> float:
+    """-dY'/dY at P0 = (0, y0)."""
+    s, a, _, _ = sys.form
+    return 2.0 * y0 + (s if a == 0.0 else 0.0)
 
 
 def departure_series(sys: PhaseSystem) -> tuple[list[float], list[float]]:
     """(alpha, c): P0's departure manifold as the graph Y = h(X) = sum_k
-    c_k X^alpha_k, alpha_0 = 0 and c_0 = P0's Y.  The invariance gamma X h h'
-    = -h (h + s X^a) + X^b - X^e gives each c_k from those before it over
-    L(alpha_k) = gamma c_0 alpha_k - dY'/dY(P0): c in Case I (which must be
-    positive), positive in Case II, so no exponent is resonant."""
+    c_k X^alpha_k over the lattice's SERIES_TERMS first exponents, alpha_0 =
+    0 and c_0 = P0's Y, cut before the first coefficient that overflows (a
+    Case I series diverges, the faster the slower the speed).  The
+    invariance gamma X h h' = -h (h + s X^a) + X^b - X^e gives each c_k from
+    those before it over L(alpha_k) = gamma c_0 alpha_k - dY'/dY(P0): c in
+    Case I (which must be positive), positive in Case II, so no exponent is
+    resonant."""
     g, (s, a, b, e) = sys.gamma, sys.form
     y0 = 0.0 if isinstance(sys, PhaseSystemI) else axis_equilibria(sys)[0]
     alpha, rows = _series_exponents(a, b, e)
-    lead = 2.0 * y0 + (s if a == 0.0 else 0.0)   # -dY'/dY at P0
+    lead = _lead(sys, y0)
     if not lead > 0.0:
         raise SeedFailureError(f"P0 has no departure-manifold series at speed {s!r}")
     c = [y0]
-    for x, (pairs, shift, force) in zip(alpha[1:], rows):
-        force -= s * c[shift] if shift is not None else 0.0
-        quad = sum([c[i] * c[j] for i, j in pairs])
+    for x, pairs, half, shift, force in rows:
+        if shift is not None:
+            force -= s * c[shift]
+        quad = 2.0 * sum([c[i] * c[j] for i, j in pairs])
+        if half is not None:
+            quad += c[half] * c[half]
         c.append((force - (1.0 + 0.5 * g * x) * quad) / (g * y0 * x + lead))
-    return alpha, c
+    if not all(map(math.isfinite, c)):
+        c = list(takewhile(math.isfinite, c))
+    return alpha[:len(c)], c
 
 
 def departure_seed(sys: PhaseSystem) -> tuple[float, float]:
-    """(X, Y) on P0's departure manifold at the largest X <= SERIES_X_MAX
-    where each term with alpha > SERIES_ORDER - 2 is within SERIES_TOL (a
-    band of two terms at least: one alone can vanish by chance)."""
+    """(X, Y) on P0's departure manifold, at the largest X <= SERIES_X_MAX
+    where each term with alpha > alpha_top - 2 is within SERIES_TOL (a band
+    of two terms at least: one alone can vanish by chance) and so is the
+    error that the invariance residual R = gamma X h h' + h (h + s X^a) -
+    X^b + X^e puts on Y: R over L(alpha_next), the factor that turns a next
+    term into its residual, taken at P0 and at the seed, whichever is
+    smaller (gamma Y alpha + gamma X h' + 2 Y + s X^a there).  Where R
+    exceeds that, X shrinks as if R went as X^alpha_next, aiming at 0.9 of
+    the bound, until it holds."""
+    g, (s, a, b, e) = sys.gamma, sys.form
     alpha, c = departure_series(sys)
-    X = min([SERIES_X_MAX] + [(SERIES_TOL / abs(ck)) ** (1.0 / x)
-                              for x, ck in zip(alpha, c) if x > SERIES_ORDER - 2 and ck])
-    Y = c[0] + sum([ck * X ** x for x, ck in zip(alpha[1:], c[1:])])
-    if not (X > 0.0 and math.isfinite(Y)):
+    nxt = _series_exponents(a, b, e)[0][len(c)]
+    if len(c) < SERIES_MIN_TERMS:
+        raise SeedFailureError(f"P0's departure-manifold series overflows at exponent {nxt!r}")
+    at_p0 = g * c[0] * nxt + _lead(sys, c[0])
+    X = min([SERIES_X_MAX] + [(SERIES_TOL / abs(ck)) ** (1.0 / x) for x, ck
+                              in zip(alpha, c) if x > alpha[-1] - 2.0 and ck])
+    while True:
+        terms = [ck * X ** x for x, ck in zip(alpha[1:], c[1:])]
+        Y = c[0] + sum(terms)
+        XdY = sum(map(mul, alpha[1:], terms))
+        sXa = s * X ** a
+        res = math.fsum((g * XdY * Y, Y * Y, sXa * Y, -X ** b, X ** e))
+        bound = SERIES_TOL * max(0.0, min(at_p0, g * (Y * nxt + XdY) + 2.0 * Y + sXa))
+        if not abs(res) > bound:
+            break
+        X *= (0.9 * bound / abs(res)) ** (1.0 / nxt)
+    if not (X > 0.0 and math.isfinite(Y) and abs(res) <= bound):
         raise SeedFailureError(f"P0's departure-manifold series gives no seed: {(X, Y)!r}")
     return X, Y
 

@@ -509,6 +509,20 @@ def test_sweep_json_format(tmp_path):
     assert {row["c"] for row in rows} >= {-3.0, -2.0, -0.5}
 
 
+def test_one_parser_serves_every_run_of_a_process(tmp_path):
+    # main builds its parser once; a run's options do not carry into the
+    # next: --format json, then the default csv, then --out's default
+    parser = cli._build_parser()
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, output_dir=str(out))
+    assert main(["sweep", "--config", str(cfg), "--format", "json",
+                 "--out", str(tmp_path / "j")]) == 0
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert (tmp_path / "j" / "sweep.json").exists() and not (tmp_path / "j" / "sweep.csv").exists()
+    assert (out / "sweep.csv").exists() and not (out / "sweep.json").exists()
+    assert cli._build_parser() is parser
+
+
 def test_format_is_a_sweep_option_only(tmp_path):
     cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
     for cmd in ("analyze", "shoot", "pde"):
@@ -809,6 +823,21 @@ def test_parse_config_guards():
         kw.parse_config({**BASE_CFG, "seed_eps": 0.5})
     with pytest.raises(kw.ConfigError):
         kw.parse_config({**BASE_CFG, "speeds": [float("inf")]})
+
+
+def test_config_and_shoot_share_the_seed_offset_rules():
+    # one default and one bound: the config takes the offset a profile shot
+    # starts from, and both take 1e-2 and refuse the next float above it
+    import kppwaves as kw
+    assert kw.parse_config(BASE_CFG).seed_eps == kw.connect.DEFAULT_EPS
+    sys_ = kw.build_system(CanonicalModel(m=2, p=2, q=1), 1.0)
+    assert kw.parse_config({**BASE_CFG, "seed_eps": 1e-2}).seed_eps == 1e-2
+    assert kw.shoot(sys_, 1e-2).arrived == "P2"
+    over = math.nextafter(1e-2, 1.0)
+    with pytest.raises(kw.ConfigError, match=r"\(0, 0\.01\]"):
+        kw.parse_config({**BASE_CFG, "seed_eps": over})
+    with pytest.raises(kw.InvalidParameterError, match=r"\(0, 0\.01\]"):
+        kw.shoot(sys_, over)
 
 
 def test_sweep_grid_guard_counts_the_grid_it_guards():

@@ -660,6 +660,51 @@ def test_step_is_bit_identical_to_reference(model):
         assert run.positivity_fallbacks == 0 and run.factorizations == 2
 
 
+def test_mixed_lead_suffix_is_the_full_factorization_bit_for_bit():
+    # a matrix whose rows up to k are those of the uniform lead-3/2 one
+    # keeps its factors there, and pttrf from row k on, with the cached
+    # pivot, gives the rest of the full factorization exactly, at every
+    # offset mod 4 of pttrf's unrolled loop
+    rng = np.random.default_rng(5)
+    w = -rng.uniform(0.05, 3.0, 41)
+    cached = kw.pde._factor(w, 1.5)
+    for k in range(39):
+        lead = np.where(rng.random(40) < 0.5, 1.0, 1.5)
+        lead[:k + 1], lead[k + 1] = 1.5, 1.0
+        want = kw.pde._factor(w, lead)
+        got = kw.pde._factor(w, lead, (k, *cached))
+        assert all(np.array_equal(g, v) for g, v in zip(got, want))
+        assert not np.array_equal(want[0], cached[0])
+    # a failure names the same row either way
+    bad = np.full(40, 1.5)
+    bad[9] = -50.0
+    for head in (None, (5, *cached)):
+        with pytest.raises(kw.StabilityViolationError, match=r"info = 10\)"):
+            kw.pde._factor(w, bad, head)
+
+
+def test_m1_steps_with_switched_rows_reuse_the_cached_head():
+    # (1,1,0.5): a step whose first BE row comes after row 0 factors only
+    # from the row before it, on lead-3/2 factors built once for the step
+    # size, and still counts one factorization
+    calls = []
+    factor = kw.pde._factor
+
+    def spy(w, lead, head=None):
+        # the row from which pttrf runs; None for a uniform lead
+        calls.append(head[0] if head else 0 if np.ndim(lead) else None)
+        return factor(w, lead, head)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kw.pde, "_factor", spy)
+        run = _assert_same_steps([CanonicalModel(m=1, p=1, q=0.5)], 250)
+    # the BE start and the lead-3/2 head (uniform leads), then one a step
+    # from the row before its first BE row, past row 100 on every step here
+    assert calls[:2] == [None, None] and len(calls) == 251
+    assert min(calls[2:]) > 100
+    assert run.factorizations == run.steps == 250
+
+
 @pytest.mark.parametrize("switch", ["no-reaction", "dt-limit", "alternating-dt-limit",
                                     "regrid"])
 @pytest.mark.parametrize("model", [CM121, CM221, CanonicalModel(m=1, p=1, q=0.5)],

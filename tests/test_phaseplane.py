@@ -150,31 +150,76 @@ def _invariance_residual(s, alpha, c, X):
     return math.fsum(terms), max(map(abs, terms))
 
 
+def _residual_coefficients(s, alpha, c):
+    """Per kept exponent alpha_k > 0, the terms of the coefficient of
+    X^alpha_k in gamma X h h' + h (h + s X^a) - X^b + X^e."""
+    sp, a, b, e = s.form
+    at = {x: k for k, x in enumerate(alpha)}
+    out = []
+    for x in alpha[1:]:
+        terms = [c[i] * c[at[x - y]] * (1.0 + s.gamma * (x - y))
+                 for i, y in enumerate(alpha) if x - y in at]
+        if a > 0.0 and x - a in at:
+            terms.append(sp * c[at[x - a]])
+        elif a == 0.0:
+            terms.append(sp * c[at[x]])
+        out.append(terms + [-1.0] * (x == b) + [1.0] * (x == e))
+    return out
+
+
 @pytest.mark.parametrize("cm", FORM_MODELS)
 def test_departure_seed_solves_the_invariance_equation(cm):
-    # the series leaves a residual of the order of the first omitted band,
-    # which SERIES_TOL bounds: at most L(alpha) SERIES_TOL for the next
-    # exponent, L(alpha) = gamma Y0 alpha - dY'/dY(P0) being the factor that
-    # turns a coefficient into its residual.  Every kept exponent is solved:
-    # halving X cuts the residual at least 2^SERIES_ORDER-fold
+    # the series keeps the lattice's first SERIES_TERMS exponents and leaves
+    # a residual of the order of the first one it omits, which the seed
+    # bounds: at most L(alpha_next) SERIES_TOL, L(alpha) = gamma Y0 alpha -
+    # dY'/dY(P0) being the factor that turns a coefficient into its
+    # residual, and at most that factor at the seed times SERIES_TOL, which
+    # keeps the error that the residual puts on Y within SERIES_TOL.  Every
+    # kept exponent is solved: the residual's coefficient of each vanishes
+    # to the rounding of the sum of its terms
     pp = kw.phaseplane
+    eps = np.finfo(float).eps
     for share in (0.05, 0.2, 0.5, 0.9, 1.2, 2.0):
         s = build_system(cm, share * kw.critical_speed(cm))
+        sp, a, b, e = s.form
         alpha, c = pp.departure_series(s)
+        gens = {g for g in (a, b, e) if g > 0.0}
+        lattice = {i * g + j * h for g in gens for h in gens
+                   for i in range(60) for j in range(60)}
+        assert len(alpha) == pp.SERIES_TERMS
+        assert alpha == sorted(x for x in lattice if x <= alpha[-1])
+        for terms in _residual_coefficients(s, alpha, c):
+            assert abs(math.fsum(terms)) <= len(terms) * eps * sum(map(abs, terms))
+
+        nxt = min(x for x in lattice if x > alpha[-1])
+        at_p0 = s.gamma * c[0] * nxt + 2.0 * c[0] + (sp if a == 0.0 else 0.0)
+
+        def within(X):
+            """(the top band's largest term, the residual, its bound) at X."""
+            h = sum(ck * X ** x for x, ck in zip(alpha, c))
+            Xdh = sum(x * ck * X ** x for x, ck in zip(alpha, c))
+            at_seed = s.gamma * (h * nxt + Xdh) + 2.0 * h + sp * X ** a
+            top = max(abs(ck) * X ** x for x, ck in zip(alpha, c) if x > alpha[-1] - 2)
+            return top, abs(_invariance_residual(s, alpha, c, X)[0]), \
+                pp.SERIES_TOL * min(at_p0, at_seed)
+
         X, Y = pp.departure_seed(s)
         assert 0.0 < X <= pp.SERIES_X_MAX
         assert Y == c[0] + sum(ck * X ** x for x, ck in zip(alpha[1:], c[1:]))
-        # X is the largest at which the top band stays within SERIES_TOL
-        top = [abs(ck) * X ** x for x, ck in zip(alpha, c) if x > pp.SERIES_ORDER - 2]
-        assert max(top) <= pp.SERIES_TOL * (1 + 1e-12)
-        assert X == pp.SERIES_X_MAX or max(top) >= pp.SERIES_TOL * (1 - 1e-12)
-        sp, a, _, _ = s.form
-        y0 = c[0]
-        lead = 2.0 * y0 + (sp if a == 0.0 else 0.0)
-        res, _ = _invariance_residual(s, alpha, c, X)
-        assert abs(res) <= pp.SERIES_TOL * (s.gamma * y0 * (pp.SERIES_ORDER + 1) + lead)
-        half, half_scale = _invariance_residual(s, alpha, c, X / 2.0)
-        assert abs(half) <= abs(res) / 2.0 ** pp.SERIES_ORDER + 8e-16 * half_scale
+        top, res, bound = within(X)
+        assert top <= pp.SERIES_TOL * (1 + 1e-12)
+        assert res <= bound <= pp.SERIES_TOL * at_p0
+        # X is the largest at which both hold: where the residual holds at
+        # the top band's X, that X exactly; where X shrinks for the
+        # residual, to 1 %
+        band = min([pp.SERIES_X_MAX] + [(pp.SERIES_TOL / abs(ck)) ** (1.0 / x)
+                                        for x, ck in zip(alpha, c) if x > alpha[-1] - 2 and ck])
+        _, band_res, band_bound = within(band)
+        if band_res <= band_bound:
+            assert X == pp.SERIES_X_MAX or top >= pp.SERIES_TOL * (1 - 1e-12)
+        else:
+            top, res, bound = within(1.01 * X)
+            assert X < band and res > bound
 
 
 def test_departure_seed_needs_a_positive_case_i_speed():
@@ -185,6 +230,22 @@ def test_departure_seed_needs_a_positive_case_i_speed():
               PhaseSystemI(gamma=1.0, k=2.0, c=-1.0)):
         with pytest.raises(kw.SeedFailureError):
             kw.phaseplane.departure_seed(s)
+
+
+def test_slow_case_i_series_stops_before_it_overflows():
+    # the saddle-node series grows like 1/c^(2k): at c = 1e-3 its 48th
+    # coefficient is past the float range, so the series ends at the last
+    # finite one and the seed still holds its residual bound
+    pp = kw.phaseplane
+    s = build_system(CanonicalModel(m=2, p=2, q=1), 1e-3)
+    alpha, c = pp.departure_series(s)
+    assert pp.SERIES_MIN_TERMS <= len(c) < pp.SERIES_TERMS and len(alpha) == len(c)
+    assert all(map(math.isfinite, c)) and abs(c[-1]) > 1e300
+    X, Y = pp.departure_seed(s)
+    assert 0.0 < X < 1e-7
+    # L(alpha) = c for every alpha of a Case I series
+    assert abs(_invariance_residual(s, alpha, c, X)[0]) <= pp.SERIES_TOL * s.c
+    assert Y == c[0] + sum(ck * X ** x for x, ck in zip(alpha[1:], c[1:]))
 
 
 def test_p2_linearization_trio():
