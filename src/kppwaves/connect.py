@@ -33,26 +33,25 @@ copy from the solver's work arrays into a row of one table.  No other shot
 keeps one.
 
 A shot stops on entering P2's arrival ball, and the X extrema the ball hides
-are the Y = 0 crossings of P2's linear flow from the arrival state, found in
-closed form; so the oscillation count and X0 do not depend on the radius.
-A profile shot keeps its seed ``eps`` and ``ARRIVAL_RADIUS``, since its
-samples become the profile.  A shot that only classifies starts on P0's
-departure manifold (phaseplane.departure_seed, up to X = 0.8) and stops at
-``CLASSIFY_RADIUS``: it skips the drift away from P0, and the linear tail
-takes over the spiral, so class, count and X0 keep their values (to 2e-9
-in X0) at fewer steps.
+are the Y = 0 crossings of P2's local flow from the arrival state: roots on
+P2's conjugacy with its linear flow (phaseplane.arrival_map), so the
+oscillation count and X0 do not depend on the radius.  A profile shot keeps
+its seed ``eps`` and ``ARRIVAL_RADIUS``, since its samples become the
+profile.  A shot that only classifies starts on P0's departure manifold
+(phaseplane.departure_seed, up to X = 0.8) and stops where the map's reach
+puts P2's ball, between ``CLASSIFY_RADIUS`` and ``P2_RADIUS_MAX``: it skips
+the drift away from P0, and the map takes over the approach to P2, so
+class, count and X0 keep their values (to 2e-9 in X0) at fewer steps.
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from itertools import takewhile
+from itertools import chain, islice, takewhile
 
 import numpy as np
 
@@ -69,10 +68,10 @@ from .errors import (
 )
 from .model import CanonicalModel, SpeedClass, classify_speed, critical_speed
 from .phaseplane import (
-    FixedPointKind,
+    P2_DEGREE,
     PhaseSystem,
     PhaseSystemI,
-    _classify_p2,
+    arrival_map,
     build_system,
     departure_seed,
     fixed_point_locations,
@@ -101,7 +100,8 @@ __all__ = [
 DEFAULT_EPS = 1e-6        # a profile shot's seed offset from P0
 MAX_EPS = 1e-2            # the largest seed offset a shot takes
 ARRIVAL_RADIUS = 1e-5
-CLASSIFY_RADIUS = 1e-4    # P2's arrival radius for such a shot
+CLASSIFY_RADIUS = 1e-4    # P2's arrival radius for such a shot where its map falls short
+P2_RADIUS_MAX = 2e-2      # cap on the P2 arrival radius that the map's reach sets
 ESCAPE_BOUND = 50.0
 TAU_SPAN = 1e9
 MAX_AXIS_CROSSINGS = 10_000   # recorded X-axis crossings past which a shot stops
@@ -189,11 +189,6 @@ class Trajectory:
                 "profile_of=<the model> to evaluate it between samples")
         return self._table(tau)
 
-    @cached_property
-    def _p2_linearization(self):
-        # the classification, X0 and the profile of one shot all read it
-        return linearization(self.sys, 1.0, 0.0)
-
 
 @dataclass
 class WaveProfile:
@@ -217,12 +212,12 @@ class ConnectionResult:
     trajectory evidence.
 
     ``evidence`` records how the class was decided: "extrema" (X = 1
-    overshoots, measured or from P2's linear flow), "range" (X confined to
+    overshoots, measured or from P2's local flow), "range" (X confined to
     [0, 1] into a node), "focus" (the orbit entered a non-degenerate stable
     focus whose first overshoot is already within ``GRAZE_TOL``), or "sign"
     (non-negative speed, no wave exists).  ``extrema`` lists the shot's own
-    extrema, then the ``tail_extrema`` that P2's linear flow adds after the
-    arrival; ``n_oscillations`` counts both.  ``solver_steps``, ``nfev`` and
+    extrema, then the ``tail_extrema`` that P2's local flow adds after the
+    arrival (see _tail_crossings); ``n_oscillations`` counts both.  ``solver_steps``, ``nfev`` and
     ``njev`` are the shot's integrator counts and ``event_counts`` its events
     per kind, an arrival attached at the orbit's end included (all zero
     without a shot); the seed is no event.
@@ -340,16 +335,18 @@ def _work_template(n: int) -> tuple[np.ndarray, ...]:
         n, (rwork, iwork, np.zeros(doubles), np.zeros(ints, dtype=np.int32)))
 
 
-def _event_functions(fps: dict, rad: float, escape: float):
+def _event_functions(fps: dict, rad: float, escape: float, p2_rad: float | None = None):
     """The shot's event functions of (X, Y), in this order: arrival within
-    ``rad`` of each fixed point of ``fps``, escape past ``escape``, the X
-    axis."""
+    ``rad`` of each fixed point of ``fps`` (``p2_rad``, if given, of P2),
+    escape past ``escape``, the X axis."""
     hypot = math.hypot
+    p2_rad = rad if p2_rad is None else p2_rad
 
-    def arrival(px: float, py: float):
-        return lambda X, Y: hypot(X - px, Y - py) - rad
+    def arrival(px: float, py: float, r: float):
+        return lambda X, Y: hypot(X - px, Y - py) - r
 
-    return [arrival(px, py) for px, py in fps.values()] + [
+    return [arrival(px, py, p2_rad if name == "P2" else rad)
+            for name, (px, py) in fps.items()] + [
         lambda X, Y: max(X - escape, abs(Y) - escape), lambda _X, Y: Y]
 
 
@@ -380,21 +377,24 @@ def _xi_rate(sys: PhaseSystem, cm: CanonicalModel) -> tuple[float, float, float,
 
 
 def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
-               arrival_radius: float, xi_rate=None) -> tuple[dict, _NordsieckTable | None]:
-    """Integrate forward from s0 with every event.  With ``xi_rate`` xi rides
-    along as a third state from xi = 0, outside the error test, and each
-    step's Nordsieck record is kept as the shot's dense output; without it
-    the dense output is None.  ``events`` lists the events in the order
-    solve_ivp reports them: by event function, then in time.
+               arrival_radius: float, p2_radius: float | None = None,
+               xi_rate=None) -> tuple[dict, _NordsieckTable | None]:
+    """Integrate forward from s0 with every event; P2's arrival ball has
+    radius ``p2_radius`` (``arrival_radius`` if None), the others
+    ``arrival_radius``.  With ``xi_rate`` xi rides along as a third state
+    from xi = 0, outside the error test, and each step's Nordsieck record is
+    kept as the shot's dense output; without it the dense output is None.
+    ``events`` lists the events in the order solve_ivp reports them: by
+    event function, then in time.
 
     Most steps are quiet: tau advances, Y keeps its sign, |Y| < escape and
-    X lies in a gap between the arrival balls, rad < X < 1 - rad or 1 + rad
-    < X < escape.  Such a step keeps its sample and nothing else, as in
-    solve_ivp, after one inline test.  The test is exact while every fixed
+    X lies in a gap between the arrival balls, rad < X < 1 - rad2 or 1 +
+    rad2 < X < escape (rad2 P2's radius).  Such a step keeps its sample and
+    nothing else, as in solve_ivp, after one inline test.  The test is exact while every fixed
     point lies on X = 0 or X = 1, which the shot checks first: a faithfully
     rounded hypot is at least each |component|, and X - 0 and X - 1 are
     exact where they matter (X - 1 for X >= 0.5; below that, |X - 1| > 0.5
-    exceeds any rad that leaves the first gap open), so no arrival value
+    exceeds any rad2 that leaves the first gap open), so no arrival value
     reaches 0, and the escape value stays below it.  Every other step
     evaluates the event values, their sign-change rule and the root solves
     on the step's Nordsieck polynomial (_step_interpolant).  A root brentq
@@ -426,8 +426,9 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
                isinstance(sys, PhaseSystemI) and sys.c == 0.0)]
     directions = [d for _, _, d, _ in table]
     escape = ESCAPE_BOUND
-    event_fns = _event_functions(fps, arrival_radius, escape)
-    lo, mid, hi = arrival_radius, 1.0 - arrival_radius, 1.0 + arrival_radius
+    p2_radius = arrival_radius if p2_radius is None else p2_radius
+    event_fns = _event_functions(fps, arrival_radius, escape, p2_radius)
+    lo, mid, hi = arrival_radius, 1.0 - p2_radius, 1.0 + p2_radius
 
     # each step is one itask-5 call of ODEPACK with scipy.integrate._ode.lsoda.run's
     # arguments.  The wrapper keeps every rwork and iwork it is given: run on a
@@ -582,9 +583,11 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
 
 
 def _shoot_from(sys: PhaseSystem, s0, *, rtol: float = 1e-10, atol: float = 1e-10,
-                arrival_radius: float = ARRIVAL_RADIUS, profile_of=None) -> Trajectory:
+                arrival_radius: float = ARRIVAL_RADIUS, p2_radius: float | None = None,
+                profile_of=None) -> Trajectory:
+    p2_radius = arrival_radius if p2_radius is None else p2_radius
     res, table = _integrate(
-        sys, s0, rtol=rtol, atol=atol, arrival_radius=arrival_radius,
+        sys, s0, rtol=rtol, atol=atol, arrival_radius=arrival_radius, p2_radius=p2_radius,
         xi_rate=None if profile_of is None else _xi_rate(sys, profile_of))
     tau, X, Y = res["tau"], res["X"], res["Y"]
     if np.min(X) < -1e-9:
@@ -601,7 +604,8 @@ def _shoot_from(sys: PhaseSystem, s0, *, rtol: float = 1e-10, atol: float = 1e-1
     # left P0's): attach the arrival at the last sample
     if arrived is None:
         for name, (x0, y0) in fixed_point_locations(sys).items():
-            if math.hypot(X[-1] - x0, Y[-1] - y0) <= arrival_radius:
+            if math.hypot(X[-1] - x0, Y[-1] - y0) <= (
+                    p2_radius if name == "P2" else arrival_radius):
                 events.append(TrajectoryEvent(
                     kind=EventKind.FIXED_POINT_ARRIVAL, tau=float(tau[-1]),
                     state=(float(X[-1]), float(Y[-1])), target=name))
@@ -624,10 +628,16 @@ def first_X_axis_intersection(traj: Trajectory) -> float:
     """X at the first Y = 0 crossing with X > 0: the turning point X0.
 
     When the orbit entered P2's arrival ball before its first crossing, the
-    first crossing of P2's linear flow gives X0 (see _tail_zeros).  A
+    first crossing on P2's local flow gives X0 (see _tail_crossings).  A
     trajectory entering the node at P2 directly from above never crosses;
     the crossing then degenerates to P2 itself and 1.0 is returned.
     """
+    return _turning_point(traj, _tail_crossings(traj))
+
+
+def _turning_point(traj: Trajectory, tail) -> float:
+    """first_X_axis_intersection, with the tail crossings read from the
+    iterator ``tail`` only when the shot recorded no crossing."""
     for ev in traj.events:
         if ev.kind is EventKind.X_AXIS_CROSS and ev.state[0] > 1e-8:
             x0 = float(ev.state[0])
@@ -638,7 +648,7 @@ def first_X_axis_intersection(traj: Trajectory) -> float:
                 )
             return x0
     if traj.arrived == "P2":
-        first = next(_tail_zeros(traj), None)
+        first = next(tail, None)
         return 1.0 if first is None else first[1]
     raise NoIntersectionError(
         f"no X-axis crossing recorded and the trajectory did not reach P2 "
@@ -667,70 +677,50 @@ def x0_monotonicity_check(cm: CanonicalModel, speeds, eps: float = DEFAULT_EPS,
     return out
 
 
-def _tail_zeros(traj: Trajectory):
-    """(tau, X) at each Y = 0 crossing of P2's linear flow after the shot's
-    arrival there, in time order: the crossings its arrival ball hides.
-
-    The flow is delta(t) = V e^{Lambda t} V^-1 delta0 from delta0 = (X - 1, Y)
-    at the arrival, with P2's eigenvalues Lambda and eigenvectors V (see
-    phaseplane.linearization).  A focus l = alpha +- i beta crosses every
-    pi/beta without end, |X - 1| shrinking by e^{alpha pi/beta} from one
-    crossing to the next; a node crosses at most once.  A degenerate P2
-    (c = c*) bounds the monotone class and yields none.
-    """
-    if traj.arrived != "P2":
+def _tail_crossings(traj: Trajectory, degree: int = P2_DEGREE):
+    """(tau, X) at each Y = 0 crossing after the shot's arrival at P2, in
+    time order: the crossings its arrival ball hides, on P2's conjugacy K
+    (phaseplane.arrival_map) from the arrival state.  K has ``degree`` where
+    the state lies within its reach and degree 1, the linear flow,
+    elsewhere.  A focus crosses about every pi/beta without end, a node at
+    most once; a degenerate P2 (c = c*) bounds the monotone class and yields
+    none."""
+    K = arrival_map(traj.sys, degree) if traj.arrived == "P2" else None
+    if K is None:
         return
-    _, (l1, l2), V = traj._p2_linearization
-    if _classify_p2(traj.sys.form[0], (l1, l2))[1]:
-        return
-    # the modal amplitudes a = V^-1 delta0, by Cramer's rule
-    (v00, v01), (v10, v11) = V.tolist()
     dx, dy, tau0 = float(traj.X[-1]) - 1.0, float(traj.Y[-1]), float(traj.tau[-1])
-    det = v00 * v11 - v01 * v10
-    a1, a2 = (v11 * dx - v01 * dy) / det, (v00 * dy - v10 * dx) / det
-    exp = cmath.exp
-
-    def x_at(t):
-        return 1.0 + (v00 * a1 * exp(l1 * t) + v01 * a2 * exp(l2 * t)).real
-
-    if not l1.imag:
-        # Y = A e^{l1 t} + B e^{l2 t} with l1 > l2 vanishes where e^{(l1 - l2) t} = -B/A
-        A, B = (a1 * v10).real, (a2 * v11).real
-        if A != 0.0 and -B / A >= 1.0:
-            t = math.log(-B / A) / (l1 - l2).real
-            yield tau0 + t, x_at(t)
-        return
-    # Y = 2 Re(z e^{l1 t}) = 2 |z| e^{alpha t} cos(beta t + arg z), z = a1 V[1, 0]
-    half_turn = math.pi / l1.imag
-    t = (0.5 * math.pi - cmath.phase(a1 * v10)) % math.pi / l1.imag
-    while True:
-        yield tau0 + t, x_at(t)
-        t += half_turn
+    if math.hypot(dx, dy) > K.reach * (1.0 + 1e-6):
+        K = arrival_map(traj.sys, 1)
+    for t, x in K.crossings(dx, dy):
+        yield tau0 + t, x
 
 
-def _wave_class(traj: Trajectory) -> tuple[SpeedClass, str, list, list]:
-    """(class, evidence, measured, tail) of a shot that arrived at P2.
+def _wave_class(traj: Trajectory) -> tuple[SpeedClass, str, list, list, list]:
+    """(class, evidence, measured, tail, first) of a shot that arrived at P2.
 
     Y = 0 crossings are exactly the X extrema (X' = gamma X Y); an extremum
     counts as an oscillation only if |X - 1| clears the grazing guard.
     ``measured`` holds the (tau, X) extrema the shot recorded, ``tail`` those
-    of P2's linear flow after the arrival (see _tail_zeros), so no count
-    depends on the arrival radius.
+    of P2's local flow after the arrival (see _tail_crossings), so no count
+    depends on the arrival radius.  ``first`` holds the first tail crossing,
+    also a grazing one, if there is one.
     """
     measured = [(ev.tau, float(ev.state[0])) for ev in traj.events
                 if ev.kind is EventKind.X_AXIS_CROSS and ev.state[0] > 1e-8
                 and abs(ev.state[0] - 1.0) > GRAZE_TOL]
-    tail = list(takewhile(lambda e: abs(e[1] - 1.0) > GRAZE_TOL, _tail_zeros(traj)))
+    crossings = _tail_crossings(traj)
+    first = list(islice(crossings, 1))
+    tail = list(takewhile(lambda e: abs(e[1] - 1.0) > GRAZE_TOL, chain(first, crossings)))
     if measured or tail:
-        return SpeedClass.OSCILLATORY, "extrema", measured, tail
-    kind, degenerate = _classify_p2(traj.sys.form[0], traj._p2_linearization[1])
-    if kind is FixedPointKind.STABLE_FOCUS and not degenerate:
+        return SpeedClass.OSCILLATORY, "extrema", measured, tail, first
+    K = arrival_map(traj.sys)
+    if K is not None and K.lam[0].imag:
         # the first crossing already grazes X = 1, but the hyperbolic focus
         # forces it, so the wave still oscillates
-        return SpeedClass.OSCILLATORY, "focus", measured, tail
+        return SpeedClass.OSCILLATORY, "focus", measured, tail, first
     x_max = float(np.max(traj.X))
     if x_max <= 1.0 + GRAZE_TOL:
-        return SpeedClass.MONOTONE, "range", measured, tail
+        return SpeedClass.MONOTONE, "range", measured, tail, first
     raise InconclusiveError(
         f"X exceeds 1 (max {x_max}) without a recorded extremum; "
         "no classifiable pattern")
@@ -746,14 +736,15 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     extrema) with |X - 1| above ``GRAZE_TOL`` or, failing those, when P2 is
     a non-degenerate stable focus; otherwise Monotone when X never exceeds
     1 + ``GRAZE_TOL``.  The crossings after the arrival come from P2's
-    linear flow, so neither the count nor X0 depends on the arrival radius.
+    local flow, so neither the count nor X0 depends on the arrival radius.
     reconstruct_profile classifies its profile by the same rule.
 
     ``shoot_kw`` go to shoot.  ``profile_of=cm`` makes the trajectory one
     that reconstruct_profile accepts; it is shot from shoot's ``eps``.  A
     shot without it only classifies and takes no ``eps``: it starts on P0's
-    departure manifold at phaseplane.departure_seed and arrives at radius
-    ``CLASSIFY_RADIUS`` unless ``arrival_radius`` is given.  Its class,
+    departure manifold at phaseplane.departure_seed and arrives at the reach
+    of P2's map (phaseplane.arrival_map), held between ``CLASSIFY_RADIUS``
+    and ``P2_RADIUS_MAX``, unless ``arrival_radius`` is given.  Its class,
     count and X0 agree with those of a shot from eps = 1e-6 to radius 1e-8,
     X0 to 2e-9 (tests/test_connect.py), and it takes fewer steps.
     """
@@ -769,15 +760,19 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     if shoot_kw.get("profile_of") is not None:
         traj = shoot(sys, **shoot_kw)
     else:
-        shoot_kw.setdefault("arrival_radius", CLASSIFY_RADIUS)
+        if "arrival_radius" not in shoot_kw:
+            K = arrival_map(sys)
+            reach = 0.0 if K is None else K.reach
+            shoot_kw.update(arrival_radius=CLASSIFY_RADIUS, p2_radius=min(
+                reach, P2_RADIUS_MAX) if reach > CLASSIFY_RADIUS else CLASSIFY_RADIUS)
         traj = _shoot_from(sys, np.array(departure_seed(sys)), **shoot_kw)
     if traj.arrived != "P2":
         raise InconclusiveError(
             f"trajectory for c = {c_original} did not reach P2 "
             f"(arrived={traj.arrived!r}, escaped={traj.escaped})")
 
-    observed, evidence, measured, tail = _wave_class(traj)
-    x0 = first_X_axis_intersection(traj)   # a float: the orbit reached P2
+    observed, evidence, measured, tail, first = _wave_class(traj)
+    x0 = _turning_point(traj, iter(first))   # a float: the orbit reached P2
     low_confidence = abs(c - critical_speed(cm)) < LOW_CONFIDENCE_BAND
     return ConnectionResult(
         c=float(c_original), predicted=predicted, observed=observed,
@@ -820,7 +815,7 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
             "trajectory carries no xi: shoot it with profile_of=<the model> "
             "to reconstruct a profile")
     # the profile ends at the arrival, so it shows only the measured extrema
-    observed, _, extrema, _ = _wave_class(traj)
+    observed, _, extrema, _, _ = _wave_class(traj)
     speed = sys.form[0]
     c_wave = -speed if isinstance(sys, PhaseSystemI) else -speed * math.sqrt(cm.mq / 2.0)
     pref, expo, fe = _profile_exponents(sys, cm)

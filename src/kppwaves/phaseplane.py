@@ -55,6 +55,8 @@ __all__ = [
     "solver_rhs",
     "departure_series",
     "departure_seed",
+    "ArrivalMap",
+    "arrival_map",
     "dulac_divergence",
     "region_G_residual",
     "zero_speed_curve",
@@ -451,6 +453,259 @@ def departure_seed(sys: PhaseSystem) -> tuple[float, float]:
     if not (X > 0.0 and math.isfinite(Y) and abs(res) <= bound):
         raise SeedFailureError(f"P0's departure-manifold series gives no seed: {(X, Y)!r}")
     return X, Y
+
+
+P2_DEGREE = 5       # degree of P2's conjugacy
+P2_TOL = 1e-10      # bound on its next-degree remainder within its reach
+_NEWTON_PASSES = 8  # cap on the Newton passes of an inversion or a crossing
+_NEWTON_STEP = 1e-8  # a relative Newton step this small leaves an error below rounding
+_CROSSING_STEP = 1e-6  # the same for a crossing's time, where X is stationary
+
+
+@lru_cache(maxsize=32)
+def _order_solver(degree: int, focus: bool, powers: tuple[str, ...]):
+    """solve(g, s, a, b, e, l1, l2, v00, v01, v10, v11) -> (terms, R):
+    arrival_map's order-by-order solve through order degree + 1, each order
+    straight-line code on local names, compiled once per (degree, focus,
+    powers) and handed the lower orders as one tuple (one compile for all
+    orders peaked at over three times the memory).  ``terms`` are ArrivalMap's to
+    ``degree`` and R the larger of the sums of |k_ij| over order degree + 1
+    in X and in Y; at an exact resonance they are the linear flow's and inf.
+    x_k and y_k name the coefficients of X - 1 and Y at flat index k = n (n +
+    1) / 2 + j (theta1^(n-j) theta2^j).  ``powers`` names the exponents
+    among a, b, e whose (1 + x)^r gets a series p of its own: e always, a
+    and b unless they are 0 or 1, where the nonlinear part of y (1 + x)^a is
+    a x y and that of (1 + x)^b vanishes."""
+    def at(n, j):
+        return n * (n + 1) // 2 + j
+
+    def conv(u, v, n, j, n1=None):
+        pairs = [(at(m, i), at(n - m, j - i)) for m in ([n1] if n1 else range(1, n))
+                 for i in range(max(0, j - n + m), min(j, m) + 1)]
+        if u != v:
+            return " + ".join(f"{u}{p} * {v}{q}" for p, q in pairs)
+        # a square: each product of two distinct coefficients once, doubled
+        twice = " + ".join(f"{u}{p} * {v}{q}" for p, q in pairs if p < q)
+        once = " + ".join(f"{u}{p} * {v}{q}" for p, q in pairs if p == q)
+        return " + ".join(filter(None, [twice and f"2.0 * ({twice})", once]))
+
+    def terms(top):
+        return "(" + "".join(
+            f"({n - j}, {j}, {w} * x{at(n, j)}, {w} * y{at(n, j)}, "
+            f"{w} * y{at(n, j)} * ({n - j} * l1 + {j} * l2)), "
+            for n in range(1, top + 1) for j in range(n // 2 + 1 if focus else n + 1)
+            for w in [2.0 if focus and 2 * j < n else 1.0]) + ")"
+
+    def compiled(args, body):
+        scope = {"inf": math.inf}
+        exec(f"def f({args}):\n" + "\n".join(body), scope)
+        return scope["f"]
+
+    names = ["x", "y"] + [f"p{r}" for r in powers]
+    known = [f"{u}{k}" for u in names for k in (1, 2)]
+    linear = compiled("l1, l2, x1, x2, y1, y2", [f"    return {terms(1)}, inf"])
+    orders = []
+    for n in range(2, degree + 2):
+        body, new = [f"    {', '.join(known)}, = c"], []
+        for j in range(n // 2 + 1 if focus else n + 1):
+            i = at(n, j)
+            body += [f"    mu = {n - j} * l1 + {j} * l2",
+                     "    det = (mu - l1) * (mu - l2)",
+                     "    if det == 0.0: return None",
+                     f"    xy = {conv('x', 'y', n, j)}",
+                     f"    yy = {conv('y', 'y', n, j)}"]
+            # the nonlinear part of (1 + x)^r by n p_n = sum (r n1 - n2) x_n1 p_n2
+            for r in powers:
+                parts = [f"({r} * {m} - {n - m}) * ({conv('x', 'p' + r, n, j, m)})"
+                         for m in range(1, n)]
+                body.append(f"    n{r} = ({' + '.join(parts)}) / {n}")
+            ya = conv("pa", "y", n, j) if "a" in powers else "a * xy"
+            Ny = f"-yy - s * ({ya})" + " + nb" * ("b" in powers) + " - ne"
+            body += [f"    Nx, Ny = g * xy, {Ny}",
+                     f"    x{i} = ((mu + s) * Nx + g * Ny) / det",
+                     f"    y{i} = ((b - e) * Nx + mu * Ny) / det"]
+            body += [f"    p{r}{i} = n{r} + {r} * x{i}" for r in powers]
+            new += [f"{u}{i}" for u in names]
+            if focus and 2 * j != n:
+                body += [f"    {u}{at(n, n - j)} = {u}{i}.conjugate()" for u in names]
+                new += [f"{u}{at(n, n - j)}" for u in names]
+        orders.append(compiled("g, s, a, b, e, l1, l2, c", body + [f"    return c + ({', '.join(new)},)"]))
+        known += new
+    top = range(at(degree + 1, 0), at(degree + 2, 0))
+    finish = compiled("l1, l2, c", [
+        f"    {', '.join(known)}, = c",
+        f"    return {terms(degree)}, max({' + '.join(f'abs(x{k})' for k in top)}, "
+        f"{' + '.join(f'abs(y{k})' for k in top)})"])
+
+    def solve(g, s, a, b, e, l1, l2, x1, x2, y1, y2):
+        exponent = {"a": a, "b": b, "e": e}
+        c = (x1, x2, y1, y2, *(exponent[r] * v for r in powers for v in (x1, x2)))
+        for order in orders:
+            c = order(g, s, a, b, e, l1, l2, c)
+            if c is None:
+                return linear(l1, l2, x1, x2, y1, y2)
+        return finish(l1, l2, c)
+
+    return solve
+
+
+@dataclass(frozen=True)
+class ArrivalMap:
+    """P2's local flow as a conjugacy K with its linear flow: phi_t(K(theta))
+    = K(e^{Lambda t} theta), K(theta) = P2 + sum k_ij theta1^i theta2^j over
+    1 <= i + j <= degree (Cabre, Fontich & de la Llave 2003), with P2's
+    eigenvalues ``lam`` and eigenvectors ``V`` (k_10, k_01).  theta2 is
+    conj(theta1) at a focus; at a node both are real, and so is the map.
+    ``terms`` lists (i, j, w kx, w ky, w ky mu_ij) with (X, Y) = P2 + Re sum
+    w k theta1^i theta2^j, mu_ij = i l1 + j l2: every term at a node (w =
+    1), and at a focus those with j <= i, w = 2 for j < i (its conjugate
+    partner) and 1 for j = i.  K truncated at degree 1 is the linear flow V e^{Lambda t}
+    V^-1 delta.  Within ``reach`` of P2 the next degree's terms stay below
+    P2_TOL."""
+
+    lam: tuple[complex, complex]
+    V: tuple[tuple[complex, complex], tuple[complex, complex]]
+    degree: int
+    terms: tuple[tuple[int, int, complex, complex, complex], ...]
+    reach: float
+
+    def _powers(self, t1: complex, t2: complex):
+        p1, p2 = [1.0, t1], [1.0, t2]
+        for _ in range(self.degree - 1):
+            p1.append(p1[-1] * t1)
+            p2.append(p2[-1] * t2)
+        return p1, p2
+
+    def _state(self, t1: complex, t2: complex) -> tuple[float, float, float]:
+        """(X - 1, Y, dY/dt) at theta = (t1, t2) on the map's flow."""
+        p1, p2 = self._powers(t1, t2)
+        X = Y = dY = 0j
+        for i, j, kx, ky, kyt in self.terms:
+            m = p1[i] * p2[j]
+            X += kx * m
+            Y += ky * m
+            dY += kyt * m
+        return X.real, Y.real, dY.real
+
+    def invert(self, dx: float, dy: float) -> tuple[complex, complex]:
+        """theta with K(theta) = P2 + (dx, dy): Newton from V^-1 (dx, dy),
+        along Re and Im theta1 at a focus (theta2 following)."""
+        (v00, v01), (v10, v11) = self.V
+        det = v00 * v11 - v01 * v10
+        focus = bool(self.lam[0].imag)
+        t1 = (v11 * dx - v01 * dy) / det
+        t2 = t1.conjugate() if focus else (v00 * dy - v10 * dx) / det
+        for _ in range(_NEWTON_PASSES if self.degree > 1 else 0):
+            p1, p2 = self._powers(t1, t2)
+            Kx = Ky = Ax = Ay = Bx = By = 0j
+            for i, j, kx, ky, _ in self.terms:
+                m = p1[i] * p2[j]
+                Kx += kx * m
+                Ky += ky * m
+                if i:   # A and B: the derivatives along t1 and t2 alone
+                    m = i * p1[i - 1] * p2[j]
+                    Ax += kx * m
+                    Ay += ky * m
+                if j:
+                    m = j * p1[i] * p2[j - 1]
+                    Bx += kx * m
+                    By += ky * m
+            if focus:
+                (a, b), (c, d) = ((Ax + Bx).real, (Bx - Ax).imag), ((Ay + By).real, (By - Ay).imag)
+            else:
+                (a, b), (c, d) = (Ax.real, Bx.real), (Ay.real, By.real)
+            rx, ry, det = Kx.real - dx, Ky.real - dy, a * d - b * c
+            u, v = (d * rx - b * ry) / det, (a * ry - c * rx) / det
+            if focus:
+                t1 -= complex(u, v)
+                t2 = t1.conjugate()
+            else:
+                t1, t2 = t1 - u, t2 - v
+            if abs(u) + abs(v) <= _NEWTON_STEP * (abs(t1) + abs(t2)):
+                break
+        return t1, t2
+
+    def crossings(self, dx: float, dy: float):
+        """(t, X) at each Y = 0 crossing, t > 0, of the orbit through P2 + (dx,
+        dy) at t = 0, in time order: roots of Y(K(e^{Lambda t} theta0)), each
+        by Newton from the linear flow's, theta0 = K^-1 of the start.  A focus
+        crosses about every pi/beta without end; a node crosses at most once,
+        where Y's sign at t = 0 differs from that of its slow mode."""
+        th1, th2 = self.invert(dx, dy)
+        (l1, l2), ((_, _), (y10, y01)) = self.lam, self.V
+        exp, scale = cmath.exp if l1.imag else math.exp, abs(l1)
+
+        def root(t):
+            for _ in range(_NEWTON_PASSES):
+                z1 = th1 * exp(l1 * t)
+                X, Y, dY = self._state(z1, z1.conjugate() if l1.imag else th2 * exp(l2 * t))
+                step = Y / dY
+                t -= step
+                if abs(step) * scale <= _CROSSING_STEP:
+                    break
+            return t, 1.0 + X, dY
+
+        if l1.imag:
+            # from the linear flow's first crossing at t >= 0, then every
+            # pi/beta.  Y leaves the start with the sign of dy, so a first
+            # root where Y takes that sign follows a skipped one: the linear
+            # flow's crossing just before t = 0 that the map puts after it
+            half_turn = math.pi / l1.imag
+            t, X, dY = root((0.5 * math.pi - cmath.phase(y10 * th1)) % math.pi / l1.imag)
+            if dY * dy > 0.0:
+                t0, X0, _ = root(0.0)
+                if t0 > 0.0:
+                    yield t0, X0
+            # the map's shift of each crossing off the linear flow's changes
+            # by -e^{alpha pi/beta} a half-turn at leading order: extrapolated,
+            # it leaves Newton a second-order start
+            decay, drift = -math.exp(l1.real * half_turn), 0.0
+            while True:
+                if t > 0.0:
+                    yield t, X
+                t_old = t
+                t, X, _ = root(t + half_turn + drift * decay)
+                drift = t - t_old - half_turn
+        A, B = (y10 * th1).real, (y01 * th2).real
+        if A * dy < 0.0:
+            # the slow mode's Y and the start's differ in sign: one crossing,
+            # where A e^{l1 t} + B e^{l2 t} vanishes for the linear flow
+            t, X, _ = root(max(0.0, math.log(-B / A) / (l1 - l2).real) if -B / A > 0.0 else 0.0)
+            if t > 0.0:
+                yield t, X
+
+
+def arrival_map(sys: PhaseSystem, degree: int = P2_DEGREE) -> ArrivalMap | None:
+    """P2's conjugacy K to ``degree`` (see ArrivalMap), or None when P2 is
+    degenerate.  Order n solves (mu I - J) k_ij = N_ij, mu = i l1 + j l2,
+    with N_ij the order-n part of the field's nonlinear terms on the lower
+    orders; (1 + x)^r comes from the Euler-operator recurrence (1 + x) E p =
+    r p E x (E multiplies a term of order n by n), and at a focus only j <=
+    n / 2 is solved, the rest conjugate.  The reach is the state radius
+    rho / |V^-1| (its largest row norm) where the degree + 1 terms sum to
+    P2_TOL at |theta| = rho.  It is 0 where they are not finite, and where
+    mu hits an eigenvalue exactly (a resonant node), which also ends K."""
+    return _arrival_map(sys, degree)
+
+
+@lru_cache(maxsize=64)
+def _arrival_map(sys: PhaseSystem, degree: int) -> ArrivalMap | None:
+    g, (s, a, b, e) = sys.gamma, sys.form
+    _, lam, V = linearization(sys, 1.0, 0.0)
+    if _classify_p2(s, lam)[1]:
+        return None
+    (l1, l2), V = lam, V.tolist()
+    focus = bool(l1.imag)
+    if not focus:   # a node's map is real
+        (l1, l2), V = (l1.real, l2.real), [[v.real for v in row] for row in V]
+    (v00, v01), (v10, v11) = V
+    powers = tuple(r for r, v in zip("ab", (a, b)) if v not in (0.0, 1.0)) + ("e",)
+    terms, R = _order_solver(degree, focus, powers)(g, s, a, b, e, l1, l2, v00, v01, v10, v11)
+    # the next degree's terms bound K's remainder
+    norm = max(math.hypot(abs(v11), abs(v01)), math.hypot(abs(v10), abs(v00))) / abs(
+        v00 * v11 - v01 * v10)
+    reach = (P2_TOL / R) ** (1.0 / (degree + 1)) / norm if 0.0 < R < math.inf else 0.0
+    return ArrivalMap((l1, l2), tuple(map(tuple, V)), sum(terms[-1][:2]), terms, reach)
 
 
 def fixed_points(sys: PhaseSystem) -> list[FixedPointInfo]:

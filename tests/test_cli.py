@@ -542,7 +542,7 @@ def test_sweep_json_rows_carry_shot_diagnostics(tmp_path):
     # a shot to radius 1e-8 does
     assert (by_c[-1.95]["n_oscillations"], by_c[-1.95]["evidence"]) == (0, "focus")
     assert by_c[-1.0]["evidence"] == "extrema" and by_c[-2.5]["evidence"] == "range"
-    # P2's linear flow adds the crossings inside the arrival ball
+    # P2's local flow adds the crossings inside the arrival ball
     assert by_c[-1.0]["tail_extrema"] > 0
     assert by_c[-1.95]["tail_extrema"] == by_c[-2.5]["tail_extrema"] == 0
     for row in by_c.values():
