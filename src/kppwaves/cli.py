@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import functools
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +28,6 @@ from .errors import (
 )
 from .io import (
     fmt,
-    read_json,
     read_profile_csv,
     write_csv,
     write_float_csv,
@@ -42,7 +40,6 @@ from .model import (
     SpeedClass,
     classify_speed,
     critical_speed,
-    json_number,
     model_to_json,
     nondimensionalize,
 )
@@ -132,7 +129,7 @@ def cmd_analyze(cfg: RunConfig, cm: CanonicalModel, out: Path) -> list[dict]:
 
 def _shoot_row(row: dict, cfg: RunConfig, cm: CanonicalModel, out: Path) -> None:
     atol, rtol = cfg.ode_tolerances
-    res = _classify(row, cm, eps=cfg.seed_eps, rtol=rtol, atol=atol, profile_of=cm)
+    res = _classify(row, cm, rtol=rtol, atol=atol, profile_of=cm)
     row["low_confidence"] = res.low_confidence
     row["event_counts"] = res.event_counts
     if res.trajectory is None:
@@ -167,24 +164,19 @@ def cmd_shoot(cfg: RunConfig, cm: CanonicalModel, out: Path) -> list[dict]:
 
 # --- pde -----------------------------------------------------------------------
 
-def _pde_row(row: dict, cfg: RunConfig, cm: CanonicalModel, out: Path,
-             observed: dict[str, SpeedClass]) -> None:
+def _pde_row(row: dict, cfg: RunConfig, cm: CanonicalModel, out: Path) -> None:
     label = c_label(row["c"])
     ppath = out / f"profile_c{label}.csv"
     if not ppath.exists():
-        if observed.get(label) is SpeedClass.NO_WAVE:
+        if row["c"] >= 0.0:
             row["skipped"] = "no wave at this speed; nothing to advect"
             return
         raise MissingArtifactError(
             f"expected profile file {ppath} (produce it with the shoot command first)")
-    if label not in observed:
-        raise MissingArtifactError(
-            f"profile file {ppath} has no classified row in "
-            f"{out / 'classification.json'} (produce both with the shoot command)")
     xi, f = read_profile_csv(ppath)
     pc = cfg.pde
     res = pde.advect_profile_test(
-        connect.WaveProfile(xi=xi, f=f, c=float(row["c"]), classification=observed[label]),
+        connect.WaveProfile(xi=xi, f=f, c=float(row["c"])),
         cm, pc.T, n_cells=pc.n_cells, cfl=pc.cfl,
         domain=None if pc.x_min is None else (pc.x_min, pc.x_max),
         snapshot_times=pc.snapshot_times)
@@ -214,37 +206,13 @@ def _pde_row(row: dict, cfg: RunConfig, cm: CanonicalModel, out: Path,
     })
 
 
-def _observed_classes(path: Path) -> dict[str, SpeedClass]:
-    """The observed class of each speed the shoot stage classified, by file
-    label, from its classification.json at ``path``; none when the file is
-    absent.  A file that is not a list of objects, each with a finite
-    number c and, where it has one, a valid observed_class, is a
-    MissingArtifactError naming the file."""
-    shots = read_json(path) if path.exists() else []
-    if not isinstance(shots, list) or not all(isinstance(r, dict) for r in shots):
-        raise MissingArtifactError(f"{path}: expected a list of row objects")
-    observed = {}
-    for i, r in enumerate(shots):
-        c = json_number(r.get("c"))
-        if c is None or not math.isfinite(c):
-            raise MissingArtifactError(f"{path}: row {i} has no finite speed c")
-        if "observed_class" in r:
-            try:
-                observed[c_label(c)] = SpeedClass(r["observed_class"])
-            except ValueError as e:
-                raise MissingArtifactError(f"{path}: row {i}: {e}") from None
-    return observed
-
-
 def cmd_pde(cfg: RunConfig, cm: CanonicalModel, out: Path) -> list[dict]:
     """Advect each speed's stored profile and write PDE artifacts.
 
-    Speeds the shoot stage recorded as waveless are skipped; a profile that
-    should exist but does not, or one the shoot stage left unclassified, is
-    a missing artifact, and so is a malformed classification.json.
+    A speed c >= 0 carries no wave and is skipped when it has no profile; a
+    missing profile at c < 0 is a missing artifact.
     """
-    observed = _observed_classes(out / "classification.json")
-    rows = [_row(c, _pde_row, cfg, cm, out, observed) for c in cfg.speeds]
+    rows = [_row(c, _pde_row, cfg, cm, out) for c in cfg.speeds]
     write_json(out / "pde_summary.json", rows)
     return rows
 

@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
-from .connect import DEFAULT_EPS, MAX_EPS
 from .errors import ConfigError
 from .model import CanonicalModel, GeneralModel, json_number, model_from_json
 
@@ -57,7 +56,6 @@ class RunConfig:
     pde: PdeConfig = PdeConfig()
     sweep: SweepConfig | None = None
     output_dir: str = "out"
-    seed_eps: float = DEFAULT_EPS
 
 
 def _refuse_shared_labels(values: tuple[float, ...], path: str) -> None:
@@ -163,12 +161,8 @@ def parse_config(data) -> RunConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError(f"output_dir: expected a non-empty string, got {output_dir!r}")
 
-    seed_eps = _need_finite(v["seed_eps"], "seed_eps")
-    if not 0.0 < seed_eps <= MAX_EPS:
-        raise ConfigError(f"seed_eps: must lie in (0, {MAX_EPS:g}], got {seed_eps}")
-
     return RunConfig(model=model, speeds=speeds, ode_tolerances=tol,
-                     pde=pde, sweep=sweep, output_dir=output_dir, seed_eps=seed_eps)
+                     pde=pde, sweep=sweep, output_dir=output_dir)
 
 
 def load_config(path) -> RunConfig:

@@ -202,7 +202,6 @@ class WaveProfile:
     xi: np.ndarray
     f: np.ndarray
     c: float
-    classification: SpeedClass
     overshoot_extrema: tuple[tuple[float, float], ...] = ()
 
 
@@ -304,7 +303,10 @@ def _tolerances(rtol: float, atol, n: int):
     """(rtol, atol) as scipy's LSODA hands them to ODEPACK, checked as its
     validate_tol checks them: an rtol below 100 eps is raised to that floor
     with scipy's UserWarning, and an atol that is negative or neither a
-    scalar nor of shape (n,) is refused."""
+    scalar nor of shape (n,) is refused.  A NaN or infinite rtol or atol,
+    which scipy passes on, is refused too."""
+    if not (math.isfinite(rtol) and np.all(np.isfinite(atol))):
+        raise InvalidParameterError(f"rtol and atol must be finite, got {rtol!r} and {atol!r}")
     if rtol < _RTOL_MIN:
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {_RTOL_MIN})`.")
@@ -561,6 +563,7 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
     ``ESCAPE_BOUND`` and arrival within ``arrival_radius`` of a fixed point;
     arrival and escape stop the integration, and ``TAU_SPAN`` bounds it.  A
     shot past ``MAX_AXIS_CROSSINGS`` X-axis crossings raises InconclusiveError.
+    An ``arrival_radius`` that is not finite and positive is refused.
     Arrivals fire on entry into a ball and the seed counts as inside P0's,
     so leaving it records none.  An orbit that ends in a ball it never
     entered on a step (still in P0's at ``TAU_SPAN``) gets the arrival
@@ -585,6 +588,8 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
 def _shoot_from(sys: PhaseSystem, s0, *, rtol: float = 1e-10, atol: float = 1e-10,
                 arrival_radius: float = ARRIVAL_RADIUS, p2_radius: float | None = None,
                 profile_of=None) -> Trajectory:
+    if not 0.0 < arrival_radius < math.inf:
+        raise InvalidParameterError(f"arrival_radius {arrival_radius!r} is not finite and > 0")
     p2_radius = arrival_radius if p2_radius is None else p2_radius
     res, table = _integrate(
         sys, s0, rtol=rtol, atol=atol, arrival_radius=arrival_radius, p2_radius=p2_radius,
@@ -737,7 +742,7 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     a non-degenerate stable focus; otherwise Monotone when X never exceeds
     1 + ``GRAZE_TOL``.  The crossings after the arrival come from P2's
     local flow, so neither the count nor X0 depends on the arrival radius.
-    reconstruct_profile classifies its profile by the same rule.
+    reconstruct_profile measures its profile's extrema by the same rule.
 
     ``shoot_kw`` go to shoot.  ``profile_of=cm`` makes the trajectory one
     that reconstruct_profile accepts; it is shot from shoot's ``eps``.  A
@@ -815,7 +820,7 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
             "trajectory carries no xi: shoot it with profile_of=<the model> "
             "to reconstruct a profile")
     # the profile ends at the arrival, so it shows only the measured extrema
-    observed, _, extrema, _, _ = _wave_class(traj)
+    _, _, extrema, _, _ = _wave_class(traj)
     speed = sys.form[0]
     c_wave = -speed if isinstance(sys, PhaseSystemI) else -speed * math.sqrt(cm.mq / 2.0)
     pref, expo, fe = _profile_exponents(sys, cm)
@@ -864,8 +869,7 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
 
     overshoots = sorted(((-(float(traj.state_at(tau_e)[2]) - xi_half), x_e ** fe)
                          for tau_e, x_e in extrema), key=lambda p: p[0])
-    return WaveProfile(xi=xi, f=f, c=c_wave, classification=observed,
-                       overshoot_extrema=tuple(overshoots))
+    return WaveProfile(xi=xi, f=f, c=c_wave, overshoot_extrema=tuple(overshoots))
 
 
 # --- finite propagation --------------------------------------------------------
@@ -882,9 +886,10 @@ def _right_tail(profile: WaveProfile) -> tuple[np.ndarray, np.ndarray]:
 def threshold_crossings(profile: WaveProfile, thresholds) -> list[tuple[float, float]]:
     """(threshold, xi) where the monotone right tail crosses each threshold."""
     thresholds = [float(t) for t in thresholds]
-    if any(t <= 0.0 for t in thresholds) or any(
+    if not thresholds or not all(0.0 < t < math.inf for t in thresholds) or any(
             b >= a for a, b in zip(thresholds, thresholds[1:])):
-        raise InvalidParameterError("thresholds must be positive and strictly decreasing")
+        raise InvalidParameterError(
+            f"thresholds {thresholds} are not one or more finite, positive, decreasing values")
     xi_t, f_t = _right_tail(profile)
     if len(f_t) < 2:
         raise InsufficientTailError("profile has no decreasing right tail")

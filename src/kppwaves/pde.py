@@ -65,7 +65,7 @@ from .errors import (
     NoFrontError,
     StabilityViolationError,
 )
-from .model import CanonicalModel, SpeedClass
+from .model import CanonicalModel
 from .connect import WaveProfile
 
 log = logging.getLogger(__name__)
@@ -400,12 +400,13 @@ def evolve(run: PdeRun, cm: CanonicalModel, T: float, *,
     interpolated linearly between the states at its ends, so snapshots do
     not change the steps taken.  A tracked front that comes within
     ``BOUNDARY_GUARD_CELLS`` cells of a boundary raises DomainTooSmall; a
-    snapshot time outside [run.time, T] is refused before any step.  The front is recorded at the start too,
+    T that is not finite or lies before ``run.time``, and a snapshot time
+    outside [run.time, T], are refused before any step.  The front is recorded at the start too,
     unless the track already ends at ``run.time`` (a run evolved before), so
     the track holds one record per time.
     """
-    if T < run.time:
-        raise InvalidParameterError("target time lies in the past")
+    if not run.time <= T < math.inf:
+        raise InvalidParameterError(f"target time {T!r} must be finite and at least {run.time}")
     snaps_pending = sorted(float(t) for t in snapshot_times)
     for t in snaps_pending:
         if t < run.time - 1e-12 or t > T + 1e-12:
@@ -470,8 +471,8 @@ def measure_front_speed(run: PdeRun, window: tuple[float, float]) -> float:
 
 def support_edge(run: PdeRun, threshold: float) -> float | None:
     """Rightmost x with u above the threshold (interpolated), or None."""
-    if threshold < U_FLOOR:
-        raise InvalidParameterError(f"threshold must be at least {U_FLOOR}")
+    if not threshold >= U_FLOOR:
+        raise InvalidParameterError(f"threshold must be at least {U_FLOOR}, got {threshold!r}")
     u = run.state
     above = np.nonzero(u > threshold)[0]
     if len(above) == 0:
@@ -508,8 +509,9 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     The domain defaults to the profile's span padded for the motion c T plus
     a safety margin; pass ``domain`` to override (a front straying within 10
     cells of a boundary raises DomainTooSmall with a widened suggestion).  A
-    profile with a non-finite xi or f is refused before the run is built,
-    and a snapshot time outside [0, T] before the first step.
+    profile with a non-finite xi or f, or without a finite speed c < 0 (no
+    wave moves otherwise), is refused before the run is built, and a
+    snapshot time outside [0, T] before the first step.
 
     The plateau behind the front sits at an unstable state of the reaction,
     so any shortfall 1 - f at the profile's left end grows like
@@ -517,8 +519,8 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     the profile with a tighter arrival radius (say 1e-9) so this floor stays
     below the scheme error; the default radius is fine for shape checks.
     """
-    if T < 0.0:
-        raise InvalidParameterError("T must be non-negative")
+    if not 0.0 <= T < math.inf:
+        raise InvalidParameterError(f"T must be finite and non-negative, got {T!r}")
     xi = np.asarray(profile.xi, dtype=float)
     f = np.asarray(profile.f, dtype=float)
     for name, values in (("xi", xi), ("f", f)):
@@ -527,9 +529,9 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
                 f"profile {name} has non-finite values; only a finite profile "
                 "can be advected")
     c = float(profile.c)
+    if not -math.inf < c < 0.0:
+        raise InvalidParameterError(f"a wave profile has a finite speed c < 0, got c = {c!r}")
     f_left, f_right = float(f[0]), float(f[-1])
-    if profile.classification is SpeedClass.NO_WAVE:
-        raise InvalidParameterError("profile carries no wave to advect")
 
     if domain is None:
         span = float(xi[-1] - xi[0])

@@ -376,38 +376,28 @@ def test_pde_without_profiles_fails_loudly(tmp_path):
     assert "profile_c-3.csv" in rows[0]["error"]
 
 
-def test_pde_profile_without_classified_row_fails_loudly(tmp_path):
-    # the class of a stored profile comes from classification.json; a
-    # profile the shoot stage never classified is not advected
+def test_pde_needs_no_classification_file(tmp_path):
+    # whether a speed carries a wave is the sign of c: the pde stage reads
+    # the profiles alone, and writes the same summary without the shoot
+    # stage's classification.json
     out = tmp_path / "out"
-    out.mkdir()
-    write_profile_csv(out / "profile_c-3.csv", [-1.0, 0.0, 1.0], [1.0, 0.5, 0.0])
-    cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out))
-    assert main(["pde", "--config", str(cfg)]) == 3
+    cfg = write_cfg(tmp_path, speeds=[-3, 1], output_dir=str(out),
+                    pde={"n_cells": 200, "T": 0.1})
+    assert main(["shoot", "--config", str(cfg)]) == 0
+    assert main(["pde", "--config", str(cfg)]) == 0
+    with_file = (out / "pde_summary.json").read_bytes()
+    (out / "classification.json").unlink()
+    assert main(["pde", "--config", str(cfg)]) == 0
+    assert (out / "pde_summary.json").read_bytes() == with_file
+
+
+def test_pde_skips_waveless_speeds_without_a_shoot_run(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, speeds=[0, 1], output_dir=str(out))
+    assert main(["pde", "--config", str(cfg)]) == 0
     rows = json.loads((out / "pde_summary.json").read_text())
-    assert rows[0]["error_kind"] == "MissingArtifactError"
-    assert "no classified row" in rows[0]["error"]
-
-
-@pytest.mark.parametrize("text, reason", [
-    ('[{"c": -3, "observed_class": "Foo"}]', "row 0: 'Foo' is not a valid SpeedClass"),
-    ('[{"observed_class": "Monotone"}]', "row 0 has no finite speed c"),
-    ('[{"c": "-3", "observed_class": "Monotone"}]', "row 0 has no finite speed c"),
-    ('[{"c": -3, "observed_class": "Monotone"', "does not hold valid JSON"),
-    ('{"c": -3, "observed_class": "Monotone"}', "expected a list of row objects"),
-], ids=["class", "no-c", "string-c", "not-json", "object"])
-def test_pde_refuses_a_malformed_classification(tmp_path, capsys, text, reason):
-    # the shoot stage's classification.json is checked before any row runs:
-    # a bad one ends the command with one error line that names it
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "classification.json").write_text(text)
-    write_profile_csv(out / "profile_c-3.csv", [-1.0, 0.0, 1.0], [1.0, 0.5, 0.0])
-    cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out))
-    assert main(["pde", "--config", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "Traceback" not in err, err
-    assert f"error: {out / 'classification.json'}" in err and reason in err, err
+    assert [r["c"] for r in rows] == [0.0, 1.0]
+    assert all(r["skipped"] == "no wave at this speed; nothing to advect" for r in rows)
 
 
 def test_pde_domain_too_small_suggests_one(tmp_path):
@@ -433,8 +423,6 @@ def test_pde_domain_too_small_suggests_one(tmp_path):
 def test_pde_refuses_a_bad_profile_file(tmp_path, text, reason):
     out = tmp_path / "out"
     out.mkdir()
-    (out / "classification.json").write_text(
-        json.dumps([{"c": -3.0, "observed_class": "Monotone"}]))
     (out / "profile_c-3.csv").write_text(text)
     cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out))
     assert main(["pde", "--config", str(cfg)]) == 3
@@ -765,7 +753,7 @@ def test_model_must_be_an_object(tmp_path, capsys):
 
 # every leaf of a valid config, and values that JSON can hold but none of
 # those leaves takes
-FULL_CFG = {**BASE_CFG, "ode_tolerances": [1e-10, 1e-9], "output_dir": "out", "seed_eps": 1e-6,
+FULL_CFG = {**BASE_CFG, "ode_tolerances": [1e-10, 1e-9], "output_dir": "out",
             "pde": {"x_min": -40.0, "x_max": 40.0, "n_cells": 600, "cfl": 0.5, "T": 0.5,
                     "snapshot_times": [0.25, 0.5]}}
 
@@ -820,24 +808,31 @@ def test_parse_config_guards():
     with pytest.raises(kw.ConfigError):
         kw.parse_config({**BASE_CFG, "ode_tolerances": [0.0, 1e-8]})
     with pytest.raises(kw.ConfigError):
-        kw.parse_config({**BASE_CFG, "seed_eps": 0.5})
-    with pytest.raises(kw.ConfigError):
         kw.parse_config({**BASE_CFG, "speeds": [float("inf")]})
 
 
-def test_config_and_shoot_share_the_seed_offset_rules():
-    # one default and one bound: the config takes the offset a profile shot
-    # starts from, and both take 1e-2 and refuse the next float above it
+def test_config_and_shoot_share_the_seed_offset_rules(tmp_path):
+    # one offset and one bound, both shoot's: the config sets no offset, the
+    # shoot command's profile shots start at DEFAULT_EPS, and shoot takes
+    # 1e-2 and refuses the next float above it
     import kppwaves as kw
-    assert kw.parse_config(BASE_CFG).seed_eps == kw.connect.DEFAULT_EPS
-    sys_ = kw.build_system(CanonicalModel(m=2, p=2, q=1), 1.0)
-    assert kw.parse_config({**BASE_CFG, "seed_eps": 1e-2}).seed_eps == 1e-2
+    cm = CanonicalModel(m=2, p=2, q=1)
+    cfg = write_cfg(tmp_path, speeds=[-1], output_dir=str(tmp_path / "out"))
+    assert main(["shoot", "--config", str(cfg)]) == 0
+    [row] = json.loads((tmp_path / "out" / "classification.json").read_text())
+    shot = classify_connection(cm, -1.0, profile_of=cm, eps=connect.DEFAULT_EPS)
+    assert (row["solver_steps"], row["nfev"]) == (shot.solver_steps, shot.nfev)
+    sys_ = kw.build_system(cm, 1.0)
     assert kw.shoot(sys_, 1e-2).arrived == "P2"
     over = math.nextafter(1e-2, 1.0)
-    with pytest.raises(kw.ConfigError, match=r"\(0, 0\.01\]"):
-        kw.parse_config({**BASE_CFG, "seed_eps": over})
     with pytest.raises(kw.InvalidParameterError, match=r"\(0, 0\.01\]"):
         kw.shoot(sys_, over)
+
+
+def test_seed_eps_is_no_config_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), seed_eps=1e-6)
+    assert main(["shoot", "--config", str(cfg)]) == 2
+    assert "error: seed_eps: unknown key" in capsys.readouterr().err
 
 
 def test_sweep_grid_guard_counts_the_grid_it_guards():

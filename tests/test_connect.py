@@ -551,7 +551,7 @@ def test_any_seed_offset_gives_a_result_or_a_typed_error():
 def test_shot_diagnostics_are_deterministic_counts():
     # the classification shot starts on P0's departure manifold and here never
     # leaves the Adams method (njev may be 0); a profile shot drifts from its
-    # seed_eps seed and takes Jacobians
+    # DEFAULT_EPS seed and takes Jacobians
     profile = classify_connection(CM221, -1.0, profile_of=CM221)
     assert all(type(n) is int and n > 0
                for n in (profile.solver_steps, profile.nfev, profile.njev))
@@ -698,6 +698,24 @@ def test_tolerances_are_checked_as_lsoda_checks_them():
             LSODA(lambda _t, y: -y, 0.0, np.ones(2), 1.0, atol=atol)
         with pytest.raises(kw.InvalidParameterError, match="atol"):
             connect._tolerances(1e-10, atol, 2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"atol": math.nan}, {"atol": math.inf}, {"rtol": math.nan}, {"rtol": math.inf},
+    {"arrival_radius": math.nan}, {"arrival_radius": -1.0}, {"arrival_radius": 0.0},
+    {"arrival_radius": math.inf},
+], ids=["atol-nan", "atol-inf", "rtol-nan", "rtol-inf",
+        "radius-nan", "radius-negative", "radius-zero", "radius-inf"])
+def test_non_finite_tolerances_and_radii_are_refused(kwargs):
+    # scipy passes a NaN or infinite tolerance on to ODEPACK, where a shot
+    # "arrives" at P0 or leaves the half-plane; a shot with such a radius
+    # never arrives.  Each is refused before the shot, whichever path runs it
+    [name] = kwargs
+    for run in (lambda: shoot(build_system(CM221, 3.0), **kwargs),
+                lambda: classify_connection(CM221, -3.0, **kwargs),
+                lambda: classify_connection(CM221, -3.0, profile_of=CM221, **kwargs)):
+        with pytest.raises(kw.InvalidParameterError, match=rf"{name}\b.* finite"):
+            run()
 
 
 def test_missing_compiled_module_names_the_scipy(monkeypatch, tmp_path):
@@ -1102,14 +1120,12 @@ def test_profile_class_is_the_shot_class(c):
     # each first overshoot lies inside the profile shot's arrival ball.  At
     # -1.90 it clears the grazing guard and P2's local flow counts it; at
     # -1.93 and -1.96 it does not, and focus evidence decides.  The profile
-    # ends at the arrival, so it shows no overshoot, and the same rule
-    # classifies it
+    # ends at the arrival, so it shows no overshoot
     r = classify_connection(CM221, c, profile_of=CM221)
     n = {-1.90: 1, -1.93: 0, -1.96: 0}[c]
     assert r.n_oscillations == r.tail_extrema == n == _fine_shot(CM221, c)[1]
     assert (r.observed, r.evidence) == (SpeedClass.OSCILLATORY, "extrema" if n else "focus")
     prof = reconstruct_profile(r.trajectory)
-    assert prof.classification is r.observed
     assert prof.overshoot_extrema == ()
 
 
@@ -1145,8 +1161,9 @@ def test_classify_agrees_with_prediction_on_case_ii():
 # --- profiles -----------------------------------------------------------------------
 
 def test_monotone_profile_shape(monotone_profile_121):
-    prof, _ = monotone_profile_121
-    assert prof.classification is SpeedClass.MONOTONE
+    prof, cm = monotone_profile_121
+    # the fixture's shot, classified
+    assert classify_connection(cm, -3.0, profile_of=cm).observed is SpeedClass.MONOTONE
     assert prof.c == pytest.approx(-3.0, rel=1e-12)
     assert np.all(np.diff(prof.xi) > 0.0)
     assert np.all(np.diff(prof.f) <= 1e-12)
@@ -1157,8 +1174,9 @@ def test_monotone_profile_shape(monotone_profile_121):
 
 
 def test_oscillatory_profile_shape(oscillatory_profile_221):
-    prof, _ = oscillatory_profile_221
-    assert prof.classification is SpeedClass.OSCILLATORY
+    prof, cm = oscillatory_profile_221
+    # the fixture's shot, classified
+    assert classify_connection(cm, -1.0, profile_of=cm).observed is SpeedClass.OSCILLATORY
     assert prof.c == pytest.approx(-1.0, rel=1e-12)
     assert prof.f.max() == pytest.approx(1.0331873960, abs=1e-4)
     assert np.interp(0.0, prof.xi, prof.f) == pytest.approx(0.5, abs=1e-6)
@@ -1175,9 +1193,9 @@ def test_profile_matches_closed_form_wave():
     # u = 1 - (1 + (sqrt(2) - 1) e^(-xi/sqrt(6)))^-2 with u(0) = 1/2
     # (Ablowitz & Zeppetella 1979)
     cm = CanonicalModel(m=1, p=2, q=1)
-    s = build_system(cm, 5.0 / math.sqrt(6.0))
-    prof = reconstruct_profile(shoot(s, profile_of=cm))
-    assert prof.classification is SpeedClass.MONOTONE
+    r = classify_connection(cm, -5.0 / math.sqrt(6.0), profile_of=cm)
+    assert r.observed is SpeedClass.MONOTONE
+    prof = reconstruct_profile(r.trajectory)
     with np.errstate(over="ignore"):
         exact = 1.0 - (1.0 + (math.sqrt(2.0) - 1.0) * np.exp(-prof.xi / math.sqrt(6.0))) ** -2
     assert np.max(np.abs(prof.f - exact)) < 1e-6
@@ -1324,8 +1342,7 @@ def test_divergent_edge_integral_reports_no_edge(m, p, q):
 
 
 def test_edge_needs_a_negative_speed():
-    prof = WaveProfile(xi=np.array([0.0, 1.0]), f=np.array([1.0, 0.5]), c=0.0,
-                       classification=SpeedClass.MONOTONE)
+    prof = WaveProfile(xi=np.array([0.0, 1.0]), f=np.array([1.0, 0.5]), c=0.0)
     with pytest.raises(kw.InvalidParameterError, match="c < 0"):
         detect_finite_propagation(prof, CM221)
 
@@ -1338,7 +1355,7 @@ def test_exponential_tail_reports_no_edge(monotone_profile_121):
 def test_exact_zero_tail_short_circuits():
     xi = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     f = np.array([1.0, 0.5, 0.2, 0.0, 0.0])
-    prof = WaveProfile(xi=xi, f=f, c=-1.0, classification=SpeedClass.MONOTONE)
+    prof = WaveProfile(xi=xi, f=f, c=-1.0)
     assert detect_finite_propagation(prof, CM221) == 3.0
 
 
@@ -1348,6 +1365,9 @@ def test_threshold_validation(monotone_profile_121):
         threshold_crossings(prof, (1e-3, 1e-2))
     with pytest.raises(kw.InvalidParameterError):
         threshold_crossings(prof, (1e-2, -1e-3))
+    for bad in ((), (math.nan,), (math.inf,), (1e-2, math.nan)):
+        with pytest.raises(kw.InvalidParameterError, match="not one or more finite"):
+            threshold_crossings(prof, bad)
     # this profile's tail is truncated near 1e-6: asking for 1e-8 over-reaches
     with pytest.raises(kw.InsufficientTailError):
         threshold_crossings(prof, (1e-2, 1e-8))

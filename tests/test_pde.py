@@ -309,6 +309,10 @@ def test_evolve_time_validation():
         evolve(run, CM121, 0.5)
     with pytest.raises(kw.InvalidParameterError):
         evolve(run, CM121, 2.0, snapshot_times=(3.0,))
+    for T in (math.nan, math.inf):
+        with pytest.raises(kw.InvalidParameterError, match="must be finite"):
+            evolve(run, CM121, T)
+    assert run.steps == 0 and run.time == 1.0
 
 
 def test_evolve_again_records_each_time_once():
@@ -395,8 +399,9 @@ def test_support_edge():
     assert edge == pytest.approx(1.0, abs=1e-2)
     empty = make_run(0.0, 1.0, 16, lambda x: np.zeros_like(x), bc=(0.0, 0.0))
     assert support_edge(empty, 1e-6) is None
-    with pytest.raises(kw.InvalidParameterError):
-        support_edge(run, 1e-15)
+    for threshold in (1e-15, math.nan):
+        with pytest.raises(kw.InvalidParameterError, match="threshold must be at least"):
+            support_edge(run, threshold)
 
 
 # --- profile advection ------------------------------------------------------------------
@@ -453,8 +458,18 @@ def test_evolve_stops_a_front_near_the_boundary():
 
 def test_advect_rejects_negative_horizon(monotone_profile_121):
     prof, cm = monotone_profile_121
-    with pytest.raises(kw.InvalidParameterError):
-        advect_profile_test(prof, cm, -1.0)
+    for T in (-1.0, math.nan, math.inf):
+        with pytest.raises(kw.InvalidParameterError, match="T must be finite and non-negative"):
+            advect_profile_test(prof, cm, T)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, 1.0, math.nan, -math.inf])
+def test_advect_refuses_a_profile_without_a_negative_speed(monotone_profile_121, c):
+    # a wave f(x - ct) from 1 to 0 exists exactly when c < 0
+    prof, cm = monotone_profile_121
+    moved = kw.WaveProfile(xi=prof.xi, f=prof.f, c=c)
+    with pytest.raises(kw.InvalidParameterError, match="finite speed c < 0"):
+        advect_profile_test(moved, cm, 1.0, n_cells=200)
 
 
 @pytest.mark.parametrize("t", [-0.1, 1.5])
@@ -472,8 +487,7 @@ def test_advect_rejects_snapshot_time_outside_horizon(monotone_profile_121, t):
 ], ids=["f-inf", "f-nan", "xi-nan", "xi-inf"])
 def test_advect_refuses_non_finite_profile(name, xi, f):
     # refused before the run is built, with no numpy warning on the way
-    prof = kw.WaveProfile(xi=np.array(xi), f=np.array(f), c=-3.0,
-                          classification=kw.SpeedClass.MONOTONE)
+    prof = kw.WaveProfile(xi=np.array(xi), f=np.array(f), c=-3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(kw.InvalidParameterError, match=rf"profile {name} "):
@@ -541,8 +555,7 @@ def test_wave_residual_small_and_second_order(monotone_profile_121):
 
 def test_wave_residual_requires_uniform_samples():
     prof = kw.WaveProfile(xi=np.array([0.0, 0.1, 0.3, 0.6, 1.0, 1.5]),
-                          f=np.array([1.0, 0.8, 0.5, 0.3, 0.1, 0.0]),
-                          c=-1.0, classification=kw.SpeedClass.MONOTONE)
+                          f=np.array([1.0, 0.8, 0.5, 0.3, 0.1, 0.0]), c=-1.0)
     with pytest.raises(kw.InvalidParameterError):
         wave_ode_residual(prof, CM121)
     with pytest.raises(kw.InvalidParameterError):
