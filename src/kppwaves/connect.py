@@ -196,13 +196,18 @@ class WaveProfile:
 
     xi increases left to right; f runs from ~1 (behind the front, xi -> -inf)
     to ~0 ahead of it.  overshoot_extrema lists (xi, f) of the measured
-    |f - 1| extrema for oscillatory profiles.
+    |f - 1| extrema for oscillatory profiles.  ``xi`` and ``f`` are held as
+    float arrays, whatever sequences they are given as.
     """
 
     xi: np.ndarray
     f: np.ndarray
     c: float
     overshoot_extrema: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self):
+        self.xi = np.asarray(self.xi, dtype=float)
+        self.f = np.asarray(self.f, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -337,12 +342,11 @@ def _work_template(n: int) -> tuple[np.ndarray, ...]:
         n, (rwork, iwork, np.zeros(doubles), np.zeros(ints, dtype=np.int32)))
 
 
-def _event_functions(fps: dict, rad: float, escape: float, p2_rad: float | None = None):
+def _event_functions(fps: dict, rad: float, escape: float, p2_rad: float):
     """The shot's event functions of (X, Y), in this order: arrival within
-    ``rad`` of each fixed point of ``fps`` (``p2_rad``, if given, of P2),
-    escape past ``escape``, the X axis."""
+    ``rad`` of each fixed point of ``fps`` (within ``p2_rad`` of P2), escape
+    past ``escape``, the X axis."""
     hypot = math.hypot
-    p2_rad = rad if p2_rad is None else p2_rad
 
     def arrival(px: float, py: float, r: float):
         return lambda X, Y: hypot(X - px, Y - py) - r
@@ -379,13 +383,13 @@ def _xi_rate(sys: PhaseSystem, cm: CanonicalModel) -> tuple[float, float, float,
 
 
 def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
-               arrival_radius: float, p2_radius: float | None = None,
+               arrival_radius: float, p2_radius: float,
                xi_rate=None) -> tuple[dict, _NordsieckTable | None]:
     """Integrate forward from s0 with every event; P2's arrival ball has
-    radius ``p2_radius`` (``arrival_radius`` if None), the others
-    ``arrival_radius``.  With ``xi_rate`` xi rides along as a third state
-    from xi = 0, outside the error test, and each step's Nordsieck record is
-    kept as the shot's dense output; without it the dense output is None.
+    radius ``p2_radius``, the others ``arrival_radius``.  With ``xi_rate``
+    xi rides along as a third state from xi = 0, outside the error test, and
+    each step's Nordsieck record is kept as the shot's dense output; without
+    it the dense output is None.
     ``events`` lists the events in the order solve_ivp reports them: by
     event function, then in time.
 
@@ -428,7 +432,6 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
                isinstance(sys, PhaseSystemI) and sys.c == 0.0)]
     directions = [d for _, _, d, _ in table]
     escape = ESCAPE_BOUND
-    p2_radius = arrival_radius if p2_radius is None else p2_radius
     event_fns = _event_functions(fps, arrival_radius, escape, p2_radius)
     lo, mid, hi = arrival_radius, 1.0 - p2_radius, 1.0 + p2_radius
 

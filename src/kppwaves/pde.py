@@ -24,15 +24,17 @@ The step solves in increment form, (lead - dt L_a) delta = b + dt L_a u^n
 with b the right-hand side less lead u^n, so a constant state gives delta =
 0 exactly.  LAPACK ``pttrf`` factors the matrix and ``pttrs`` solves with
 the factors on the interior nodes; the end nodes hold their Dirichlet
-values.  For m = 1 the matrix depends only on dt, dx, the cell count and
-the leads, so a run keeps the factors of both uniform leads for its current
-step size.  A step with rows of both kinds keeps the lead-3/2 factors down
-to the row before its first BE row and factors only the rows below it
-(``pttrf`` is a forward recursion, so this is the full factorization bit
-for bit), and for m != 1 every step factors afresh.  `evolve` takes full
-steps and lands only on its end time; a snapshot due inside a step is the
-linear interpolant of the states at the step's ends, second order like the
-step itself.
+values.  For m = 1 the uniform lead-3/2 matrix depends only on dt, dx and
+the cell count, and a run keeps its one factorization with the step size
+it belongs to.  A step's first k rows are rows of that matrix: for m = 1, k
+is every row of an SBDF2 step, the index of the first BE row of a step
+with rows of both kinds, and 0 on a BE start or restart; for m != 1, k is
+0.  Those rows keep the run's factors, and ``pttrf`` runs on from row
+k - 1, or over the whole matrix when k = 0 (``pttrf`` is a forward
+recursion, so this is the full factorization bit for bit).  `evolve` takes
+full steps and lands only on its end time; a snapshot due inside a step is
+the linear interpolant of the states at the step's ends, second order like
+the step itself.
 
 The equation is the canonical one: the functions here take a
 `CanonicalModel` and refuse a general model, which `nondimensionalize`
@@ -43,7 +45,7 @@ before the clamp is treated as a scheme failure, not smoothed over.
 
 The run counts its steps, the range of dt, the lowest value seen before the
 clamp, the BE right-hand sides clamped at 0, the node updates the
-positivity rule switched to BE and the matrix factorizations; the ``pde``
+positivity rule switched to BE and the steps that factor; the ``pde``
 command writes these into ``pde_summary.json`` as ``steps``, ``dt_min``,
 ``dt_max``, ``min_before_clamp``, ``limiter_clips``,
 ``positivity_fallbacks`` and ``factorizations``.
@@ -111,17 +113,17 @@ class PdeRun:
     ``limiter_clips``, the backward-Euler right-hand sides clamped at 0,
     ``positivity_fallbacks``, the node updates that the positivity rule
     switched from SBDF2 to backward Euler (start and restart rows are not
-    counted), and ``factorizations``, the diffusion matrices factored.
+    counted), and ``factorizations``, the steps that factor.
     Before the first step the extremes are the empty-set values +-inf.
 
     The run keeps the history of its last step: the state before it and
     its dt R.  A step uses them only if the model, dt, dx and n_cells are
     those of the last step and ``state`` is still the array that step
     produced; otherwise it restarts with backward Euler.  For m = 1 the run
-    also keeps the factored matrices of both uniform leads (1 and 3/2),
-    keyed on (dt, dx, n_cells, lead) and dropped when the step size
-    changes; a step with switched rows reuses the lead-3/2 factors up to
-    its first BE row (see ``step``).
+    also keeps the uniform lead-3/2 matrix, as (size, faces, factors) with
+    size = (dt, dx, n_cells), replaced only when a step needs it at another
+    size; every step reuses its factors down to its first BE row (see the
+    module docstring).
     """
 
     x_min: float
@@ -140,8 +142,8 @@ class PdeRun:
     limiter_clips: int = 0
     positivity_fallbacks: int = 0
     factorizations: int = 0
-    _factors: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    _factors: tuple = field(default=(None,), init=False, repr=False,
+                            compare=False)
     _history: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -265,6 +267,9 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     history = run._history
     u_a = u
     switched = 0
+    # the first k rows are those of the uniform lead-3/2 matrix of m = 1,
+    # whose factors the run keeps (see the module docstring)
+    k = 0
     if history is not None and history[0] == key and history[1] is u:
         u_prev, r_prev = history[2], history[3]
         g = ui - u_prev[1:-1]
@@ -277,6 +282,8 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
         switched = int(np.count_nonzero(be))
         if m != 1.0:
             u_a = np.maximum(2.0 * u - u_prev, 0.0)
+        else:
+            k = int(be.argmax()) if switched else len(ui)
         if switched:
             b = np.where(be, np.maximum(r, -ui), g)
             lead = np.where(be, 1.0, 1.5)
@@ -289,35 +296,18 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
         lead = 1.0
         clips = int(np.count_nonzero(r < -ui))
 
-    if m == 1.0 and not switched:
-        # the matrix depends on (dt, dx, n_cells) and the lead alone; the run
-        # keeps the factors of both uniform leads for the current step size
-        size = (dt, dx, run.n_cells)
-        factors_key = size + (lead,)
-        fresh = factors_key not in run._factors
-        if fresh:
-            if any(k[:3] != size for k in run._factors):
-                run._factors.clear()
-            w = _faces(u, m, dt, dx)
-            run._factors[factors_key] = (w, *_factor(w, lead))
-        w, d, e = run._factors[factors_key]
-    elif m == 1.0 and not be[0]:
-        # the rows before the first BE row are those of the uniform lead-3/2
-        # matrix and keep its factors: the run's, or else the ones such a
-        # step builds and keeps under a key of their own, so that a uniform
-        # step still counts the matrix it factors
+    size = (dt, dx, run.n_cells)
+    fresh = k < len(ui)
+    if k and run._factors[0] != size:
+        w = _faces(u, m, dt, dx)
+        run._factors = (size, w, *_factor(w, 1.5))
         fresh = True
-        size = (dt, dx, run.n_cells)
-        head = run._factors.get(size + (1.5,)) or run._factors.get(size + ("head",))
-        if head is None:
-            w = _faces(u, m, dt, dx)
-            head = run._factors[size + ("head",)] = (w, *_factor(w, 1.5))
-        w = head[0]
-        d, e = _factor(w, lead, (int(be.argmax()) - 1, *head[1:]))
+    if k:
+        _, w, d, e = run._factors
     else:
-        fresh = True
         w = _faces(u_a, m, dt, dx)
-        d, e = _factor(w, lead)
+    if k < len(ui):
+        d, e = _factor(w, lead, (k - 1, d, e) if k else None)
 
     flux = u[1:] - u[:-1]
     flux *= w
@@ -521,8 +511,7 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     """
     if not 0.0 <= T < math.inf:
         raise InvalidParameterError(f"T must be finite and non-negative, got {T!r}")
-    xi = np.asarray(profile.xi, dtype=float)
-    f = np.asarray(profile.f, dtype=float)
+    xi, f = profile.xi, profile.f
     for name, values in (("xi", xi), ("f", f)):
         if not np.all(np.isfinite(values)):
             raise InvalidParameterError(
@@ -601,8 +590,7 @@ def wave_ode_residual(profile: WaveProfile, cm: CanonicalModel, *,
     uniform points first; ``RESIDUAL_WINDOWS`` windows partition the span
     with a share ``RESIDUAL_MARGIN`` trimmed at each end.
     """
-    xi = np.asarray(profile.xi, dtype=float)
-    f = np.asarray(profile.f, dtype=float)
+    xi, f = profile.xi, profile.f
     if num is not None:
         if num < 16:
             raise InvalidParameterError("num must be at least 16")

@@ -52,15 +52,17 @@ def _shot_args(cm, c, s0=None, **overrides):
     sys = build_system(cm, c)
     if s0 is None:
         s0 = connect._seed_state(sys, connect.DEFAULT_EPS)
-    kwargs = dict(rtol=1e-10, atol=1e-10, arrival_radius=connect.ARRIVAL_RADIUS)
+    kwargs = dict(rtol=1e-10, atol=1e-10, arrival_radius=connect.ARRIVAL_RADIUS,
+                  p2_radius=connect.ARRIVAL_RADIUS)
     kwargs.update(overrides)
     return sys, s0, kwargs
 
 
-def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, xi_rate=None):
+def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, p2_radius, xi_rate=None):
     """The shot through solve_ivp with one closure per event, as the library
-    computed it before driving LSODA itself: the driver's reference.  With
-    ``xi_rate`` xi is a third state with the driver's tolerance."""
+    computed it before driving LSODA itself: the driver's reference.  P2's
+    arrival ball has radius ``p2_radius``.  With ``xi_rate`` xi is a third
+    state with the driver's tolerance."""
     fun = _shot_fun(sys, xi_rate)
     if xi_rate is not None:
         s0, atol = np.append(s0, 0.0), [atol, atol, connect.XI_ATOL]
@@ -70,16 +72,16 @@ def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, xi_rate=None):
     names: list[str] = []
     evts: list = []
 
-    def arrival_event(x0: float, y0: float):
+    def arrival_event(x0: float, y0: float, radius: float):
         def ev(_t, s):
-            return math.hypot(s[0] - x0, s[1] - y0) - arrival_radius
+            return math.hypot(s[0] - x0, s[1] - y0) - radius
         ev.terminal = True
         ev.direction = -1  # only fires on entry; a seed inside never re-triggers on exit
         return ev
 
     for name, (x0, y0) in fps.items():
         names.append(name)
-        evts.append(arrival_event(x0, y0))
+        evts.append(arrival_event(x0, y0, p2_radius if name == "P2" else arrival_radius))
 
     def escape(_t, s):
         return max(s[0] - escape_bound, abs(s[1]) - escape_bound)
@@ -279,7 +281,7 @@ def test_event_values_are_solve_ivps(n_arrivals):
     # signed zeros included
     fps = SCREEN_FPS[n_arrivals]
     assert len(fps) == n_arrivals
-    events = connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND)
+    events = connect._event_functions(fps, SCREEN_RAD, ESCAPE_BOUND, SCREEN_RAD)
     for p in _screen_points(fps):
         assert np.array_equal([f(*p) for f in events], _solve_ivp_values(fps, *p),
                               equal_nan=True), p
@@ -319,7 +321,7 @@ def _scripted_shot(monkeypatch, sys, s0, steps, fps=None):
     if fps is not None:
         monkeypatch.setattr(connect, "fixed_point_locations", lambda _sys: fps)
     res, _ = connect._integrate(sys, np.array(s0, dtype=float), rtol=1e-10, atol=1e-10,
-                                arrival_radius=SCREEN_RAD)
+                                arrival_radius=SCREEN_RAD, p2_radius=SCREEN_RAD)
     return res, list(evaluated.values())
 
 
@@ -477,7 +479,8 @@ def test_record_table_keeps_order_drops_and_a_repeated_end(monkeypatch):
     # a radius one ulp inside the distance of the last step's start from P2:
     # the arrival's root lands on that sample, so the final time repeats
     X, Y = res["X"][-2], res["Y"][-2]
-    at_end = dict(kwargs, arrival_radius=float(np.nextafter(math.hypot(X - 1.0, Y), 0.0)))
+    r = float(np.nextafter(math.hypot(X - 1.0, Y), 0.0))
+    at_end = dict(kwargs, arrival_radius=r, p2_radius=r)
     end, end_table = connect._integrate(sys, s0, **at_end)
     assert end["tau"][-1] == res["tau"][-2]
     assert end["solver_steps"] == res["solver_steps"] == len(end_table.h) + 1
@@ -507,7 +510,7 @@ def test_event_root_without_a_bracket_is_a_step_failure():
     res, _ = connect._integrate(sys, s0, **kwargs)
     r = float(np.nextafter(math.hypot(res["X"][-2] - 1.0, res["Y"][-2]), 0.0))
     with pytest.raises(kw.StepFailureError, match=r"FixedPointArrival \(P2\) event"):
-        connect._integrate(sys, s0, **dict(kwargs, arrival_radius=r))
+        connect._integrate(sys, s0, **dict(kwargs, arrival_radius=r, p2_radius=r))
     with pytest.raises(kw.KppWavesError):
         classify_connection(cm, -1.0, profile_of=cm, arrival_radius=r)
 
@@ -1357,6 +1360,17 @@ def test_exact_zero_tail_short_circuits():
     f = np.array([1.0, 0.5, 0.2, 0.0, 0.0])
     prof = WaveProfile(xi=xi, f=f, c=-1.0)
     assert detect_finite_propagation(prof, CM221) == 3.0
+
+
+def test_profile_from_lists_reads_as_from_arrays():
+    # xi and f are held as float arrays, so a profile built from lists gives
+    # the results of the array-built one, not a raw TypeError or ValueError
+    lists = WaveProfile(xi=[0, 1, 2], f=[1, 0.5, 0], c=-1.0)
+    arrays = WaveProfile(xi=np.array([0.0, 1.0, 2.0]), f=np.array([1.0, 0.5, 0.0]), c=-1.0)
+    assert threshold_crossings(lists, (0.7, 0.5)) == threshold_crossings(arrays, (0.7, 0.5))
+    assert detect_finite_propagation(lists, CM221) == detect_finite_propagation(
+        arrays, CM221) == 2.0
+    assert lists.xi.dtype == lists.f.dtype == np.float64
 
 
 def test_threshold_validation(monotone_profile_121):

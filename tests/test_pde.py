@@ -718,6 +718,18 @@ def test_m1_steps_with_switched_rows_reuse_the_cached_head():
     assert run.factorizations == run.steps == 250
 
 
+def test_m1_uniform_steps_reuse_lead_three_halves_factors_of_an_earlier_step_size():
+    # (1,1,0.5) on a small bump: step 1 is the BE start, steps 2 and 3 have
+    # switched rows, and step 2 builds the lead-3/2 factors of the full step
+    # size.  The reaction slope caps step 4 shorter, and step 5 restarts at
+    # the full size with BE.  From step 6 on every step is uniform lead 3/2
+    # at the full size and takes the factors that step 2 built
+    runs = _pair(lambda x: 1e-3 * np.maximum(0.0, 1.0 - x * x) ** 2, bc=(0.0, 0.0))
+    run = _assert_same_steps([CanonicalModel(m=1, p=1, q=0.5)], 300, runs=runs)
+    assert run.dt_min < run.dt_max
+    assert run.factorizations == 5
+
+
 @pytest.mark.parametrize("switch", ["no-reaction", "dt-limit", "alternating-dt-limit",
                                     "regrid"])
 @pytest.mark.parametrize("model", [CM121, CM221, CanonicalModel(m=1, p=1, q=0.5)],
