@@ -41,7 +41,12 @@ profile.  A shot that only classifies starts on P0's departure manifold
 (phaseplane.departure_seed, up to X = 0.8) and stops where the map's reach
 puts P2's ball, between ``CLASSIFY_RADIUS`` and ``P2_RADIUS_MAX``: it skips
 the drift away from P0, and the map takes over the approach to P2, so
-class, count and X0 keep their values (to 2e-9 in X0) at fewer steps.
+class, count and X0 keep their values (to 2e-9 in X0) at fewer steps.  At a
+real, non-resonant node such a shot also stops at its first sample within
+P2_TOL of P2's slow manifold Y = g(X) (phaseplane.slow_manifold) inside the
+reach of g's series: from there the orbit follows g into P2 with X monotone,
+so it arrives there as a Monotone wave with X0 = 1, unless its own recorded
+extrema made it Oscillatory already.
 """
 
 from __future__ import annotations
@@ -69,13 +74,16 @@ from .errors import (
 from .model import CanonicalModel, SpeedClass, classify_speed, critical_speed
 from .phaseplane import (
     P2_DEGREE,
+    P2_TOL,
     PhaseSystem,
     PhaseSystemI,
+    SlowManifold,
     arrival_map,
     build_system,
     departure_seed,
     fixed_point_locations,
     linearization,
+    slow_manifold,
     solver_rhs,
     zero_speed_curve,
 )
@@ -164,7 +172,8 @@ class Trajectory:
     coordinate at the samples, xi = 0 at the P0 end, on shots made with
     ``profile_of``, the model it belongs to; both are None otherwise.  Only
     such a shot keeps the integrator's dense output, which ``state_at``
-    evaluates.
+    evaluates.  ``on_manifold`` marks a shot that stopped on P2's slow
+    manifold (see _integrate), its arrival at P2 attached at its last sample.
     """
 
     tau: np.ndarray
@@ -179,6 +188,7 @@ class Trajectory:
     njev: int = 0
     xi: np.ndarray | None = None
     profile_of: CanonicalModel | None = None
+    on_manifold: bool = False
     _table: _NordsieckTable | None = field(default=None, repr=False)
 
     def state_at(self, tau) -> np.ndarray:
@@ -217,11 +227,14 @@ class ConnectionResult:
 
     ``evidence`` records how the class was decided: "extrema" (X = 1
     overshoots, measured or from P2's local flow), "range" (X confined to
-    [0, 1] into a node), "focus" (the orbit entered a non-degenerate stable
-    focus whose first overshoot is already within ``GRAZE_TOL``), or "sign"
-    (non-negative speed, no wave exists).  ``extrema`` lists the shot's own
-    extrema, then the ``tail_extrema`` that P2's local flow adds after the
-    arrival (see _tail_crossings); ``n_oscillations`` counts both.  ``solver_steps``, ``nfev`` and
+    [0, 1] into a node), "manifold" (X confined to [0, 1] up to a sample on
+    P2's slow manifold, which carries the orbit into the node with X
+    monotone; see classify_connection), "focus" (the orbit entered a
+    non-degenerate stable focus whose first overshoot is already within
+    ``GRAZE_TOL``), or "sign" (non-negative speed, no wave exists).
+    ``extrema`` lists the shot's own extrema, then the ``tail_extrema``
+    that P2's local flow adds after the arrival (see _tail_crossings);
+    ``n_oscillations`` counts both.  ``solver_steps``, ``nfev`` and
     ``njev`` are the shot's integrator counts and ``event_counts`` its events
     per kind, an arrival attached at the orbit's end included (all zero
     without a shot); the seed is no event.
@@ -384,6 +397,7 @@ def _xi_rate(sys: PhaseSystem, cm: CanonicalModel) -> tuple[float, float, float,
 
 def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
                arrival_radius: float, p2_radius: float,
+               manifold: SlowManifold | None = None,
                xi_rate=None) -> tuple[dict, _NordsieckTable | None]:
     """Integrate forward from s0 with every event; P2's arrival ball has
     radius ``p2_radius``, the others ``arrival_radius``.  With ``xi_rate``
@@ -391,7 +405,11 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     each step's Nordsieck record is kept as the shot's dense output; without
     it the dense output is None.
     ``events`` lists the events in the order solve_ivp reports them: by
-    event function, then in time.
+    event function, then in time.  With ``manifold``, P2's slow manifold Y
+    = g(X), the shot also stops after the first sample with |X - 1| below
+    g's reach and |Y - g(X)| <= P2_TOL, and ``manifold`` in the result says
+    whether it did; that one comparison of X keeps the test off every other
+    step.
 
     Most steps are quiet: tau advances, Y keeps its sign, |Y| < escape and
     X lies in a gap between the arrival balls, rad < X < 1 - rad2 or 1 +
@@ -434,6 +452,9 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     escape = ESCAPE_BOUND
     event_fns = _event_functions(fps, arrival_radius, escape, p2_radius)
     lo, mid, hi = arrival_radius, 1.0 - p2_radius, 1.0 + p2_radius
+    # without P2's slow manifold the window g_lo < X < g_hi is empty
+    reach, stopped_on_g = 0.0 if manifold is None else manifold.reach, False
+    g_lo, g_hi = 1.0 - reach, 1.0 + reach
 
     # each step is one itask-5 call of ODEPACK with scipy.integrate._ode.lsoda.run's
     # arguments.  The wrapper keeps every rwork and iwork it is given: run on a
@@ -489,6 +510,9 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
                     and -escape < Y < escape and t_old < t):
                 sample(t)
                 extend(state)
+                if g_lo < X < g_hi and abs(Y - manifold(X)) <= P2_TOL:
+                    stopped_on_g = True
+                    break
                 continue
             terminate = False
             g, g_new = [f(Xo, Yo) for f in event_fns], [f(X, Y) for f in event_fns]
@@ -541,6 +565,9 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
                 extend(state)
             if terminate:
                 break
+            if g_lo < X < g_hi and abs(Y - manifold(X)) <= P2_TOL:
+                stopped_on_g = True
+                break
 
         # ODEPACK's own counters: steps NST, RHS calls NFE and Jacobians NJE
         steps, nfev, njev = iwork[10:13].tolist()
@@ -553,6 +580,7 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     return {
         "tau": np.array(ts), "X": X, "Y": Y, "xi": xi[0] if xi else None, "events": events,
         "solver_steps": steps, "nfev": nfev, "njev": njev,
+        "manifold": stopped_on_g,
     }, _NordsieckTable(ts, rows[:k, 1], rows[:k, 0], rows[:k, 9:9 + top * n].reshape(
         k, top, n).transpose(1, 2, 0)) if dense else None
 
@@ -590,13 +618,13 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
 
 def _shoot_from(sys: PhaseSystem, s0, *, rtol: float = 1e-10, atol: float = 1e-10,
                 arrival_radius: float = ARRIVAL_RADIUS, p2_radius: float | None = None,
-                profile_of=None) -> Trajectory:
+                manifold: SlowManifold | None = None, profile_of=None) -> Trajectory:
     if not 0.0 < arrival_radius < math.inf:
         raise InvalidParameterError(f"arrival_radius {arrival_radius!r} is not finite and > 0")
     p2_radius = arrival_radius if p2_radius is None else p2_radius
     res, table = _integrate(
         sys, s0, rtol=rtol, atol=atol, arrival_radius=arrival_radius, p2_radius=p2_radius,
-        xi_rate=None if profile_of is None else _xi_rate(sys, profile_of))
+        manifold=manifold, xi_rate=None if profile_of is None else _xi_rate(sys, profile_of))
     tau, X, Y = res["tau"], res["X"], res["Y"]
     if np.min(X) < -1e-9:
         raise StepFailureError(f"integration left the half-plane (min X = {np.min(X):.3e})")
@@ -609,16 +637,16 @@ def _shoot_from(sys: PhaseSystem, s0, *, rtol: float = 1e-10, atol: float = 1e-1
     escaped = any(ev.kind is EventKind.ESCAPE for ev in events)
 
     # an orbit can end inside a ball without entering it on a step (it never
-    # left P0's): attach the arrival at the last sample
+    # left P0's), or on P2's slow manifold: attach the arrival at the last sample
     if arrived is None:
-        for name, (x0, y0) in fixed_point_locations(sys).items():
-            if math.hypot(X[-1] - x0, Y[-1] - y0) <= (
-                    p2_radius if name == "P2" else arrival_radius):
-                events.append(TrajectoryEvent(
-                    kind=EventKind.FIXED_POINT_ARRIVAL, tau=float(tau[-1]),
-                    state=(float(X[-1]), float(Y[-1])), target=name))
-                arrived = name
-                break
+        arrived = "P2" if res["manifold"] else next(
+            (name for name, (x0, y0) in fixed_point_locations(sys).items()
+             if math.hypot(X[-1] - x0, Y[-1] - y0) <= (
+                 p2_radius if name == "P2" else arrival_radius)), None)
+        if arrived is not None:
+            events.append(TrajectoryEvent(
+                kind=EventKind.FIXED_POINT_ARRIVAL, tau=float(tau[-1]),
+                state=(float(X[-1]), float(Y[-1])), target=arrived))
     events.sort(key=lambda e: (e.tau, e.kind.value))
 
     log.debug("shot from %s: %d samples, arrived=%s escaped=%s",
@@ -626,7 +654,8 @@ def _shoot_from(sys: PhaseSystem, s0, *, rtol: float = 1e-10, atol: float = 1e-1
     return Trajectory(
         tau=tau, X=X, Y=Y, events=events, sys=sys, arrived=arrived,
         escaped=escaped, solver_steps=res["solver_steps"], nfev=res["nfev"],
-        njev=res["njev"], xi=res["xi"], profile_of=profile_of, _table=table,
+        njev=res["njev"], xi=res["xi"], profile_of=profile_of, on_manifold=res["manifold"],
+        _table=table,
     )
 
 
@@ -637,8 +666,9 @@ def first_X_axis_intersection(traj: Trajectory) -> float:
 
     When the orbit entered P2's arrival ball before its first crossing, the
     first crossing on P2's local flow gives X0 (see _tail_crossings).  A
-    trajectory entering the node at P2 directly from above never crosses;
-    the crossing then degenerates to P2 itself and 1.0 is returned.
+    trajectory entering the node at P2 directly from above never crosses,
+    nor does one that stopped on P2's slow manifold; the crossing then
+    degenerates to P2 itself and 1.0 is returned.
     """
     return _turning_point(traj, _tail_crossings(traj))
 
@@ -692,9 +722,11 @@ def _tail_crossings(traj: Trajectory, degree: int = P2_DEGREE):
     the state lies within its reach and degree 1, the linear flow,
     elsewhere.  A focus crosses about every pi/beta without end, a node at
     most once; a degenerate P2 (c = c*) bounds the monotone class and yields
-    none."""
+    none, and so does a shot that stopped on P2's slow manifold: within
+    P2_TOL of g it crosses Y = 0 nowhere but within GRAZE_TOL of P2 (see
+    classify_connection)."""
     K = arrival_map(traj.sys, degree) if traj.arrived == "P2" else None
-    if K is None:
+    if K is None or traj.on_manifold:
         return
     dx, dy, tau0 = float(traj.X[-1]) - 1.0, float(traj.Y[-1]), float(traj.tau[-1])
     if math.hypot(dx, dy) > K.reach * (1.0 + 1e-6):
@@ -728,7 +760,8 @@ def _wave_class(traj: Trajectory) -> tuple[SpeedClass, str, list, list, list]:
         return SpeedClass.OSCILLATORY, "focus", measured, tail, first
     x_max = float(np.max(traj.X))
     if x_max <= 1.0 + GRAZE_TOL:
-        return SpeedClass.MONOTONE, "range", measured, tail, first
+        return (SpeedClass.MONOTONE, "manifold" if traj.on_manifold else "range",
+                measured, tail, first)
     raise InconclusiveError(
         f"X exceeds 1 (max {x_max}) without a recorded extremum; "
         "no classifiable pattern")
@@ -755,6 +788,17 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     and ``P2_RADIUS_MAX``, unless ``arrival_radius`` is given.  Its class,
     count and X0 agree with those of a shot from eps = 1e-6 to radius 1e-8,
     X0 to 2e-9 (tests/test_connect.py), and it takes fewer steps.
+
+    Without ``arrival_radius`` such a shot has one more stop where P2 is a
+    real, non-resonant node with l1 != l2 (phaseplane.slow_manifold): the
+    first sample within P2_TOL of P2's slow manifold Y = g(X) and within
+    the reach of g's series.  There g leaves out at most P2_TOL more, g has
+    no zero but at P2 (|g| >= |c_1 (X - 1)| / 2) and the distance to g
+    contracts, so the orbit stays within 2 P2_TOL of g into P2 and crosses
+    Y = 0 only within 4 P2_TOL / |c_1| of X = 1, which is checked to lie
+    within ``GRAZE_TOL``: the shot arrives at P2 with no tail extrema, X0
+    = 1.0, and, without extrema of its own, the class Monotone with
+    evidence "manifold".  Every other shot runs as without the stop.
     """
     predicted = classify_speed(cm, c_original)
     if c_original >= 0.0:
@@ -771,8 +815,10 @@ def classify_connection(cm: CanonicalModel, c_original: float,
         if "arrival_radius" not in shoot_kw:
             K = arrival_map(sys)
             reach = 0.0 if K is None else K.reach
+            g = slow_manifold(sys)
             shoot_kw.update(arrival_radius=CLASSIFY_RADIUS, p2_radius=min(
-                reach, P2_RADIUS_MAX) if reach > CLASSIFY_RADIUS else CLASSIFY_RADIUS)
+                reach, P2_RADIUS_MAX) if reach > CLASSIFY_RADIUS else CLASSIFY_RADIUS,
+                manifold=g if g and 4.0 * P2_TOL <= GRAZE_TOL * abs(g.coef[1]) else None)
         traj = _shoot_from(sys, np.array(departure_seed(sys)), **shoot_kw)
     if traj.arrived != "P2":
         raise InconclusiveError(

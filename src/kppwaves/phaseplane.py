@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import takewhile
+from itertools import accumulate, repeat, takewhile
 from operator import mul
 
 import numpy as np
@@ -57,6 +57,8 @@ __all__ = [
     "departure_seed",
     "ArrivalMap",
     "arrival_map",
+    "SlowManifold",
+    "slow_manifold",
     "dulac_divergence",
     "region_G_residual",
     "zero_speed_curve",
@@ -367,11 +369,12 @@ def _series_exponents(a: float, b: float, e: float):
     """(alpha, rows): the SERIES_TERMS + 1 smallest sums of the positive ones
     of a, b, e, ascending from 0, found exactly as whole multiples of 1/D, D
     the least common denominator of a, b and e (no pair is lost to
-    rounding); per alpha_k > 0 but the last, alpha_k, the pairs (i, j), 0 <
-    i < j, with alpha_i + alpha_j = alpha_k (so each product is formed
-    once), the index of alpha_k / 2 (or None), the index of alpha_k - a and
-    [alpha_k = b] - [alpha_k = e].  The exponents are the lattice's first,
-    so every sum and difference a row needs comes before it."""
+    rounding), and per alpha_k > 0 but the last, _graph_series' row for P0:
+    alpha_k, the pairs (i, j), 0 < i < j, with alpha_i + alpha_j = alpha_k
+    (so each product is formed once), the index of alpha_k / 2 (or None),
+    X^a h's one term [(index of alpha_k - a, 1)] where a > 0, and [alpha_k
+    = b] - [alpha_k = e].  The exponents are the lattice's first, so every
+    sum and difference a row needs comes before it."""
     exact = [Fraction(g) for g in (a, b, e)]
     D = math.lcm(*(g.denominator for g in exact))
     A, B, E = (int(g * D) for g in exact)
@@ -384,7 +387,8 @@ def _series_exponents(a: float, b: float, e: float):
     at = {x: i for i, x in enumerate(alpha)}
     return [x / D for x in alpha], [
         (x / D, [(i, at[x - y]) for i, y in enumerate(alpha[1:k], 1) if i < at.get(x - y, 0)],
-         at.get(Fraction(x, 2)), at.get(x - A) if A > 0 else None, float((x == B) - (x == E)))
+         at.get(Fraction(x, 2)), [(at[x - A], 1.0)] if A and x - A in at else [],
+         float((x == B) - (x == E)))
         for k, x in enumerate(alpha[1:-1], 1)]
 
 
@@ -392,6 +396,43 @@ def _lead(sys: PhaseSystem, y0: float) -> float:
     """-dY'/dY at P0 = (0, y0)."""
     s, a, _, _ = sys.form
     return 2.0 * y0 + (s if a == 0.0 else 0.0)
+
+
+def _graph_series(g: float, s: float, c: list[float], lead: float, rows,
+                  c1: float = 0.0) -> list[float]:
+    """Extend c, the given first coefficients of a graph Y = h = sum_k c_k
+    u^alpha_k that solves the field's invariance equation gamma X h h' = -h
+    (h + s X^a) + X^b - X^e, by one coefficient per row, and return it.
+    Row k is (alpha_k, pairs, half, conv, force): the pairs (i, j), i < j,
+    and the index ``half`` (or None) whose products make the part of h^2 at
+    alpha_k that c_0 has no share in; the (index, weight) terms of X^a h
+    there that c_k has no share in; and the part of X^b - X^e there.  c_k
+    divides by gamma c_0 alpha_k + lead, lead = 2 c_0 + s X^a at u = 0.
+
+    About P0, u = X.  About P2, u = X - 1 = x on the integers, c_0 = 0, c_1
+    = c1, and a row's pairs and half are None: gamma X h h' = gamma (x h h'
+    + h h'), and h h' at x^k is (k + 1) / 2 times h^2 at x^(k+1), where c_k
+    has the share 2 c_1 c_k.  So c_k divides by gamma (k + 1) c1 more, k l1
+    - l2 in all, and the rest of h^2 at x^(k+1) is the next row's h^2 at
+    its own order, less 2 c_1 c_k."""
+    c0 = c[0]
+    ahead = -c1 * c1   # so that h^2 at x^2 comes out c_1^2
+    for x, pairs, half, conv, force in rows:
+        for i, w in conv:
+            force -= s * c[i] * w
+        den = g * c0 * x + lead
+        if pairs is None:
+            k = len(c)
+            quad = ahead + 2.0 * c1 * c[-1]
+            ahead = sum(map(mul, c[2:k], c[k - 1:1:-1]))
+            force -= 0.5 * g * (x + 1.0) * ahead
+            den += g * (x + 1.0) * c1
+        else:
+            quad = 2.0 * sum([c[i] * c[j] for i, j in pairs])
+            if half is not None:
+                quad += c[half] * c[half]
+        c.append((force - (1.0 + 0.5 * g * x) * quad) / den)
+    return c
 
 
 def departure_series(sys: PhaseSystem) -> tuple[list[float], list[float]]:
@@ -402,21 +443,14 @@ def departure_series(sys: PhaseSystem) -> tuple[list[float], list[float]]:
     invariance gamma X h h' = -h (h + s X^a) + X^b - X^e gives each c_k from
     those before it over L(alpha_k) = gamma c_0 alpha_k - dY'/dY(P0): c in
     Case I (which must be positive), positive in Case II, so no exponent is
-    resonant."""
+    resonant (see _graph_series)."""
     g, (s, a, b, e) = sys.gamma, sys.form
     y0 = 0.0 if isinstance(sys, PhaseSystemI) else axis_equilibria(sys)[0]
     alpha, rows = _series_exponents(a, b, e)
     lead = _lead(sys, y0)
     if not lead > 0.0:
         raise SeedFailureError(f"P0 has no departure-manifold series at speed {s!r}")
-    c = [y0]
-    for x, pairs, half, shift, force in rows:
-        if shift is not None:
-            force -= s * c[shift]
-        quad = 2.0 * sum([c[i] * c[j] for i, j in pairs])
-        if half is not None:
-            quad += c[half] * c[half]
-        c.append((force - (1.0 + 0.5 * g * x) * quad) / (g * y0 * x + lead))
+    c = _graph_series(g, s, [y0], lead, rows)
     if not all(map(math.isfinite, c)):
         c = list(takewhile(math.isfinite, c))
     return alpha[:len(c)], c
@@ -456,7 +490,8 @@ def departure_seed(sys: PhaseSystem) -> tuple[float, float]:
 
 
 P2_DEGREE = 5       # degree of P2's conjugacy
-P2_TOL = 1e-10      # bound on its next-degree remainder within its reach
+P2_TOL = 1e-10      # bound on its next-degree remainder within its reach, and on
+                    # the slow manifold's omitted terms and a shot's distance to it
 _NEWTON_PASSES = 8  # cap on the Newton passes of an inversion or a crossing
 _NEWTON_STEP = 1e-8  # a relative Newton step this small leaves an error below rounding
 _CROSSING_STEP = 1e-6  # the same for a crossing's time, where X is stationary
@@ -706,6 +741,98 @@ def _arrival_map(sys: PhaseSystem, degree: int) -> ArrivalMap | None:
         v00 * v11 - v01 * v10)
     reach = (P2_TOL / R) ** (1.0 / (degree + 1)) / norm if 0.0 < R < math.inf else 0.0
     return ArrivalMap((l1, l2), tuple(map(tuple, V)), sum(terms[-1][:2]), terms, reach)
+
+
+SLOW_TERMS_MARGIN = 8    # P2's slow-manifold series runs this far past l2 / l1
+SLOW_RADIUS_SHARE = 0.8  # share of the series' radius that its reach may take
+
+
+@lru_cache(maxsize=64)
+def _slow_rows(a: float, b: float, e: float):
+    """_graph_series' rows for P2's slow manifold, k = 2 .. SERIES_TERMS: the
+    terms (i, [x^(k-i)] (1 + x)^a), 0 < i < k, of (1 + x)^a h that do not
+    vanish, and [x^k] ((1 + x)^b - (1 + x)^e).  Each (1 + x)^r comes from
+    the power recurrence n p_n = (r - n + 1) p_(n-1), exact for r = 0 and
+    1."""
+    def power(r):
+        p = [1.0]
+        for n in range(1, SERIES_TERMS + 1):
+            p.append(p[-1] * (r - n + 1) / n)
+        return p
+
+    pa, pb, pe = power(a), power(b), power(e)
+    return [(float(k), None, None, [(i, pa[k - i]) for i in range(1, k) if pa[k - i]],
+             pb[k] - pe[k]) for k in range(2, SERIES_TERMS + 1)]
+
+
+@dataclass(frozen=True)
+class SlowManifold:
+    """P2's slow manifold at a real, non-resonant node: the graph Y = g(X) =
+    sum_n c_n x^n, x = X - 1, n = 1 .. len(coef) - 1, c_0 = 0 and c_1 = l1 /
+    gamma on the slow eigenvector (l1 the eigenvalue nearer 0).  ``radius``
+    is the root test's min |c_n|^(-1/n) over the top half of the terms, at
+    most 1, the radius of (1 + x)^r.
+    Within ``reach`` of X = 1 (at most SLOW_RADIUS_SHARE of the radius) the
+    omitted terms stay below P2_TOL, |g(X)| >= |c_1 x| / 2, so g has no zero
+    but at P2, and a graph Y = g + d has d' = d (r(X) - d) with r = -2 g - s
+    X^a - gamma X g' <= l2 / 2 < 0: an orbit that lies within a bound of g
+    there stays within it, and reaches P2 with X monotone."""
+
+    coef: tuple[float, ...]
+    radius: float
+    reach: float
+
+    def __call__(self, X: float) -> float:
+        x, y = X - 1.0, 0.0
+        for c in reversed(self.coef):
+            y = y * x + c
+        return y
+
+
+def slow_manifold(sys: PhaseSystem) -> SlowManifold | None:
+    """P2's slow manifold (see SlowManifold), or None where P2 is a focus or
+    degenerate, where l2 / l1 + SLOW_TERMS_MARGIN passes SERIES_TERMS
+    terms (the radius would miss the small divisor k l1 - l2 near k = l2 /
+    l1), at an exact resonance k l1 = l2 in floats (as arrival_map's test
+    reads it), and where the checks leave no reach.  Order k solves the invariance
+    equation with _graph_series over k l1 - l2 (Cabre, Fontich & de la Llave
+    2003).  Its reach starts at the smaller of SLOW_RADIUS_SHARE of the
+    radius and the x where the top two terms are within (1 -
+    SLOW_RADIUS_SHARE) P2_TOL (so a geometric tail at that share stays
+    within P2_TOL), and shrinks by that share until the sums of |terms|
+    bound |g(x)/x - c_1| by |c_1| / 2 and r(X) - l2 by |l2| / 2 over |x| <=
+    reach, where (1 + x)^a is monotone in x."""
+    g, (s, a, b, e) = sys.gamma, sys.form
+    K = arrival_map(sys)
+    if K is None or isinstance(K.lam[0], complex):
+        return None
+    l1, l2 = K.lam
+    rows = _slow_rows(a, b, e)
+    n = math.ceil(l2 / l1) + SLOW_TERMS_MARGIN
+    if n > len(rows) + 1 or round(l2 / l1) * l1 == l2:
+        return None
+    c1 = l1 / g
+    c = _graph_series(g, s, [0.0, c1], s, rows[:n - 1], c1)
+    if not all(map(math.isfinite, c)):
+        return None
+    ac = list(map(abs, c))
+    radius = min([1.0] + [ck ** (-1.0 / k) for k, ck in enumerate(ac) if 2 * k > n and ck])
+    band = (1.0 - SLOW_RADIUS_SHARE) * P2_TOL
+    w = min([SLOW_RADIUS_SHARE * radius] + [(band / ck) ** (1.0 / k)
+                                          for k, ck in enumerate(ac) if k >= n - 1 and ck])
+    kc = list(map(mul, ac, range(n + 1)))   # k |c_k|
+    while w >= P2_TOL:
+        wk = list(accumulate(repeat(w, n), mul))   # w^1 .. w^n
+        # |g/x - c_1|, and |r - l2| <= 2 |g| + |s| |(1 + x)^a - 1| + gamma
+        # (|g' - c_1| + |x g'|), bounded term by term
+        if (sum(map(mul, ac[2:], wk)) <= 0.5 * ac[1] and
+                2.0 * sum(map(mul, ac[1:], wk)) + g * (
+                    sum(map(mul, kc[2:], wk)) + sum(map(mul, kc[1:], wk)))
+                + abs(s) * max(abs((1.0 + w) ** a - 1.0), abs((1.0 - w) ** a - 1.0))
+                <= -0.5 * l2):
+            return SlowManifold(tuple(c), radius, w)
+        w *= SLOW_RADIUS_SHARE
+    return None
 
 
 def fixed_points(sys: PhaseSystem) -> list[FixedPointInfo]:

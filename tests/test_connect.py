@@ -884,13 +884,93 @@ def test_classification_shot_matches_the_fine_shot_on_the_sweep_benchmark():
 
 
 def test_sweep_benchmark_round_stays_within_its_step_budget():
-    # seeded up to X = 0.8 on P0's departure manifold and stopped where P2's
-    # map reaches, the 120 shots of the seed-1 round take 24,634 ODEPACK
-    # steps; stopped 1e-4 from P2 they take 33,047, and seeded up to X = 0.2
-    # 41,642, both well past the bound
+    # seeded up to X = 0.8 on P0's departure manifold, stopped where P2's
+    # map reaches and, at a node, on P2's slow manifold, the 120 shots of
+    # the seed-1 round take 18,648 ODEPACK steps; without the slow manifold
+    # they take 24,634, stopped 1e-4 from P2 33,047, and seeded up to X =
+    # 0.2 41,642, all well past the bound
     steps = sum(classify_connection(cm, c).solver_steps
                 for cm, speeds in _sweep_benchmark(1) for c in speeds)
-    assert steps <= 25_300
+    assert steps <= 19_150
+
+
+def test_sweep_benchmark_keeps_the_papers_orderings():
+    # along each model's grid, X0 never rises as |c| grows, and neither does
+    # the oscillation count: a shot that stopped on P2's slow manifold where
+    # its orbit still had to overshoot X = 1 would break one of them.  The
+    # three seeds' grids hold 345 pairs of neighbouring speeds
+    pairs = 0
+    for seed in (1, 7, 31):
+        for cm, speeds in _sweep_benchmark(seed):
+            rows = [classify_connection(cm, c) for c in sorted(speeds, key=abs)]
+            for slow, fast in zip(rows, rows[1:]):
+                assert fast.x0 <= slow.x0, (seed, cm, fast.c, fast.x0, slow.x0)
+                assert fast.n_oscillations <= slow.n_oscillations, (seed, cm, fast.c)
+                pairs += 1
+    assert pairs == 345
+
+
+def _slow_graph(sys_, X, start, rtol):
+    """g(X) on P2's slow manifold Y = g(X): the graph equation dY/dX = (-Y (Y
+    + s X^a) + X^b - X^e) / (gamma X Y) integrated (DOP853) from the series
+    at X - 1 scaled by ``start`` to X.  Away from P2 the graphs near g part
+    from it like |X - 1|^(l2 / l1), so the start lies close enough to X for
+    that to stay a factor of 10 to 100."""
+    g, (s, a, b, e) = sys_.gamma, sys_.form
+    X1 = 1.0 + start * (X - 1.0)
+    sol = solve_ivp(lambda X, Y: (-Y * (Y + s * X ** a) + X ** b - X ** e) / (g * X * Y),
+                    (X1, X), [kw.slow_manifold(sys_)(X1)], method="DOP853", rtol=rtol,
+                    atol=1e-20)
+    assert sol.success
+    return sol.y[0, -1]
+
+
+@pytest.mark.parametrize("mpq, share, stops", [((2, 2, 1), 2.716, True),
+                                               ((2, 2, 1), 1.3, False),
+                                               ((1, 1, 0.5), 2.83, True),
+                                               ((1, 2, 1), 2.0, True)])
+def test_slow_manifold_series_lies_on_the_field_graph(mpq, share, stops):
+    # at the series' reach, and at the shot's stop where it stops on g, the
+    # series is the graph of the field's own flow to P2_TOL: the graph
+    # equation integrated from the series nearer P2 by a factor 10^(-1/r)
+    # or 10^(-2/r), r = l2 / l1, gives the same Y to P2_TOL / 10 and the
+    # series' Y to P2_TOL.  At 1.3 c* (r = 4.5) the orbit's own part along
+    # the fast direction is still above P2_TOL where P2's map takes over
+    cm = CanonicalModel(*mpq)
+    tol = kw.phaseplane.P2_TOL
+    r = classify_connection(cm, -share * kw.critical_speed(cm))
+    traj = r.trajectory
+    g = kw.slow_manifold(traj.sys)
+    l1, l2 = kw.arrival_map(traj.sys).lam
+    assert 0.0 < g.reach <= 0.8 * g.radius
+    points = [1.0 - g.reach]
+    assert traj.on_manifold is stops
+    if stops:
+        assert (r.observed, r.evidence, r.x0) == (SpeedClass.MONOTONE, "manifold", 1.0)
+        assert 0.0 < 1.0 - traj.X[-1] < g.reach
+        assert abs(traj.Y[-1] - g(traj.X[-1])) <= tol
+        points.append(traj.X[-1])
+    else:
+        assert (r.observed, r.evidence, r.x0) == (SpeedClass.MONOTONE, "range", 1.0)
+    for X in points:
+        ref = _slow_graph(traj.sys, X, 10.0 ** (-2.0 * l1 / l2), 1e-13)
+        assert abs(_slow_graph(traj.sys, X, 10.0 ** (-l1 / l2), 1e-13) - ref) <= tol / 10
+        assert abs(g(X) - ref) <= tol
+
+
+@pytest.mark.parametrize("c, observed, n, x0", [
+    (2.5, SpeedClass.MONOTONE, 0, 1.0),         # l2 = 4 l1 exactly
+    (1.8, SpeedClass.OSCILLATORY, 1, 1.000093981916758),   # a focus, 0.9 c*
+    (2.0, SpeedClass.MONOTONE, 0, 1.0),         # c = c*, l1 = l2
+])
+def test_shots_without_a_slow_manifold_run_as_before(c, observed, n, x0):
+    # at an exact resonance, a focus and c = c*, P2 has no slow-manifold
+    # series, and the shot keeps the class, count and X0 it had without one
+    sys_ = build_system(CM221, c)
+    assert kw.slow_manifold(sys_) is None
+    r = classify_connection(CM221, -c)
+    assert not r.trajectory.on_manifold and r.evidence != "manifold"
+    assert (r.observed, r.n_oscillations, r.x0) == (observed, n, x0)
 
 
 def _dop853_crossings(sys_, tau0, state, tau_end):

@@ -736,16 +736,18 @@ def test_m1_uniform_steps_reuse_lead_three_halves_factors_of_an_earlier_step_siz
                          ids=["121", "221", "1-1-0.5"])
 def test_step_switches_are_bit_identical_to_reference(model, switch):
     if switch == "dt-limit":
-        # a constant step shorter than cfl H dx: for (1,2,1) the factors of
-        # each lead are kept as for the full step; m != 1, and the steps of
-        # (1,1,0.5) with switched rows, factor every step
+        # a constant step shorter than cfl H dx: for (1,2,1) the BE start
+        # factors, and so does the first SBDF2 step, whose lead-3/2 factors
+        # every later step reuses; m != 1, and the steps of (1,1,0.5) with
+        # switched rows, factor every step
         run = _assert_same_steps([model], 200, dt_limits=(1e-4,))
         assert run.dt_max == 1e-4
         assert run.factorizations == (2 if model == CM121 else 200)
         return
     if switch == "alternating-dt-limit":
-        # each change of dt restarts with BE and drops the cached factors,
-        # so every step factors afresh
+        # each change of dt restarts with BE, which factors its whole
+        # matrix; no step is SBDF2, so no step has lead-3/2 factors to keep
+        # or reuse, and every step factors
         run = _assert_same_steps([model], 200, dt_limits=(None, 1e-4))
         assert run.dt_min == 1e-4 < run.dt_max
         assert run.positivity_fallbacks == 0
