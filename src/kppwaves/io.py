@@ -1,9 +1,13 @@
 """Deterministic file writers and readers for the command-line tools.
 
-All floats are rendered with repr (shortest round-trip form), so identical
-inputs produce byte-identical CSV and JSON; nothing time- or host-dependent
-goes into data files.  Float tables are written from their columns, one
-%-format per chunk of rows, and a profile is read back in one conversion.
+Float tables (trajectories, profiles, fronts, snapshots) are written at
+FLOAT_FORMAT's 12 significant digits, a relative error of at most 5e-12,
+finer than any of their values is known; everything else, the speeds and
+X0 of sweep.csv and every JSON value, keeps repr's exact shortest round-trip
+text.  Identical inputs produce byte-identical CSV and JSON; nothing time- or
+host-dependent goes into data files.  Float tables are written from their
+columns, one %-format per chunk of rows, and a profile is read back in one
+conversion.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingArtifactError
+from .errors import InvalidParameterError, MissingArtifactError
 
 CSV_CHUNK_ROWS = 1024   # rows per %-format: a table's text never exists whole
+FLOAT_FORMAT = "%.12g"  # a float table's values: half a unit in the 12th digit
 
 
 def fmt(x) -> str:
@@ -60,25 +65,28 @@ def read_json(path: Path):
 
 
 def write_float_csv(path: Path, header: list[str], columns) -> None:
-    """Float columns, one per header name, as write_csv writes them in fmt's text.
+    """Float columns, one per header name, as write_csv writes FLOAT_FORMAT's text.
 
-    repr of a Python float is fmt's text, "nan" included, and never needs
-    CSV quoting, so each chunk of CSV_CHUNK_ROWS rows is one %-format of the
-    columns interleaved, written as ASCII without csv.writer.
+    That text ("nan", "inf" and "-0" included) never needs CSV quoting, so
+    each chunk of CSV_CHUNK_ROWS rows is one %-format of the columns
+    interleaved, written as ASCII without csv.writer.  Columns that do not
+    match the header in number, or one another in length, are refused before
+    the file is touched.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     cols = [np.asarray(c, dtype=float) for c in columns]
-    k = len(header)
-    line = ",".join(["%r"] * k) + "\n"
+    if len(cols) != len(header) or any(c.ndim != 1 or c.shape != cols[0].shape for c in cols):
+        raise InvalidParameterError(
+            f"{path.name}: header {header} needs {len(header)} columns of one length; "
+            f"got columns of shapes {[c.shape for c in cols]}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rows = np.stack(cols, axis=1)
+    line = ",".join([FLOAT_FORMAT] * len(header)) + "\n"
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
-        for lo in range(0, len(cols[0]), CSV_CHUNK_ROWS):
-            part = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in cols]
-            flat = [0.0] * (k * len(part[0]))
-            for j, values in enumerate(part):
-                flat[j::k] = values
-            fh.write((line * len(part[0]) % tuple(flat)).encode("ascii"))
+        for lo in range(0, len(rows), CSV_CHUNK_ROWS):
+            part = rows[lo:lo + CSV_CHUNK_ROWS]
+            fh.write((line * len(part) % tuple(part.ravel().tolist())).encode("ascii"))
 
 
 def write_profile_csv(path: Path, xi, f) -> None:

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from kppwaves import (CanonicalModel, EventKind, InconclusiveError, SpeedClass,
-                      classify_connection, cli, connect)
+from kppwaves import (CanonicalModel, EventKind, InconclusiveError, InvalidParameterError,
+                      SpeedClass, classify_connection, cli, connect)
 from kppwaves.cli import main
-from kppwaves.io import CSV_CHUNK_ROWS, fmt, write_float_csv, write_profile_csv
+from kppwaves.io import (CSV_CHUNK_ROWS, FLOAT_FORMAT, read_profile_csv, write_float_csv,
+                         write_profile_csv)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -124,14 +125,16 @@ def test_shoot_csv_text_matches_fmt(workspace):
     for name in ("trajectory_c-1.csv", "profile_c-1.csv"):
         with open(out / name) as fh:
             rows = list(csv.reader(fh))[1:]
-        assert rows and all(v == fmt(float(v)) for row in rows for v in row)
+        assert rows and all(v == FLOAT_FORMAT % float(v) for row in rows for v in row)
 
 
 def test_profile_csv_text_matches_fmt(tmp_path):
     xi = [0.1, 1.0 / 3.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 2.0]
     f = [5e-324, 1.0, 0.0, 0.5, float("nan"), -0.0, 123456789.125, float("inf")]
-    want = "xi,f\n" + "".join(f"{fmt(a)},{fmt(b)}\n" for a, b in zip(xi, f))
-    assert "inf,nan\n" in want and "-0.0,0.0\n" in want and "-inf,-0.0\n" in want
+    want = ("xi,f\n0.1,4.94065645841e-324\n0.333333333333,1\n-0,0\nnan,0.5\n"
+            "inf,nan\n-inf,-0\n1e-300,123456789.125\n2,inf\n")
+    assert want == "xi,f\n" + "".join(f"{FLOAT_FORMAT % a},{FLOAT_FORMAT % b}\n"
+                                      for a, b in zip(xi, f))
     for args in ((xi, f), (np.array(xi), np.array(f))):
         write_profile_csv(tmp_path / "p.csv", *args)
         assert (tmp_path / "p.csv").read_text() == want
@@ -143,7 +146,9 @@ def test_float_csv_matches_csv_writer(tmp_path):
     cols = ([0.1 + 0.2, -0.0, float("nan"), third, 1e-300, float("-inf")],
             [2.0 / 3.0, 0.0, -0.0, 123456789.12345678, float("nan"), 5e-324],
             [-1.7976931348623157e308, 0.30000000000000004, third * 3.0, -0.0, 7.0, 1e22])
+    # values that repr writes in 17 digits are rounded to 12
     assert any(len(repr(v).lstrip("-").replace(".", "")) >= 17 for v in cols[0] + cols[1])
+    assert FLOAT_FORMAT % cols[1][3] == "123456789.123"
     for header, data in ((["a", "b", "c"], cols), (["xi", "f"], cols[:2]),
                          (["t", "x_front"], ([], []))):
         want_path = tmp_path / "want.csv"
@@ -151,22 +156,22 @@ def test_float_csv_matches_csv_writer(tmp_path):
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
             for row in zip(*data):
-                w.writerow([fmt(v) for v in row])
+                w.writerow([FLOAT_FORMAT % v for v in row])
         write_float_csv(tmp_path / "got.csv", header, data)
         assert (tmp_path / "got.csv").read_bytes() == want_path.read_bytes()
     for args in (cols[:2], [np.array(c) for c in cols[:2]]):
         write_profile_csv(tmp_path / "p.csv", *args)
         with open(tmp_path / "p.csv", newline="") as fh:
             assert list(csv.reader(fh)) == [["xi", "f"]] + [
-                [fmt(a), fmt(b)] for a, b in zip(*cols[:2])]
+                [FLOAT_FORMAT % a, FLOAT_FORMAT % b] for a, b in zip(*cols[:2])]
 
 
-# NaN, the infinities, signed zeros, subnormals and the points where repr
-# switches between positional and exponent form
+# NaN, the infinities, signed zeros, subnormals, the points where repr
+# switches between positional and exponent form and those where %.12g does
 _CSV_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                2.225073858507201e-308, 2.2250738585072014e-308, 1e-5, 1e-4,
                9.999999999999999e-05, 1e16, 9999999999999998.0, 1e17, 0.1, 1.0 / 3.0,
-               1.7976931348623157e308]
+               1e12, 999999999999.4, 999999999999.5, 1.7976931348623157e308]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -191,9 +196,54 @@ def test_float_csv_is_csv_writer_on_any_floats(tmp_path_factory, k, n, seed, ext
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in data.T.tolist():
-            w.writerow([fmt(v) for v in row])
+            w.writerow([FLOAT_FORMAT % v for v in row])
     write_float_csv(want.with_name("got.csv"), header, cols)
     assert want.with_name("got.csv").read_bytes() == want.read_bytes()
+
+
+def test_float_csv_refuses_mismatched_columns(tmp_path):
+    # a missing column is not padded, and unequal columns do not truncate
+    # the file they would have replaced
+    path = tmp_path / "t.csv"
+    with pytest.raises(InvalidParameterError, match="3 columns"):
+        write_float_csv(path, ["a", "b", "c"], ([1.0, 2.0], [3.0, 4.0]))
+    assert not path.exists()
+    write_float_csv(path, ["a", "b"], ([1.0], [2.0]))
+    before = path.read_bytes()
+    for cols in (([1.0, 2.0], [3.0]), ([1.0], [2.0], [3.0]), ([[1.0]], [[2.0]])):
+        with pytest.raises(InvalidParameterError):
+            write_float_csv(path, ["a", "b"], cols)
+        assert path.read_bytes() == before
+
+
+def _cli_shot(cm, c):
+    """The shot cmd_shoot makes at speed c, under the default ODE tolerances."""
+    return classify_connection(cm, c, eps=1e-6, rtol=1e-10, atol=1e-10, profile_of=cm)
+
+
+def test_shoot_files_hold_the_shot_to_the_format_bound(workspace):
+    # a profile read back from its file is the one in memory to half a unit
+    # in FLOAT_FORMAT's last digit, plus the read's rounding to a double;
+    # rounding merges no two samples of xi or tau
+    _, out = workspace
+    digits = int(FLOAT_FORMAT.strip("%.g"))
+    half_unit = 0.5 * 10.0 ** (1 - digits)
+    assert half_unit == 5e-12
+    cm = CanonicalModel(m=2, p=2, q=1)
+    rows = json.loads((out / "classification.json").read_text())
+    shot = [row for row in rows if row.get("profile_file")]
+    assert [row["c"] for row in shot] == [-3.0, -1.0]
+    for row in shot:
+        traj = _cli_shot(cm, row["c"]).trajectory
+        prof = connect.reconstruct_profile(traj)
+        xi, f = read_profile_csv(out / row["profile_file"])
+        for got, want in ((xi, prof.xi), (f, prof.f)):
+            assert got.shape == want.shape
+            bound = half_unit * np.abs(want) + np.spacing(np.abs(want)) / 2
+            assert np.all(np.abs(got - want) <= bound)
+        tau = np.loadtxt(out / row["trajectory_file"], delimiter=",", skiprows=1, usecols=0)
+        assert len(tau) == len(traj.tau)
+        assert np.all(np.diff(xi) > 0.0) and np.all(np.diff(tau) > 0.0)
 
 
 def test_shoot_profile_csv_round_trips(workspace):
@@ -262,13 +312,12 @@ def test_trajectory_file_puts_tau_zero_at_p2(workspace):
     by_c = {row["c"]: row for row in json.loads((out / "classification.json").read_text())}
     cm = CanonicalModel(m=2, p=2, q=1)
     for c in (-3.0, -1.0):
-        traj = classify_connection(cm, c, eps=1e-6, rtol=1e-10, atol=1e-10,
-                                   profile_of=cm).trajectory
+        traj = _cli_shot(cm, c).trajectory
         T = float(traj.tau[-1])
         with open(out / by_c[c]["trajectory_file"]) as fh:
             tau = np.array([float(r[0]) for r in list(csv.reader(fh))[1:]])
-        assert tau[-1] == 0.0 and tau[0] == -T < 0.0
-        assert np.array_equal(tau, traj.tau - T)
+        assert tau[-1] == 0.0 and tau[0] == float(FLOAT_FORMAT % -T) < 0.0
+        assert tau.tolist() == [float(FLOAT_FORMAT % v) for v in traj.tau - T]
         assert [ev["tau"] for ev in by_c[c]["events"]] == [ev.tau - T for ev in traj.events]
 
 
@@ -346,7 +395,7 @@ def test_pde_summary_has_no_positivity_fallbacks_for_a_linear_sink(tmp_path):
 
 def test_pde_csv_text_matches_fmt(tmp_path, monkeypatch):
     # a record without a front is written "nan", and every field is the
-    # text io.fmt gives for its value
+    # text io.FLOAT_FORMAT gives for its value
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, speeds=[-3], output_dir=str(out),
                     pde={"n_cells": 200, "T": 0.1, "snapshot_times": [0.1]})
@@ -362,7 +411,7 @@ def test_pde_csv_text_matches_fmt(tmp_path, monkeypatch):
     for name in ("front_c-3.csv", "snapshot_c-3_t0.1.csv"):
         with open(out / name) as fh:
             rows = list(csv.reader(fh))[1:]
-        assert rows and all(v == fmt(float(v)) for row in rows for v in row)
+        assert rows and all(v == FLOAT_FORMAT % float(v) for row in rows for v in row)
     with open(out / "front_c-3.csv") as fh:
         assert list(csv.reader(fh))[3][1] == "nan"
 
