@@ -36,6 +36,21 @@ full steps and lands only on its end time; a snapshot due inside a step is
 the linear interpolant of the states at the step's ends, second order like
 the step itself.
 
+A step passes over the arrays only where its result needs it.  An SBDF2
+step of (m, p, q) = (1, 2, 1) on a state above U_FLOOR makes 19 passes:
+u^2 and its difference with u (an exponent of 1 takes u itself), the
+factor dt, five for the right-hand side, three for the positivity test,
+four for the flux difference, ``pttrs``, one add into the fresh new state,
+and its minimum and maximum.  Gathers over the BE rows alone make their
+right-hand sides and leads.  m != 1 adds the extrapolation, the faces and
+``pttrf``.  The reaction-slope cap takes the maximum that the last step
+found, the U_FLOOR cut-off (two passes) is skipped when that step's
+minimum cleared U_FLOOR, and the clamp runs only when the minimum is not
+positive.  The cached extremes, like the
+history, hold only while ``run.state`` is the array the last step
+produced: a caller who changes the state between steps assigns a new
+array, since an edit in place is seen by neither.
+
 The equation is the canonical one: the functions here take a
 `CanonicalModel` and refuse a general model, which `nondimensionalize`
 reduces to canonical form.  The time step is dt = cfl H dx, capped by the
@@ -116,10 +131,11 @@ class PdeRun:
     counted), and ``factorizations``, the steps that factor.
     Before the first step the extremes are the empty-set values +-inf.
 
-    The run keeps the history of its last step: the state before it and
-    its dt R.  A step uses them only if the model, dt, dx and n_cells are
-    those of the last step and ``state`` is still the array that step
-    produced; otherwise it restarts with backward Euler.  For m = 1 the run
+    The run keeps the history of its last step: the state before it, its
+    dt R and the extremes of the state it produced.  A step takes those
+    extremes while ``state`` is still that array, and the rest only if, in
+    addition, the model, dt, dx and n_cells are those of the last step;
+    otherwise it restarts with backward Euler.  For m = 1 the run
     also keeps the uniform lead-3/2 matrix, as (size, faces, factors) with
     size = (dt, dx, n_cells), replaced only when a step needs it at another
     size; every step reuses its factors down to its first BE row (see the
@@ -203,9 +219,14 @@ def _coefficients(cm) -> tuple[float, float, float]:
     return cm.m, cm.p, cm.q
 
 
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e, with x itself for e = 1 (x ** 1.0 is a copy of x)."""
+    return x if e == 1.0 else x ** e
+
+
 def _faces(u: np.ndarray, m: float, dt: float, dx: float) -> np.ndarray:
     """w = -dt a / dx^2 per face, with a the mean of u^(m-1) at its nodes."""
-    D = u ** (m - 1.0)
+    D = _pow(u, m - 1.0)
     w = D[:-1] + D[1:]
     w *= -0.5 * dt / (dx * dx)
     return w
@@ -235,14 +256,20 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     """Advance one linearly implicit step; mutates and returns ``run``.
 
     ``dt_limit`` additionally caps the step (`evolve` lands on its end time
-    with it); the reaction-slope cap always applies.  The new state
-    is a fresh array, so a caller holding the old ``run.state`` keeps it.
+    with it); it must be positive, and the reaction-slope cap always
+    applies.  The new state is a fresh array, so a caller holding the old
+    ``run.state`` keeps it.
     """
     m, p, q = _coefficients(cm)
+    if dt_limit is not None and not dt_limit > 0.0:
+        raise InvalidParameterError(f"dt_limit must be positive, got {dt_limit!r}")
     u = run.state
     dx = run.dx
     dt = run.cfl * H * dx
-    u_top = float(u.max())
+    history = run._history
+    # the last step's extremes hold while run.state is the array it produced
+    ours = history is not None and history[1] is u
+    floor_clear, u_top = history[4:] if ours else (False, float(u.max()))
     if u_top >= U_FLOOR:
         slope = abs(p * u_top ** (p - 1.0) - q * u_top ** (q - 1.0))
         if slope > 0.0:
@@ -255,41 +282,41 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     # dt R on the interior; nodes below U_FLOOR contribute nothing (p > q >= 0
     # keeps u^p finite)
     ui = u[1:-1]
-    r = ui ** p
-    r -= ui ** q
-    r[ui < U_FLOOR] = 0.0
+    r = _pow(ui, p) - _pow(ui, q)
+    if not floor_clear:
+        r[ui < U_FLOOR] = 0.0
     r *= dt
     # every row solves lead u_new - dt L_a u_new = s in increment form,
     # (lead - dt L_a) delta = b + dt L_a u with b = s - lead u: a BE row has
     # lead 1 and s = max(u + dt R, 0), an SBDF2 row lead 3/2 and
     # s = 2u - u_prev/2 + dt (2R - R_prev)
     key = (m, p, q, dt, dx, run.n_cells)
-    history = run._history
     u_a = u
     switched = 0
     # the first k rows are those of the uniform lead-3/2 matrix of m = 1,
     # whose factors the run keeps (see the module docstring)
     k = 0
-    if history is not None and history[0] == key and history[1] is u:
+    if ours and history[0] == key:
         u_prev, r_prev = history[2], history[3]
-        g = ui - u_prev[1:-1]
-        g *= 0.5
-        g += 2.0 * r
-        g -= r_prev
-        # the positivity rule: a row whose SBDF2 right-hand side is negative
-        # is a BE row
-        be = 1.5 * ui + g < 0.0
-        switched = int(np.count_nonzero(be))
+        b = ui - u_prev[1:-1]
+        b *= 0.5
+        b += 2.0 * r
+        b -= r_prev
+        # the positivity rule: a row whose SBDF2 right-hand side 3u/2 + b is
+        # negative is a BE row (for doubles, fl(x + y) < 0 exactly when y < -x)
+        rows = (b < -1.5 * ui).nonzero()[0]
+        switched = len(rows)
+        lead, clips = 1.5, 0
+        if switched:
+            r_be, floor_be = r[rows], -ui[rows]
+            clips = int(np.count_nonzero(r_be < floor_be))
+            b[rows] = np.maximum(r_be, floor_be)
+            lead = np.full(len(ui), 1.5)
+            lead[rows] = 1.0
         if m != 1.0:
             u_a = np.maximum(2.0 * u - u_prev, 0.0)
         else:
-            k = int(be.argmax()) if switched else len(ui)
-        if switched:
-            b = np.where(be, np.maximum(r, -ui), g)
-            lead = np.where(be, 1.0, 1.5)
-            clips = int(np.count_nonzero(be & (r < -ui)))
-        else:
-            b, lead, clips = g, 1.5, 0
+            k = int(rows[0]) if switched else len(ui)
     else:
         # the first step, and every restart, is BE throughout
         b = np.maximum(r, -ui)
@@ -316,23 +343,25 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     delta, info = _PTTRS(d, e, rhs, overwrite_b=1)
     if info != 0:
         raise StabilityViolationError(f"diffusion solve failed (LAPACK info = {info})")
-    u_new = u.copy()
-    u_new[1:-1] += delta
+    u_new = np.empty_like(u)
+    np.add(ui, delta, out=u_new[1:-1])
     u_new[0], u_new[-1] = run.bc
 
     # NaN propagates through min and max, so these reductions carry the
     # finiteness, negativity and blow-up guards; every right-hand side is
-    # non-negative and the matrix is an M-matrix, so only roundoff can dip
+    # non-negative and the matrix is an M-matrix, so only roundoff can dip,
+    # and only then (or at a -0.0) does the clamp act
     low = float(u_new.min())
     high = float(u_new.max())
     if not (math.isfinite(low) and math.isfinite(high)):
         raise StabilityViolationError("non-finite values appeared in the state")
     if low < -1e-12:
         raise NegativityError(f"state dipped to {low:.3e} before clamping")
-    np.maximum(u_new, 0.0, out=u_new)
     if high > U_MAX:
         raise StabilityViolationError(
             f"state reached {high:.3g}, beyond the blow-up guard {U_MAX}")
+    if not low > 0.0:
+        np.maximum(u_new, 0.0, out=u_new)
 
     run.state = u_new
     run.time += dt
@@ -344,7 +373,7 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     run.limiter_clips += clips
     run.positivity_fallbacks += switched
     run.factorizations += fresh
-    run._history = (key, u_new, u, r)
+    run._history = (key, u_new, u, r, low >= U_FLOOR, high)
     return run
 
 
@@ -363,13 +392,14 @@ def front_position(x: np.ndarray, u: np.ndarray, level: float,
     above, flips = work[0], work[1, :-1]
     np.greater(u, level, out=above)
     np.not_equal(above[1:], above[:-1], out=flips)
-    n_flips = int(np.count_nonzero(flips))
+    cells = flips.nonzero()[0]
+    n_flips = len(cells)
     hits = np.equal(u, level, out=above)
     n_hits = int(np.count_nonzero(hits))
     if n_hits == 0:
         if n_flips != 1:
             return None if n_flips == 0 else math.nan
-        i = int(np.argmax(flips))
+        i = int(cells[0])
         d0, d1 = u[i] - level, u[i + 1] - level
         w = d0 / (d0 - d1)
         return float(x[i] + w * (x[i + 1] - x[i]))
@@ -391,15 +421,16 @@ def evolve(run: PdeRun, cm: CanonicalModel, T: float, *,
     not change the steps taken.  A tracked front that comes within
     ``BOUNDARY_GUARD_CELLS`` cells of a boundary raises DomainTooSmall; a
     T that is not finite or lies before ``run.time``, and a snapshot time
-    outside [run.time, T], are refused before any step.  The front is recorded at the start too,
-    unless the track already ends at ``run.time`` (a run evolved before), so
-    the track holds one record per time.
+    that is NaN or outside [run.time, T], are refused before any step.  The
+    front is recorded at the start too, unless the track already ends at
+    ``run.time`` (a run evolved before), so the track holds one record per
+    time.
     """
     if not run.time <= T < math.inf:
         raise InvalidParameterError(f"target time {T!r} must be finite and at least {run.time}")
     snaps_pending = sorted(float(t) for t in snapshot_times)
     for t in snaps_pending:
-        if t < run.time - 1e-12 or t > T + 1e-12:
+        if not run.time - 1e-12 <= t <= T + 1e-12:
             raise InvalidParameterError(f"snapshot time {t} outside [{run.time}, {T}]")
     x = run.x
     dx = run.dx
@@ -501,7 +532,7 @@ def advect_profile_test(profile: WaveProfile, cm: CanonicalModel, T: float, *,
     cells of a boundary raises DomainTooSmall with a widened suggestion).  A
     profile with a non-finite xi or f, or without a finite speed c < 0 (no
     wave moves otherwise), is refused before the run is built, and a
-    snapshot time outside [0, T] before the first step.
+    snapshot time that is NaN or outside [0, T] before the first step.
 
     The plateau behind the front sits at an unstable state of the reaction,
     so any shortfall 1 - f at the profile's left end grows like

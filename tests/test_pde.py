@@ -315,6 +315,20 @@ def test_evolve_time_validation():
     assert run.steps == 0 and run.time == 1.0
 
 
+def test_evolve_refuses_a_nan_snapshot_time(monotone_profile_121):
+    # NaN fails every comparison, so a range test written as two "outside"
+    # comparisons lets it through; it is refused before any step, through
+    # evolve and through advect_profile_test
+    run = make_run(0.0, 1.0, 16, lambda x: np.full_like(x, 0.5), bc=(0.5, 0.5))
+    for times in ([math.nan], [0.5, math.nan]):
+        with pytest.raises(kw.InvalidParameterError, match="snapshot time nan"):
+            evolve(run, CM121, 1.0, snapshot_times=times)
+    assert run.steps == 0 and run.time == 0.0 and run.front_track == []
+    prof, cm = monotone_profile_121
+    with pytest.raises(kw.InvalidParameterError, match="snapshot time nan"):
+        advect_profile_test(prof, cm, 1.0, n_cells=600, snapshot_times=(0.5, math.nan))
+
+
 def test_evolve_again_records_each_time_once():
     # a second call starts where the first ended: its entry record would
     # repeat that time, and measure_front_speed would weigh the point twice
@@ -357,6 +371,74 @@ def test_front_position_cases():
     for u, level in ((down, 0.5 + 1e-12), (vee, 0.5), (touch, 0.5), (np.ones(11), 0.5)):
         a, b = front_position(x, u, level), front_position(x, u, level, work)
         assert a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _reference_front_position(x, u, level, work=None):
+    # the tracker written with counts and argmaxes: the definition that
+    # front_position must match to the bit
+    if work is None:
+        work = np.empty((2, len(u)), dtype=bool)
+    above, flips = work[0], work[1, :-1]
+    np.greater(u, level, out=above)
+    np.not_equal(above[1:], above[:-1], out=flips)
+    n_flips = int(np.count_nonzero(flips))
+    hits = np.equal(u, level, out=above)
+    n_hits = int(np.count_nonzero(hits))
+    if n_hits == 0:
+        if n_flips != 1:
+            return None if n_flips == 0 else math.nan
+        i = int(np.argmax(flips))
+        d0, d1 = u[i] - level, u[i + 1] - level
+        w = d0 / (d0 - d1)
+        return float(x[i] + w * (x[i + 1] - x[i]))
+    if n_hits > 1:
+        return math.nan
+    j = int(np.argmax(hits))
+    n_flips -= int(j > 0 and flips[j - 1]) + int(j < len(flips) and flips[j])
+    return float(x[j]) if n_flips == 0 else math.nan
+
+
+def _same_position(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("n", [2, 3, 11, 64])
+def test_front_position_matches_reference(n):
+    # seeded states with one or several crossings, exact hits at interior
+    # and end nodes and runs of nodes at the level, through a fresh and a
+    # reused work buffer
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(-5.0, 5.0, n))
+    level = 0.5
+    work = np.empty((2, n), dtype=bool)
+    kinds = {"none": 0, "one": 0, "nan": 0}
+    for trial in range(500):
+        kind = trial % 5
+        if kind == 0:
+            # a monotone front
+            u = np.sort(rng.uniform(0.0, 1.0, n))[::-1].copy()
+        elif kind == 1:
+            # several crossings
+            u = rng.uniform(0.0, 1.0, n)
+        elif kind == 2:
+            # values at the level, singly or in runs, anywhere
+            u = rng.choice([0.2, level, 0.8], n)
+        elif kind == 3:
+            u = np.sort(rng.uniform(0.0, 1.0, n))[::-1].copy()
+            j = int(rng.integers(n))
+            u[j:j + int(rng.integers(1, 4))] = level
+        else:
+            # one side of the level, touching it or not
+            u = rng.uniform(0.6, 1.0, n) if trial % 2 else rng.uniform(0.0, 0.4, n)
+        if trial % 3 == 0:
+            u[rng.choice([0, n - 1])] = level
+        want = _reference_front_position(x, u, level)
+        for got in (front_position(x, u, level), front_position(x, u, level, work)):
+            assert _same_position(got, want), (u, got, want)
+        kinds["none" if want is None else "nan" if math.isnan(want) else "one"] += 1
+    assert all(kinds.values()), kinds
 
 
 def _run_with_track(track):
@@ -774,6 +856,111 @@ def test_step_switches_are_bit_identical_to_reference(model, switch):
     runs = _pair(lambda x: 1e-13 * _tailed_front(x), bc=(1e-13, 0.0))
     run = _assert_same_steps([model], 200, runs=runs)
     assert float(np.max(run.state)) < U_FLOOR
+
+
+def _signed_zero_front(x):
+    # the tailed front with its tail written as alternating 0.0 and -0.0
+    zeros = np.where(np.arange(len(x)) % 2 == 0, 0.0, -0.0)
+    return np.where(x < 7.5, 0.5 * (1.0 - np.tanh(2.0 * x)), zeros)
+
+
+@pytest.mark.parametrize("bc", [(1.0, -0.0), (1.0, 0.0)], ids=["bc-negzero", "bc-zero"])
+@pytest.mark.parametrize("model", [CM121, CM221, CanonicalModel(m=1, p=1, q=0.5)],
+                         ids=["121", "221", "1-1-0.5"])
+def test_step_keeps_the_sign_bit_of_the_reference(model, bc):
+    # exact zeros and -0.0 in the state and at the ends: the reference clamps
+    # every step, which turns -0.0 into +0.0, so the step's clamp must run
+    # whenever the minimum is not positive; array_equal alone takes -0.0
+    # for 0.0, so the sign bits are compared too
+    u0 = _signed_zero_front(np.linspace(-8.0, 8.0, 241))
+    assert np.signbit(u0).any()
+    ref, new = _pair(_signed_zero_front, bc=bc)
+    assert np.signbit(new.state[-1]) == np.signbit(bc[1])
+    for _ in range(60):
+        ref.step(model)
+        step(new, model)
+        assert np.array_equal(new.state, ref.run.state)
+        assert np.array_equal(np.signbit(new.state), np.signbit(ref.run.state))
+        assert new.dt == ref.run.dt
+    assert not np.signbit(new.state).any()
+    assert float(np.min(new.state)) == 0.0
+
+
+@pytest.mark.parametrize("model", [CM121, CM221, CanonicalModel(m=1, p=1, q=0.5)],
+                         ids=["121", "221", "1-1-0.5"])
+def test_step_cuts_the_reaction_on_positive_states_below_the_floor(model):
+    # every node positive, the interior spanning U_FLOOR: the cut-off may be
+    # skipped only when no node lies below U_FLOOR, not whenever none is 0
+    def u0(x):
+        return 10.0 ** np.interp(x, (-8.0, 8.0), (-10.0, -14.0))
+
+    runs = _pair(u0, bc=(1e-10, 1e-14))
+    assert float(np.min(runs[1].state)) > 0.0
+    run = _assert_same_steps([model], 40, runs=runs)
+    assert float(np.min(run.state)) > 0.0
+
+
+def _sparse_noise(x):
+    # seeded: every other node or so at 0, the rest uniform in [0, 1)
+    rng = np.random.default_rng(3)
+    return rng.uniform(0.0, 1.0, len(x)) * (rng.random(len(x)) < 0.5)
+
+
+@pytest.mark.parametrize("dt_limits", [(None,), (None, None, None, 2e-3)], ids=["full", "restarts"])
+@pytest.mark.parametrize("u0", [bump, _sparse_noise], ids=["bump", "noise"])
+def test_step_counts_switched_and_clipped_rows_by_their_definitions(u0, dt_limits):
+    # (1,1,0.5): recount each step's rows from the reference's history: a
+    # row is BE when its SBDF2 right-hand side 3u/2 + g is negative (every
+    # row of a start or restart, which are not counted as switched), and a
+    # BE row is clipped when u + dt R < 0; on the noise, some switched rows
+    # are not
+    model = CanonicalModel(m=1, p=1, q=0.5)
+    ref, new = _pair(u0, bc=(0.0, 0.0))
+    switched = clips = unclipped = 0
+    for i in range(120):
+        before = ref.history
+        ref.step(model, dt_limit=dt_limits[i % len(dt_limits)])
+        step(new, model, dt_limit=dt_limits[i % len(dt_limits)])
+        key, _, u, r = ref.history
+        ui = u[1:-1]
+        if before is not None and before[0] == key and before[1] is u:
+            g = 0.5 * (ui - before[2][1:-1]) + 2.0 * r - before[3]
+            be = 1.5 * ui + g < 0.0
+            switched += int(np.count_nonzero(be))
+            unclipped += int(np.count_nonzero(be & (ui + r >= 0.0)))
+        else:
+            be = np.ones(len(ui), dtype=bool)
+        clips += int(np.count_nonzero(be & (ui + r < 0.0)))
+        assert (new.positivity_fallbacks, new.limiter_clips) == (switched, clips)
+    assert switched > 0 and clips > 0
+    assert unclipped > 0 or u0 is bump
+
+
+@pytest.mark.parametrize("dt_limit", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+def test_step_refuses_a_non_positive_dt_limit(dt_limit):
+    # a caller's bad argument, refused before the run is touched; min(dt,
+    # nan) is dt, so unchecked a NaN limit would take a full step
+    fresh, used = [make_run(-8.0, 8.0, 240, _tailed_front) for _ in range(2)]
+    step(used, CM121)
+
+    def counters(run):
+        return (run.time, run.dt, run.steps, run.dt_min, run.dt_max,
+                run.min_before_clamp, run.limiter_clips, run.positivity_fallbacks,
+                run.factorizations)
+
+    for run in (fresh, used):
+        held, before = run.state, counters(run)
+        copy = held.copy()
+        with pytest.raises(kw.InvalidParameterError, match="dt_limit must be positive"):
+            step(run, CM121, dt_limit=dt_limit)
+        assert run.state is held and np.array_equal(held, copy)
+        assert counters(run) == before
+    # an infinite limit caps nothing
+    capped, free = [make_run(-8.0, 8.0, 240, _tailed_front) for _ in range(2)]
+    for _ in range(3):
+        step(capped, CM121, dt_limit=math.inf)
+        step(free, CM121)
+        assert np.array_equal(capped.state, free.state) and capped.dt == free.dt
 
 
 def _fresh_first_step(run, model, dt_limit=None):
