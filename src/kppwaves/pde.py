@@ -37,19 +37,18 @@ the linear interpolant of the states at the step's ends, second order like
 the step itself.
 
 A step passes over the arrays only where its result needs it.  An SBDF2
-step of (m, p, q) = (1, 2, 1) on a state above U_FLOOR makes 19 passes:
-u^2 and its difference with u (an exponent of 1 takes u itself), the
-factor dt, five for the right-hand side, three for the positivity test,
-four for the flux difference, ``pttrs``, one add into the fresh new state,
-and its minimum and maximum.  Gathers over the BE rows alone make their
-right-hand sides and leads.  m != 1 adds the extrapolation, the faces and
-``pttrf``.  The reaction-slope cap takes the maximum that the last step
-found, the U_FLOOR cut-off (two passes) is skipped when that step's
-minimum cleared U_FLOOR, and the clamp runs only when the minimum is not
-positive.  The cached extremes, like the
-history, hold only while ``run.state`` is the array the last step
-produced: a caller who changes the state between steps assigns a new
-array, since an edit in place is seen by neither.
+step of (m, p, q) = (1, 2, 1) makes 21 passes: u^2 and its difference with
+u (an exponent of 1 takes u itself), the U_FLOOR cut-off (a comparison and
+a masked store), the factor dt, five for the right-hand side, three for
+the positivity test, four for the flux difference, ``pttrs``, one add into
+the fresh new state, and its minimum and maximum.  Gathers over the BE
+rows alone make their right-hand sides and leads.  m != 1 adds the
+extrapolation, the faces and ``pttrf``.  The reaction-slope cap takes the
+maximum that the last step found, and the clamp runs only when the minimum
+is not positive.  The cached maximum, like the history, holds only while
+``run.state`` is the array the last step produced: a caller who changes
+the state between steps assigns a new array, since an edit in place is
+seen by neither.
 
 The equation is the canonical one: the functions here take a
 `CanonicalModel` and refuse a general model, which `nondimensionalize`
@@ -132,8 +131,8 @@ class PdeRun:
     Before the first step the extremes are the empty-set values +-inf.
 
     The run keeps the history of its last step: the state before it, its
-    dt R and the extremes of the state it produced.  A step takes those
-    extremes while ``state`` is still that array, and the rest only if, in
+    dt R and the maximum of the state it produced.  A step takes that
+    maximum while ``state`` is still that array, and the rest only if, in
     addition, the model, dt, dx and n_cells are those of the last step;
     otherwise it restarts with backward Euler.  For m = 1 the run
     also keeps the uniform lead-3/2 matrix, as (size, faces, factors) with
@@ -267,9 +266,9 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     dx = run.dx
     dt = run.cfl * H * dx
     history = run._history
-    # the last step's extremes hold while run.state is the array it produced
+    # the last step's maximum holds while run.state is the array it produced
     ours = history is not None and history[1] is u
-    floor_clear, u_top = history[4:] if ours else (False, float(u.max()))
+    u_top = history[4] if ours else float(u.max())
     if u_top >= U_FLOOR:
         slope = abs(p * u_top ** (p - 1.0) - q * u_top ** (q - 1.0))
         if slope > 0.0:
@@ -283,8 +282,7 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     # keeps u^p finite)
     ui = u[1:-1]
     r = _pow(ui, p) - _pow(ui, q)
-    if not floor_clear:
-        r[ui < U_FLOOR] = 0.0
+    r[ui < U_FLOOR] = 0.0
     r *= dt
     # every row solves lead u_new - dt L_a u_new = s in increment form,
     # (lead - dt L_a) delta = b + dt L_a u with b = s - lead u: a BE row has
@@ -373,7 +371,7 @@ def step(run: PdeRun, cm: CanonicalModel, dt_limit: float | None = None) -> PdeR
     run.limiter_clips += clips
     run.positivity_fallbacks += switched
     run.factorizations += fresh
-    run._history = (key, u_new, u, r, low >= U_FLOOR, high)
+    run._history = (key, u_new, u, r, high)
     return run
 
 

@@ -889,8 +889,8 @@ def test_step_keeps_the_sign_bit_of_the_reference(model, bc):
 @pytest.mark.parametrize("model", [CM121, CM221, CanonicalModel(m=1, p=1, q=0.5)],
                          ids=["121", "221", "1-1-0.5"])
 def test_step_cuts_the_reaction_on_positive_states_below_the_floor(model):
-    # every node positive, the interior spanning U_FLOOR: the cut-off may be
-    # skipped only when no node lies below U_FLOOR, not whenever none is 0
+    # every node positive, the interior spanning U_FLOOR: the cut-off acts
+    # on nodes below U_FLOOR, not only on those at 0
     def u0(x):
         return 10.0 ** np.interp(x, (-8.0, 8.0), (-10.0, -14.0))
 
@@ -898,6 +898,21 @@ def test_step_cuts_the_reaction_on_positive_states_below_the_floor(model):
     assert float(np.min(runs[1].state)) > 0.0
     run = _assert_same_steps([model], 40, runs=runs)
     assert float(np.min(run.state)) > 0.0
+
+
+@pytest.mark.parametrize("model", [CM121, CM221], ids=["121", "221"])
+def test_step_caps_dt_by_the_maximum_of_a_newly_assigned_state(model):
+    # the slope cap reuses the last step's maximum only while run.state is
+    # that step's array: a new array of a higher maximum caps dt by its own
+    # (on 24 cells the cap binds at a maximum of 5, not at 1)
+    ref, new = runs = (_Reference(make_run(-8.0, 8.0, 24, _tailed_front)),
+                       make_run(-8.0, 8.0, 24, _tailed_front))
+    _assert_same_steps([model], 5, runs=runs)
+    dt = new.dt
+    ref.run.state = 5.0 * ref.run.state
+    new.state = 5.0 * new.state
+    _assert_same_steps([model], 2, runs=runs)
+    assert new.dt < dt
 
 
 def _sparse_noise(x):
