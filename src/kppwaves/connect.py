@@ -29,7 +29,8 @@ A shot that is to become a profile carries the wave coordinate xi as a third
 state, dxi/dtau = pref * X^expo, which the solver integrates but leaves out of
 its error test (a quadrature state, as CVODES treats one).  Such a shot also
 keeps its dense output: each step's raw Nordsieck record (t, h, yh) is one
-copy from the solver's work arrays into a row of one table.  No other shot
+copy from the solver's work arrays into a row of one table, which the shot
+hands over once as a _NordsieckTable's contiguous arrays.  No other shot
 keeps one.
 
 A shot stops on entering P2's arrival ball, and the X extrema the ball hides
@@ -145,20 +146,32 @@ class _NordsieckTable:
     polynomial sum_k coef[k, :, n] s^k, s = (t - t_end[n]) / h[n], about the
     step's end (Petzold 1983).  As in the OdeSolution solve_ivp builds for
     LSODA, a breakpoint belongs to the step that starts there.
+
+    The table holds its own C-contiguous copies: coef is one (order,
+    component, step) array, so each coefficient of one component over all
+    steps is a contiguous row.  A call gathers from those rows with one
+    ``take`` per order, and costs O(points x order x components) whatever
+    the number of steps; ``components`` names the state rows to evaluate,
+    all of them by default, and each element gets the same Horner
+    arithmetic whichever rows are asked for.
     """
 
     def __init__(self, ts, t_end: np.ndarray, h: np.ndarray, coef: np.ndarray):
         self.ts = np.asarray(ts, dtype=float)
-        self.t_end, self.h, self.coef = t_end, h, coef
+        self.t_end, self.h, self.coef = map(np.ascontiguousarray, (t_end, h, coef))
+        self._rows = self.coef.reshape(len(self.coef), -1)   # (order, component x step)
 
-    def __call__(self, t):
+    def __call__(self, t, components=None):
         t = np.asarray(t, dtype=float)
-        j = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.h) - 1)
+        steps = len(self.h)
+        j = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, steps - 1)
         s = (t - self.t_end[j]) / self.h[j]
-        y = self.coef[-1].take(j, axis=1)
-        for c in self.coef[-2::-1]:
+        rows = np.arange(self.coef.shape[1]) if components is None else np.asarray(components)
+        at = np.add.outer(rows * steps, j)
+        y = self._rows[-1].take(at)
+        for c in self._rows[-2::-1]:
             y *= s
-            y += c.take(j, axis=1)
+            y += c.take(at)
         return y
 
 
@@ -577,6 +590,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
     events = [TrajectoryEvent(kind, t_e, (float(s_e[0]), float(s_e[1])), target)
               for (kind, target, _, _), found in zip(table, hits) for t_e, s_e in found]
     X, Y, *xi = np.array(flat).reshape(len(ts), -1).T.copy()
+    # the dense output copies the records it keeps into its own layout, so
+    # the record table is freed with this frame
     return {
         "tau": np.array(ts), "X": X, "Y": Y, "xi": xi[0] if xi else None, "events": events,
         "solver_steps": steps, "nfev": nfev, "njev": njev,
@@ -864,10 +879,11 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
         raise NotAConnectionError(
             f"trajectory arrived at {traj.arrived!r}, not P2 "
             f"(escaped={traj.escaped}); a profile needs the P0-P2 connection")
-    if cm is None:
+    table = traj._table
+    if cm is None or table is None:
         raise InvalidParameterError(
-            "trajectory carries no xi: shoot it with profile_of=<the model> "
-            "to reconstruct a profile")
+            "trajectory carries no xi or dense output: shoot it with "
+            "profile_of=<the model> to reconstruct a profile")
     # the profile ends at the arrival, so it shows only the measured extrema
     _, _, extrema, _, _ = _wave_class(traj)
     speed = sys.form[0]
@@ -892,20 +908,28 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     i1 = above[0]
     t_lo, t_hi = traj.tau[i1 - 1], traj.tau[i1]
 
-    tau_half = brentq(lambda t: float(traj.state_at(t)[0]) - x_half, t_lo, t_hi, xtol=1e-13)
-    xi_half = float(traj.state_at(tau_half)[2])
+    # each read of the dense output evaluates only the rows it uses: X, xi
+    # or both (the table's components 0 and 2)
+    tau_half = brentq(lambda t: float(table(t, (0,))[0]) - x_half, t_lo, t_hi, xtol=1e-13)
 
     # invert the monotone xi(tau): a table estimate, then Newton on the
-    # dense output with the (strictly positive, capped) rate as slope
+    # dense output with the (strictly positive, capped) rate as slope; at
+    # expo = 0 that rate is pref exactly
     xi_target = np.linspace(traj.xi[0], traj.xi[-1], PROFILE_SAMPLES)
     tau_grid = np.interp(xi_target, traj.xi, traj.tau)
     for _ in range(XI_NEWTON_PASSES):
-        X_grid, _, xi_grid = traj.state_at(tau_grid)
-        rate = pref * np.exp(np.minimum(expo * np.log(np.maximum(X_grid, _TINY)),
-                                        XI_LOG_RATE_MAX))
-        tau_grid = np.clip(tau_grid - (xi_grid - xi_target) / rate,
-                           traj.tau[0], traj.tau[-1])
-    X_grid = traj.state_at(tau_grid)[0]
+        X_grid, xi_grid = table(tau_grid, (0, 2))
+        xi_grid -= xi_target
+        if expo == 0.0:
+            xi_grid /= pref
+        else:
+            xi_grid /= pref * np.exp(np.minimum(expo * np.log(np.maximum(X_grid, _TINY)),
+                                                XI_LOG_RATE_MAX))
+        tau_grid -= xi_grid
+        np.minimum(np.maximum(tau_grid, traj.tau[0], out=tau_grid), traj.tau[-1], out=tau_grid)
+    X_grid = table(tau_grid, (0,))[0]
+    # xi at the anchor and at every measured extremum, in one read
+    xi_half, *xi_extrema = table([tau_half, *(tau_e for tau_e, _ in extrema)], (2,))[0].tolist()
     xi_fwd = xi_target - xi_half
     f_fwd = np.maximum(X_grid, 0.0) ** fe
     if not (np.all(np.isfinite(xi_fwd)) and np.all(np.isfinite(f_fwd))):
@@ -916,8 +940,8 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     f = f_fwd[::-1].copy()
     f[0] = min(f[0], 1.0) if abs(f[0] - 1.0) < 1e-3 else f[0]
 
-    overshoots = sorted(((-(float(traj.state_at(tau_e)[2]) - xi_half), x_e ** fe)
-                         for tau_e, x_e in extrema), key=lambda p: p[0])
+    overshoots = sorted(((-(xi_e - xi_half), x_e ** fe) for xi_e, (_, x_e)
+                         in zip(xi_extrema, extrema)), key=lambda p: p[0])
     return WaveProfile(xi=xi, f=f, c=c_wave, overshoot_extrema=tuple(overshoots))
 
 

@@ -1,12 +1,13 @@
 """Shooting, classification, profile reconstruction, finite propagation."""
 import cmath
+import dataclasses
 import gc
 import importlib.util
 import math
 import sys
 import tracemalloc
 import warnings
-from itertools import islice, takewhile
+from itertools import islice, permutations, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -167,11 +168,11 @@ def test_dense_output_matches_samples():
         assert Y == pytest.approx(traj.Y[i], abs=1e-9)
 
 
-@pytest.mark.parametrize("cm, c", [
-    (CM221, 1.0),
-    (CanonicalModel(m=3, p=2.5, q=1), 3.5198),
-    (CanonicalModel(m=1, p=1, q=0.5), 1.0),
-])
+DENSE_SHOTS = [(CM221, 1.0), (CanonicalModel(m=3, p=2.5, q=1), 3.5198),
+               (CanonicalModel(m=1, p=1, q=0.5), 1.0)]
+
+
+@pytest.mark.parametrize("cm, c", DENSE_SHOTS)
 def test_state_at_matches_scipy_dense_output(cm, c):
     # pins the Nordsieck table of a profile shot against the OdeSolution
     # solve_ivp returns for the same shot with xi as a third state, including
@@ -190,6 +191,31 @@ def test_state_at_matches_scipy_dense_output(cm, c):
         for got, ref in ((X, want[0]), (Y, want[1]), (xi, want[2])):
             assert np.shape(got) == np.shape(ref)
             assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("cm, c", DENSE_SHOTS)
+def test_component_rows_are_the_full_evaluations_rows(cm, c):
+    # the table evaluates only the rows it is asked for, each bit for bit
+    # the row of the full evaluation, in any order and at any point: the
+    # samples (which are the breakpoints), step midpoints and half a step
+    # past either end, as an array and one at a time
+    table = shoot(build_system(cm, c), profile_of=cm)._table
+    ts = table.ts
+    pts = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]),
+                          [ts[0] - 0.5 * (ts[1] - ts[0]), ts[-1] + 0.5 * (ts[-1] - ts[-2])]])
+    assert table.coef.flags.c_contiguous and table.coef.shape[1:] == (3, len(table.h))
+    for t in (pts, pts[len(pts) // 3], pts[-1]):
+        full = table(t)
+        assert full.shape == (3,) + np.shape(t)
+        for size in (1, 2, 3):
+            for rows in permutations(range(3), size):
+                assert np.array_equal(table(t, rows), full[list(rows)]), rows
+    # a breakpoint belongs to the step that starts there: a table of that
+    # step alone gives the same bits
+    for k in range(len(table.h)):
+        step = connect._NordsieckTable(ts[k:k + 2], table.t_end[k:k + 1], table.h[k:k + 1],
+                                       table.coef[..., k:k + 1])
+        assert np.array_equal(step(ts[k]), table(ts[k])), k
 
 
 @pytest.mark.parametrize("name", PIN_SHOTS)
@@ -1317,6 +1343,10 @@ def test_reconstruct_needs_a_shot_that_carries_xi():
         plain.state_at(plain.tau[len(plain.tau) // 2])
     with pytest.raises(kw.InvalidParameterError, match="profile_of"):
         reconstruct_profile(plain)
+    # nor a trajectory that names its model but has no dense output
+    bare = dataclasses.replace(shoot(s, profile_of=CM221), _table=None)
+    with pytest.raises(kw.InvalidParameterError, match="profile_of"):
+        reconstruct_profile(bare)
 
 
 @pytest.mark.parametrize("mpq", [(3, 2.5, 1), (1, 2, 1)])
@@ -1346,6 +1376,131 @@ def test_reconstructed_profile_has_the_shot_speed():
     cm = CanonicalModel(m=1, p=1, q=0.5)
     prof = reconstruct_profile(shoot(build_system(cm, 3.0), profile_of=cm))
     assert prof.c == pytest.approx(-3.0, rel=1e-15)
+
+
+# (m, p, q), c and the measured extrema of slow waves: (1,2,1) at c = -0.01
+# shoots 17,068 steps, (2,2,1) at c = -0.05 shoots 3,661
+SLOW_WAVES = [((1, 2, 1), -0.01, 695), ((2, 2, 1), -0.05, 134)]
+
+
+@pytest.fixture(scope="module")
+def slow_waves():
+    """classify_connection of each SLOW_WAVES speed, shot as a profile."""
+    return [classify_connection(CanonicalModel(*mpq), c, profile_of=CanonicalModel(*mpq))
+            for mpq, c, _ in SLOW_WAVES]
+
+
+def _reference_state_at(table, t):
+    # every component at once, each order gathered from the (component,
+    # step) slab along the step axis
+    t = np.asarray(t, dtype=float)
+    j = np.clip(np.searchsorted(table.ts, t, side="right") - 1, 0, len(table.h) - 1)
+    s = (t - table.t_end[j]) / table.h[j]
+    y = table.coef[-1].take(j, axis=1)
+    for c in table.coef[-2::-1]:
+        y *= s
+        y += c.take(j, axis=1)
+    return y
+
+
+def _reference_profile(traj):
+    # reconstruct_profile on full evaluations, one per extremum, with the
+    # rate formed at every expo and np.clip: the definition its (xi, f,
+    # overshoot_extrema) must match to the bit
+    def state_at(t):
+        return _reference_state_at(traj._table, t)
+
+    _, _, extrema, _, _ = connect._wave_class(traj)
+    pref, expo, fe = connect._profile_exponents(traj.sys, traj.profile_of)
+    x_half = 0.5 ** (1.0 / fe)
+    i1 = np.nonzero(traj.X >= x_half)[0][0]
+    tau_half = connect.brentq(lambda t: float(state_at(t)[0]) - x_half,
+                              traj.tau[i1 - 1], traj.tau[i1], xtol=1e-13)
+    xi_half = float(state_at(tau_half)[2])
+    xi_target = np.linspace(traj.xi[0], traj.xi[-1], connect.PROFILE_SAMPLES)
+    tau_grid = np.interp(xi_target, traj.xi, traj.tau)
+    for _ in range(connect.XI_NEWTON_PASSES):
+        X_grid, _, xi_grid = state_at(tau_grid)
+        rate = pref * np.exp(np.minimum(expo * np.log(np.maximum(X_grid, connect._TINY)),
+                                        connect.XI_LOG_RATE_MAX))
+        tau_grid = np.clip(tau_grid - (xi_grid - xi_target) / rate,
+                           traj.tau[0], traj.tau[-1])
+    X_grid = state_at(tau_grid)[0]
+    xi = -(xi_target - xi_half)[::-1]
+    f = (np.maximum(X_grid, 0.0) ** fe)[::-1].copy()
+    f[0] = min(f[0], 1.0) if abs(f[0] - 1.0) < 1e-3 else f[0]
+    overshoots = sorted(((-(float(state_at(tau_e)[2]) - xi_half), x_e ** fe)
+                         for tau_e, x_e in extrema), key=lambda p: p[0])
+    return xi, f, tuple(overshoots)
+
+
+@pytest.mark.parametrize("mpq, c, n_extrema", [
+    ((1, 2, 1), -3.0, 0), ((2, 2, 1), -1.0, 5), ((1, 1, 0.5), -3.0, 0), *SLOW_WAVES])
+def test_reconstruction_matches_reference(mpq, c, n_extrema):
+    # the fixtures' monotone, oscillatory and finite-propagation fronts, and
+    # the slow waves; (1,2,1) has expo = 0, so its Newton passes divide by
+    # pref itself
+    cm = CanonicalModel(*mpq)
+    traj = shoot(build_system(cm, abs(c)), profile_of=cm)
+    prof = reconstruct_profile(traj)
+    xi, f, overshoots = _reference_profile(traj)
+    assert len(overshoots) == n_extrema
+    assert prof.xi.tobytes() == xi.tobytes()
+    assert prof.f.tobytes() == f.tobytes()
+    assert np.array(prof.overshoot_extrema).tobytes() == np.array(overshoots).tobytes()
+
+
+def test_dense_output_costs_per_point_not_per_step(slow_waves, monkeypatch):
+    # a one-point read allocates its few outputs, not a copy of the step
+    # table (410,757 B on this 17,068-step shot when it did), and the
+    # profile reads every extremum's xi in one evaluation: the evaluations
+    # number XI_NEWTON_PASSES + 2 arrays and the anchor's brentq, against
+    # 706 for one per extremum
+    traj = slow_waves[0].trajectory
+    assert traj.solver_steps == 17_068
+    t = 0.5 * (traj.tau[100] + traj.tau[101])
+    traj.state_at(t)
+    tracemalloc.start()
+    try:
+        traj.state_at(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000
+    calls = []
+    evaluate = connect._NordsieckTable.__call__
+
+    def counted(self, t, *args):
+        calls.append(np.ndim(t))
+        return evaluate(self, t, *args)
+
+    monkeypatch.setattr(connect._NordsieckTable, "__call__", counted)
+    for res, (_, _, n_extrema) in zip(slow_waves, SLOW_WAVES):
+        calls.clear()
+        prof = reconstruct_profile(res.trajectory)
+        assert len(prof.overshoot_extrema) == n_extrema
+        assert calls.count(1) == connect.XI_NEWTON_PASSES + 2
+        assert calls.count(0) < 50 < n_extrema
+
+
+@pytest.mark.parametrize("k", range(len(SLOW_WAVES)))
+def test_slow_wave_profiles_keep_every_measured_extremum(slow_waves, k):
+    # one overshoot per extremum the shot measured, each at its crossing
+    # event's f = X^fe, inside the profile and alternating about 1
+    res = slow_waves[k]
+    traj = res.trajectory
+    prof = reconstruct_profile(traj)
+    measured = res.n_oscillations - res.tail_extrema
+    assert len(prof.overshoot_extrema) == measured == SLOW_WAVES[k][2]
+    fe = connect._profile_exponents(traj.sys, traj.profile_of)[2]
+    # sorted by xi, the overshoots run backward in tau
+    assert [f for _, f in prof.overshoot_extrema] == [
+        x_e ** fe for _, x_e in reversed(res.extrema[:measured])]
+    xi_e = np.array([xi for xi, _ in prof.overshoot_extrema])
+    assert np.all((prof.xi[0] <= xi_e) & (xi_e <= prof.xi[-1]))
+    assert np.all(np.diff(xi_e) > 0.0)
+    d = np.array([f for _, f in prof.overshoot_extrema]) - 1.0
+    assert np.all(d[1:] * d[:-1] < 0.0)
 
 
 def test_classify_names_where_a_failed_orbit_went():
