@@ -150,6 +150,9 @@ def _shoot_row(row: dict, cfg: RunConfig, cm: CanonicalModel, out: Path) -> None
     write_profile_csv(ppath, prof.xi, prof.f)
     row["profile_file"] = ppath.name
     row["overshoot_extrema"] = [[a, b] for a, b in prof.overshoot_extrema]
+    row["series_samples"] = prof.series_samples
+    row["front_samples"] = prof.front_samples
+    row["plateau_shortfall"] = prof.plateau_shortfall
 
 
 def cmd_shoot(cfg: RunConfig, cm: CanonicalModel, out: Path) -> list[dict]:

@@ -3,14 +3,14 @@
 The connecting orbit leaves the Y-axis equilibrium (P0 in Case I, the
 positive-Y axis point in Case II) and falls into P2 = (1, 0).  Its departure
 end is transversally stable, so a shot is one forward integration from a
-seed displaced eps from P0 along the local departure direction, with tau = 0
-at the seed.  Nothing integrates backward from P2: leaving the attracting
-node backward amplifies transverse error like exp(c |tau|) and never finds
-the axis point.
+seed on or near P0's departure manifold, with tau = 0 at the seed.  Nothing
+integrates backward from P2: leaving the attracting node backward amplifies
+transverse error like exp(c |tau|) and never finds the axis point.
 
-LSODA does the integration: the forward orbit spends tau ~ c/(gamma eps)
-drifting along the center manifold near P0 with a stiffness-limited explicit
-step, which a fixed Runge-Kutta pair cannot afford at eps = 1e-6.  Each step
+LSODA does the integration: from a seed eps off P0 along the linear
+eigenvector the forward orbit spends tau ~ c/(gamma eps) drifting along the
+center manifold near P0 with a stiffness-limited explicit step, which a fixed
+Runge-Kutta pair cannot afford at eps = 1e-6.  Each step
 is one direct call of scipy's compiled ODEPACK wrapper in one-step mode, with
 the arguments ``scipy.integrate._ode.lsoda.run`` passes, on the tolerances
 and work arrays a fresh ``scipy.integrate.LSODA`` would hand it; no such
@@ -36,10 +36,14 @@ keeps one.
 A shot stops on entering P2's arrival ball, and the X extrema the ball hides
 are the Y = 0 crossings of P2's local flow from the arrival state: roots on
 P2's conjugacy with its linear flow (phaseplane.arrival_map), so the
-oscillation count and X0 do not depend on the radius.  A profile shot keeps
-its seed ``eps`` and ``ARRIVAL_RADIUS``, since its samples become the
-profile.  A shot that only classifies starts on P0's departure manifold
-(phaseplane.departure_seed, up to X = 0.8) and stops where the map's reach
+oscillation count and X0 do not depend on the radius.  Both shots of
+classify_connection skip the drift: they start on P0's departure manifold,
+with Y from its series.  A profile shot starts at departure_seed's X capped
+at ``PROFILE_SEED_X`` (see _profile_seed) and keeps ``ARRIVAL_RADIUS``,
+since its samples become the profile; reconstruct_profile fills the
+stretch from there back to where a seed DEFAULT_EPS off P0 would lie from
+the same series.  A shot that only classifies starts at
+phaseplane.departure_seed (up to X = 0.8) and stops where the map's reach
 puts P2's ball, between ``CLASSIFY_RADIUS`` and ``P2_RADIUS_MAX``: it skips
 the drift away from P0, and the map takes over the approach to P2, so
 class, count and X0 keep their values (to 2e-9 in X0) at fewer steps.  At a
@@ -57,6 +61,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, islice, takewhile
 
 import numpy as np
@@ -81,7 +86,9 @@ from .phaseplane import (
     SlowManifold,
     arrival_map,
     build_system,
+    departure_graph,
     departure_seed,
+    departure_series,
     fixed_point_locations,
     linearization,
     slow_manifold,
@@ -106,7 +113,8 @@ __all__ = [
     "threshold_crossings",
 ]
 
-DEFAULT_EPS = 1e-6        # a profile shot's seed offset from P0
+DEFAULT_EPS = 1e-6        # a plain shot's seed offset from P0, and a profile's P0 end
+PROFILE_SEED_X = 0.1      # cap on a profile shot's seed X on P0's departure manifold
 MAX_EPS = 1e-2            # the largest seed offset a shot takes
 ARRIVAL_RADIUS = 1e-5
 CLASSIFY_RADIUS = 1e-4    # P2's arrival radius for such a shot where its map falls short
@@ -120,6 +128,11 @@ PROFILE_SAMPLES = 4001      # uniform xi grid of a reconstructed profile
 XI_ATOL = 1e300             # xi's absolute tolerance: its error weight vanishes
 XI_LOG_RATE_MAX = 575.0     # cap on log X^expo, so xi stays finite over TAU_SPAN
 XI_NEWTON_PASSES = 3        # Newton passes of the tau(xi) inversion
+XI_FIT_DEGREE = 48          # Chebyshev degree of xi's rate along P0's departure manifold
+XI_CENTERS = 98             # centers of the local expansions that invert xi there
+XI_TAYLOR_DEGREE = 7        # and their degree
+_XI_SERIES_PASSES = 8       # cap on the Newton passes of that inversion
+_XI_S_STEP = 1e-8           # a step in log X this small leaves an error below rounding
 _TINY = 5e-324              # X at or below 0 enters the xi rate as this
 
 
@@ -220,17 +233,26 @@ class WaveProfile:
     xi increases left to right; f runs from ~1 (behind the front, xi -> -inf)
     to ~0 ahead of it.  overshoot_extrema lists (xi, f) of the measured
     |f - 1| extrema for oscillatory profiles.  ``xi`` and ``f`` are held as
-    float arrays, whatever sequences they are given as.
+    float arrays, whatever sequences they are given as.  A reconstructed
+    profile also counts its samples taken from P0's departure series and
+    keeps 1 - f at its plateau end before that end is clipped to 1.
     """
 
     xi: np.ndarray
     f: np.ndarray
     c: float
     overshoot_extrema: tuple[tuple[float, float], ...] = ()
+    series_samples: int = 0
+    plateau_shortfall: float | None = None
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
+
+    @property
+    def front_samples(self) -> int:
+        """Samples with 0.1 < f < 0.9: how finely the front is resolved."""
+        return int(np.count_nonzero((self.f > 0.1) & (self.f < 0.9)))
 
 
 @dataclass(frozen=True)
@@ -293,6 +315,19 @@ def _seed_state(sys: PhaseSystem, eps: float) -> np.ndarray:
     if not v[0] > 0.0:
         raise SeedFailureError("P0's transverse eigenvector does not leave the Y axis")
     return np.array([x0, y0]) + eps * v
+
+
+def _profile_seed(sys: PhaseSystem) -> np.ndarray:
+    """A profile shot's seed on P0's departure manifold: at departure_seed's
+    X, capped at PROFILE_SEED_X, where Y comes from the same series.  Up to
+    that cap the rate of xi along the manifold has a Chebyshev fit that
+    converges (see _DepartureXi); up to X = 0.8 it may not, since 1/h has a
+    singularity near X = 1."""
+    X, Y = departure_seed(sys)
+    if X > PROFILE_SEED_X:
+        X, Y = PROFILE_SEED_X, float(departure_graph(*departure_series(sys),
+                                                     math.log(PROFILE_SEED_X)))
+    return np.array([X, Y])
 
 
 # --- integration core --------------------------------------------------------
@@ -499,8 +534,14 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         X, Y = state[0], state[1]
         while t < TAU_SPAN:
             t_old = t
-            y, t, istate = run(fun, y, t, TAU_SPAN, rtol, atol, 5, istate, rwork, iwork,
-                               None, 2, (), 1, (), sd, si)
+            try:
+                y, t, istate = run(fun, y, t, TAU_SPAN, rtol, atol, 5, istate, rwork, iwork,
+                                   None, 2, (), 1, (), sd, si)
+            except OverflowError as e:
+                # a trial state far off the orbit overflows a power of the field
+                raise StepFailureError(
+                    f"integrator failed in {sys}: the field overflowed at a trial "
+                    f"state after tau = {t!r}") from e
             if istate < 0:
                 raise StepFailureError(
                     f"integrator failed: LSODA istate {istate}: "
@@ -600,7 +641,7 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         k, top, n).transpose(1, 2, 0)) if dense else None
 
 
-def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
+def shoot(sys: PhaseSystem, eps: float | None = None, *, rtol: float = 1e-10,
           atol: float = 1e-10, arrival_radius: float = ARRIVAL_RADIUS,
           profile_of: CanonicalModel | None = None) -> Trajectory:
     """Integrate the connecting orbit forward from its P0 seed, tau = 0 there.
@@ -617,18 +658,29 @@ def shoot(sys: PhaseSystem, eps: float = DEFAULT_EPS, *, rtol: float = 1e-10,
 
     ``profile_of`` names the model ``sys`` was built from (one of another
     system is refused) when the orbit is to become a profile: the shot then
-    carries xi (see reconstruct_profile) as a third state and keeps the
-    dense output ``state_at`` evaluates.
-    Without it the shot integrates (X, Y) alone and keeps no dense output.
+    starts on P0's departure manifold (see _profile_seed) and takes no
+    ``eps``, carries xi (see reconstruct_profile) as a third state and keeps
+    the dense output ``state_at`` evaluates.  Without it the shot starts
+    ``eps`` (by default DEFAULT_EPS) from P0 along the linear eigenvector,
+    integrates (X, Y) alone and keeps no dense output.
 
     At c = 0 in Case I the shot terminates at the first X-axis crossing: the
     orbit is symmetric under (Y, tau) -> (-Y, -tau) there, and following the
     mirror half numerically runs into the fully degenerate origin.
     """
-    if not 0.0 < eps <= MAX_EPS:
-        raise InvalidParameterError(f"seed offset eps must lie in (0, {MAX_EPS:g}], got {eps!r}")
-    return _shoot_from(sys, _seed_state(sys, eps), rtol=rtol, atol=atol,
-                       arrival_radius=arrival_radius, profile_of=profile_of)
+    if profile_of is not None:
+        if eps is not None:
+            raise InvalidParameterError(
+                f"a profile shot starts on P0's departure manifold and takes no eps, got {eps!r}")
+        s0 = _profile_seed(sys)
+    else:
+        eps = DEFAULT_EPS if eps is None else eps
+        if not 0.0 < eps <= MAX_EPS:
+            raise InvalidParameterError(
+                f"seed offset eps must lie in (0, {MAX_EPS:g}], got {eps!r}")
+        s0 = _seed_state(sys, eps)
+    return _shoot_from(sys, s0, rtol=rtol, atol=atol, arrival_radius=arrival_radius,
+                       profile_of=profile_of)
 
 
 def _shoot_from(sys: PhaseSystem, s0, *, rtol: float = 1e-10, atol: float = 1e-10,
@@ -795,10 +847,11 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     local flow, so neither the count nor X0 depends on the arrival radius.
     reconstruct_profile measures its profile's extrema by the same rule.
 
-    ``shoot_kw`` go to shoot.  ``profile_of=cm`` makes the trajectory one
-    that reconstruct_profile accepts; it is shot from shoot's ``eps``.  A
-    shot without it only classifies and takes no ``eps``: it starts on P0's
-    departure manifold at phaseplane.departure_seed and arrives at the reach
+    ``shoot_kw`` go to shoot, but no shot here takes ``eps``: every one
+    starts on P0's departure manifold.  ``profile_of=cm`` makes the
+    trajectory one that reconstruct_profile accepts, shot by shoot.  A shot
+    without it only classifies: it starts at
+    phaseplane.departure_seed and arrives at the reach
     of P2's map (phaseplane.arrival_map), held between ``CLASSIFY_RADIUS``
     and ``P2_RADIUS_MAX``, unless ``arrival_radius`` is given.  Its class,
     count and X0 agree with those of a shot from eps = 1e-6 to radius 1e-8,
@@ -863,16 +916,136 @@ def _profile_exponents(sys: PhaseSystem, cm: CanonicalModel) -> tuple[float, flo
     return pref, (cm.m - cm.q) / (2.0 * sys.k), 1.0 / sys.k
 
 
+@lru_cache(maxsize=1)
+def _chebyshev_operators(n: int, centers: int, degree: int):
+    """(to_coef, integral, derivative, at_centers, inv_fact): the fixed
+    linear maps of _DepartureXi for n first-kind Chebyshev nodes on [-1, 1].
+    to_coef takes values at the nodes to the n coefficients of their
+    interpolant; integral takes coefficients to those of its antiderivative,
+    0 at x = 1 (one more degree); derivative to those of its derivative
+    (sizes n + 1 throughout, the last coefficient of the interpolant 0);
+    at_centers evaluates a series at ``centers`` first-kind Chebyshev points,
+    its rows the T_k at one point; inv_fact holds 1 / j! for j up to
+    ``degree``, the scales of the Taylor rows.  Built once, without
+    numpy.polynomial.  Each is applied by ``np.einsum``, not by ``@``:
+    numpy's first BLAS product touches 0.15-0.25 MB of buffers, which would
+    raise a profile run's peak RSS."""
+    k = np.arange(n + 1)
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    to_coef = np.cos(np.multiply.outer(k, theta)) * (2.0 / n)
+    to_coef[0] *= 0.5
+    to_coef[n] = 0.0
+    # b_j = (c_{j-1} a_{j-1} - a_{j+1}) / 2j, c_0 = 2, and b_0 = -sum b_j
+    integral = np.zeros((n + 1, n + 1))
+    for j in range(1, n + 1):
+        integral[j, j - 1] = (2.0 if j == 1 else 1.0) / (2 * j)
+        if j < n:
+            integral[j, j + 1] = -1.0 / (2 * j)
+    integral[0] = -integral[1:].sum(axis=0)
+    # d_{j-1} = d_{j+1} + 2 j a_j, and d_0 halved
+    derivative = np.zeros((n + 1, n + 1))
+    for j in range(n, 0, -1):
+        derivative[j - 1] = (derivative[j + 1] if j < n else 0.0)
+        derivative[j - 1, j] += 2.0 * j
+    derivative[0] *= 0.5
+    phi = (np.arange(centers) + 0.5) * (math.pi / centers)
+    inv_fact = [1.0 / math.factorial(j) for j in range(degree + 1)]
+    return to_coef, integral, derivative, np.cos(np.multiply.outer(phi, k)), inv_fact
+
+
+class _DepartureXi:
+    """xi along P0's departure manifold Y = h(X) from X_lo to X_s, xi = 0 at
+    X_s, for a profile's P0 end.
+
+    There X' = gamma X h, so in s = log X the rate is dxi/ds = pref X^expo /
+    (gamma h(X)), h the departure series (phaseplane.departure_graph).  The
+    rate is fitted by a Chebyshev series of degree XI_FIT_DEGREE in s on
+    [log X_lo, log X_s], at the first-kind nodes, and integrated term by
+    term once; a call reads xi at one X by Clenshaw's recurrence.
+    ``invert`` maps xi values back to X by Newton's method on xi(s) itself,
+    not by a fit of s(xi), which fails where the rate vanishes toward a
+    compact support.  A point reads the Taylor expansion of degree
+    XI_TAYLOR_DEGREE about the nearest of XI_CENTERS Chebyshev points, all
+    taken from one product with their cosine matrix, so it costs that
+    degree's operations, not the fit's.
+    """
+
+    def __init__(self, sys: PhaseSystem, cm: CanonicalModel, x_lo: float, x_s: float):
+        n = XI_FIT_DEGREE + 1
+        to_coef, integral, derivative, at_centers, inv_fact = _chebyshev_operators(
+            n, XI_CENTERS, XI_TAYLOR_DEGREE)
+        pref, expo, _ = _profile_exponents(sys, cm)
+        s_lo, s_hi = math.log(x_lo), math.log(x_s)
+        self.mid, self.half = mid, half = 0.5 * (s_hi + s_lo), 0.5 * (s_hi - s_lo)
+        s = mid + half * np.cos((np.arange(n) + 0.5) * (math.pi / n))
+        a = np.einsum("kn,n->k", to_coef, pref * np.exp(expo * s) / (
+            sys.gamma * departure_graph(*departure_series(sys), s)))
+        # Taylor rows xi^(j) / j! in s: the integral, the rate, its derivatives
+        rows = [half * np.einsum("jk,k->j", integral, a), a]
+        for j in range(2, XI_TAYLOR_DEGREE + 1):
+            rows.append(np.einsum("jk,k->j", derivative, rows[-1]) * (1.0 / half))
+        self.b = rows[0].tolist()
+        self.s = mid + half * at_centers[:, 1]
+        self.taylor = np.einsum("ck,jk->jc", at_centers, rows)
+        self.taylor *= np.array(inv_fact)[:, None]
+        self.xi_lo = self(x_lo)
+
+    def __call__(self, X: float) -> float:
+        x, b = (math.log(X) - self.mid) / self.half, self.b
+        b1 = b2 = 0.0
+        for bk in b[:0:-1]:
+            b1, b2 = 2.0 * x * b1 - b2 + bk, b1
+        return x * b1 - b2 + b[0]
+
+    def invert(self, xi: np.ndarray) -> np.ndarray:
+        """X at each xi value: from s linear in xi between the centers,
+        Newton steps on the nearest center's expansion until one moves s by
+        no more than _XI_S_STEP, at most _XI_SERIES_PASSES of them."""
+        taylor = self.taylor
+        s = np.interp(xi, taylor[0][::-1], self.s[::-1])
+        # the nearest center: the centers are equally spaced in arccos x
+        j = np.arccos(np.clip((s - self.mid) / self.half, -1.0, 1.0))
+        j *= XI_CENTERS / math.pi
+        j -= 0.5
+        j = np.clip(np.rint(j), 0, XI_CENTERS - 1).astype(np.intp)
+        s0 = self.s.take(j)
+        s -= s0
+        C = [row.take(j) for row in taylor]
+        C[0] -= xi
+        for _ in range(_XI_SERIES_PASSES):
+            # Horner's rule for the expansion (v) and its derivative (dv)
+            v, dv = C[-1] * s, C[-1].copy()
+            v += C[-2]
+            for c in C[-3::-1]:
+                dv *= s
+                dv += v
+                v *= s
+                v += c
+            v /= dv
+            s -= v
+            if not np.abs(v).max() > _XI_S_STEP:
+                break
+        s += s0
+        return np.exp(s, out=s)
+
+
 def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     """Recover f(xi) from a connecting trajectory shot with ``profile_of``.
 
     The shot carries xi as a third state: dxi/dtau = X^((m-1)/gamma) in
     Case I and sqrt(2/(m+q)) X^((m-q)/(2k)) in Case II, and f = X^(1/gamma)
-    resp. X^(1/k).  A uniform xi grid of ``PROFILE_SAMPLES`` points is mapped
-    back to tau by interpolation on the samples' xi, then Newton passes on
-    the dense output.  The profile is flipped to the original negative speed
-    (the orbit was computed in the mirrored c > 0 frame) and shifted so
-    f = 1/2 at xi = 0 on the front's last downward crossing.
+    resp. X^(1/k).  The profile runs from the P0 end X_lo, where a shot
+    from DEFAULT_EPS off P0 would start, to the shot's arrival at P2, on a
+    uniform xi grid of ``PROFILE_SAMPLES`` points.  Grid points on the shot
+    are mapped back to tau by interpolation on the samples' xi, then Newton
+    passes on the dense output.  Those between X_lo and the shot's seed
+    X_s on P0's departure manifold come from the departure series (see
+    _DepartureXi), and so does the f = 1/2 anchor when it lies below X_s.
+    The profile is flipped to the original negative speed (the orbit was
+    computed in the mirrored c > 0 frame) and shifted so f = 1/2 at xi = 0
+    on the front's last downward crossing.  It counts its ``series_samples``
+    and keeps 1 - f at its plateau end before that end is clipped to 1
+    (``plateau_shortfall``).
     """
     sys, cm = traj.sys, traj.profile_of
     if traj.arrived != "P2":
@@ -889,37 +1062,48 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     speed = sys.form[0]
     c_wave = -speed if isinstance(sys, PhaseSystemI) else -speed * math.sqrt(cm.mq / 2.0)
     pref, expo, fe = _profile_exponents(sys, cm)
-    # X^expo is largest at an end of X's range; where it passed the cap the
-    # shot carried a clipped rate, so its xi is wrong (without the cap, inf)
-    log_rate = max(expo * math.log(max(float(x), _TINY))
-                   for x in (traj.X.min(), traj.X.max()))
-    if log_rate >= XI_LOG_RATE_MAX:
+    x_s = float(traj.X[0])
+    x_lo = min(float(_seed_state(sys, DEFAULT_EPS)[0]), x_s)
+    # X^expo is largest and smallest at the ends of X's range.  Where it
+    # passed the cap the shot carried a clipped rate, so its xi is wrong
+    # (without the cap, inf), and the series' rate would overflow; where it
+    # fell as far below 1 it nears underflow, and the Newton steps below
+    # divide by it
+    log_rate = max((expo * math.log(max(x, _TINY))
+                    for x in (x_lo, float(traj.X.min()), float(traj.X.max()))), key=abs)
+    if abs(log_rate) >= XI_LOG_RATE_MAX:
         raise InconclusiveError(
-            f"profile reconstruction refused: the xi rate X^{expo:.6g} passes "
-            f"its cap along this orbit (log X^expo reaches {log_rate:.1f} > "
-            f"{XI_LOG_RATE_MAX:g}), so xi is non-finite or unresolved")
+            f"profile reconstruction refused: the xi rate X^{expo:.6g} leaves "
+            f"its range along this orbit (log X^expo reaches {log_rate:.1f}, "
+            f"beyond {XI_LOG_RATE_MAX:g} in size), so xi is non-finite or unresolved")
+    fill = _DepartureXi(sys, cm, x_lo, x_s) if x_lo < x_s else None
 
     # anchor: first upward crossing of f = 1/2, which the final flipped
     # presentation sees as the last downward crossing at the front
     x_half = 0.5 ** (1.0 / fe)
-    above = np.nonzero(traj.X >= x_half)[0]
-    if len(above) == 0 or above[0] == 0:
+    if not x_half > x_lo:
         raise NotAConnectionError("trajectory never crosses f = 1/2 from below")
-    i1 = above[0]
-    t_lo, t_hi = traj.tau[i1 - 1], traj.tau[i1]
+    taus = [tau_e for tau_e, _ in extrema]
+    if x_half <= x_s:
+        xi_half = fill(x_half)
+    else:
+        i1 = np.nonzero(traj.X >= x_half)[0][0]
+        # each read of the dense output evaluates only the rows it uses: X,
+        # xi or both (the table's components 0 and 2)
+        taus.insert(0, brentq(lambda t: float(table(t, (0,))[0]) - x_half,
+                              traj.tau[i1 - 1], traj.tau[i1], xtol=1e-13))
 
-    # each read of the dense output evaluates only the rows it uses: X, xi
-    # or both (the table's components 0 and 2)
-    tau_half = brentq(lambda t: float(table(t, (0,))[0]) - x_half, t_lo, t_hi, xtol=1e-13)
-
+    # grid points below X_s (xi < 0) come from the series; on the shot,
     # invert the monotone xi(tau): a table estimate, then Newton on the
     # dense output with the (strictly positive, capped) rate as slope; at
     # expo = 0 that rate is pref exactly
-    xi_target = np.linspace(traj.xi[0], traj.xi[-1], PROFILE_SAMPLES)
-    tau_grid = np.interp(xi_target, traj.xi, traj.tau)
+    xi_target = np.linspace(0.0 if fill is None else fill.xi_lo, traj.xi[-1], PROFILE_SAMPLES)
+    i0 = int(np.searchsorted(xi_target, 0.0))
+    on_shot = xi_target[i0:]
+    tau_grid = np.interp(on_shot, traj.xi, traj.tau)
     for _ in range(XI_NEWTON_PASSES):
         X_grid, xi_grid = table(tau_grid, (0, 2))
-        xi_grid -= xi_target
+        xi_grid -= on_shot
         if expo == 0.0:
             xi_grid /= pref
         else:
@@ -927,9 +1111,14 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
                                                 XI_LOG_RATE_MAX))
         tau_grid -= xi_grid
         np.minimum(np.maximum(tau_grid, traj.tau[0], out=tau_grid), traj.tau[-1], out=tau_grid)
-    X_grid = table(tau_grid, (0,))[0]
+    X_grid = np.empty(PROFILE_SAMPLES)
+    X_grid[i0:] = table(tau_grid, (0,))[0]
+    if i0:
+        X_grid[:i0] = fill.invert(xi_target[:i0])
     # xi at the anchor and at every measured extremum, in one read
-    xi_half, *xi_extrema = table([tau_half, *(tau_e for tau_e, _ in extrema)], (2,))[0].tolist()
+    xi_read = table(taus, (2,))[0].tolist() if taus else []
+    if x_half > x_s:
+        xi_half = xi_read.pop(0)
     xi_fwd = xi_target - xi_half
     f_fwd = np.maximum(X_grid, 0.0) ** fe
     if not (np.all(np.isfinite(xi_fwd)) and np.all(np.isfinite(f_fwd))):
@@ -938,11 +1127,13 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     # flip per the mirror symmetry: the wave moves with c_wave < 0
     xi = -xi_fwd[::-1]
     f = f_fwd[::-1].copy()
+    shortfall = 1.0 - float(f[0])
     f[0] = min(f[0], 1.0) if abs(f[0] - 1.0) < 1e-3 else f[0]
 
     overshoots = sorted(((-(xi_e - xi_half), x_e ** fe) for xi_e, (_, x_e)
-                         in zip(xi_extrema, extrema)), key=lambda p: p[0])
-    return WaveProfile(xi=xi, f=f, c=c_wave, overshoot_extrema=tuple(overshoots))
+                         in zip(xi_read, extrema)), key=lambda p: p[0])
+    return WaveProfile(xi=xi, f=f, c=c_wave, overshoot_extrema=tuple(overshoots),
+                       series_samples=i0, plateau_shortfall=shortfall)
 
 
 # --- finite propagation --------------------------------------------------------
@@ -981,10 +1172,10 @@ def detect_finite_propagation(profile: WaveProfile, cm: CanonicalModel) -> float
     """The support edge xi0 of a profile from reconstruct_profile, or None
     when its tail is exponential.
 
-    The profile ends at its shot's seed on P0's departure manifold, where
-    Y = y1 X^d to leading order: X/c in Case I, P0's Y in Case II.  The xi
-    left between the seed and P0 is then pref X^(expo-d) / (gamma y1
-    (expo-d)) with X the seed's (see _profile_exponents).  It is finite
+    The profile ends on P0's departure manifold (see reconstruct_profile),
+    where Y = y1 X^d to leading order: X/c in Case I, P0's Y in Case II.
+    The xi left between that end and P0 is then pref X^(expo-d) / (gamma
+    y1 (expo-d)) with X the end's (see _profile_exponents).  It is finite
     exactly when expo > d, that is q < 1 in Case I and m > q in Case II;
     otherwise the tail never reaches zero.  Exact zeros already present in
     the samples short-circuit to the first such xi.

@@ -54,6 +54,7 @@ __all__ = [
     "axis_equilibria",
     "solver_rhs",
     "departure_series",
+    "departure_graph",
     "departure_seed",
     "ArrivalMap",
     "arrival_map",
@@ -444,6 +445,15 @@ def departure_series(sys: PhaseSystem) -> tuple[list[float], list[float]]:
     those before it over L(alpha_k) = gamma c_0 alpha_k - dY'/dY(P0): c in
     Case I (which must be positive), positive in Case II, so no exponent is
     resonant (see _graph_series)."""
+    alpha, c = _departure_series(sys)
+    return list(alpha), list(c)
+
+
+@lru_cache(maxsize=16)
+def _departure_series(sys: PhaseSystem) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """departure_series as tuples, kept for the few systems last asked for:
+    a profile's shot seeds on the series and its reconstruction reads it
+    again."""
     g, (s, a, b, e) = sys.gamma, sys.form
     y0 = 0.0 if isinstance(sys, PhaseSystemI) else axis_equilibria(sys)[0]
     alpha, rows = _series_exponents(a, b, e)
@@ -453,7 +463,14 @@ def departure_series(sys: PhaseSystem) -> tuple[list[float], list[float]]:
     c = _graph_series(g, s, [y0], lead, rows)
     if not all(map(math.isfinite, c)):
         c = list(takewhile(math.isfinite, c))
-    return alpha[:len(c)], c
+    return tuple(alpha[:len(c)]), tuple(c)
+
+
+def departure_graph(alpha: list[float], c: list[float], log_x) -> np.ndarray:
+    """h(X) = sum_k c_k X^alpha_k of a departure_series (alpha, c) at X =
+    exp(log_x), for an array log_x: every point and term in one einsum (not
+    a BLAS product; see connect._chebyshev_operators)."""
+    return np.einsum("...k,k->...", np.exp(np.multiply.outer(log_x, alpha[1:])), c[1:]) + c[0]
 
 
 def departure_seed(sys: PhaseSystem) -> tuple[float, float]:
@@ -467,7 +484,7 @@ def departure_seed(sys: PhaseSystem) -> tuple[float, float]:
     exceeds that, X shrinks as if R went as X^alpha_next, aiming at 0.9 of
     the bound, until it holds."""
     g, (s, a, b, e) = sys.gamma, sys.form
-    alpha, c = departure_series(sys)
+    alpha, c = _departure_series(sys)
     nxt = _series_exponents(a, b, e)[0][len(c)]
     if len(c) < SERIES_MIN_TERMS:
         raise SeedFailureError(f"P0's departure-manifold series overflows at exponent {nxt!r}")

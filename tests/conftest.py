@@ -1,8 +1,8 @@
 """Shared fixtures and oracles.
 
-Profile reconstruction is the expensive step (the shot creeps along the
-slow manifold before taking off), so profiles used by several test modules
-are built once per session here.
+Profile shots and their reconstruction are the costly steps of these
+tests, so profiles used by several test modules are built once per session
+here.
 """
 import math
 

@@ -120,6 +120,23 @@ def test_shoot_rows_carry_shot_diagnostics(workspace):
     assert set(by_c[1.0]["event_counts"].values()) == {0}
 
 
+def test_shoot_rows_count_the_profile_samples(workspace):
+    # each profile row says how many samples came from P0's departure series
+    # and lie on the front (0.1 < f < 0.9), and how far its plateau end fell
+    # short of 1 before the clip: the file's own samples, counted again
+    _, out = workspace
+    for row in json.loads((out / "classification.json").read_text()):
+        if "profile_file" not in row:
+            assert not {"series_samples", "front_samples", "plateau_shortfall"} & set(row)
+            continue
+        xi, f = read_profile_csv(out / row["profile_file"])
+        assert type(row["series_samples"]) is type(row["front_samples"]) is int
+        assert 0 < row["series_samples"] < len(f)
+        assert row["front_samples"] == np.count_nonzero((f > 0.1) & (f < 0.9)) > 100
+        assert abs(row["plateau_shortfall"]) < 1e-3
+        assert f[0] == pytest.approx(min(1.0 - row["plateau_shortfall"], 1.0), abs=1e-11)
+
+
 def test_shoot_csv_text_matches_fmt(workspace):
     _, out = workspace
     for name in ("trajectory_c-1.csv", "profile_c-1.csv"):
@@ -218,7 +235,7 @@ def test_float_csv_refuses_mismatched_columns(tmp_path):
 
 def _cli_shot(cm, c):
     """The shot cmd_shoot makes at speed c, under the default ODE tolerances."""
-    return classify_connection(cm, c, eps=1e-6, rtol=1e-10, atol=1e-10, profile_of=cm)
+    return classify_connection(cm, c, rtol=1e-10, atol=1e-10, profile_of=cm)
 
 
 def test_shoot_files_hold_the_shot_to_the_format_bound(workspace):
@@ -649,6 +666,29 @@ def test_sweep_error_row(tmp_path, monkeypatch, caplog):
         "speed -1 failed: no classifiable pattern"] * 2
 
 
+def test_sweep_keeps_every_row_past_an_overflowing_field(tmp_path):
+    # next to m + q = 2 the field's power X^k2 (k2 = 1e4) overflows at a
+    # trial state at 0.3, 0.9 and 1.1 c*: those rows are StepFailureError
+    # rows, and the speeds at 0.5 and 1.5 c* keep their classes
+    import kppwaves as kw
+    model = {"m": 1, "p": 1.4999, "q": 0.9999}
+    c_star = kw.critical_speed(CanonicalModel(**model))
+    speeds = [round(-share * c_star, 6) for share in (1.5, 1.1, 0.9, 0.5, 0.3)]
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, model=model, speeds=speeds, sweep=None, output_dir=str(out))
+    for fmt_kind in ("csv", "json"):
+        assert main(["sweep", "--config", str(cfg), "--format", fmt_kind]) == 3
+    with (out / "sweep.csv").open() as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [float(r[0]) for r in rows] == sorted(speeds)
+    rows = {row["c"]: row for row in json.loads((out / "sweep.json").read_text())}
+    for c in speeds[1:3] + speeds[4:]:
+        assert rows[c]["error_kind"] == "StepFailureError"
+        assert "PhaseSystemII(" in rows[c]["error"]
+    assert rows[speeds[0]]["observed_class"] == "Monotone"
+    assert rows[speeds[3]]["observed_class"] == "Oscillatory"
+
+
 def test_readme_sweep_rows_are_current(tmp_path):
     # README's example config, run through sweep, writes every row README shows
     text = README.read_text()
@@ -862,15 +902,17 @@ def test_parse_config_guards():
 
 def test_config_and_shoot_share_the_seed_offset_rules(tmp_path):
     # one offset and one bound, both shoot's: the config sets no offset, the
-    # shoot command's profile shots start at DEFAULT_EPS, and shoot takes
-    # 1e-2 and refuses the next float above it
+    # shoot command's profile shots start on P0's departure manifold and
+    # take none, and shoot takes 1e-2 and refuses the next float above it
     import kppwaves as kw
     cm = CanonicalModel(m=2, p=2, q=1)
     cfg = write_cfg(tmp_path, speeds=[-1], output_dir=str(tmp_path / "out"))
     assert main(["shoot", "--config", str(cfg)]) == 0
     [row] = json.loads((tmp_path / "out" / "classification.json").read_text())
-    shot = classify_connection(cm, -1.0, profile_of=cm, eps=connect.DEFAULT_EPS)
+    shot = classify_connection(cm, -1.0, profile_of=cm)
     assert (row["solver_steps"], row["nfev"]) == (shot.solver_steps, shot.nfev)
+    with pytest.raises(kw.InvalidParameterError, match="takes no eps"):
+        classify_connection(cm, -1.0, profile_of=cm, eps=connect.DEFAULT_EPS)
     sys_ = kw.build_system(cm, 1.0)
     assert kw.shoot(sys_, 1e-2).arrived == "P2"
     over = math.nextafter(1e-2, 1.0)

@@ -48,8 +48,8 @@ def _shot_fun(sys, xi=None):
 
 
 def _shot_args(cm, c, s0=None, **overrides):
-    """(system, seed, _integrate keywords) of the integration shoot runs, or
-    of one from the given seed ``s0``."""
+    """(system, seed, _integrate keywords) of the integration shoot runs
+    without ``profile_of``, or of one from the given seed ``s0``."""
     sys = build_system(cm, c)
     if s0 is None:
         s0 = connect._seed_state(sys, connect.DEFAULT_EPS)
@@ -57,6 +57,13 @@ def _shot_args(cm, c, s0=None, **overrides):
                   p2_radius=connect.ARRIVAL_RADIUS)
     kwargs.update(overrides)
     return sys, s0, kwargs
+
+
+def _profile_shot_args(cm, c):
+    """_shot_args of the integration shoot(..., profile_of=cm) runs: from
+    its seed on P0's departure manifold, carrying xi."""
+    sys = build_system(cm, c)
+    return _shot_args(cm, c, s0=connect._profile_seed(sys), xi_rate=connect._xi_rate(sys, cm))
 
 
 def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, p2_radius, xi_rate=None):
@@ -178,9 +185,8 @@ def test_state_at_matches_scipy_dense_output(cm, c):
     # solve_ivp returns for the same shot with xi as a third state, including
     # the layout of LSODA's dense output (t, h, yh, p)
     traj = shoot(build_system(cm, c), profile_of=cm)
-    sys, s0, kwargs = _shot_args(cm, c)
-    _, reference = _solve_ivp_integrate(sys, s0, xi_rate=connect._xi_rate(sys, cm),
-                                        **kwargs)
+    sys, s0, kwargs = _profile_shot_args(cm, c)
+    _, reference = _solve_ivp_integrate(sys, s0, **kwargs)
     tau = traj.tau
     first, last = tau[1] - tau[0], tau[-1] - tau[-2]
     pts = np.concatenate([tau, 0.5 * (tau[:-1] + tau[1:]),
@@ -532,7 +538,7 @@ def test_event_root_without_a_bracket_is_a_step_failure():
     # is already inside the ball, so brentq has no bracket.  The shot stops
     # with a typed error, not brentq's ValueError
     cm = CanonicalModel(m=1, p=1, q=0.5)
-    sys, s0, kwargs = _shot_args(cm, 1.0, xi_rate=connect._xi_rate(build_system(cm, 1.0), cm))
+    sys, s0, kwargs = _profile_shot_args(cm, 1.0)
     res, _ = connect._integrate(sys, s0, **kwargs)
     r = float(np.nextafter(math.hypot(res["X"][-2] - 1.0, res["Y"][-2]), 0.0))
     with pytest.raises(kw.StepFailureError, match=r"FixedPointArrival \(P2\) event"):
@@ -557,35 +563,49 @@ def test_no_arrival_fires_at_the_seed(eps):
 
 
 def test_any_seed_offset_gives_a_result_or_a_typed_error():
-    # the profile shot of every pinned model and speed over seed offsets
-    # across (0, 1e-2], including offsets on and just past the arrival radius
-    # and a radius equal to the offset, is a result or a KppWavesError
+    # the plain shot of every pinned model and speed over seed offsets across
+    # (0, 1e-2], including offsets on and just past the arrival radius and a
+    # radius equal to the offset, is a result or a KppWavesError, and one
+    # that arrives at P2 has the class c* predicts
     pins = sorted({(cm, c) for cm, c, _ in PIN_SHOTS.values() if c > 0.0}, key=str)
     grid = [*np.geomspace(1e-9, 1e-2, 8), 1e-5, 1.37e-5, 2e-5]
     for cm, c in pins:
+        sys_ = build_system(cm, c)
         for kwargs in [{"eps": e} for e in grid] + [{"eps": 1e-6, "arrival_radius": 1e-6}]:
             try:
-                r = classify_connection(cm, -c, profile_of=cm, **kwargs)
+                traj = shoot(sys_, **kwargs)
+                observed = connect._wave_class(traj)[0] if traj.arrived == "P2" else None
             except kw.KppWavesError:
                 continue
-            assert r.observed is r.predicted, (cm, c, kwargs)
+            assert observed in (None, kw.classify_speed(cm, -c)), (cm, c, kwargs)
+        # a profile shot starts on P0's departure manifold and takes no eps
+        with pytest.raises(kw.InvalidParameterError, match="takes no eps"):
+            shoot(sys_, connect.DEFAULT_EPS, profile_of=cm)
+        with pytest.raises(kw.InvalidParameterError, match="takes no eps"):
+            classify_connection(cm, -c, profile_of=cm, eps=connect.DEFAULT_EPS)
     # the seed on the radius and the radius shrunk to the seed offset used
-    # to end in a raw ValueError and in an arrival back at P0.  A profile
-    # shot keeps its seed; a shot that only classifies would move it
+    # to end in a raw ValueError and in an arrival back at P0
     for kwargs in ({"eps": 1e-5}, {"eps": 1e-6, "arrival_radius": 1e-6}):
-        r = classify_connection(CM221, -1.0, profile_of=CM221, **kwargs)
-        assert r.evidence == "extrema"
+        traj = shoot(build_system(CM221, 1.0), **kwargs)
+        assert traj.arrived == "P2" and connect._wave_class(traj)[1] == "extrema"
+
+
+@pytest.mark.parametrize("share", [0.3, 0.9, 1.1])
+def test_overflow_in_the_field_is_a_step_failure(share):
+    # next to the regime boundary m + q = 2 the field raises X to k2 = 1e4,
+    # and a trial state of the integrator overflows that power inside
+    # ODEPACK's callback: the shot stops with a typed error naming the system
+    cm = CanonicalModel(m=1, p=1.4999, q=0.9999)
+    with pytest.raises(kw.StepFailureError, match=r"in PhaseSystemII\(.*overflowed"):
+        classify_connection(cm, -share * kw.critical_speed(cm))
 
 
 def test_shot_diagnostics_are_deterministic_counts():
-    # the classification shot starts on P0's departure manifold and here never
-    # leaves the Adams method (njev may be 0); a profile shot drifts from its
-    # DEFAULT_EPS seed and takes Jacobians
+    # the classification and the profile shot both start on P0's departure
+    # manifold and here never leave the Adams method (njev may be 0)
     profile = classify_connection(CM221, -1.0, profile_of=CM221)
-    assert all(type(n) is int and n > 0
-               for n in (profile.solver_steps, profile.nfev, profile.njev))
     a, b = classify_connection(CM221, -1.0), classify_connection(CM221, -1.0)
-    for r in (a, b):
+    for r in (profile, a, b):
         counts = (r.solver_steps, r.nfev, r.njev)
         assert all(type(n) is int for n in counts) and r.solver_steps > 0 and r.nfev > 0
         assert r.nfev >= r.solver_steps >= len(r.trajectory.tau) - 1
@@ -1139,16 +1159,22 @@ def test_exact_resonance_leaves_the_linear_flow(mpq, c, n):
                                     ((3, 2.5, 1), -3.5198)])
 def test_tiny_seed_classifies_but_gives_no_profile(mpq, c):
     # from eps = 1e-9 the orbit drifts for tau ~ c/(gamma eps) and is still
-    # in P0's ball at TAU_SPAN.  A shot that only classifies seeds on P0's
-    # departure manifold and takes no eps; a profile shot keeps its seed and
-    # gets the typed error
+    # in P0's ball at TAU_SPAN.  Neither a shot that only classifies nor a
+    # profile shot takes an eps: both seed on P0's departure manifold, and
+    # the profile shot arrives
     cm = CanonicalModel(*mpq)
     r = classify_connection(cm, c)
     assert r.observed is r.predicted
     with pytest.raises(TypeError, match="eps"):
         classify_connection(cm, c, eps=1e-9)
-    with pytest.raises(kw.InconclusiveError, match="arrived='P0'"):
+    with pytest.raises(kw.InvalidParameterError, match="takes no eps"):
         classify_connection(cm, c, eps=1e-9, profile_of=cm)
+    assert classify_connection(cm, c, profile_of=cm).observed is r.predicted
+    # the plain shot from eps = 1e-9 still ends in P0's ball: no profile
+    traj = shoot(build_system(cm, abs(c)), 1e-9)
+    assert traj.arrived == "P0"
+    with pytest.raises(kw.NotAConnectionError, match="arrived at 'P0'"):
+        reconstruct_profile(traj)
 
 
 def test_slow_wave_stops_at_the_crossing_budget():
@@ -1310,6 +1336,53 @@ def test_profile_matches_closed_form_wave():
     assert np.max(np.abs(prof.f - exact)) < 1e-6
 
 
+def test_profile_tail_matches_the_closed_form_wave():
+    # the tail f < 0.1 lies between the P0 end and the shot's seed on P0's
+    # departure manifold, where the series gives xi; a shot drifting from
+    # 1e-6 off P0 with xi outside its error test was off by 2.4e-4 relative
+    cm = CanonicalModel(m=1, p=2, q=1)
+    prof = reconstruct_profile(classify_connection(
+        cm, -5.0 / math.sqrt(6.0), profile_of=cm).trajectory)
+    exact = 1.0 - (1.0 + (math.sqrt(2.0) - 1.0) * np.exp(-prof.xi / math.sqrt(6.0))) ** -2
+    tail = prof.f < 0.1
+    assert tail.sum() > 1000 and prof.series_samples > 0
+    assert np.max(np.abs(prof.f[tail] / exact[tail] - 1.0)) < 1e-7
+
+
+def test_profile_xi_along_the_departure_manifold_matches_a_tight_integration():
+    # the shoot command's (2,2,1) profile at c = -2.9283: the xi distance
+    # between its samples nearest X = 1e-5 and X = 0.05 against the manifold
+    # integrated by DOP853 with xi in the error test (25.124501527296 over
+    # the whole span).  A shot from 1e-6 off P0 read 25.12415199
+    cm = CanonicalModel(m=2, p=2, q=1)
+    prof = reconstruct_profile(classify_connection(cm, -2.9283, profile_of=cm).trajectory)
+    sys_ = build_system(cm, 2.9283)
+    reference = _series_xi(sys_, cm, 1e-5, 0.05)
+    assert float(reference(1e-5)) == pytest.approx(-25.124501527296, abs=1e-9)
+    X = prof.f ** (1.0 / connect._profile_exponents(sys_, cm)[2])
+    j, k = (int(np.argmin(np.abs(np.log(X / x)))) for x in (1e-5, 0.05))
+    # the profile is flipped: xi grows toward P0
+    got = prof.xi[j] - prof.xi[k]
+    assert abs(got + float(reference(X[j]) - reference(X[k]))) < 1e-9
+
+
+def test_benchmark_profile_shots_start_on_the_departure_manifold():
+    # the nine seed-1 profiles of the benchmark: their shots took 4,398
+    # ODEPACK steps from 1e-6 off P0, 59 % of them before departure_seed's X
+    shots = [((1, 2, 1), (-1.0526, -3.2056, -5.0 / math.sqrt(6.0))),
+             ((2, 2, 1), (-1.1598, -2.9283)), ((1, 1, 0.5), (-0.979, -2.3136)),
+             ((3, 2.5, 1), (-1.42, -3.5198))]
+    steps = 0
+    for mpq, speeds in shots:
+        cm = CanonicalModel(*mpq)
+        for c in speeds:
+            r = classify_connection(cm, c, profile_of=cm)
+            x_s = min(kw.phaseplane.departure_seed(r.trajectory.sys)[0], connect.PROFILE_SEED_X)
+            assert r.trajectory.X[0] == x_s
+            steps += r.solver_steps
+    assert steps <= 2400
+
+
 def test_case_i_profile_matches_tight_shot():
     # xi's rate is X^((m-1)/gamma) = X here, not the constant of the
     # closed-form test; the reference is the same orbit shot at 1e-13
@@ -1331,6 +1404,21 @@ def test_non_finite_profile_is_inconclusive():
         warnings.simplefilter("error")
         traj = shoot(s, profile_of=cm)
         with pytest.raises(kw.InconclusiveError, match="non-finite"):
+            reconstruct_profile(traj)
+
+
+@pytest.mark.parametrize("mpq", [(1.5, 1.0001, 0.5001), (1.5, 0.9999, 0.4999)])
+def test_underflowing_xi_rate_is_refused(mpq):
+    # next to m + q = 2, on either side, expo is 5,000 or 10,001: X^expo
+    # underflows over most of the orbit, and the Newton steps would divide by
+    # 0.  The orbit from P0's departure manifold reaches P2, and the profile
+    # is refused with a typed error, with no numpy warning on the way
+    cm = CanonicalModel(*mpq)
+    traj = classify_connection(cm, -0.9 * kw.critical_speed(cm), profile_of=cm).trajectory
+    assert connect._profile_exponents(traj.sys, cm)[1] > 4000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(kw.InconclusiveError, match="leaves its range"):
             reconstruct_profile(traj)
 
 
@@ -1379,7 +1467,7 @@ def test_reconstructed_profile_has_the_shot_speed():
 
 
 # (m, p, q), c and the measured extrema of slow waves: (1,2,1) at c = -0.01
-# shoots 17,068 steps, (2,2,1) at c = -0.05 shoots 3,661
+# shoots 16,993 steps, (2,2,1) at c = -0.05 shoots 3,487
 SLOW_WAVES = [((1, 2, 1), -0.01, 695), ((2, 2, 1), -0.05, 134)]
 
 
@@ -1403,10 +1491,33 @@ def _reference_state_at(table, t):
     return y
 
 
+def _series_xi(sys, cm, x_lo, x_hi):
+    """xi(X) along P0's departure manifold, 0 at x_hi: the field in s = log X,
+    (Y, xi)' = (Y' / (gamma Y), pref X^expo / (gamma Y)), integrated by
+    DOP853 with xi inside the error test from the series point at x_lo, as
+    a dense-output function of X."""
+    g, (s_, a, b, e) = sys.gamma, sys.form
+    pref, expo, _ = connect._profile_exponents(sys, cm)
+    alpha, c = kw.phaseplane.departure_series(sys)
+
+    def field(t, y):
+        X, (Y, _) = math.exp(t), y
+        return [(-Y * (Y + s_ * X ** a) + X ** b - X ** e) / (g * Y), pref * X ** expo / (g * Y)]
+
+    y0 = [sum(ck * x_lo ** x for x, ck in zip(alpha, c)), 0.0]
+    sol = solve_ivp(field, (math.log(x_lo), math.log(x_hi)), y0, method="DOP853",
+                    rtol=1e-13, atol=1e-16, dense_output=True)
+    assert sol.success
+    end = sol.y[1, -1]
+    return lambda X: sol.sol(np.log(X))[1] - end
+
+
 def _reference_profile(traj):
     # reconstruct_profile on full evaluations, one per extremum, with the
-    # rate formed at every expo and np.clip: the definition its (xi, f,
-    # overshoot_extrema) must match to the bit
+    # rate formed at every expo and np.clip: the definition its xi, its f
+    # on the shot's samples and its overshoot_extrema must match to the bit.
+    # The grid's P0 end and the samples below the seed are the series map's
+    # (see test_reconstruction_matches_reference)
     def state_at(t):
         return _reference_state_at(traj._table, t)
 
@@ -1417,13 +1528,16 @@ def _reference_profile(traj):
     tau_half = connect.brentq(lambda t: float(state_at(t)[0]) - x_half,
                               traj.tau[i1 - 1], traj.tau[i1], xtol=1e-13)
     xi_half = float(state_at(tau_half)[2])
-    xi_target = np.linspace(traj.xi[0], traj.xi[-1], connect.PROFILE_SAMPLES)
-    tau_grid = np.interp(xi_target, traj.xi, traj.tau)
+    x_lo = connect._seed_state(traj.sys, connect.DEFAULT_EPS)[0]
+    fill = connect._DepartureXi(traj.sys, traj.profile_of, x_lo, traj.X[0])
+    xi_target = np.linspace(fill.xi_lo, traj.xi[-1], connect.PROFILE_SAMPLES)
+    on_shot = xi_target[xi_target >= 0.0]
+    tau_grid = np.interp(on_shot, traj.xi, traj.tau)
     for _ in range(connect.XI_NEWTON_PASSES):
         X_grid, _, xi_grid = state_at(tau_grid)
         rate = pref * np.exp(np.minimum(expo * np.log(np.maximum(X_grid, connect._TINY)),
                                         connect.XI_LOG_RATE_MAX))
-        tau_grid = np.clip(tau_grid - (xi_grid - xi_target) / rate,
+        tau_grid = np.clip(tau_grid - (xi_grid - on_shot) / rate,
                            traj.tau[0], traj.tau[-1])
     X_grid = state_at(tau_grid)[0]
     xi = -(xi_target - xi_half)[::-1]
@@ -1431,7 +1545,7 @@ def _reference_profile(traj):
     f[0] = min(f[0], 1.0) if abs(f[0] - 1.0) < 1e-3 else f[0]
     overshoots = sorted(((-(float(state_at(tau_e)[2]) - xi_half), x_e ** fe)
                          for tau_e, x_e in extrema), key=lambda p: p[0])
-    return xi, f, tuple(overshoots)
+    return xi, f, tuple(overshoots), xi_target[xi_target < 0.0]
 
 
 @pytest.mark.parametrize("mpq, c, n_extrema", [
@@ -1439,25 +1553,34 @@ def _reference_profile(traj):
 def test_reconstruction_matches_reference(mpq, c, n_extrema):
     # the fixtures' monotone, oscillatory and finite-propagation fronts, and
     # the slow waves; (1,2,1) has expo = 0, so its Newton passes divide by
-    # pref itself
+    # pref itself.  The samples from the departure series sit at the P0 end
+    # (the profile's right end), and their X gives back their xi within 1e-9
+    # on a tight integration of the manifold
     cm = CanonicalModel(*mpq)
     traj = shoot(build_system(cm, abs(c)), profile_of=cm)
     prof = reconstruct_profile(traj)
-    xi, f, overshoots = _reference_profile(traj)
+    xi, f, overshoots, series_xi = _reference_profile(traj)
     assert len(overshoots) == n_extrema
     assert prof.xi.tobytes() == xi.tobytes()
-    assert prof.f.tobytes() == f.tobytes()
+    n = len(f)
+    assert prof.series_samples == len(series_xi) == len(prof.f) - n > 0
+    assert prof.f[:n].tobytes() == f.tobytes()
     assert np.array(prof.overshoot_extrema).tobytes() == np.array(overshoots).tobytes()
+    pref, expo, fe = connect._profile_exponents(traj.sys, cm)
+    X = prof.f[n:][::-1] ** (1.0 / fe)
+    reference = _series_xi(traj.sys, cm, connect._seed_state(traj.sys, connect.DEFAULT_EPS)[0],
+                           traj.X[0])
+    assert np.max(np.abs(reference(X) - series_xi)) < 1e-9
 
 
 def test_dense_output_costs_per_point_not_per_step(slow_waves, monkeypatch):
     # a one-point read allocates its few outputs, not a copy of the step
-    # table (410,757 B on this 17,068-step shot when it did), and the
-    # profile reads every extremum's xi in one evaluation: the evaluations
-    # number XI_NEWTON_PASSES + 2 arrays and the anchor's brentq, against
-    # 706 for one per extremum
+    # table (410,757 B on the 17,068-step shot of this wave when it did),
+    # and the profile reads every extremum's xi in one evaluation: the
+    # evaluations number XI_NEWTON_PASSES + 2 arrays and the anchor's
+    # brentq, against 706 for one per extremum
     traj = slow_waves[0].trajectory
-    assert traj.solver_steps == 17_068
+    assert traj.solver_steps == 16_993
     t = 0.5 * (traj.tau[100] + traj.tau[101])
     traj.state_at(t)
     tracemalloc.start()
@@ -1503,34 +1626,41 @@ def test_slow_wave_profiles_keep_every_measured_extremum(slow_waves, k):
     assert np.all(d[1:] * d[:-1] < 0.0)
 
 
-def test_classify_names_where_a_failed_orbit_went():
-    # just off (1,2,1) gamma = 1e-3, and the orbit from the profile seed
-    # never leaves P0's ball within TAU_SPAN: the arrival attached at its end
-    # names P0, and the error says so.  A shot that only classifies starts
-    # far enough out to arrive
-    cm = CanonicalModel(m=1, p=2, q=1.001)
-    with pytest.raises(kw.InconclusiveError, match=r"did not reach P2 \(arrived='P0'"):
-        classify_connection(cm, -1.0, profile_of=cm)
-    assert classify_connection(cm, -1.0).observed is SpeedClass.OSCILLATORY
+def test_classify_names_where_a_failed_orbit_went(monkeypatch):
+    # with the escape bound at X = 1.02 the (2,2,1) orbit at c = -1
+    # overshoots past it: the error names the escape.  Both shots start on
+    # P0's departure manifold and fail alike
+    monkeypatch.setattr(connect, "ESCAPE_BOUND", 1.02)
+    for kwargs in ({}, {"profile_of": CM221}):
+        with pytest.raises(kw.InconclusiveError,
+                           match=r"did not reach P2 \(arrived=None, escaped=True\)"):
+            classify_connection(CM221, -1.0, **kwargs)
 
 
 def test_reconstruct_rejects_non_connections():
-    # just off (1,2,1) the orbit from P0 never leaves P0's ball within
-    # TAU_SPAN, and the arrival attached at its end names P0
+    # just off (1,2,1) the plain orbit from eps never leaves P0's ball within
+    # TAU_SPAN, and the arrival attached at its end names P0; a shot from
+    # P0's departure manifold arrives
     cm = CanonicalModel(m=1, p=2, q=1.001)
-    traj = shoot(build_system(cm, 1.0), profile_of=cm)
+    traj = shoot(build_system(cm, 1.0))
     assert traj.arrived == "P0"
     with pytest.raises(kw.NotAConnectionError, match="arrived at 'P0', not P2"):
         reconstruct_profile(traj)
+    assert classify_connection(cm, -1.0).observed is SpeedClass.OSCILLATORY
 
 
 def test_backward_from_rest_state_requires_a_connection():
     # at c = 0 the orbit from P0 turns around on the X axis instead of
-    # reaching the rest state (1, 0), so there is no wave to trace back from it
-    traj = shoot(build_system(CM221, 0.0), profile_of=CM221)
+    # reaching the rest state (1, 0), so there is no wave to trace back from
+    # it; P0's departure manifold has no series there, so no profile shot
+    # starts
+    sys_ = build_system(CM221, 0.0)
+    traj = shoot(sys_)
     assert traj.arrived is None
     with pytest.raises(kw.NotAConnectionError, match="not P2"):
         reconstruct_profile(traj)
+    with pytest.raises(kw.SeedFailureError, match="no departure-manifold series"):
+        shoot(sys_, profile_of=CM221)
 
 
 # --- finite propagation ---------------------------------------------------------------
@@ -1544,9 +1674,9 @@ def test_threshold_crossings_oracle(finite_prop_profile):
         assert x1 == pytest.approx(x2, abs=2e-3)
 
 
-def _profile(m, p, q, c, eps=connect.DEFAULT_EPS):
+def _profile(m, p, q, c):
     cm = CanonicalModel(m, p, q)
-    return reconstruct_profile(shoot(build_system(cm, abs(c)), eps, profile_of=cm)), cm
+    return reconstruct_profile(shoot(build_system(cm, abs(c)), profile_of=cm)), cm
 
 
 @pytest.mark.parametrize("m, p, q, c", [(1, 1, 0.5, -1.0), (1, 1, 0.5, -3.0),
@@ -1566,10 +1696,17 @@ def test_compact_support_edge_lies_beyond_the_tail(m, p, q, c):
 
 @pytest.mark.parametrize("m, p, q, spread", [(1, 1, 0.5, 1e-6), (2, 2, 0.5, 1e-6),
                                             (1.5, 2, 0.5, 1e-4)])
-def test_compact_support_edge_does_not_depend_on_the_seed(m, p, q, spread):
-    edges = [detect_finite_propagation(*_profile(m, p, q, -1.0, eps))
-             for eps in (1e-5, 1e-6, 1e-7)]
-    assert max(edges) - min(edges) <= spread
+def test_compact_support_edge_does_not_depend_on_the_seed(m, p, q, spread, monkeypatch):
+    # neither where the profile ends on P0's side (the X of a seed DEFAULT_EPS
+    # off P0) nor where its shot starts on P0's departure manifold moves the edge
+    for name, values in (("DEFAULT_EPS", (1e-5, 1e-6, 1e-7)),
+                         ("PROFILE_SEED_X", (0.1, 0.03, 0.01))):
+        edges = []
+        for value in values:
+            monkeypatch.setattr(connect, name, value)
+            edges.append(detect_finite_propagation(*_profile(m, p, q, -1.0)))
+        monkeypatch.undo()
+        assert max(edges) - min(edges) <= spread, name
 
 
 @pytest.mark.parametrize("m, p, q", [(2, 2, 1), (0.5, 2, 1)])
