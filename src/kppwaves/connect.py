@@ -3,14 +3,12 @@
 The connecting orbit leaves the Y-axis equilibrium (P0 in Case I, the
 positive-Y axis point in Case II) and falls into P2 = (1, 0).  Its departure
 end is transversally stable, so a shot is one forward integration from a
-seed on or near P0's departure manifold, with tau = 0 at the seed.  Nothing
+seed on P0's departure manifold, with tau = 0 at the seed.  Nothing
 integrates backward from P2: leaving the attracting node backward amplifies
 transverse error like exp(c |tau|) and never finds the axis point.
 
-LSODA does the integration: from a seed eps off P0 along the linear
-eigenvector the forward orbit spends tau ~ c/(gamma eps) drifting along the
-center manifold near P0 with a stiffness-limited explicit step, which a fixed
-Runge-Kutta pair cannot afford at eps = 1e-6.  Each step
+LSODA does the integration, bit for bit as ``solve_ivp(method="LSODA")``
+would (the tests pin the two against each other).  Each step
 is one direct call of scipy's compiled ODEPACK wrapper in one-step mode, with
 the arguments ``scipy.integrate._ode.lsoda.run`` passes, on the tolerances
 and work arrays a fresh ``scipy.integrate.LSODA`` would hand it; no such
@@ -36,17 +34,20 @@ keeps one.
 A shot stops on entering P2's arrival ball, and the X extrema the ball hides
 are the Y = 0 crossings of P2's local flow from the arrival state: roots on
 P2's conjugacy with its linear flow (phaseplane.arrival_map), so the
-oscillation count and X0 do not depend on the radius.  Both shots of
-classify_connection skip the drift: they start on P0's departure manifold,
-with Y from its series.  A profile shot starts at departure_seed's X capped
-at ``PROFILE_SEED_X`` (see _profile_seed) and keeps ``ARRIVAL_RADIUS``,
-since its samples become the profile; reconstruct_profile fills the
-stretch from there back to where a seed DEFAULT_EPS off P0 would lie from
-the same series.  A shot that only classifies starts at
-phaseplane.departure_seed (up to X = 0.8) and stops where the map's reach
-puts P2's ball, between ``CLASSIFY_RADIUS`` and ``P2_RADIUS_MAX``: it skips
-the drift away from P0, and the map takes over the approach to P2, so
-class, count and X0 keep their values (to 2e-9 in X0) at fewer steps.  At a
+oscillation count and X0 do not depend on the radius.  Every shot starts on
+P0's departure manifold, with Y from its series, and so skips the slow drift
+away from P0 that a seed on P0's linear eigenvector would follow.  A plain
+shot, and one that only classifies, starts at phaseplane.departure_seed
+(up to X = 0.8).  A profile shot starts at departure_seed's X capped at
+``PROFILE_SEED_X`` (see _profile_seed) and keeps ``ARRIVAL_RADIUS``, since
+its samples become the profile; reconstruct_profile fills the stretch from
+there back to where a seed DEFAULT_EPS off P0 along that eigenvector would
+lie from the same series.  Case I at c = 0 has no departure manifold: its
+plain shot starts on the explicit zero-speed curve at X = DEFAULT_EPS.  A
+shot that only classifies stops where the map's reach puts P2's ball,
+between ``CLASSIFY_RADIUS`` and ``P2_RADIUS_MAX``: the map takes over the
+approach to P2, so class, count and X0 keep their values (to 2e-9 in X0)
+at fewer steps.  At a
 real, non-resonant node such a shot also stops at its first sample within
 P2_TOL of P2's slow manifold Y = g(X) (phaseplane.slow_manifold) inside the
 reach of g's series: from there the orbit follows g into P2 with X monotone,
@@ -106,16 +107,14 @@ __all__ = [
     "ConnectionResult",
     "shoot",
     "first_X_axis_intersection",
-    "x0_monotonicity_check",
     "classify_connection",
     "reconstruct_profile",
     "detect_finite_propagation",
     "threshold_crossings",
 ]
 
-DEFAULT_EPS = 1e-6        # a plain shot's seed offset from P0, and a profile's P0 end
+DEFAULT_EPS = 1e-6        # offset from P0 of a profile's P0 end, and X of the c = 0 seed
 PROFILE_SEED_X = 0.1      # cap on a profile shot's seed X on P0's departure manifold
-MAX_EPS = 1e-2            # the largest seed offset a shot takes
 ARRIVAL_RADIUS = 1e-5
 CLASSIFY_RADIUS = 1e-4    # P2's arrival radius for such a shot where its map falls short
 P2_RADIUS_MAX = 2e-2      # cap on the P2 arrival radius that the map's reach sets
@@ -293,29 +292,6 @@ class ConnectionResult:
 
 
 # --- seeds ----------------------------------------------------------------------
-
-def _seed_state(sys: PhaseSystem, eps: float) -> np.ndarray:
-    """Seed eps from P0 along the eigenvector transverse to the Y axis.
-
-    On the axis the Jacobian is triangular; the transverse eigenvalue is its
-    larger diagonal entry (0 at Case I's saddle-node, gamma Y+ > 0 in Case
-    II), the first that ``linearization`` lists.
-    """
-    if isinstance(sys, PhaseSystemI) and sys.c == 0.0:
-        # the fully degenerate origin has no transverse direction: seed on the
-        # explicit trajectory Y^2 = 2X/(2+gamma) - 2X^k/(2+gamma k)
-        y2 = zero_speed_curve(sys, eps)
-        if y2 <= 0.0:
-            raise SeedFailureError("zero-speed curve has no real branch at the seed offset")
-        return np.array([eps, math.sqrt(y2)])
-    x0, y0 = fixed_point_locations(sys)["P0"]
-    v = linearization(sys, x0, y0)[2][:, 0].real
-    if v[0] < 0.0:
-        v = -v
-    if not v[0] > 0.0:
-        raise SeedFailureError("P0's transverse eigenvector does not leave the Y axis")
-    return np.array([x0, y0]) + eps * v
-
 
 def _profile_seed(sys: PhaseSystem) -> np.ndarray:
     """A profile shot's seed on P0's departure manifold: at departure_seed's
@@ -572,8 +548,8 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
             g, g_new = [f(Xo, Yo) for f in event_fns], [f(X, Y) for f in event_fns]
             if t_old == 0.0:
                 # the P0 row (fps lists P0 first) starts inside its ball, as at
-                # P0 itself: leaving the seed fires no arrival there, whatever
-                # eps and the radius are
+                # P0 itself: leaving the seed fires no arrival there, wherever
+                # the seed lies and whatever the radius is
                 g[0] = -arrival_radius
             # solve_ivp's find_active_events
             active = [i for i, d in enumerate(directions)
@@ -641,10 +617,11 @@ def _integrate(sys: PhaseSystem, s0: np.ndarray, *, rtol: float, atol: float,
         k, top, n).transpose(1, 2, 0)) if dense else None
 
 
-def shoot(sys: PhaseSystem, eps: float | None = None, *, rtol: float = 1e-10,
-          atol: float = 1e-10, arrival_radius: float = ARRIVAL_RADIUS,
+def shoot(sys: PhaseSystem, *, rtol: float = 1e-10, atol: float = 1e-10,
+          arrival_radius: float = ARRIVAL_RADIUS,
           profile_of: CanonicalModel | None = None) -> Trajectory:
-    """Integrate the connecting orbit forward from its P0 seed, tau = 0 there.
+    """Integrate the connecting orbit forward from its seed on P0's
+    departure manifold, tau = 0 there.
 
     Events record the X-axis (Y = 0) crossings, escape beyond
     ``ESCAPE_BOUND`` and arrival within ``arrival_radius`` of a fixed point;
@@ -656,29 +633,28 @@ def shoot(sys: PhaseSystem, eps: float | None = None, *, rtol: float = 1e-10,
     entered on a step (still in P0's at ``TAU_SPAN``) gets the arrival
     attached at its last sample.
 
-    ``profile_of`` names the model ``sys`` was built from (one of another
-    system is refused) when the orbit is to become a profile: the shot then
-    starts on P0's departure manifold (see _profile_seed) and takes no
-    ``eps``, carries xi (see reconstruct_profile) as a third state and keeps
-    the dense output ``state_at`` evaluates.  Without it the shot starts
-    ``eps`` (by default DEFAULT_EPS) from P0 along the linear eigenvector,
-    integrates (X, Y) alone and keeps no dense output.
+    The shot starts at phaseplane.departure_seed, integrates (X, Y) alone
+    and keeps no dense output.  ``profile_of`` names the model ``sys`` was
+    built from (one of another system is refused) when the orbit is to
+    become a profile: the shot then starts at _profile_seed, carries xi (see
+    reconstruct_profile) as a third state and keeps the dense output
+    ``state_at`` evaluates.
 
-    At c = 0 in Case I the shot terminates at the first X-axis crossing: the
-    orbit is symmetric under (Y, tau) -> (-Y, -tau) there, and following the
-    mirror half numerically runs into the fully degenerate origin.
+    At c = 0 in Case I, where P0's departure manifold has no series, a plain
+    shot starts on the explicit zero-speed curve at X = DEFAULT_EPS and
+    terminates at the first X-axis crossing: the orbit is symmetric under
+    (Y, tau) -> (-Y, -tau) there, and following the mirror half numerically
+    runs into the fully degenerate origin.
     """
     if profile_of is not None:
-        if eps is not None:
-            raise InvalidParameterError(
-                f"a profile shot starts on P0's departure manifold and takes no eps, got {eps!r}")
         s0 = _profile_seed(sys)
+    elif isinstance(sys, PhaseSystemI) and sys.c == 0.0:
+        y2 = zero_speed_curve(sys, DEFAULT_EPS)
+        if y2 <= 0.0:
+            raise SeedFailureError("zero-speed curve has no real branch at the seed offset")
+        s0 = np.array([DEFAULT_EPS, math.sqrt(y2)])
     else:
-        eps = DEFAULT_EPS if eps is None else eps
-        if not 0.0 < eps <= MAX_EPS:
-            raise InvalidParameterError(
-                f"seed offset eps must lie in (0, {MAX_EPS:g}], got {eps!r}")
-        s0 = _seed_state(sys, eps)
+        s0 = np.array(departure_seed(sys))
     return _shoot_from(sys, s0, rtol=rtol, atol=atol, arrival_radius=arrival_radius,
                        profile_of=profile_of)
 
@@ -761,27 +737,6 @@ def _turning_point(traj: Trajectory, tail) -> float:
     )
 
 
-def x0_monotonicity_check(cm: CanonicalModel, speeds, eps: float = DEFAULT_EPS,
-                          **shoot_kw) -> list[tuple[float, float]]:
-    """X0 for each c in ``speeds`` (non-negative, increasing).
-
-    The turning point X0(c) is non-increasing in c and starts from the closed
-    form at c = 0; this returns the measurements and leaves assertions to the
-    caller.
-    """
-    speeds = [float(c) for c in speeds]
-    if any(c < 0.0 for c in speeds):
-        raise InvalidParameterError("speeds must be non-negative")
-    if any(b <= a for a, b in zip(speeds, speeds[1:])):
-        raise InvalidParameterError("speeds must be strictly increasing")
-    out = []
-    for c in speeds:
-        sys = build_system(cm, c)
-        traj = shoot(sys, eps, **shoot_kw)
-        out.append((c, first_X_axis_intersection(traj)))
-    return out
-
-
 def _tail_crossings(traj: Trajectory, degree: int = P2_DEGREE):
     """(tau, X) at each Y = 0 crossing after the shot's arrival at P2, in
     time order: the crossings its arrival ball hides, on P2's conjugacy K
@@ -847,26 +802,26 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     local flow, so neither the count nor X0 depends on the arrival radius.
     reconstruct_profile measures its profile's extrema by the same rule.
 
-    ``shoot_kw`` go to shoot, but no shot here takes ``eps``: every one
-    starts on P0's departure manifold.  ``profile_of=cm`` makes the
-    trajectory one that reconstruct_profile accepts, shot by shoot.  A shot
-    without it only classifies: it starts at
-    phaseplane.departure_seed and arrives at the reach
-    of P2's map (phaseplane.arrival_map), held between ``CLASSIFY_RADIUS``
-    and ``P2_RADIUS_MAX``, unless ``arrival_radius`` is given.  Its class,
-    count and X0 agree with those of a shot from eps = 1e-6 to radius 1e-8,
-    X0 to 2e-9 (tests/test_connect.py), and it takes fewer steps.
+    ``shoot_kw`` go to shoot.  ``profile_of=cm`` makes the trajectory one
+    that reconstruct_profile accepts, shot by shoot.  A shot without it only
+    classifies: it starts at phaseplane.departure_seed, as a plain shoot
+    does, and arrives at the reach of P2's map (phaseplane.arrival_map),
+    held between ``CLASSIFY_RADIUS`` and ``P2_RADIUS_MAX``; it takes no
+    ``arrival_radius`` (a TypeError, as any keyword shoot does not take).
+    Its class, count and X0 agree with those of a shot from 1e-6 off P0
+    along P0's linear eigenvector to radius 1e-8, X0 to 2e-9
+    (tests/test_connect.py), and it takes fewer steps.
 
-    Without ``arrival_radius`` such a shot has one more stop where P2 is a
-    real, non-resonant node with l1 != l2 (phaseplane.slow_manifold): the
-    first sample within P2_TOL of P2's slow manifold Y = g(X) and within
-    the reach of g's series.  There g leaves out at most P2_TOL more, g has
-    no zero but at P2 (|g| >= |c_1 (X - 1)| / 2) and the distance to g
-    contracts, so the orbit stays within 2 P2_TOL of g into P2 and crosses
-    Y = 0 only within 4 P2_TOL / |c_1| of X = 1, which is checked to lie
-    within ``GRAZE_TOL``: the shot arrives at P2 with no tail extrema, X0
-    = 1.0, and, without extrema of its own, the class Monotone with
-    evidence "manifold".  Every other shot runs as without the stop.
+    Such a shot has one more stop where P2 is a real, non-resonant node
+    with l1 != l2 (phaseplane.slow_manifold): the first sample within
+    P2_TOL of P2's slow manifold Y = g(X) and within the reach of g's
+    series.  There g leaves out at most P2_TOL more, g has no zero but at
+    P2 (|g| >= |c_1 (X - 1)| / 2) and the distance to g contracts, so the
+    orbit stays within 2 P2_TOL of g into P2 and crosses Y = 0 only within
+    4 P2_TOL / |c_1| of X = 1, which is checked to lie within
+    ``GRAZE_TOL``: the shot arrives at P2 with no tail extrema, X0 = 1.0,
+    and, without extrema of its own, the class Monotone with evidence
+    "manifold".  Every other shot runs as without the stop.
     """
     predicted = classify_speed(cm, c_original)
     if c_original >= 0.0:
@@ -880,14 +835,14 @@ def classify_connection(cm: CanonicalModel, c_original: float,
     if shoot_kw.get("profile_of") is not None:
         traj = shoot(sys, **shoot_kw)
     else:
-        if "arrival_radius" not in shoot_kw:
-            K = arrival_map(sys)
-            reach = 0.0 if K is None else K.reach
-            g = slow_manifold(sys)
-            shoot_kw.update(arrival_radius=CLASSIFY_RADIUS, p2_radius=min(
-                reach, P2_RADIUS_MAX) if reach > CLASSIFY_RADIUS else CLASSIFY_RADIUS,
-                manifold=g if g and 4.0 * P2_TOL <= GRAZE_TOL * abs(g.coef[1]) else None)
-        traj = _shoot_from(sys, np.array(departure_seed(sys)), **shoot_kw)
+        K = arrival_map(sys)
+        reach = 0.0 if K is None else K.reach
+        g = slow_manifold(sys)
+        traj = _shoot_from(
+            sys, np.array(departure_seed(sys)), arrival_radius=CLASSIFY_RADIUS,
+            p2_radius=min(reach, P2_RADIUS_MAX) if reach > CLASSIFY_RADIUS else CLASSIFY_RADIUS,
+            manifold=g if g and 4.0 * P2_TOL <= GRAZE_TOL * abs(g.coef[1]) else None,
+            **shoot_kw)
     if traj.arrived != "P2":
         raise InconclusiveError(
             f"trajectory for c = {c_original} did not reach P2 "
@@ -917,19 +872,20 @@ def _profile_exponents(sys: PhaseSystem, cm: CanonicalModel) -> tuple[float, flo
 
 
 @lru_cache(maxsize=1)
-def _chebyshev_operators(n: int, centers: int, degree: int):
+def _chebyshev_operators():
     """(to_coef, integral, derivative, at_centers, inv_fact): the fixed
-    linear maps of _DepartureXi for n first-kind Chebyshev nodes on [-1, 1].
-    to_coef takes values at the nodes to the n coefficients of their
-    interpolant; integral takes coefficients to those of its antiderivative,
-    0 at x = 1 (one more degree); derivative to those of its derivative
-    (sizes n + 1 throughout, the last coefficient of the interpolant 0);
-    at_centers evaluates a series at ``centers`` first-kind Chebyshev points,
-    its rows the T_k at one point; inv_fact holds 1 / j! for j up to
-    ``degree``, the scales of the Taylor rows.  Built once, without
-    numpy.polynomial.  Each is applied by ``np.einsum``, not by ``@``:
-    numpy's first BLAS product touches 0.15-0.25 MB of buffers, which would
-    raise a profile run's peak RSS."""
+    linear maps of _DepartureXi for its n = XI_FIT_DEGREE + 1 first-kind
+    Chebyshev nodes on [-1, 1].  to_coef takes values at the nodes to the n
+    coefficients of their interpolant; integral takes coefficients to those
+    of its antiderivative, 0 at x = 1 (one more degree); derivative to those
+    of its derivative (sizes n + 1 throughout, the last coefficient of the
+    interpolant 0); at_centers evaluates a series at XI_CENTERS first-kind
+    Chebyshev points, its rows the T_k at one point; inv_fact holds 1 / j!
+    for j up to XI_TAYLOR_DEGREE, the scales of the Taylor rows.  Built
+    once, without numpy.polynomial.  Each is applied by ``np.einsum``, not
+    by ``@``: numpy's first BLAS product touches 0.15-0.25 MB of buffers,
+    which would raise a profile run's peak RSS."""
+    n = XI_FIT_DEGREE + 1
     k = np.arange(n + 1)
     theta = (np.arange(n) + 0.5) * (math.pi / n)
     to_coef = np.cos(np.multiply.outer(k, theta)) * (2.0 / n)
@@ -948,8 +904,8 @@ def _chebyshev_operators(n: int, centers: int, degree: int):
         derivative[j - 1] = (derivative[j + 1] if j < n else 0.0)
         derivative[j - 1, j] += 2.0 * j
     derivative[0] *= 0.5
-    phi = (np.arange(centers) + 0.5) * (math.pi / centers)
-    inv_fact = [1.0 / math.factorial(j) for j in range(degree + 1)]
+    phi = (np.arange(XI_CENTERS) + 0.5) * (math.pi / XI_CENTERS)
+    inv_fact = [1.0 / math.factorial(j) for j in range(XI_TAYLOR_DEGREE + 1)]
     return to_coef, integral, derivative, np.cos(np.multiply.outer(phi, k)), inv_fact
 
 
@@ -972,8 +928,7 @@ class _DepartureXi:
 
     def __init__(self, sys: PhaseSystem, cm: CanonicalModel, x_lo: float, x_s: float):
         n = XI_FIT_DEGREE + 1
-        to_coef, integral, derivative, at_centers, inv_fact = _chebyshev_operators(
-            n, XI_CENTERS, XI_TAYLOR_DEGREE)
+        to_coef, integral, derivative, at_centers, inv_fact = _chebyshev_operators()
         pref, expo, _ = _profile_exponents(sys, cm)
         s_lo, s_hi = math.log(x_lo), math.log(x_s)
         self.mid, self.half = mid, half = 0.5 * (s_hi + s_lo), 0.5 * (s_hi - s_lo)
@@ -1034,8 +989,9 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
 
     The shot carries xi as a third state: dxi/dtau = X^((m-1)/gamma) in
     Case I and sqrt(2/(m+q)) X^((m-q)/(2k)) in Case II, and f = X^(1/gamma)
-    resp. X^(1/k).  The profile runs from the P0 end X_lo, where a shot
-    from DEFAULT_EPS off P0 would start, to the shot's arrival at P2, on a
+    resp. X^(1/k).  The profile runs from the P0 end X_lo, DEFAULT_EPS off
+    P0 along P0's eigenvector transverse to the Y axis (SeedFailureError
+    where there is none), to the shot's arrival at P2, on a
     uniform xi grid of ``PROFILE_SAMPLES`` points.  Grid points on the shot
     are mapped back to tau by interpolation on the samples' xi, then Newton
     passes on the dense output.  Those between X_lo and the shot's seed
@@ -1063,7 +1019,12 @@ def reconstruct_profile(traj: Trajectory) -> WaveProfile:
     c_wave = -speed if isinstance(sys, PhaseSystemI) else -speed * math.sqrt(cm.mq / 2.0)
     pref, expo, fe = _profile_exponents(sys, cm)
     x_s = float(traj.X[0])
-    x_lo = min(float(_seed_state(sys, DEFAULT_EPS)[0]), x_s)
+    # the P0 end: DEFAULT_EPS off P0, which lies on X = 0, along P0's
+    # eigenvector transverse to the Y axis (the first linearization lists)
+    v = abs(float(linearization(sys, *fixed_point_locations(sys)["P0"])[2][0, 0].real))
+    if not v > 0.0:
+        raise SeedFailureError("P0's transverse eigenvector does not leave the Y axis")
+    x_lo = min(DEFAULT_EPS * v, x_s)
     # X^expo is largest and smallest at the ends of X's range.  Where it
     # passed the cap the shot carried a clipped rate, so its xi is wrong
     # (without the cap, inf), and the series' rate would overflow; where it

@@ -10,6 +10,23 @@ import numpy as np
 import pytest
 
 import kppwaves as kw
+from kppwaves.phaseplane import PhaseSystemI, fixed_point_locations, linearization
+
+
+def linear_seed(sys, eps=kw.connect.DEFAULT_EPS):
+    """The seed eps off P0 along P0's eigenvector transverse to the Y axis,
+    the first that phaseplane.linearization lists: the reference seed of the
+    tests that pin the shot against solve_ivp or compare a shot with one
+    from near P0.  In Case I at c = 0, where P0 is fully degenerate, it is
+    shoot's own seed there, on the zero-speed curve at X = eps."""
+    if isinstance(sys, PhaseSystemI) and sys.c == 0.0:
+        return np.array([eps, math.sqrt(kw.zero_speed_curve(sys, eps))])
+    x0, y0 = fixed_point_locations(sys)["P0"]
+    v = linearization(sys, x0, y0)[2][:, 0].real
+    if v[0] < 0.0:
+        v = -v
+    assert v[0] > 0.0, v
+    return np.array([x0, y0]) + eps * v
 
 
 def scalar_field(sys):

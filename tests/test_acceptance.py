@@ -14,6 +14,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 import kppwaves as kw
+from conftest import linear_seed
 
 
 def _report(capsys, idx, ok, detail):
@@ -133,7 +134,8 @@ def test_criterion_04_region_confinement_at_critical_speed(capsys):
         c_star = kw.critical_speed(cm)
         s = kw.build_system(cm, c_star)
         worst_R = max(worst_R, float(np.max(kw.region_G_residual(s, grid))))
-        traj = kw.shoot(s)
+        # the orbit from 1e-6 off P0 along P0's linear eigenvector
+        traj = kw.connect._shoot_from(s, linear_seed(s))
         a = c_star / (2.0 * s.gamma)
         # G = {0 <= X <= 1, 0 <= Y <= a(1 - X)}; positive excess = exit
         viol = max(float(np.max(traj.X - 1.0)), float(np.max(-traj.X)),
@@ -156,9 +158,9 @@ def test_criterion_04_region_confinement_at_critical_speed(capsys):
 
 def test_criterion_05_turning_point_monotone_in_speed(capsys):
     t0 = time.perf_counter()
-    pairs = kw.x0_monotonicity_check(kw.CanonicalModel(m=2, p=2, q=1),
-                                     [0.0, 0.5, 1.0, 1.5, 2.0])
-    xs = [x0 for _, x0 in pairs]
+    cm = kw.CanonicalModel(m=2, p=2, q=1)
+    xs = [kw.first_X_axis_intersection(kw.shoot(kw.build_system(cm, c)))
+          for c in (0.0, 0.5, 1.0, 1.5, 2.0)]
     non_increasing = all(b <= a + 1e-9 for a, b in zip(xs, xs[1:]))
     start_err = abs(xs[0] - 4.0 / 3.0)
     end_err = abs(xs[-1] - 1.0)

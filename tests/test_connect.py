@@ -24,9 +24,9 @@ from kppwaves import (CanonicalModel, EventKind, SpeedClass, TrajectoryEvent,
                       WaveProfile, build_system, classify_connection,
                       detect_finite_propagation, first_X_axis_intersection,
                       reconstruct_profile, shoot, threshold_crossings,
-                      x0_monotonicity_check, zero_speed_X0, zero_speed_curve)
+                      zero_speed_X0, zero_speed_curve)
 from kppwaves import _compiled, connect
-from conftest import scalar_field, scalar_xi_rate, scipy_table
+from conftest import linear_seed, scalar_field, scalar_xi_rate, scipy_table
 from kppwaves.phaseplane import PhaseSystemI, fixed_point_locations, linearization
 
 CM221 = CanonicalModel(m=2, p=2, q=1)
@@ -48,11 +48,12 @@ def _shot_fun(sys, xi=None):
 
 
 def _shot_args(cm, c, s0=None, **overrides):
-    """(system, seed, _integrate keywords) of the integration shoot runs
-    without ``profile_of``, or of one from the given seed ``s0``."""
+    """(system, seed, _integrate keywords) of a plain shot's integration
+    from the linear seed 1e-6 off P0 (conftest.linear_seed), or from the
+    given seed ``s0``."""
     sys = build_system(cm, c)
     if s0 is None:
-        s0 = connect._seed_state(sys, connect.DEFAULT_EPS)
+        s0 = linear_seed(sys)
     kwargs = dict(rtol=1e-10, atol=1e-10, arrival_radius=connect.ARRIVAL_RADIUS,
                   p2_radius=connect.ARRIVAL_RADIUS)
     kwargs.update(overrides)
@@ -126,7 +127,7 @@ def _solve_ivp_integrate(sys, s0, *, rtol, atol, arrival_radius, p2_radius, xi_r
 
 # (model, c, _shot_args overrides; "escape_bound" is set on the module
 # instead, and "xi" carries xi with the model's rate).  Every pin but
-# 221-P2-forward integrates from the P0 seed.  Shots without xi keep no dense
+# 221-P2-forward integrates from the linear P0 seed.  Shots without xi keep no dense
 # output, as sweep shots do; profile shots do
 PIN_SHOTS = {
     "221-P0-c1": (CM221, 1.0, {}),
@@ -553,8 +554,8 @@ def test_no_arrival_fires_at_the_seed(eps):
     # (1e-5) or outside (2e-5) the default radius: the orbit leaving it
     # records no event, and the one arrival is P2's at the end
     sys, _, kwargs = _shot_args(CM221, 1.0)
-    res, _ = connect._integrate(sys, connect._seed_state(sys, eps), **kwargs)
-    traj = shoot(sys, eps)
+    res, _ = connect._integrate(sys, linear_seed(sys, eps), **kwargs)
+    traj = connect._shoot_from(sys, linear_seed(sys, eps))
     for events in (res["events"], traj.events):
         arrivals = [(ev.tau, ev.target) for ev in events
                     if ev.kind is EventKind.FIXED_POINT_ARRIVAL]
@@ -563,30 +564,26 @@ def test_no_arrival_fires_at_the_seed(eps):
 
 
 def test_any_seed_offset_gives_a_result_or_a_typed_error():
-    # the plain shot of every pinned model and speed over seed offsets across
-    # (0, 1e-2], including offsets on and just past the arrival radius and a
-    # radius equal to the offset, is a result or a KppWavesError, and one
-    # that arrives at P2 has the class c* predicts
+    # the shot of every pinned model and speed from linear seeds with offsets
+    # across (0, 1e-2], including offsets on and just past the arrival radius
+    # and a radius equal to the offset, is a result or a KppWavesError, and
+    # one that arrives at P2 has the class c* predicts
     pins = sorted({(cm, c) for cm, c, _ in PIN_SHOTS.values() if c > 0.0}, key=str)
     grid = [*np.geomspace(1e-9, 1e-2, 8), 1e-5, 1.37e-5, 2e-5]
     for cm, c in pins:
         sys_ = build_system(cm, c)
-        for kwargs in [{"eps": e} for e in grid] + [{"eps": 1e-6, "arrival_radius": 1e-6}]:
+        for eps, radius in [(e, connect.ARRIVAL_RADIUS) for e in grid] + [(1e-6, 1e-6)]:
             try:
-                traj = shoot(sys_, **kwargs)
+                traj = connect._shoot_from(sys_, linear_seed(sys_, eps), arrival_radius=radius)
                 observed = connect._wave_class(traj)[0] if traj.arrived == "P2" else None
             except kw.KppWavesError:
                 continue
-            assert observed in (None, kw.classify_speed(cm, -c)), (cm, c, kwargs)
-        # a profile shot starts on P0's departure manifold and takes no eps
-        with pytest.raises(kw.InvalidParameterError, match="takes no eps"):
-            shoot(sys_, connect.DEFAULT_EPS, profile_of=cm)
-        with pytest.raises(kw.InvalidParameterError, match="takes no eps"):
-            classify_connection(cm, -c, profile_of=cm, eps=connect.DEFAULT_EPS)
+            assert observed in (None, kw.classify_speed(cm, -c)), (cm, c, eps, radius)
     # the seed on the radius and the radius shrunk to the seed offset used
     # to end in a raw ValueError and in an arrival back at P0
-    for kwargs in ({"eps": 1e-5}, {"eps": 1e-6, "arrival_radius": 1e-6}):
-        traj = shoot(build_system(CM221, 1.0), **kwargs)
+    sys_ = build_system(CM221, 1.0)
+    for eps, radius in ((1e-5, connect.ARRIVAL_RADIUS), (1e-6, 1e-6)):
+        traj = connect._shoot_from(sys_, linear_seed(sys_, eps), arrival_radius=radius)
         assert traj.arrived == "P2" and connect._wave_class(traj)[1] == "extrema"
 
 
@@ -598,6 +595,27 @@ def test_overflow_in_the_field_is_a_step_failure(share):
     cm = CanonicalModel(m=1, p=1.4999, q=0.9999)
     with pytest.raises(kw.StepFailureError, match=r"in PhaseSystemII\(.*overflowed"):
         classify_connection(cm, -share * kw.critical_speed(cm))
+
+
+@pytest.mark.parametrize("mpq, share", [
+    ((1.5, 0.9999, 0.4999), 0.3), ((1.5, 0.9999, 0.4999), 0.9), ((1.5, 0.9999, 0.4999), 1.1),
+    ((1, 1.5001, 1.0001), 0.9), ((1.5, 1.0001, 0.5001), 0.9)])
+def test_shots_next_to_the_regime_boundary_give_a_result_or_a_typed_error(mpq, share):
+    # the other models within 1e-4 of m + q = 2, on either side, whose
+    # fields can overflow at a trial state inside ODEPACK's callback: the
+    # classification shot, and the profile shot with its reconstruction,
+    # each give a result or a KppWavesError, with no numpy warning on the way
+    cm = CanonicalModel(*mpq)
+    c = -share * kw.critical_speed(cm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: classify_connection(cm, c),
+                    lambda: reconstruct_profile(classify_connection(cm, c, profile_of=cm)
+                                                .trajectory)):
+            try:
+                run()
+            except kw.KppWavesError:
+                pass
 
 
 def test_shot_diagnostics_are_deterministic_counts():
@@ -758,13 +776,28 @@ def test_tolerances_are_checked_as_lsoda_checks_them():
 def test_non_finite_tolerances_and_radii_are_refused(kwargs):
     # scipy passes a NaN or infinite tolerance on to ODEPACK, where a shot
     # "arrives" at P0 or leaves the half-plane; a shot with such a radius
-    # never arrives.  Each is refused before the shot, whichever path runs it
+    # never arrives.  Each is refused before the shot, whichever path runs
+    # it; a shot that only classifies takes no radius at all
     [name] = kwargs
-    for run in (lambda: shoot(build_system(CM221, 3.0), **kwargs),
-                lambda: classify_connection(CM221, -3.0, **kwargs),
-                lambda: classify_connection(CM221, -3.0, profile_of=CM221, **kwargs)):
+    runs = [lambda: shoot(build_system(CM221, 3.0), **kwargs),
+            lambda: classify_connection(CM221, -3.0, profile_of=CM221, **kwargs)]
+    if name != "arrival_radius":
+        runs.append(lambda: classify_connection(CM221, -3.0, **kwargs))
+    for run in runs:
         with pytest.raises(kw.InvalidParameterError, match=rf"{name}\b.* finite"):
             run()
+
+
+def test_classification_shot_takes_no_arrival_radius():
+    # a shot that only classifies has one stop rule, at the reach of P2's
+    # map and on its slow manifold: any radius is refused, as a seed offset
+    # is on either path
+    for radius in (1e-8, connect.CLASSIFY_RADIUS, math.nan):
+        with pytest.raises(TypeError, match="arrival_radius"):
+            classify_connection(CM221, -1.0, arrival_radius=radius)
+    for kwargs in ({}, {"profile_of": CM221}):
+        with pytest.raises(TypeError, match="eps"):
+            classify_connection(CM221, -1.0, eps=1e-6, **kwargs)
 
 
 def test_missing_compiled_module_names_the_scipy(monkeypatch, tmp_path):
@@ -831,9 +864,11 @@ def test_axis_events_sit_on_the_axis():
 # --- a shot that only classifies against a fine shot -------------------------------
 
 def _fine_shot(cm, c):
-    """(class, count, X0) of the shot from eps = 1e-6 to radius 1e-8, read
-    from the crossings it records: no tail from P2's map adds to them."""
-    traj = shoot(build_system(cm, abs(c)), 1e-6, arrival_radius=1e-8)
+    """(class, count, X0) of the shot from the linear seed 1e-6 off P0 to
+    radius 1e-8, read from the crossings it records: no tail from P2's map
+    adds to them."""
+    sys_ = build_system(cm, abs(c))
+    traj = connect._shoot_from(sys_, linear_seed(sys_), arrival_radius=1e-8)
     assert traj.arrived == "P2"
     xs = [ev.state[0] for ev in traj.events
           if ev.kind is EventKind.X_AXIS_CROSS and ev.state[0] > 1e-8]
@@ -844,12 +879,13 @@ def _fine_shot(cm, c):
     return observed, n, xs[0] if xs else 1.0
 
 
-def _assert_matches_fine_shot(cm, speeds, x0_tol=1e-8):
+def _assert_matches_fine_shot(cm, speeds):
+    # class, count, and X0 to README's 2e-9
     for c in speeds:
         r = classify_connection(cm, c)
         observed, n, x0 = _fine_shot(cm, c)
         assert (r.observed, r.n_oscillations) == (observed, n), (cm, c)
-        assert abs(r.x0 - x0) <= x0_tol, (cm, c, r.x0, x0)
+        assert abs(r.x0 - x0) <= 2e-9, (cm, c, r.x0, x0)
 
 
 @pytest.mark.parametrize("mpq", [(2, 2, 1), (1, 2, 1), (1, 1, 0.5), (0.5, 2, 1), (3, 2.5, 1)])
@@ -869,7 +905,7 @@ def test_manifold_seed_keeps_x0_within_2e_9_of_the_fine_shot(mpq):
     # has the fine shot's class and count, and its X0 to 2e-9
     cm = CanonicalModel(*mpq)
     shares = (0.08, 0.15, 0.25, 0.4, 0.55, 0.7, 0.85, 0.92, 1.1, 2.0)
-    _assert_matches_fine_shot(cm, [-s * kw.critical_speed(cm) for s in shares], 2e-9)
+    _assert_matches_fine_shot(cm, [-s * kw.critical_speed(cm) for s in shares])
 
 
 def _manifold_graph(sys, X, start, rtol):
@@ -926,7 +962,7 @@ def test_classification_shot_matches_the_fine_shot_on_the_sweep_benchmark():
     # class, count and X0 to README's 2e-9
     for seed in (1, 2, 7, 13, 17, 31, 1234):
         for cm, speeds in _sweep_benchmark(seed):
-            _assert_matches_fine_shot(cm, speeds, 2e-9)
+            _assert_matches_fine_shot(cm, speeds)
 
 
 def test_sweep_benchmark_round_stays_within_its_step_budget():
@@ -1138,7 +1174,7 @@ def test_p2_map_edges_keep_the_fine_shot(mpq):
     speeds += [0.92 * kw.critical_speed(cm), 1.015 * kw.critical_speed(cm)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_matches_fine_shot(cm, [-c for c in speeds], 2e-9)
+        _assert_matches_fine_shot(cm, [-c for c in speeds])
 
 
 @pytest.mark.parametrize("mpq, c, n", [((2, 2, 1), 2.5, 4), ((2, 3, 1), 3.0, 2),
@@ -1152,29 +1188,7 @@ def test_exact_resonance_leaves_the_linear_flow(mpq, c, n):
     assert l2 == n * l1
     K = kw.arrival_map(sys_)
     assert (K.degree, K.reach) == (1, 0.0)
-    _assert_matches_fine_shot(cm, [-c], 2e-9)
-
-
-@pytest.mark.parametrize("mpq, c", [((2, 2, 1), -1.0), ((2, 2, 1), -3.0),
-                                    ((3, 2.5, 1), -3.5198)])
-def test_tiny_seed_classifies_but_gives_no_profile(mpq, c):
-    # from eps = 1e-9 the orbit drifts for tau ~ c/(gamma eps) and is still
-    # in P0's ball at TAU_SPAN.  Neither a shot that only classifies nor a
-    # profile shot takes an eps: both seed on P0's departure manifold, and
-    # the profile shot arrives
-    cm = CanonicalModel(*mpq)
-    r = classify_connection(cm, c)
-    assert r.observed is r.predicted
-    with pytest.raises(TypeError, match="eps"):
-        classify_connection(cm, c, eps=1e-9)
-    with pytest.raises(kw.InvalidParameterError, match="takes no eps"):
-        classify_connection(cm, c, eps=1e-9, profile_of=cm)
-    assert classify_connection(cm, c, profile_of=cm).observed is r.predicted
-    # the plain shot from eps = 1e-9 still ends in P0's ball: no profile
-    traj = shoot(build_system(cm, abs(c)), 1e-9)
-    assert traj.arrived == "P0"
-    with pytest.raises(kw.NotAConnectionError, match="arrived at 'P0'"):
-        reconstruct_profile(traj)
+    _assert_matches_fine_shot(cm, [-c])
 
 
 def test_slow_wave_stops_at_the_crossing_budget():
@@ -1204,25 +1218,22 @@ def test_zero_speed_shot_follows_closed_form():
 
 # --- turning point monotonicity --------------------------------------------------
 
+def _turning_points(cm, speeds):
+    """X0 of the plain shot at each speed."""
+    return [first_X_axis_intersection(shoot(build_system(cm, c))) for c in speeds]
+
+
 def test_turning_point_decreases_with_speed():
-    vals = x0_monotonicity_check(CM221, [0.0, 0.5, 1.0, 2.0])
-    xs = [x for _, x in vals]
+    xs = _turning_points(CM221, [0.0, 0.5, 1.0, 2.0])
     assert xs[0] == pytest.approx(4.0 / 3.0, abs=1e-4)
     assert all(b <= a + 1e-9 for a, b in zip(xs, xs[1:]))
     assert xs[-1] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_turning_point_saturates_past_threshold():
-    vals = dict(x0_monotonicity_check(CM221, [2.0, 5.0]))
-    assert vals[2.0] == pytest.approx(1.0, abs=1e-3)
-    assert vals[5.0] == pytest.approx(1.0, abs=1e-4)
-
-
-def test_turning_point_sweep_validates_input():
-    with pytest.raises(kw.InvalidParameterError):
-        x0_monotonicity_check(CM221, [-1.0, 0.0])
-    with pytest.raises(kw.InvalidParameterError):
-        x0_monotonicity_check(CM221, [1.0, 1.0])
+    at_2, at_5 = _turning_points(CM221, [2.0, 5.0])
+    assert at_2 == pytest.approx(1.0, abs=1e-3)
+    assert at_5 == pytest.approx(1.0, abs=1e-4)
 
 
 # --- classification ---------------------------------------------------------------
@@ -1528,7 +1539,7 @@ def _reference_profile(traj):
     tau_half = connect.brentq(lambda t: float(state_at(t)[0]) - x_half,
                               traj.tau[i1 - 1], traj.tau[i1], xtol=1e-13)
     xi_half = float(state_at(tau_half)[2])
-    x_lo = connect._seed_state(traj.sys, connect.DEFAULT_EPS)[0]
+    x_lo = linear_seed(traj.sys)[0]
     fill = connect._DepartureXi(traj.sys, traj.profile_of, x_lo, traj.X[0])
     xi_target = np.linspace(fill.xi_lo, traj.xi[-1], connect.PROFILE_SAMPLES)
     on_shot = xi_target[xi_target >= 0.0]
@@ -1568,8 +1579,7 @@ def test_reconstruction_matches_reference(mpq, c, n_extrema):
     assert np.array(prof.overshoot_extrema).tobytes() == np.array(overshoots).tobytes()
     pref, expo, fe = connect._profile_exponents(traj.sys, cm)
     X = prof.f[n:][::-1] ** (1.0 / fe)
-    reference = _series_xi(traj.sys, cm, connect._seed_state(traj.sys, connect.DEFAULT_EPS)[0],
-                           traj.X[0])
+    reference = _series_xi(traj.sys, cm, linear_seed(traj.sys)[0], traj.X[0])
     assert np.max(np.abs(reference(X) - series_xi)) < 1e-9
 
 
@@ -1638,11 +1648,12 @@ def test_classify_names_where_a_failed_orbit_went(monkeypatch):
 
 
 def test_reconstruct_rejects_non_connections():
-    # just off (1,2,1) the plain orbit from eps never leaves P0's ball within
-    # TAU_SPAN, and the arrival attached at its end names P0; a shot from
-    # P0's departure manifold arrives
+    # just off (1,2,1) the orbit from the linear seed 1e-6 off P0 never
+    # leaves P0's ball within TAU_SPAN, and the arrival attached at its end
+    # names P0; a shot from P0's departure manifold arrives
     cm = CanonicalModel(m=1, p=2, q=1.001)
-    traj = shoot(build_system(cm, 1.0))
+    sys_ = build_system(cm, 1.0)
+    traj = connect._shoot_from(sys_, linear_seed(sys_))
     assert traj.arrived == "P0"
     with pytest.raises(kw.NotAConnectionError, match="arrived at 'P0', not P2"):
         reconstruct_profile(traj)
